@@ -12,6 +12,7 @@ mean of SPD matrices.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .kron import kron
 
@@ -22,10 +23,10 @@ PIVOT_FLOOR = 1e-14     # diagonal pivots at or below this count as failure
 class NotPositiveDefiniteError(ValueError):
     """Raised when a factorization target is not positive definite."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, advice: str = ""):
         self.order = order
-        super().__init__(
-            f"matrix is not positive definite: leading minor of order {order} failed")
+        message = f"matrix is not positive definite: leading minor of order {order} failed"
+        super().__init__(f"{message}; {advice}" if advice else message)
 
 
 def strict_lower(M: np.ndarray) -> np.ndarray:
@@ -63,18 +64,19 @@ def cholesky(S: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L L^T = S.
 
     Raises :class:`NotPositiveDefiniteError` naming the failing leading
-    minor when a pivot is non-positive or at/below the pivot floor.
+    minor when a pivot is non-positive or at/below the pivot floor.  LAPACK
+    reports only non-positive pivots, so the pivots it accepted (the
+    squared diagonal of its factor) are checked against the floor first.
     """
     S = check_spd(S)
-    d = S.shape[0]
-    L = np.zeros_like(S)
-    for j in range(d):
-        pivot = S[j, j] - L[j, :j] @ L[j, :j]
-        if not np.isfinite(pivot) or pivot <= PIVOT_FLOOR:
-            raise NotPositiveDefiniteError(j + 1)
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    L, info = lapack.dpotrf(S, lower=1, clean=1)
+    n_accepted = info - 1 if info > 0 else S.shape[0]
+    pivots = np.diagonal(L)[:n_accepted] ** 2
+    tiny = np.flatnonzero(~(np.isfinite(pivots) & (pivots > PIVOT_FLOOR)))
+    if tiny.size:
+        raise NotPositiveDefiniteError(int(tiny[0]) + 1)
+    if info > 0:
+        raise NotPositiveDefiniteError(int(info))
     return L
 
 

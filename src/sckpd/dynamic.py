@@ -1,29 +1,28 @@
-"""Seasonally dynamic extension: per-season component weights propagated by
-column-stochastic transition matrices, shared diagonals and lower-prior
-variance across seasons, and the seasonal posterior with analytic gradients.
+"""Seasonal vocabulary: column-stochastic transition matrices, the schedule
+of per-block data summaries, and the seasonal entry point of the one
+posterior in ``model``.
 
 Blocks are time ordered: cycle c, season s sits at t = S*(c-1) + s, and the
 weights evolve by the recurrence omega_{t+1} = A omega_t starting from the
 season-1 weights (so block t uses t-1 transition applications).  Columns of
 A summing to one is exactly the condition that keeps the weights on the
-simplex.
+simplex.  The static model is the one-block case, so the seasonal layout
+and parameters are the model's own (``SDLayout`` is ``StateLayout``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 
-from . import transforms
-from .hyper import PriorTargets, SolvedHyper, digamma
-from .model import (LOG_2PI, DataSummary, SCKPDParams, StateLayout,
-                    _dirichlet_logpdf, _gamma_logpdf, _trace_quad_core,
-                    log_det_ldagger)
+from .hyper import PriorTargets, SolvedHyper
+from .model import (DataSummary, SDParams, StateLayout,  # noqa: F401 - seasonal names
+                    _log_posterior_blocks, omega_trajectory)
 
 COLSUM_TOL = 1e-9
+
+SDLayout = StateLayout
 
 
 @dataclass(frozen=True)
@@ -55,22 +54,6 @@ def stochastic_from_gammas(G: np.ndarray) -> StochasticMatrix:
     if np.any(G <= 0):
         raise ValueError("gamma matrix entries must be strictly positive")
     return StochasticMatrix(matrix=G / G.sum(axis=0, keepdims=True), gammas=G.copy())
-
-
-def propagate_omega(A, omega: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the transition ``steps`` times; stays on the simplex exactly."""
-    M = A.matrix if isinstance(A, StochasticMatrix) else np.asarray(A, dtype=float)
-    if np.max(np.abs(M.sum(axis=0) - 1.0)) > COLSUM_TOL:
-        raise ValueError("every column of the transition matrix must sum to 1")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0) or abs(omega.sum() - 1.0) > 1e-9:
-        raise ValueError("omega must lie on the unit simplex")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    out = omega.copy()
-    for _ in range(int(steps)):
-        out = M @ out
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,260 +90,11 @@ class SeasonSchedule:
         return self.n_seasons * (cycle - 1) + (season - 1)
 
 
-@dataclass(frozen=True)
-class SDParams:
-    """Constrained parameters of the dynamic model."""
-
-    lowers1: np.ndarray          # (T, K, d1, d1)
-    lowers2: np.ndarray          # (T, K, d2, d2)
-    d1_diag: np.ndarray
-    d2_diag: np.ndarray
-    omega1: np.ndarray           # season-1 weights
-    theta: float
-    gammas: tuple[np.ndarray, ...] = ()
-
-    @property
-    def n_blocks(self) -> int:
-        return self.lowers1.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.lowers1.shape[1]
-
-    @property
-    def matrices(self) -> tuple[StochasticMatrix, ...]:
-        return tuple(stochastic_from_gammas(G) for G in self.gammas)
-
-    def season_params(self, t: int, omega_t: np.ndarray) -> SCKPDParams:
-        return SCKPDParams(lowers1=self.lowers1[t], lowers2=self.lowers2[t],
-                           d1_diag=self.d1_diag, d2_diag=self.d2_diag,
-                           omega=omega_t, theta=self.theta)
-
-
-def omega_trajectory(omega1: np.ndarray, matrices, assignment, n_blocks: int) -> np.ndarray:
-    """Weights for every block: omega_1 then one transition per step.
-
-    ``assignment[t]`` names the matrix used for the step t -> t+1 (0-based),
-    with None meaning the identity.
-    """
-    K = omega1.shape[0]
-    out = np.empty((n_blocks, K))
-    out[0] = omega1
-    for t in range(n_blocks - 1):
-        m = assignment[t]
-        if m is None:
-            out[t + 1] = out[t]
-        else:
-            M = matrices[m].matrix if isinstance(matrices[m], StochasticMatrix) else matrices[m]
-            out[t + 1] = M @ out[t]
-    return out
-
-
-class SDLayout:
-    """Flat-vector index map for the dynamic model.
-
-    Order: per-block mode-1 lowers, per-block mode-2 lowers, log D1, log D2,
-    stick-breaking coordinates of the season-1 weights, logit theta, then
-    the log gamma entries of each transition matrix (row-major).
-    """
-
-    def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int,
-                 n_matrices: int | None = None, assignment=None,
-                 transition_alpha: float = 1.0):
-        if n_blocks < 1:
-            raise ValueError("need at least one block")
-        self.static = StateLayout(d1, d2, n_components)
-        self.d1, self.d2, self.n_components = d1, d2, n_components
-        self.n_blocks = n_blocks
-        if n_matrices is None:
-            n_matrices = 1 if n_blocks > 1 else 0
-        if assignment is None:
-            assignment = tuple((0 if n_matrices else None) for _ in range(n_blocks - 1))
-        assignment = tuple(assignment)
-        if len(assignment) != n_blocks - 1:
-            raise ValueError("assignment needs one entry per transition")
-        for a in assignment:
-            if a is not None and not 0 <= a < n_matrices:
-                raise ValueError(f"assignment entry {a} has no matching matrix")
-        self.n_matrices = n_matrices
-        self.assignment = assignment
-        self.transition_alpha = float(transition_alpha)
-
-        K, m1, m2 = n_components, self.static.m1, self.static.m2
-        T = n_blocks
-        sizes = [T * K * m1, T * K * m2, d1, d2, K - 1, 1, n_matrices * K * K]
-        bounds = np.cumsum([0] + sizes)
-        (self.sl_low1, self.sl_low2, self.sl_logd1, self.sl_logd2,
-         self.sl_sticks, self.sl_theta, self.sl_gammas) = (
-            slice(bounds[i], bounds[i + 1]) for i in range(7))
-        self.size = int(bounds[-1])
-
-    @property
-    def tril1(self):
-        return self.static.tril1
-
-    @property
-    def tril2(self):
-        return self.static.tril2
-
-    def pack(self, params: SDParams) -> np.ndarray:
-        K, T = self.n_components, self.n_blocks
-        if params.lowers1.shape != (T, K, self.d1, self.d1):
-            raise ValueError("lowers1 shape does not match the layout")
-        if len(params.gammas) != self.n_matrices:
-            raise ValueError("gamma matrix count does not match the layout")
-        u = np.empty(self.size)
-        u[self.sl_low1] = params.lowers1[:, :, self.tril1[0], self.tril1[1]].reshape(-1)
-        u[self.sl_low2] = params.lowers2[:, :, self.tril2[0], self.tril2[1]].reshape(-1)
-        u[self.sl_logd1] = np.log(params.d1_diag)
-        u[self.sl_logd2] = np.log(params.d2_diag)
-        if K > 1:
-            u[self.sl_sticks] = transforms.stick_breaking_inverse(params.omega1)
-        u[self.sl_theta] = transforms.interval_inverse(params.theta)
-        if self.n_matrices:
-            u[self.sl_gammas] = np.concatenate(
-                [np.log(np.asarray(G, dtype=float)).reshape(-1) for G in params.gammas])
-        return u
-
-    def decode(self, u: np.ndarray) -> tuple[SDParams, float]:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.size,):
-            raise ValueError(f"expected a state vector of length {self.size}")
-        K, T, d1, d2 = self.n_components, self.n_blocks, self.d1, self.d2
-        m1, m2 = self.static.m1, self.static.m2
-        low1 = np.zeros((T, K, d1, d1))
-        low1[:, :, self.tril1[0], self.tril1[1]] = u[self.sl_low1].reshape(T, K, m1)
-        low2 = np.zeros((T, K, d2, d2))
-        low2[:, :, self.tril2[0], self.tril2[1]] = u[self.sl_low2].reshape(T, K, m2)
-        D1, lj1 = transforms.positive_forward(u[self.sl_logd1])
-        D2, lj2 = transforms.positive_forward(u[self.sl_logd2])
-        if K > 1:
-            omega1, lj_sb = transforms.stick_breaking_forward(u[self.sl_sticks])
-        else:
-            omega1, lj_sb = np.ones(1), 0.0
-        theta, lj_t = transforms.interval_forward(float(u[self.sl_theta][0]))
-        gammas = []
-        lj_g = 0.0
-        if self.n_matrices:
-            flat = u[self.sl_gammas].reshape(self.n_matrices, K, K)
-            for h in flat:
-                gammas.append(np.exp(h))
-                lj_g += float(h.sum())
-        params = SDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
-                          omega1=omega1, theta=theta, gammas=tuple(gammas))
-        return params, lj1 + lj2 + lj_sb + lj_t + lj_g
-
-    def unpack(self, u: np.ndarray) -> SDParams:
-        return self.decode(u)[0]
-
-
-def sd_log_posterior(u: np.ndarray, layout: SDLayout, schedule: SeasonSchedule,
-                     hyper: SolvedHyper, targets: PriorTargets) -> float:
-    return sd_log_posterior_grad(u, layout, schedule, hyper, targets)[0]
-
-
-def sd_log_posterior_grad(u: np.ndarray, layout: SDLayout, schedule: SeasonSchedule,
+def sd_log_posterior_grad(u: np.ndarray, layout: StateLayout, schedule: SeasonSchedule,
                           hyper: SolvedHyper, targets: PriorTargets
                           ) -> tuple[float, np.ndarray]:
-    """Seasonal log posterior and exact gradient in unconstrained coordinates.
-
-    Likelihood blocks are independent given the parameters; the weight
-    trajectory couples the per-season lower priors to the season-1 weights
-    and the transition gammas, handled by one reverse pass over the chain.
+    """Seasonal log posterior and exact gradient in unconstrained coordinates,
+    over every block of ``schedule``.  ``targets`` is accepted for interface
+    symmetry; the centering is baked into ``hyper``.
     """
-    u = np.asarray(u, dtype=float)
-    K, T = layout.n_components, layout.n_blocks
-    d1, d2 = layout.d1, layout.d2
-    beta = hyper.lower_variance
-    zeros = np.zeros(layout.size)
-
-    params, log_jac = layout.decode(u)
-    if (not np.isfinite(log_jac)) or np.any(params.omega1 <= 0.0) or beta <= 0.0:
-        return -np.inf, zeros
-    matrices = [m.matrix for m in params.matrices]
-    omegas = omega_trajectory(params.omega1, matrices, layout.assignment, T)
-    if np.any(omegas <= 0.0):
-        return -np.inf, zeros
-
-    value = log_jac
-    grad = np.zeros(layout.size)
-    g_D1_total = np.zeros(d1)
-    g_D2_total = np.zeros(d2)
-    n_total = 0
-
-    m1, m2 = layout.static.m1, layout.static.m2
-    n_ent = m1 + m2
-    g1 = np.empty((T, K, d1, d1))
-    g2 = np.empty((T, K, d2, d2))
-    g_omega_direct = np.empty((T, K))
-
-    logdet_unit = log_det_ldagger(params.season_params(0, omegas[0]))
-    for t, block in enumerate(schedule.blocks):
-        Tq, grads = _trace_quad_core(params.lowers1[t], params.lowers2[t],
-                                     params.d1_diag, params.d2_diag,
-                                     block.scatter_pvl, want_grad=True)
-        gl1, gl2, gD1, gD2 = grads
-        n_t = block.n_obs
-        n_total += n_t
-        value += n_t * logdet_unit - 0.5 * Tq - 0.5 * n_t * d1 * d2 * LOG_2PI
-        g_D1_total += -0.5 * gD1
-        g_D2_total += -0.5 * gD2
-
-        var = omegas[t] * beta
-        ssq = np.einsum('kij,kij->k', params.lowers1[t], params.lowers1[t]) \
-            + np.einsum('kij,kij->k', params.lowers2[t], params.lowers2[t])
-        value += float(np.sum(-0.5 * (ssq / var + n_ent * (LOG_2PI + np.log(var)))))
-        g1[t] = -0.5 * gl1 - params.lowers1[t] / var[:, None, None]
-        g2[t] = -0.5 * gl2 - params.lowers2[t] / var[:, None, None]
-        g_omega_direct[t] = ssq / (2.0 * var * omegas[t]) - 0.5 * n_ent / omegas[t]
-
-    value += _gamma_logpdf(params.d1_diag, hyper.shape1, hyper.rate1)
-    value += _gamma_logpdf(params.d2_diag, hyper.shape2, hyper.rate2)
-    value += _dirichlet_logpdf(params.omega1, params.theta)
-    alpha = layout.transition_alpha
-    for G in params.gammas:
-        value += float(np.sum((alpha - 1.0) * np.log(G) - G)) - G.size * lgamma(alpha)
-    if not np.isfinite(value):
-        return -np.inf, zeros
-
-    grad[layout.sl_low1] = g1[:, :, layout.tril1[0], layout.tril1[1]].reshape(-1)
-    grad[layout.sl_low2] = g2[:, :, layout.tril2[0], layout.tril2[1]].reshape(-1)
-
-    dD1 = n_total * d2 / params.d1_diag + g_D1_total \
-        + (hyper.shape1 - 1.0) / params.d1_diag - hyper.rate1
-    dD2 = n_total * d1 / params.d2_diag + g_D2_total \
-        + (hyper.shape2 - 1.0) / params.d2_diag - hyper.rate2
-    grad[layout.sl_logd1] = transforms.positive_grad(params.d1_diag, dD1)
-    grad[layout.sl_logd2] = transforms.positive_grad(params.d2_diag, dD2)
-
-    # reverse pass through omega_{t+1} = M_t omega_t
-    g_A = [np.zeros((K, K)) for _ in range(layout.n_matrices)]
-    lam = g_omega_direct[T - 1].copy()
-    for t in range(T - 2, -1, -1):
-        m = layout.assignment[t]
-        if m is None:
-            lam = g_omega_direct[t] + lam
-        else:
-            g_A[m] += np.outer(lam, omegas[t])
-            lam = g_omega_direct[t] + matrices[m].T @ lam
-    g_omega1 = lam + (params.theta - 1.0) / params.omega1
-    if K > 1:
-        grad[layout.sl_sticks] = transforms.stick_breaking_grad(
-            u[layout.sl_sticks], g_omega1)
-
-    g_theta = K * digamma(K * params.theta) - K * digamma(params.theta) \
-        + float(np.sum(np.log(params.omega1)))
-    grad[layout.sl_theta] = transforms.interval_grad(params.theta, g_theta)
-
-    # chain gradients on A back to the generating gammas (in log coordinates)
-    if layout.n_matrices:
-        pieces = []
-        for m, G in enumerate(params.gammas):
-            A = matrices[m]
-            colsum = G.sum(axis=0)
-            gA = g_A[m]
-            gG = (gA - np.sum(gA * A, axis=0, keepdims=True)) / colsum[None, :]
-            pieces.append((gG * G + alpha - G).reshape(-1))
-        grad[layout.sl_gammas] = np.concatenate(pieces)
-
-    return float(value), grad
+    return _log_posterior_blocks(u, layout, schedule.blocks, hyper)

@@ -136,6 +136,12 @@ class RunConfig:
             raise ValueError(f"mode '{self.mode}' requires input_path")
         if self.transition not in ("sample", "identity"):
             raise ValueError("transition must be 'sample' or 'identity'")
+        if self.n_chains < 1 or self.n_leapfrog < 1:
+            raise ValueError("n_chains and n_leapfrog must be at least 1")
+        if self.n_draws < 2:
+            raise ValueError("n_draws must be at least 2 for spread statistics")
+        if self.n_warmup < 0:
+            raise ValueError("n_warmup must be nonnegative")
         return self
 
 
@@ -183,12 +189,13 @@ def _observations(rng, L: np.ndarray, n: int) -> np.ndarray:
 
 
 def _factor_stats(params: mdl.SCKPDParams) -> dict:
-    L = mdl.assemble_ldagger(params)
-    diag_sq = float(np.sum(np.diagonal(L) ** 2))
+    """log det, diagonal and strict-lower energies of one block's factor,
+    in closed form."""
     return {
         "logdet_factor": mdl.log_det_ldagger(params),
-        "fro2_diag": diag_sq,
-        "fro2_lower": float(np.sum(L ** 2) - diag_sq),
+        "fro2_diag": float(np.sum(params.d1_diag ** 2) * np.sum(params.d2_diag ** 2)),
+        "fro2_lower": mdl.lower_energy(params.lowers1, params.lowers2,
+                                       params.d1_diag, params.d2_diag),
     }
 
 
@@ -204,11 +211,13 @@ def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None)
 def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.ndarray:
     """Read observation rows of d1*d2 numeric fields; header row optional.
 
-    Malformed input raises ValueError naming the offending line.  With
-    ``center`` the sample mean is subtracted (for data with a free mean).
+    Malformed or non-finite input raises ValueError naming the offending
+    line and field.  With ``center`` the sample mean is subtracted (for data
+    with a free mean).
     """
     width = d1 * d2
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
@@ -230,9 +239,15 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
                 raise ValueError(
                     f"{path}: line {lineno}: expected d1*d2 = {width} fields, got {len(values)}")
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no observation rows found")
     Y = np.asarray(rows, dtype=float)
+    for r, row in enumerate(Y):   # row by row: no temporary the size of Y
+        if not np.isfinite(row).all():
+            k = int(np.flatnonzero(~np.isfinite(row))[0])
+            raise ValueError(
+                f"{path}: line {linenos[r]}: field {k + 1} is not finite: {float(row[k])}")
     if center:
         Y = Y - Y.mean(axis=0)
     return Y
@@ -381,10 +396,9 @@ def simulate_dynamic(config: RunConfig) -> tuple[list[np.ndarray], dict]:
 
 def _n_threads() -> int:
     raw = os.environ.get("SCKPD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"SCKPD_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -439,6 +453,11 @@ def _quantiles(x: np.ndarray) -> dict:
             "q025": float(q[0]), "q500": float(q[1]), "q975": float(q[2])}
 
 
+def _targets(Y: np.ndarray, config: RunConfig) -> PriorTargets:
+    denom = max(Y.shape[0] - 1, 1) if config.center else Y.shape[0]
+    return prior_targets_from_sample(Y.T @ Y / denom, config.d1, config.d2)
+
+
 def fit(config: RunConfig) -> dict:
     """Run the configured inference and write draws.csv plus summary.json.
 
@@ -449,36 +468,30 @@ def fit(config: RunConfig) -> dict:
     within each draw before any summarization.
     """
     config.validate()
+    workers = min(_n_threads(), config.n_chains)
     if config.mode == "fit-static":
-        kind = "static"
-        Y = ingest_csv(config.input_path, config.d1, config.d2, center=config.center)
-        denom = max(Y.shape[0] - 1, 1) if config.center else Y.shape[0]
-        S = Y.T @ Y / denom
-        data: object = mdl.DataSummary.from_observations(Y, config.d1, config.d2)
+        kind, paths = "static", [Path(config.input_path)]
     elif config.mode == "fit-dynamic":
         kind = "dynamic"
-        indir = Path(config.input_path)
-        summaries = []
-        first_Y = None
-        for c in range(1, config.n_cycles + 1):
-            for s in range(1, config.n_seasons + 1):
-                Y = ingest_csv(indir / _block_filename(c, s), config.d1, config.d2,
-                               center=config.center)
-                if first_Y is None:
-                    first_Y = Y
-                summaries.append(mdl.DataSummary.from_observations(Y, config.d1, config.d2))
-        denom = max(first_Y.shape[0] - 1, 1) if config.center else first_Y.shape[0]
-        S = first_Y.T @ first_Y / denom
-        data = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
-                                  blocks=tuple(summaries))
+        paths = [Path(config.input_path) / _block_filename(c, s)
+                 for c in range(1, config.n_cycles + 1)
+                 for s in range(1, config.n_seasons + 1)]
     else:
         raise ValueError(f"fit() does not handle mode '{config.mode}'")
+    summaries, first_Y = [], None
+    for path in paths:
+        Y = ingest_csv(path, config.d1, config.d2, center=config.center)
+        first_Y = Y if first_Y is None else first_Y
+        summaries.append(mdl.DataSummary.from_observations(Y, config.d1, config.d2))
+    data = summaries[0] if kind == "static" else dyn.SeasonSchedule(
+        n_seasons=config.n_seasons, n_cycles=config.n_cycles, blocks=tuple(summaries))
 
-    targets = prior_targets_from_sample(S, config.d1, config.d2)
+    targets = _targets(first_Y, config)
     hyper = solve_hyper(targets)
+    warnings = []
     if hyper.degenerate:
-        print("warning: a diagonal shape target fell in the degenerate c <= 1 regime; "
-              "the shape was solved at the clamped target instead", flush=True)
+        warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
+                        "the shape was solved at the clamped target instead")
 
     proto = _ChainTask(kind=kind, config=config, chain_index=0, init=None,
                        data=data, hyper=hyper, targets=targets)
@@ -489,7 +502,6 @@ def fit(config: RunConfig) -> dict:
         task = replace(task, init=_draw_init(task, layout.size))
         tasks.append(task)
 
-    workers = min(_n_threads(), config.n_chains)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chains = list(pool.map(_run_chain, tasks))
@@ -498,63 +510,50 @@ def fit(config: RunConfig) -> dict:
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table, columns = _draw_table(kind, config, layout, chains, data)
+    table, columns = _draw_table(kind, config, layout, chains)
     with open(outdir / "draws.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in table:
             writer.writerow([f"{v:.17g}" for v in row])
 
-    summary = _summarize_chains(kind, config, layout, chains, table, columns,
-                                targets, hyper)
+    summary = _summarize_chains(kind, config, chains, table, columns, targets, hyper,
+                                warnings)
     _write_json(outdir / "summary.json", summary)
     return summary
 
 
-def _draw_table(kind: str, config: RunConfig, layout, chains: list[Chain], data):
-    """One row per draw: bookkeeping columns then the tracked statistics."""
+def _draw_table(kind: str, config: RunConfig, layout: mdl.StateLayout, chains: list[Chain]):
+    """One row per draw: bookkeeping columns, theta and the shared diagonal
+    statistics, then the sorted weights and strict-lower energy of every
+    block.  A static fit is one block with untagged column names."""
     K = config.n_components
+    tags = [""] if kind == "static" else [
+        f"_c{c}_s{s}" for c in range(1, config.n_cycles + 1)
+        for s in range(1, config.n_seasons + 1)]
     columns = ["chain", "draw", "accept", "divergent", "energy", "theta",
                "logdet_factor", "fro2_diag"]
-    if kind == "static":
-        columns += [f"omega_sorted_{k + 1}" for k in range(K)]
-        columns += ["fro2_lower"]
-    else:
-        S, Cyc = config.n_seasons, config.n_cycles
-        for c in range(1, Cyc + 1):
-            for s in range(1, S + 1):
-                columns += [f"omega_c{c}_s{s}_sorted_{k + 1}" for k in range(K)]
-                columns += [f"fro2_lower_c{c}_s{s}"]
+    for tag in tags:
+        columns += [f"omega{tag}_sorted_{k + 1}" for k in range(K)] + [f"fro2_lower{tag}"]
     rows = []
     for ci, chain in enumerate(chains):
-        for di in range(chain.draws.shape[0]):
-            u = chain.draws[di]
-            head = [ci, di, float(chain.accept_flags[di]),
-                    float(chain.divergence_flags[di]), float(chain.energies[di])]
-            if kind == "static":
-                params = layout.unpack(u)
-                fs = _factor_stats(params)
-                row = head + [params.theta, fs["logdet_factor"], fs["fro2_diag"]]
-                row += sorted(params.omega, reverse=True)
-                row += [fs["fro2_lower"]]
-            else:
-                params = layout.unpack(u)
-                matrices = [m.matrix for m in params.matrices]
-                omegas = dyn.omega_trajectory(params.omega1, matrices,
-                                              layout.assignment, layout.n_blocks)
-                first = params.season_params(0, omegas[0])
-                fs0 = _factor_stats(first)
-                row = head + [params.theta, fs0["logdet_factor"], fs0["fro2_diag"]]
-                for t in range(layout.n_blocks):
-                    pt = params.season_params(t, omegas[t])
-                    row += sorted(omegas[t], reverse=True)
-                    row += [_factor_stats(pt)["fro2_lower"]]
+        for di, u in enumerate(chain.draws):
+            params, _ = layout.decode_blocks(u)
+            omegas = mdl.omega_trajectory(params.omega1, params.matrices,
+                                          layout.assignment, layout.n_blocks)
+            stats = [_factor_stats(params.season_params(t, omegas[t]))
+                     for t in range(layout.n_blocks)]
+            row = [ci, di, float(chain.accept_flags[di]), float(chain.divergence_flags[di]),
+                   float(chain.energies[di]), params.theta,
+                   stats[0]["logdet_factor"], stats[0]["fro2_diag"]]
+            for omega_t, stats_t in zip(omegas, stats):
+                row += sorted(omega_t, reverse=True) + [stats_t["fro2_lower"]]
             rows.append(row)
     return np.asarray(rows, dtype=float), columns
 
 
-def _summarize_chains(kind, config, layout, chains, table, columns,
-                      targets, hyper) -> dict:
+def _summarize_chains(kind, config, chains, table, columns, targets, hyper,
+                      warnings) -> dict:
     n_chains = len(chains)
     n_draws = chains[0].draws.shape[0]
     stat_cols = columns[5:]
@@ -580,6 +579,7 @@ def _summarize_chains(kind, config, layout, chains, table, columns,
         "adapted_step_size": [c.adapted_step_size for c in chains],
         "divergences": [int(c.divergence_flags.sum()) for c in chains],
         "diagnostic_flags": diag.flags,
+        "warnings": warnings,
         "targets": {
             "chol_log_det": targets.chol_log_det,
             "diag_energy": targets.diag_energy,
@@ -608,9 +608,7 @@ def check_hyper(config: RunConfig) -> dict:
     path = Path(config.input_path)
     if path.is_dir():
         path = path / _block_filename(1, 1)
-    Y = ingest_csv(path, config.d1, config.d2, center=config.center)
-    denom = max(Y.shape[0] - 1, 1) if config.center else Y.shape[0]
-    targets = prior_targets_from_sample(Y.T @ Y / denom, config.d1, config.d2)
+    targets = _targets(ingest_csv(path, config.d1, config.d2, center=config.center), config)
     hyper = solve_hyper(targets)
     return {
         "targets": {

@@ -1,6 +1,6 @@
-"""Data-driven prior centering: digamma/trigamma, the Gamma-shape root
-solve, targets extracted from a sample covariance, and the variance solve
-for the strict-lower normal priors.
+"""Data-driven prior centering: the Gamma-shape root solve, targets
+extracted from a sample covariance, and the variance solve for the
+strict-lower normal priors.
 
 The construction centers the factor prior so that, a priori,
 ``E[log det(D1 (x) D2)]`` matches the log-determinant target and the
@@ -14,50 +14,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .cholgeom import NotPositiveDefiniteError, cholesky, diag_vector, strict_lower
 
-# asymptotic tail coefficients, valid after shifting the argument above 10
-_PSI0_TAIL = (1 / 12., -1 / 120., 1 / 252., -1 / 240., 1 / 132., -691 / 32760., 1 / 12.)
-_PSI1_TAIL = (1 / 6., -1 / 30., 1 / 42., -1 / 30., 5 / 66., -691 / 2730., 7 / 6.)
-_SHIFT = 10.0
-
 
 def digamma(x: float) -> float:
-    """psi_0(x) for x > 0 via upward recurrence and the asymptotic series."""
-    x = float(x)
-    if x <= 0:
+    """psi_0(x) for x > 0."""
+    if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    p = inv2
-    for b in _PSI0_TAIL:
-        s += b * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - s
+    return float(special.psi(x))
 
 
 def trigamma(x: float) -> float:
     """psi_1(x) for x > 0; companion to :func:`digamma` for Newton steps."""
-    x = float(x)
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    p = inv * inv2
-    for b in _PSI1_TAIL:
-        s += b * p
-        p *= inv2
-    return acc + s
+    return float(special.polygamma(1, x))
 
 
 def shape_residual(a: float, c: float) -> float:
@@ -181,8 +154,9 @@ def make_targets(chol_log_det: float, diag_energy: float, lower_energy: float,
 def prior_targets_from_sample(S: np.ndarray, d1: int, d2: int) -> PriorTargets:
     """Targets from the Cholesky factor of a d1*d2 x d1*d2 sample covariance.
 
-    A rank-deficient sample covariance raises; add diagonal jitter yourself
-    if that is acceptable for your data (it is never applied silently).
+    A rank-deficient sample covariance raises, with advice in the message;
+    add diagonal jitter yourself if that is acceptable for your data (it is
+    never applied silently).
     """
     S = np.asarray(S, dtype=float)
     if S.shape != (d1 * d2, d1 * d2):
@@ -190,9 +164,10 @@ def prior_targets_from_sample(S: np.ndarray, d1: int, d2: int) -> PriorTargets:
     try:
         L = cholesky(S)
     except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(exc.order) from ValueError(
-            "sample covariance is rank deficient; consider adding diagonal jitter "
-            "before computing prior targets")
+        raise NotPositiveDefiniteError(
+            exc.order, "the sample covariance is rank deficient: it needs at least "
+            f"d1*d2 = {d1 * d2} linearly independent observation rows, or diagonal "
+            "jitter added before computing prior targets") from exc
     diag = diag_vector(L)
     return make_targets(
         chol_log_det=float(np.sum(np.log(diag))),

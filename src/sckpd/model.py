@@ -1,9 +1,9 @@
-"""Static Cholesky-sum precision model: parameter container, factor
-assembly, structured likelihood over a Kronecker decomposition of the data
-scatter, priors, the unconstrained reparameterization, and analytic
-gradients of the log posterior.
+"""The Cholesky-sum precision model: parameter containers, the one state
+layout, factor assembly, the structured likelihood over a Kronecker
+decomposition of the data scatter, the priors, and the log posterior with
+its analytic gradient.
 
-The precision factor is
+The precision factor of one data block is
 
     L = sum_i strict_lower(L1_i (x) L2_i) + D1 (x) D2,
 
@@ -18,6 +18,12 @@ Kronecker terms (A_q, B_q) of the scatter sum_i y_i y_i^T, giving
 
 a sum of small Hadamard traces; no d1*d2-sized product is ever formed.
 The same cache drives the analytic gradient.
+
+There is one posterior.  It runs over T time-ordered blocks, each with its
+own strict-lower factors, sharing the diagonals; the component weights of
+block t+1 are A omega_t for a column-stochastic transition A (see
+``dynamic``).  The static model is the case of one block and no
+transition, and :class:`SCKPDParams` is its parameter container.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SCKPDParams:
-    """Constrained parameters of the static model."""
+    """Constrained parameters of one block (the static model)."""
 
     lowers1: np.ndarray   # (K, d1, d1), strictly lower triangular
     lowers2: np.ndarray   # (K, d2, d2), strictly lower triangular
@@ -75,6 +81,39 @@ class SCKPDParams:
 
 
 @dataclass(frozen=True)
+class SDParams:
+    """Constrained parameters of T blocks: per-block strict-lower factors,
+    shared diagonals, the first block's weights and the positive gamma
+    matrices that generate the transitions."""
+
+    lowers1: np.ndarray          # (T, K, d1, d1)
+    lowers2: np.ndarray          # (T, K, d2, d2)
+    d1_diag: np.ndarray
+    d2_diag: np.ndarray
+    omega1: np.ndarray           # first-block weights
+    theta: float
+    gammas: tuple[np.ndarray, ...] = ()
+
+    @property
+    def n_blocks(self) -> int:
+        return self.lowers1.shape[0]
+
+    @property
+    def n_components(self) -> int:
+        return self.lowers1.shape[1]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Column-normalized gammas: the column-stochastic transitions."""
+        return tuple(G / G.sum(axis=0, keepdims=True) for G in self.gammas)
+
+    def season_params(self, t: int, omega_t: np.ndarray) -> SCKPDParams:
+        return SCKPDParams(lowers1=self.lowers1[t], lowers2=self.lowers2[t],
+                           d1_diag=self.d1_diag, d2_diag=self.d2_diag,
+                           omega=omega_t, theta=self.theta)
+
+
+@dataclass(frozen=True)
 class DataSummary:
     """Sufficient statistics: scatter matrix held as its Kronecker terms."""
 
@@ -100,82 +139,133 @@ class DataSummary:
 
 
 class StateLayout:
-    """Index map between SCKPDParams and a flat unconstrained vector.
+    """Index map between model parameters and a flat unconstrained vector.
 
-    Packing order: strict-lower entries of every mode-1 component (row-major
-    within each), then mode-2, then log D1, log D2, the K-1 stick-breaking
-    coordinates of omega, and the logit of theta.
+    Packing order: strict-lower entries of every block's mode-1 components
+    (row-major within each), then mode-2, then log D1, log D2, the K-1
+    stick-breaking coordinates of the first block's weights, the logit of
+    theta, and the log gamma entries of each transition matrix (row-major).
+
+    ``assignment[t]`` names the matrix used for the step t -> t+1, with None
+    meaning the identity; by default every step uses one shared matrix.  A
+    one-block layout has no transitions and exchanges :class:`SCKPDParams`;
+    a longer one exchanges :class:`SDParams`.
     """
 
-    def __init__(self, d1: int, d2: int, n_components: int):
+    def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1,
+                 n_matrices: int | None = None, assignment=None,
+                 transition_alpha: float = 1.0):
         if min(d1, d2) < 2 or n_components < 1:
             raise ValueError("need d1, d2 >= 2 and at least one component")
+        if n_blocks < 1:
+            raise ValueError("need at least one block")
+        if n_matrices is None:
+            n_matrices = 1 if n_blocks > 1 else 0
+        if n_blocks == 1 and n_matrices:
+            raise ValueError("a single block has no transitions to assign matrices to")
+        if assignment is None:
+            assignment = tuple((0 if n_matrices else None) for _ in range(n_blocks - 1))
+        assignment = tuple(assignment)
+        if len(assignment) != n_blocks - 1:
+            raise ValueError("assignment needs one entry per transition")
+        for a in assignment:
+            if a is not None and not 0 <= a < n_matrices:
+                raise ValueError(f"assignment entry {a} has no matching matrix")
         self.d1, self.d2, self.n_components = d1, d2, n_components
+        self.n_blocks = n_blocks
+        self.n_matrices = n_matrices
+        self.assignment = assignment
+        self.transition_alpha = float(transition_alpha)
         self.tril1 = np.tril_indices(d1, -1)
         self.tril2 = np.tril_indices(d2, -1)
         self.m1 = len(self.tril1[0])
         self.m2 = len(self.tril2[0])
-        K = n_components
-        sizes = [K * self.m1, K * self.m2, d1, d2, K - 1, 1]
+        K, T = n_components, n_blocks
+        sizes = [T * K * self.m1, T * K * self.m2, d1, d2, K - 1, 1, n_matrices * K * K]
         bounds = np.cumsum([0] + sizes)
         (self.sl_low1, self.sl_low2, self.sl_logd1, self.sl_logd2,
-         self.sl_sticks, self.sl_theta) = (slice(bounds[i], bounds[i + 1]) for i in range(6))
+         self.sl_sticks, self.sl_theta, self.sl_gammas) = (
+            slice(bounds[i], bounds[i + 1]) for i in range(7))
         self.size = int(bounds[-1])
 
-    def pack(self, params: SCKPDParams) -> np.ndarray:
+    def pack(self, params: SCKPDParams | SDParams) -> np.ndarray:
         """Unconstrained coordinates of valid params (inverse of unpack)."""
-        params.validate()
-        if np.any(params.omega <= 0):
-            raise ValueError("omega must be strictly inside the simplex to unconstrain")
+        if isinstance(params, SCKPDParams):
+            params.validate()
+            params = SDParams(lowers1=params.lowers1[None], lowers2=params.lowers2[None],
+                              d1_diag=params.d1_diag, d2_diag=params.d2_diag,
+                              omega1=params.omega, theta=params.theta)
+        K, T = self.n_components, self.n_blocks
+        if params.lowers1.shape != (T, K, self.d1, self.d1):
+            raise ValueError("lowers1 shape does not match the layout")
+        if len(params.gammas) != self.n_matrices:
+            raise ValueError("gamma matrix count does not match the layout")
         u = np.empty(self.size)
-        K = self.n_components
-        u[self.sl_low1] = params.lowers1[:, self.tril1[0], self.tril1[1]].reshape(-1)
-        u[self.sl_low2] = params.lowers2[:, self.tril2[0], self.tril2[1]].reshape(-1)
+        u[self.sl_low1] = params.lowers1[:, :, self.tril1[0], self.tril1[1]].reshape(-1)
+        u[self.sl_low2] = params.lowers2[:, :, self.tril2[0], self.tril2[1]].reshape(-1)
         u[self.sl_logd1] = np.log(params.d1_diag)
         u[self.sl_logd2] = np.log(params.d2_diag)
         if K > 1:
-            u[self.sl_sticks] = transforms.stick_breaking_inverse(params.omega)
+            u[self.sl_sticks] = transforms.stick_breaking_inverse(params.omega1)
         u[self.sl_theta] = transforms.interval_inverse(params.theta)
+        if self.n_matrices:
+            u[self.sl_gammas] = np.concatenate(
+                [np.log(np.asarray(G, dtype=float)).reshape(-1) for G in params.gammas])
         return u
 
-    def unpack(self, u: np.ndarray) -> SCKPDParams:
-        params, _ = self.decode(u)
-        return params
-
-    def decode(self, u: np.ndarray) -> tuple[SCKPDParams, float]:
-        """Params plus the total log-Jacobian of the transform at ``u``."""
+    def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
+        """Block-stacked params plus the total log-Jacobian of the transform
+        at ``u``, whatever the number of blocks."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
-        K, d1, d2 = self.n_components, self.d1, self.d2
-        low1 = np.zeros((K, d1, d1))
-        low1[:, self.tril1[0], self.tril1[1]] = u[self.sl_low1].reshape(K, self.m1)
-        low2 = np.zeros((K, d2, d2))
-        low2[:, self.tril2[0], self.tril2[1]] = u[self.sl_low2].reshape(K, self.m2)
+        K, T, d1, d2 = self.n_components, self.n_blocks, self.d1, self.d2
+        low1 = np.zeros((T, K, d1, d1))
+        low1[:, :, self.tril1[0], self.tril1[1]] = u[self.sl_low1].reshape(T, K, self.m1)
+        low2 = np.zeros((T, K, d2, d2))
+        low2[:, :, self.tril2[0], self.tril2[1]] = u[self.sl_low2].reshape(T, K, self.m2)
         D1, lj1 = transforms.positive_forward(u[self.sl_logd1])
         D2, lj2 = transforms.positive_forward(u[self.sl_logd2])
         if K > 1:
-            omega, lj_sb = transforms.stick_breaking_forward(u[self.sl_sticks])
+            omega1, lj_sb = transforms.stick_breaking_forward(u[self.sl_sticks])
         else:
-            omega, lj_sb = np.ones(1), 0.0
+            omega1, lj_sb = np.ones(1), 0.0
         theta, lj_t = transforms.interval_forward(float(u[self.sl_theta][0]))
-        params = SCKPDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
-                             omega=omega, theta=theta)
-        return params, lj1 + lj2 + lj_sb + lj_t
+        flat = u[self.sl_gammas].reshape(self.n_matrices, K, K)
+        gammas = tuple(np.exp(h) for h in flat)
+        params = SDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
+                          omega1=omega1, theta=theta, gammas=gammas)
+        return params, lj1 + lj2 + lj_sb + lj_t + float(flat.sum())
+
+    def decode(self, u: np.ndarray) -> tuple[SCKPDParams | SDParams, float]:
+        """Params plus the total log-Jacobian of the transform at ``u``;
+        :class:`SCKPDParams` for one block."""
+        params, log_jac = self.decode_blocks(u)
+        if self.n_blocks == 1:
+            return params.season_params(0, params.omega1), log_jac
+        return params, log_jac
+
+    def unpack(self, u: np.ndarray) -> SCKPDParams | SDParams:
+        return self.decode(u)[0]
 
 
-def to_unconstrained(params: SCKPDParams, layout: StateLayout | None = None) -> np.ndarray:
-    layout = layout or StateLayout(params.d1, params.d2, params.n_components)
-    return layout.pack(params)
+def omega_trajectory(omega1: np.ndarray, matrices, assignment, n_blocks: int) -> np.ndarray:
+    """Weights for every block: omega_1 then one transition per step.
 
-
-def from_unconstrained(u: np.ndarray, layout: StateLayout) -> SCKPDParams:
-    return layout.unpack(u)
+    ``assignment[t]`` indexes ``matrices`` for the step t -> t+1 (0-based),
+    with None meaning the identity.
+    """
+    K = omega1.shape[0]
+    out = np.empty((n_blocks, K))
+    out[0] = omega1
+    for t in range(n_blocks - 1):
+        m = assignment[t]
+        out[t + 1] = out[t] if m is None else matrices[m] @ out[t]
+    return out
 
 
 def assemble_ldagger(params: SCKPDParams) -> np.ndarray:
     """Dense lower-triangular factor; diagonal is kron(D1, D2)'s diagonal."""
-    d1, d2 = params.d1, params.d2
     D1h = np.diag(params.d1_diag)
     D2h = np.diag(params.d2_diag)
     L = np.kron(D1h, D2h)
@@ -202,6 +292,25 @@ def _coupling(K: int) -> np.ndarray:
 
 def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.concatenate([low, np.diag(diag)[None]], axis=0)
+
+
+def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
+                 d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
+    """Squared Frobenius norm of one block's strict-lower factor part,
+    without assembling the factor.
+
+    The strict lower part is sum C'[a,b] U_a (x) V_b, with C' the coupling
+    without its diag (x) diag entry, so its energy is
+    sum C'[a,b] C'[a',b'] <U_a, U_a'> <V_b, V_b'>.
+    """
+    K = lowers1.shape[0]
+    C = _coupling(K)
+    C[K, K] = 0.0
+    U = _members(lowers1, d1_diag)
+    V = _members(lowers2, d2_diag)
+    GU = np.einsum('aij,bij->ab', U, U)
+    GV = np.einsum('aij,bij->ab', V, V)
+    return float(np.sum(C * (GU @ C @ GV)))
 
 
 def _trace_quad_core(low1, low2, D1, D2, pvl: PVLDecomp, want_grad: bool):
@@ -257,15 +366,31 @@ def _gamma_logpdf(x: np.ndarray, shape: float, rate: float) -> float:
                         + (shape - 1.0) * np.log(x) - rate * x))
 
 
-def _dirichlet_logpdf(omega: np.ndarray, theta: float) -> float:
-    K = omega.shape[0]
-    return float(lgamma(K * theta) - K * lgamma(theta)
-                 + (theta - 1.0) * np.sum(np.log(omega)))
+def _prior_terms(low1, low2, D1, D2, omegas, theta, hyper: SolvedHyper):
+    """Log prior density of all but the transition gammas, for (T, K, d, d)
+    lower stacks with (T, K) block weights, plus the per-(block, component)
+    strict-lower sums of squares.
+
+    Strict-lower entries of block t, component i are N(0, omega_t[i] beta);
+    the diagonals are Gamma; the first block's weights are Dirichlet(theta);
+    theta is uniform on (0, 1) and contributes zero.
+    """
+    d1, d2 = D1.shape[0], D2.shape[0]
+    n_ent = d1 * (d1 - 1) // 2 + d2 * (d2 - 1) // 2
+    ssq = np.einsum('tkij,tkij->tk', low1, low1) + np.einsum('tkij,tkij->tk', low2, low2)
+    var = omegas * hyper.lower_variance
+    K = omegas.shape[1]
+    value = (_gamma_logpdf(D1, hyper.shape1, hyper.rate1)
+             + _gamma_logpdf(D2, hyper.shape2, hyper.rate2)
+             - 0.5 * float(np.sum(ssq / var + n_ent * (LOG_2PI + np.log(var))))
+             + lgamma(K * theta) - K * lgamma(theta)
+             + (theta - 1.0) * float(np.sum(np.log(omegas[0]))))
+    return value, ssq
 
 
 def log_prior(params: SCKPDParams, hyper: SolvedHyper,
               targets: PriorTargets | None = None) -> float:
-    """Sum of all component log prior densities.
+    """Sum of all component log prior densities of one block.
 
     The centering targets are already baked into ``hyper``; ``targets`` is
     accepted for interface symmetry.  Strict-lower entries are
@@ -273,91 +398,117 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
     nonpositive lower variance) puts the state outside the open-simplex
     support and returns -inf, never an exception.
     """
-    K = params.n_components
-    d1, d2 = params.d1, params.d2
+    if np.any(params.omega <= 0.0) or hyper.lower_variance <= 0.0:
+        return -np.inf
+    value, _ = _prior_terms(params.lowers1[None], params.lowers2[None], params.d1_diag,
+                            params.d2_diag, params.omega[None], params.theta, hyper)
+    return value
+
+
+def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
+                          hyper: SolvedHyper) -> tuple[float, np.ndarray]:
+    """Log posterior over the layout's blocks in unconstrained coordinates,
+    and its exact gradient.
+
+    Value = per-block likelihoods + priors + log-Jacobians of all
+    transforms.  Likelihood blocks are independent given the parameters;
+    the weight trajectory couples the per-block lower priors to the
+    first-block weights and the transition gammas, handled by one reverse
+    pass over the chain.  States outside the support return (-inf, zeros);
+    the sampler treats those as divergent proposals.
+    """
+    u = np.asarray(u, dtype=float)
+    K, T = layout.n_components, layout.n_blocks
+    d1, d2 = layout.d1, layout.d2
+    if len(blocks) != T:
+        raise ValueError(f"the layout has {T} blocks, the data {len(blocks)}")
     beta = hyper.lower_variance
-    if np.any(params.omega <= 0.0) or beta <= 0.0:
-        return -np.inf
-    lp = _gamma_logpdf(params.d1_diag, hyper.shape1, hyper.rate1)
-    lp += _gamma_logpdf(params.d2_diag, hyper.shape2, hyper.rate2)
-    n_ent = d1 * (d1 - 1) // 2 + d2 * (d2 - 1) // 2
-    for i in range(K):
-        var = params.omega[i] * beta
-        ssq = float(np.sum(params.lowers1[i] ** 2) + np.sum(params.lowers2[i] ** 2))
-        lp += -0.5 * (ssq / var + n_ent * (LOG_2PI + math.log(var)))
-    lp += _dirichlet_logpdf(params.omega, params.theta)
-    # theta is uniform on (0, 1): contributes zero
-    return float(lp)
+    zeros = np.zeros(layout.size)
 
+    params, log_jac = layout.decode_blocks(u)
+    if (not np.isfinite(log_jac)) or np.any(params.omega1 <= 0.0) or beta <= 0.0:
+        return -np.inf, zeros
+    matrices = params.matrices
+    omegas = omega_trajectory(params.omega1, matrices, layout.assignment, T)
+    if np.any(omegas <= 0.0):
+        return -np.inf, zeros
 
-def log_posterior(u: np.ndarray, layout: StateLayout, data: DataSummary,
-                  hyper: SolvedHyper, targets: PriorTargets) -> float:
-    params, log_jac = layout.decode(u)
-    if not np.isfinite(log_jac):
-        return -np.inf
-    lp = log_prior(params, hyper, targets)
-    if not np.isfinite(lp):
-        return -np.inf
-    return log_likelihood(params, data) + lp + log_jac
+    D1, D2 = params.d1_diag, params.d2_diag
+    prior, ssq = _prior_terms(params.lowers1, params.lowers2, D1, D2, omegas,
+                              params.theta, hyper)
+    value = log_jac + prior
+    alpha = layout.transition_alpha
+    for G in params.gammas:
+        value += float(np.sum((alpha - 1.0) * np.log(G) - G)) - G.size * lgamma(alpha)
+
+    var = omegas * beta
+    logdet_unit = d2 * float(np.sum(np.log(D1))) + d1 * float(np.sum(np.log(D2)))
+    g1 = -params.lowers1 / var[:, :, None, None]
+    g2 = -params.lowers2 / var[:, :, None, None]
+    g_D1_T = np.zeros(d1)
+    g_D2_T = np.zeros(d2)
+    n_total = 0
+    for t, block in enumerate(blocks):
+        Tq, (gl1, gl2, gD1, gD2) = _trace_quad_core(params.lowers1[t], params.lowers2[t],
+                                                    D1, D2, block.scatter_pvl, want_grad=True)
+        n_t = block.n_obs
+        n_total += n_t
+        value += n_t * logdet_unit - 0.5 * Tq - 0.5 * n_t * d1 * d2 * LOG_2PI
+        g1[t] -= 0.5 * gl1
+        g2[t] -= 0.5 * gl2
+        g_D1_T += gD1
+        g_D2_T += gD2
+    if not np.isfinite(value):
+        return -np.inf, zeros
+
+    grad = np.empty(layout.size)
+    grad[layout.sl_low1] = g1[:, :, layout.tril1[0], layout.tril1[1]].reshape(-1)
+    grad[layout.sl_low2] = g2[:, :, layout.tril2[0], layout.tril2[1]].reshape(-1)
+
+    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1
+    dD1 = n_total * d2 / D1 - 0.5 * g_D1_T + (hyper.shape1 - 1.0) / D1 - hyper.rate1
+    dD2 = n_total * d1 / D2 - 0.5 * g_D2_T + (hyper.shape2 - 1.0) / D2 - hyper.rate2
+    grad[layout.sl_logd1] = transforms.positive_grad(D1, dD1)
+    grad[layout.sl_logd2] = transforms.positive_grad(D2, dD2)
+
+    # the weights enter only the priors: the lower-variance scaling of every
+    # block, reached through omega_{t+1} = M_t omega_t by a reverse pass,
+    # and the first block's Dirichlet
+    n_ent = layout.m1 + layout.m2
+    g_omega_direct = ssq / (2.0 * var * omegas) - 0.5 * n_ent / omegas
+    g_A = [np.zeros((K, K)) for _ in range(layout.n_matrices)]
+    lam = g_omega_direct[T - 1].copy()
+    for t in range(T - 2, -1, -1):
+        m = layout.assignment[t]
+        if m is None:
+            lam = g_omega_direct[t] + lam
+        else:
+            g_A[m] += np.outer(lam, omegas[t])
+            lam = g_omega_direct[t] + matrices[m].T @ lam
+    g_omega1 = lam + (params.theta - 1.0) / params.omega1
+    if K > 1:
+        grad[layout.sl_sticks] = transforms.stick_breaking_grad(u[layout.sl_sticks], g_omega1)
+
+    g_theta = K * digamma(K * params.theta) - K * digamma(params.theta) \
+        + float(np.sum(np.log(params.omega1)))
+    grad[layout.sl_theta] = transforms.interval_grad(params.theta, g_theta)
+
+    # chain gradients on each transition back to its gammas (log coordinates)
+    pieces = []
+    for G, A, gA in zip(params.gammas, matrices, g_A):
+        gG = (gA - np.sum(gA * A, axis=0, keepdims=True)) / G.sum(axis=0, keepdims=True)
+        pieces.append((gG * G + alpha - G).reshape(-1))
+    if pieces:
+        grad[layout.sl_gammas] = np.concatenate(pieces)
+
+    return float(value), grad
 
 
 def log_posterior_grad(u: np.ndarray, layout: StateLayout, data: DataSummary,
                        hyper: SolvedHyper, targets: PriorTargets
                        ) -> tuple[float, np.ndarray]:
-    """Log posterior in unconstrained coordinates and its exact gradient.
-
-    Value = likelihood + priors + log-Jacobians of all transforms.  States
-    outside the support return (-inf, zeros); the sampler treats those as
-    divergent proposals.
+    """Static log posterior in unconstrained coordinates and its exact
+    gradient: the one-block case of the seasonal posterior.  ``targets`` is
+    accepted for interface symmetry; the centering is baked into ``hyper``.
     """
-    u = np.asarray(u, dtype=float)
-    K = layout.n_components
-    params, log_jac = layout.decode(u)
-    beta = hyper.lower_variance
-    zeros = np.zeros(layout.size)
-    if (not np.isfinite(log_jac)) or np.any(params.omega <= 0.0) or beta <= 0.0:
-        return -np.inf, zeros
-
-    n, d1, d2 = data.n_obs, layout.d1, layout.d2
-    T, grads = _trace_quad_core(params.lowers1, params.lowers2,
-                                params.d1_diag, params.d2_diag,
-                                data.scatter_pvl, want_grad=True)
-    g_low1_T, g_low2_T, g_D1_T, g_D2_T = grads
-
-    value = (n * log_det_ldagger(params) - 0.5 * T - 0.5 * n * d1 * d2 * LOG_2PI
-             + log_prior(params, hyper, targets) + log_jac)
-    if not np.isfinite(value):
-        return -np.inf, zeros
-
-    grad = np.empty(layout.size)
-    var = params.omega * beta                       # (K,)
-    n_ent = layout.m1 + layout.m2
-
-    # strict-lower coordinates: likelihood trace term plus normal prior
-    g1 = -0.5 * g_low1_T - params.lowers1 / var[:, None, None]
-    g2 = -0.5 * g_low2_T - params.lowers2 / var[:, None, None]
-    grad[layout.sl_low1] = g1[:, layout.tril1[0], layout.tril1[1]].reshape(-1)
-    grad[layout.sl_low2] = g2[:, layout.tril2[0], layout.tril2[1]].reshape(-1)
-
-    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1
-    dD1 = n * d2 / params.d1_diag - 0.5 * g_D1_T \
-        + (hyper.shape1 - 1.0) / params.d1_diag - hyper.rate1
-    dD2 = n * d1 / params.d2_diag - 0.5 * g_D2_T \
-        + (hyper.shape2 - 1.0) / params.d2_diag - hyper.rate2
-    grad[layout.sl_logd1] = transforms.positive_grad(params.d1_diag, dD1)
-    grad[layout.sl_logd2] = transforms.positive_grad(params.d2_diag, dD2)
-
-    # omega enters only the priors: lower-variance scaling and the Dirichlet
-    ssq = np.array([float(np.sum(params.lowers1[i] ** 2) + np.sum(params.lowers2[i] ** 2))
-                    for i in range(K)])
-    g_omega = ssq / (2.0 * var * params.omega) - 0.5 * n_ent / params.omega \
-        + (params.theta - 1.0) / params.omega
-    if K > 1:
-        grad[layout.sl_sticks] = transforms.stick_breaking_grad(
-            u[layout.sl_sticks], g_omega)
-
-    g_theta = K * digamma(K * params.theta) - K * digamma(params.theta) \
-        + float(np.sum(np.log(params.omega)))
-    grad[layout.sl_theta] = transforms.interval_grad(params.theta, g_theta)
-
-    return float(value), grad
+    return _log_posterior_blocks(u, layout, (data,), hyper)

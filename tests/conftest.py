@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sckpd.hyper import make_targets, prior_targets_from_sample, solve_hyper
-from sckpd.model import DataSummary, SCKPDParams
+from sckpd.model import DataSummary, SCKPDParams, log_likelihood, log_prior
 
 
 def make_rng(seed=0):
@@ -51,6 +51,19 @@ def targets_and_hyper(d1, d2, rng, n=200):
         if not hyper.degenerate:
             return targets, hyper
     raise RuntimeError("could not draw non-degenerate targets")
+
+
+def log_posterior(u, layout, data, hyper, targets):
+    """Static posterior value assembled from its separately tested parts:
+    log_likelihood + log_prior + the log-Jacobian of the layout's transform.
+    The value oracle for the one posterior implementation."""
+    params, log_jac = layout.decode(u)
+    if not np.isfinite(log_jac):
+        return -np.inf
+    lp = log_prior(params, hyper, targets)
+    if not np.isfinite(lp):
+        return -np.inf
+    return log_likelihood(params, data) + lp + log_jac
 
 
 def summary_for(Y, d1, d2):

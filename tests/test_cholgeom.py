@@ -40,6 +40,13 @@ def test_cholesky_reports_failing_minor():
         cholesky(S)
 
 
+def test_cholesky_rejects_tiny_positive_pivot():
+    # LAPACK accepts the second pivot (about 1e-15); the pivot floor does not
+    S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotPositiveDefiniteError, match="order 2"):
+        cholesky(S)
+
+
 def test_cholesky_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (make_rng, random_dataset, random_params, summary_for,
-                      targets_and_hyper)
+from conftest import (log_posterior, make_rng, random_dataset, random_params,
+                      summary_for, targets_and_hyper)
 from sckpd.dynamic import (SDLayout, SDParams, SeasonSchedule, StochasticMatrix,
-                           omega_trajectory, propagate_omega,
-                           sd_log_posterior, sd_log_posterior_grad,
+                           omega_trajectory, sd_log_posterior_grad,
                            stochastic_from_gammas)
-from sckpd.model import (SCKPDParams, StateLayout, log_likelihood,
-                         log_posterior, log_posterior_grad)
+from sckpd.model import SCKPDParams, StateLayout, log_likelihood, log_posterior_grad
 
 
 def _random_transition(K, rng, alpha=0.5):
@@ -22,6 +20,15 @@ def _schedule(rng, d1=3, d2=2, n_seasons=2, n_cycles=2, n=25):
     blocks = tuple(summary_for(random_dataset(d1, d2, n, rng), d1, d2)
                    for _ in range(n_seasons * n_cycles))
     return SeasonSchedule(n_seasons=n_seasons, n_cycles=n_cycles, blocks=blocks)
+
+
+def _sd_value(u, layout, sched, hyper, targets):
+    return sd_log_posterior_grad(u, layout, sched, hyper, targets)[0]
+
+
+def propagate_omega(A, omega, steps):
+    """``steps`` applications of one transition, through the weight trajectory."""
+    return omega_trajectory(omega, [A], (0,) * steps, steps + 1)[-1]
 
 
 # ----- propagation ------------------------------------------------------------
@@ -55,7 +62,7 @@ def test_propagate_matches_matvec_oracle_and_stays_simplex():
 def test_propagate_rejects_bad_columns():
     A = np.array([[0.5, 0.5], [0.4, 0.5]])
     with pytest.raises(ValueError, match="column"):
-        propagate_omega(A, np.array([0.5, 0.5]), 1)
+        StochasticMatrix(matrix=A)
 
 
 def test_simplex_conservation_long_runs():
@@ -106,6 +113,8 @@ def test_stochastic_matrix_validates_columns():
 # ----- seasonal posterior -------------------------------------------------------
 
 def test_single_season_reduces_to_static():
+    # the one-block seasonal value against the static oracle assembled from
+    # log_likelihood + log_prior + log-Jacobian
     rng = make_rng(3)
     d1, d2, K = 3, 2, 2
     block = summary_for(random_dataset(d1, d2, 30, rng), d1, d2)
@@ -114,11 +123,14 @@ def test_single_season_reduces_to_static():
     sd_layout = SDLayout(d1, d2, K, 1)
     st_layout = StateLayout(d1, d2, K)
     assert sd_layout.size == st_layout.size
-    u = rng.normal(0, 0.4, size=st_layout.size)
-    v_sd, g_sd = sd_log_posterior_grad(u, sd_layout, sched, hyper, targets)
-    v_st, g_st = log_posterior_grad(u, st_layout, block, hyper, targets)
-    assert np.isclose(v_sd, v_st, rtol=1e-12)
-    assert np.allclose(g_sd, g_st, rtol=1e-10, atol=1e-12)
+    for _ in range(5):
+        u = rng.normal(0, 0.4, size=st_layout.size)
+        oracle = log_posterior(u, st_layout, block, hyper, targets)
+        v_sd, g_sd = sd_log_posterior_grad(u, sd_layout, sched, hyper, targets)
+        v_st, g_st = log_posterior_grad(u, st_layout, block, hyper, targets)
+        assert np.isclose(v_sd, oracle, rtol=1e-12, atol=0.0)
+        assert v_st == v_sd
+        assert np.array_equal(g_st, g_sd)
 
 
 def test_identity_transition_keeps_weights_equal():
@@ -137,10 +149,10 @@ def test_two_season_value_matches_per_season_oracle():
     alpha = 0.9
     layout = SDLayout(d1, d2, K, 2, transition_alpha=alpha)
     u = rng.normal(0, 0.4, size=layout.size)
-    got = sd_log_posterior(u, layout, sched, hyper, targets)
+    got = _sd_value(u, layout, sched, hyper, targets)
 
     params, log_jac = layout.decode(u)
-    A = params.matrices[0].matrix
+    A = params.matrices[0]
     omegas = omega_trajectory(params.omega1, [A], (0,), 2)
     expected = log_jac
     t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)
@@ -174,8 +186,8 @@ def test_sd_gradient_matches_fd():
             up, dn = u.copy(), u.copy()
             up[j] += step
             dn[j] -= step
-            fd = (sd_log_posterior(up, layout, sched, hyper, targets)
-                  - sd_log_posterior(dn, layout, sched, hyper, targets)) / (2 * step)
+            fd = (_sd_value(up, layout, sched, hyper, targets)
+                  - _sd_value(dn, layout, sched, hyper, targets)) / (2 * step)
             assert abs(g[j] - fd) <= 1e-7 + 1e-5 * abs(fd)
 
 
@@ -199,8 +211,7 @@ def test_mixed_assignment_with_identity_steps():
     v, g = sd_log_posterior_grad(u, layout, sched, hyper, targets)
     assert np.isfinite(v)
     params = layout.unpack(u)
-    traj = omega_trajectory(params.omega1, [m.matrix for m in params.matrices],
-                            layout.assignment, 3)
+    traj = omega_trajectory(params.omega1, params.matrices, layout.assignment, 3)
     assert np.allclose(traj[1], traj[0])
     assert not np.allclose(traj[2], traj[1])
     step = 1e-5
@@ -208,8 +219,8 @@ def test_mixed_assignment_with_identity_steps():
         up, dn = u.copy(), u.copy()
         up[j] += step
         dn[j] -= step
-        fd = (sd_log_posterior(up, layout, sched, hyper, targets)
-              - sd_log_posterior(dn, layout, sched, hyper, targets)) / (2 * step)
+        fd = (_sd_value(up, layout, sched, hyper, targets)
+              - _sd_value(dn, layout, sched, hyper, targets)) / (2 * step)
         assert abs(g[j] - fd) <= 1e-7 + 1e-5 * abs(fd)
 
 

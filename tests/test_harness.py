@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
-from sckpd.harness import (PRESETS, RunConfig, check_hyper, fit, ingest_csv,
-                           simulate_dynamic, simulate_static, summarize_draws)
+from conftest import make_rng, random_params
+from sckpd.harness import (PRESETS, RunConfig, _factor_stats, check_hyper, fit,
+                           ingest_csv, simulate_dynamic, simulate_static,
+                           summarize_draws)
+from sckpd.model import assemble_ldagger
 
 
 def _write(path: Path, text: str) -> Path:
@@ -40,6 +43,12 @@ def test_ingest_width_mismatch_names_expectation(tmp_path):
 def test_ingest_non_numeric_names_line(tmp_path):
     p = _write(tmp_path / "d.csv", "1,2,3,4,5,6\n1,2,oops,4,5,6\n")
     with pytest.raises(ValueError, match="line 2"):
+        ingest_csv(p, 3, 2)
+
+
+def test_ingest_rejects_non_finite_field(tmp_path):
+    p = _write(tmp_path / "d.csv", "a,b,c,d,e,f\n1,2,3,4,5,6\n1,2,3,nan,5,6\n")
+    with pytest.raises(ValueError, match="line 3: field 4 is not finite"):
         ingest_csv(p, 3, 2)
 
 
@@ -117,6 +126,19 @@ def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
             w = [truth["stats"][f"omega_c{c}_s{s}_sorted_{k}"] for k in range(1, 6)]
             assert np.all(np.asarray(w) >= -1e-15)
             assert abs(sum(w) - 1.0) < 1e-10
+
+
+def test_factor_stats_match_dense_assembly():
+    rng = make_rng(40)
+    for _ in range(200):
+        d1, d2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        p = random_params(d1, d2, int(rng.integers(1, 6)), rng)
+        L = assemble_ldagger(p)
+        stats = _factor_stats(p)
+        dense_diag = float(np.sum(np.diagonal(L) ** 2))
+        dense_lower = float(np.sum(np.tril(L, -1) ** 2))
+        assert abs(stats["fro2_diag"] - dense_diag) <= 1e-12 * dense_diag
+        assert abs(stats["fro2_lower"] - dense_lower) <= 1e-12 * dense_lower
 
 
 # ----- fitting (smoke scale) -------------------------------------------------------
@@ -203,6 +225,12 @@ def test_fit_dynamic_smoke(tmp_path):
         assert abs(sum(w) - 1.0) < 1e-10
 
 
+def test_fit_rejects_bad_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("SCKPD_THREADS", "two")
+    with pytest.raises(ValueError, match="SCKPD_THREADS.*'two'"):
+        fit(_small_fit_config(tmp_path))
+
+
 def test_check_hyper(tmp_path):
     cfg = _small_fit_config(tmp_path)
     out = check_hyper(cfg)
@@ -219,6 +247,10 @@ def test_config_validation():
         RunConfig.from_dict(dict(mode="simulate-static", bogus=1))
     with pytest.raises(ValueError, match="preset"):
         RunConfig.from_dict(dict(mode="simulate-static", preset="nope"))
+    for key, value in (("n_chains", 0), ("n_leapfrog", 0), ("n_draws", 1),
+                       ("n_warmup", -1)):
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({"mode": "simulate-static", key: value})
 
 
 def test_config_yaml_and_hmc_section(tmp_path):
@@ -275,3 +307,30 @@ def test_cli_summarize_round_trip(tmp_path):
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
     assert "coverage" in payload
+
+
+def test_cli_rank_deficient_data_names_the_cause(tmp_path):
+    # four rows of six fields: the fifth leading minor of the covariance fails
+    rows = make_rng(41).normal(size=(4, 6))
+    text = "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    p = _write(tmp_path / "d.csv", text)
+    fit_out = _run_cli("fit", "--mode", "fit-static", "--d1", "3", "--d2", "2",
+                       "--n-components", "2", "--input", str(p), "--out", str(tmp_path))
+    assert fit_out.returncode != 0
+    message = json.loads(fit_out.stderr)["message"]
+    assert "order 5" in message and "rank deficient" in message and "d1*d2 = 6" in message
+
+
+def test_cli_fit_stdout_is_json_and_warnings_go_to_summary(tmp_path):
+    # paper-dynamic data at seed 0 put a shape target in the degenerate regime
+    sim = _run_cli("simulate", "--preset", "paper-dynamic", "--seed", "0",
+                   "--out", str(tmp_path / "sim"))
+    assert sim.returncode == 0, sim.stderr
+    out = _run_cli("fit", "--preset", "paper-dynamic", "--seed", "0",
+                   "--input", str(tmp_path / "sim"), "--out", str(tmp_path / "fit"),
+                   "--chains", "1", "--warmup", "3", "--draws", "2", "--leapfrog", "2")
+    assert out.returncode == 0, out.stderr
+    printed = json.loads(out.stdout)
+    assert any("degenerate" in w for w in printed["warnings"])
+    summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    assert summary["warnings"] == printed["warnings"]

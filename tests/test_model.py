@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (make_rng, random_dataset, random_params, summary_for,
-                      targets_and_hyper)
+from conftest import (log_posterior, make_rng, random_dataset, random_params,
+                      summary_for, targets_and_hyper)
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout,
-                         assemble_ldagger, from_unconstrained, log_det_ldagger,
-                         log_likelihood, log_posterior, log_posterior_grad,
-                         log_prior, to_unconstrained, trace_quadratic)
+                         assemble_ldagger, log_det_ldagger, log_likelihood,
+                         log_posterior_grad, log_prior, trace_quadratic)
 
 
 def _problem(rng, d1=3, d2=4, K=2, n=40):
@@ -224,8 +223,8 @@ def test_unconstrained_round_trip():
     layout = StateLayout(3, 4, 3)
     for _ in range(5):
         p = random_params(3, 4, 3, rng)
-        u = to_unconstrained(p, layout)
-        back = from_unconstrained(u, layout)
+        u = layout.pack(p)
+        back = layout.unpack(u)
         assert np.allclose(back.lowers1, p.lowers1, atol=1e-12)
         assert np.allclose(back.lowers2, p.lowers2, atol=1e-12)
         assert np.allclose(back.d1_diag, p.d1_diag, atol=1e-12)
