@@ -13,9 +13,7 @@ from .dynamic import (SDLayout, SDParams, SeasonSchedule, StochasticMatrix,
 from .hmc import Chain, Diagnostics, HMCConfig, diagnostics, hmc_sample, leapfrog
 from .hyper import (PriorTargets, SolvedHyper, diag_prior_rate, digamma,
                     prior_targets_from_sample, solve_a, solve_beta, solve_hyper)
-from .kron import (PVLDecomp, fold_mode1, kron, pvl_decompose, sckpd_matvec,
-                   tucker_mode_product, unfold_mode1, vanloan_rearrange,
-                   vanloan_unrearrange)
+from .kron import PVLDecomp, kron, pvl_decompose, vanloan_rearrange, vanloan_unrearrange
 from .model import (DataSummary, SCKPDParams, StateLayout, assemble_ldagger,
                     log_likelihood, log_posterior_grad, log_prior, omega_trajectory,
                     trace_quadratic)

@@ -223,18 +223,17 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
             values = []
-            bad = None
+            bad = []
             for k, cell in enumerate(rec):
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    bad = (k, cell)
-                    break
-            if bad is not None:
-                if lineno == 1 and not rows:
-                    continue  # header row
+                    bad.append((k, cell))
+            if bad:
+                if lineno == 1 and not values:
+                    continue  # header row: no field is a number
                 raise ValueError(
-                    f"{path}: line {lineno}: field {bad[0] + 1} is not numeric: {bad[1]!r}")
+                    f"{path}: line {lineno}: field {bad[0][0] + 1} is not numeric: {bad[0][1]!r}")
             if len(values) != width:
                 raise ValueError(
                     f"{path}: line {lineno}: expected d1*d2 = {width} fields, got {len(values)}")

@@ -1,14 +1,10 @@
-"""Kronecker-product algebra: rearrangement, nearest sums of Kronecker
-products, mode foldings, Tucker mode products, and the structured
-matrix-vector product used by the Cholesky-sum precision factor.
+"""Kronecker-product algebra: the Van Loan rearrangement, under which a
+Kronecker product becomes a rank-1 matrix, and nearest sums of Kronecker
+products by SVD of the rearrangement.
 
-Conventions (0-based, row-major throughout):
-  - ``kron(A, B)[d2*r + v, d2*s + w] == A[r, s] * B[v, w]`` for
-    ``A`` of size d1 x d1 and ``B`` of size d2 x d2.
-  - ``fold_mode1`` reshapes a length d1*d2 vector into a d2 x d1 matrix
-    such that ``kron(A, B) @ v == unfold_mode1(B @ fold_mode1(v) @ A.T)``
-    holds exactly.  That identity, not any written index convention, is
-    what pins the folding orientation.
+Convention (0-based, row-major throughout):
+``kron(A, B)[d2*r + v, d2*s + w] == A[r, s] * B[v, w]`` for ``A`` of size
+d1 x d1 and ``B`` of size d2 x d2.
 """
 
 from __future__ import annotations
@@ -114,60 +110,3 @@ def pvl_decompose(S: np.ndarray, d1: int, d2: int, n_terms: int | None = None) -
     residual = float(np.sqrt(np.sum(s[n_terms:] ** 2)))
     return PVLDecomp(left=left, right=right, source_dims=(d1, d2),
                      residual_fro=residual, singular_values=s.copy())
-
-
-def fold_mode1(v: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Fold a length d1*d2 vector into a d2 x d1 matrix (see module note)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (d1 * d2,):
-        raise ValueError(f"expected a vector of length {d1 * d2}, got shape {v.shape}")
-    return v.reshape(d1, d2).T
-
-
-def unfold_mode1(M: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fold_mode1`."""
-    return np.asarray(M).T.reshape(-1)
-
-
-def tucker_mode_product(T: np.ndarray, B: np.ndarray, mode: int) -> np.ndarray:
-    """Contract mode ``mode`` of ``T`` against the first axis of ``B``.
-
-    ``(T x_i B)[.., q_i, ..] = sum_k T[.., k, ..] B[k, q_i]``; applying
-    all modes in sequence gives the full multi-mode product.
-    """
-    T = np.asarray(T, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if not 0 <= mode < T.ndim:
-        raise ValueError(f"mode {mode} out of range for a {T.ndim}-way array")
-    if B.shape[0] != T.shape[mode]:
-        raise ValueError(
-            f"mode-{mode} extent {T.shape[mode]} does not match first dim {B.shape[0]} of the factor")
-    out = np.tensordot(T, B, axes=([mode], [0]))
-    return np.moveaxis(out, -1, mode)
-
-
-def sckpd_matvec(params, x: np.ndarray) -> np.ndarray:
-    """Apply the assembled Cholesky-sum factor to ``x`` without forming it.
-
-    ``params`` needs attributes ``lowers1`` (K, d1, d1 strictly lower),
-    ``lowers2`` (K, d2, d2), ``d1_diag`` (d1,), ``d2_diag`` (d2,).  Uses
-    the mode-1 folding identity term by term; cost is O(K d1 d2 (d1+d2)).
-    """
-    low1 = np.asarray(params.lowers1, dtype=float)
-    low2 = np.asarray(params.lowers2, dtype=float)
-    D1 = np.asarray(params.d1_diag, dtype=float)
-    D2 = np.asarray(params.d2_diag, dtype=float)
-    d1 = D1.shape[0]
-    d2 = D2.shape[0]
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d1 * d2,):
-        raise ValueError(f"expected a vector of length {d1 * d2}, got shape {x.shape}")
-    FX = fold_mode1(x, d1, d2)
-    s1 = low1.sum(axis=0)
-    s2 = low2.sum(axis=0)
-    # paired strict-lower terms, then the two mixed terms, then the diagonal
-    out = np.einsum('kab,bc,kdc->ad', low2, FX, low1, optimize=True)
-    out += (s2 @ FX) * D1[None, :]
-    out += (FX @ s1.T) * D2[:, None]
-    out += D2[:, None] * FX * D1[None, :]
-    return unfold_mode1(out)

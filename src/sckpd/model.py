@@ -1,6 +1,6 @@
 """The Cholesky-sum precision model: parameter containers, the one state
-layout, factor assembly, the structured likelihood over a Kronecker
-decomposition of the data scatter, the priors, and the log posterior with
+layout, factor assembly, the structured likelihood over the Van Loan
+rearrangement of the data scatter, the priors, and the log posterior with
 its analytic gradient.
 
 The precision factor of one data block is
@@ -11,13 +11,16 @@ with shared diagonal vectors D1, D2 across the K components.  Writing the
 left member list as [low1_1, .., low1_K, diag(D1)] and the right list as
 [low2_1, .., low2_K, diag(D2)], L = sum_{a,b} C[a,b] U_a (x) V_b with the
 0/1 coupling C = [[I_K, 1], [1^T, 1]].  The data enter only through the
-Kronecker terms (A_q, B_q) of the scatter sum_i y_i y_i^T, giving
+scatter S = sum_i y_i y_i^T, held as its rearrangement R = vanloan_rearrange(S)
+(Van Loan & Pitsianis 1993), for which tr((A (x) B) S) = vec(A)^T R vec(B).
+So
 
-    tr(L L^T S) = sum_q <P_q, C R_q C^T>,
-    P_q[a,a'] = tr(U_a U_a'^T A_q),   R_q[b,b'] = tr(V_b V_b'^T B_q),
+    tr(L L^T S) = sum C[a,b] C[a',b'] vec(U_a U_a'^T)^T R vec(V_b V_b'^T)
+                = <CC, PU R QV^T>,
 
-a sum of small Hadamard traces; no d1*d2-sized product is ever formed.
-The same cache drives the analytic gradient.
+with PU, QV the stacked pair products vec(U_a U_a'^T), vec(V_b V_b'^T) and
+CC[(a,a'),(b,b')] = C[a,b] C[a',b']: three matrix products, and no
+d1*d2-sized factor is ever formed.  The analytic gradient reuses them.
 
 There is one posterior.  It runs over T time-ordered blocks, each with its
 own strict-lower factors, sharing the diagonals; the component weights of
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
-from .kron import PVLDecomp, max_pvl_terms, pvl_decompose
+from .kron import vanloan_rearrange
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -115,13 +118,13 @@ class SDParams:
 
 @dataclass(frozen=True)
 class DataSummary:
-    """Sufficient statistics: scatter matrix held as its Kronecker terms."""
+    """Sufficient statistics: the scatter sum_i y_i y_i^T in its Van Loan
+    rearrangement, the (d1^2, d2^2) form the trace term reads."""
 
     n_obs: int
     d1: int
     d2: int
-    scatter_pvl: PVLDecomp
-    trace_scatter: float
+    scatter_rearranged: np.ndarray
 
     @classmethod
     def from_observations(cls, Y: np.ndarray, d1: int, d2: int) -> "DataSummary":
@@ -132,10 +135,8 @@ class DataSummary:
 
     @classmethod
     def from_scatter(cls, scatter: np.ndarray, n_obs: int, d1: int, d2: int) -> "DataSummary":
-        scatter = np.asarray(scatter, dtype=float)
-        pvl = pvl_decompose(scatter, d1, d2, max_pvl_terms(d1, d2))
-        return cls(n_obs=int(n_obs), d1=d1, d2=d2, scatter_pvl=pvl,
-                   trace_scatter=float(np.trace(scatter)))
+        return cls(n_obs=int(n_obs), d1=d1, d2=d2,
+                   scatter_rearranged=vanloan_rearrange(scatter, d1, d2))
 
 
 class StateLayout:
@@ -215,7 +216,12 @@ class StateLayout:
 
     def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
         """Block-stacked params plus the total log-Jacobian of the transform
-        at ``u``, whatever the number of blocks."""
+        at ``u``, whatever the number of blocks.
+
+        The log-Jacobian is -inf when ``u`` decodes outside the support in
+        floating point: a diagonal or transition gamma underflows to 0 or
+        overflows, or theta or a stick-breaking coordinate saturates at 0
+        or 1 (see ``transforms``)."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
@@ -231,11 +237,11 @@ class StateLayout:
         else:
             omega1, lj_sb = np.ones(1), 0.0
         theta, lj_t = transforms.interval_forward(float(u[self.sl_theta][0]))
-        flat = u[self.sl_gammas].reshape(self.n_matrices, K, K)
-        gammas = tuple(np.exp(h) for h in flat)
+        gammas, lj_g = transforms.positive_forward(
+            u[self.sl_gammas].reshape(self.n_matrices, K, K))
         params = SDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
-                          omega1=omega1, theta=theta, gammas=gammas)
-        return params, lj1 + lj2 + lj_sb + lj_t + float(flat.sum())
+                          omega1=omega1, theta=theta, gammas=tuple(gammas))
+        return params, lj1 + lj2 + lj_sb + lj_t + lj_g
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams | SDParams, float]:
         """Params plus the total log-Jacobian of the transform at ``u``;
@@ -313,31 +319,41 @@ def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
     return float(np.sum(C * (GU @ C @ GV)))
 
 
-def _trace_quad_core(low1, low2, D1, D2, pvl: PVLDecomp, want_grad: bool):
-    """tr(L L^T S) over the scatter's Kronecker terms, optionally with
-    gradients w.r.t. the strict-lower stacks and the diagonal vectors."""
+def _pair_products(members: np.ndarray) -> np.ndarray:
+    """Row (a, a') is the row-major vec(M_a M_a'^T), for all ordered pairs."""
+    m, d, _ = members.shape
+    flat = members.reshape(m * d, d)
+    return (flat @ flat.T).reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
+
+
+def _member_grad(dP: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. the pair-product rows back to the members:
+    with W[a,a'] row (a, a') of ``dP`` as a matrix, the gradient of
+    sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
+    sum_a' W[l,a'] M_a' + sum_a W[a,l]^T M_a."""
+    m, d, _ = members.shape
+    W = dP.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
+    return ((W + W.T) @ members.reshape(m * d, d)).reshape(m, d, d)
+
+
+def _trace_quad_core(low1, low2, D1, D2, R: np.ndarray, want_grad: bool):
+    """tr(L L^T S) = <CC, PU R QV^T> from the rearranged scatter ``R``,
+    optionally with gradients w.r.t. the strict-lower stacks and the
+    diagonal vectors."""
     K = low1.shape[0]
+    m = K + 1
     C = _coupling(K)
+    CC = (C[:, None, :, None] * C[None, :, None, :]).reshape(m * m, m * m)
     Us = _members(low1, D1)
     Vs = _members(low2, D2)
-    A, B = pvl.left, pvl.right
-    AU = np.einsum('qij,mjk->qmik', A, Us, optimize=True)
-    BV = np.einsum('qij,mjk->qmik', B, Vs, optimize=True)
-    P = np.einsum('qmik,nik->qmn', AU, Us, optimize=True)
-    R = np.einsum('qmik,nik->qmn', BV, Vs, optimize=True)
-    M = C @ R @ C.T
-    T = float(np.einsum('qmn,qmn->', P, M))
+    PU = _pair_products(Us)
+    QV = _pair_products(Vs)
+    dPU = CC @ (QV @ R.T)             # dT/dPU
+    T = float(np.vdot(PU, dPU))
     if not want_grad:
         return T, None
-    # T = sum P[q,a,a'] M[q,a,a'] with P[q,a,a'] = tr(U_a U_a'^T A_q):
-    # dT/dU_l collects A_q^T U_a' against M[q,l,a'] and A_q U_a against M[q,a,l]
-    AtU = np.einsum('qji,mjk->qmik', A, Us, optimize=True)
-    GU = (np.einsum('qln,qnik->lik', M, AtU, optimize=True)
-          + np.einsum('qml,qmik->lik', M, AU, optimize=True))
-    N = C.T @ P @ C
-    BtV = np.einsum('qji,mjk->qmik', B, Vs, optimize=True)
-    GV = (np.einsum('qln,qnik->lik', N, BtV, optimize=True)
-          + np.einsum('qml,qmik->lik', N, BV, optimize=True))
+    GU = _member_grad(dPU, Us)
+    GV = _member_grad(CC.T @ (PU @ R), Vs)
     g_low1 = np.tril(GU[:K], -1)
     g_low2 = np.tril(GV[:K], -1)
     g_D1 = np.diagonal(GU[K]).copy()
@@ -346,10 +362,10 @@ def _trace_quad_core(low1, low2, D1, D2, pvl: PVLDecomp, want_grad: bool):
 
 
 def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
-    """tr(L L^T sum_i y_i y_i^T) evaluated on the scatter's Kronecker terms."""
+    """tr(L L^T sum_i y_i y_i^T) evaluated on the rearranged scatter."""
     T, _ = _trace_quad_core(params.lowers1, params.lowers2,
                             params.d1_diag, params.d2_diag,
-                            data.scatter_pvl, want_grad=False)
+                            data.scatter_rearranged, want_grad=False)
     return T
 
 
@@ -405,6 +421,10 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
     return value
 
 
+def _all_finite(*arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
                           hyper: SolvedHyper) -> tuple[float, np.ndarray]:
     """Log posterior over the layout's blocks in unconstrained coordinates,
@@ -426,7 +446,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
     zeros = np.zeros(layout.size)
 
     params, log_jac = layout.decode_blocks(u)
-    if (not np.isfinite(log_jac)) or np.any(params.omega1 <= 0.0) or beta <= 0.0:
+    if (not np.isfinite(log_jac)) or beta <= 0.0:
         return -np.inf, zeros
     matrices = params.matrices
     omegas = omega_trajectory(params.omega1, matrices, layout.assignment, T)
@@ -434,48 +454,58 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
         return -np.inf, zeros
 
     D1, D2 = params.d1_diag, params.d2_diag
-    prior, ssq = _prior_terms(params.lowers1, params.lowers2, D1, D2, omegas,
-                              params.theta, hyper)
+    var = omegas * beta
+    n_ent = layout.m1 + layout.m2
+    # weights so small that the lower variances underflow, or that the
+    # prior or its gradient overflows, leave the support
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prior, ssq = _prior_terms(params.lowers1, params.lowers2, D1, D2, omegas,
+                                  params.theta, hyper)
+        g1 = -params.lowers1 / var[:, :, None, None]
+        g2 = -params.lowers2 / var[:, :, None, None]
+        g_omega_direct = ssq / (2.0 * var * omegas) - 0.5 * n_ent / omegas
+    if not _all_finite(prior, g1, g2, g_omega_direct):
+        return -np.inf, zeros
     value = log_jac + prior
     alpha = layout.transition_alpha
     for G in params.gammas:
         value += float(np.sum((alpha - 1.0) * np.log(G) - G)) - G.size * lgamma(alpha)
 
-    var = omegas * beta
     logdet_unit = d2 * float(np.sum(np.log(D1))) + d1 * float(np.sum(np.log(D2)))
-    g1 = -params.lowers1 / var[:, :, None, None]
-    g2 = -params.lowers2 / var[:, :, None, None]
     g_D1_T = np.zeros(d1)
     g_D2_T = np.zeros(d2)
     n_total = 0
-    for t, block in enumerate(blocks):
-        Tq, (gl1, gl2, gD1, gD2) = _trace_quad_core(params.lowers1[t], params.lowers2[t],
-                                                    D1, D2, block.scatter_pvl, want_grad=True)
-        n_t = block.n_obs
-        n_total += n_t
-        value += n_t * logdet_unit - 0.5 * Tq - 0.5 * n_t * d1 * d2 * LOG_2PI
-        g1[t] -= 0.5 * gl1
-        g2[t] -= 0.5 * gl2
-        g_D1_T += gD1
-        g_D2_T += gD2
-    if not np.isfinite(value):
+    # a trace term that overflows (huge diagonals) leaves the support
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, block in enumerate(blocks):
+            Tq, (gl1, gl2, gD1, gD2) = _trace_quad_core(
+                params.lowers1[t], params.lowers2[t], D1, D2,
+                block.scatter_rearranged, want_grad=True)
+            n_t = block.n_obs
+            n_total += n_t
+            value += n_t * logdet_unit - 0.5 * Tq - 0.5 * n_t * d1 * d2 * LOG_2PI
+            g1[t] -= 0.5 * gl1
+            g2[t] -= 0.5 * gl2
+            g_D1_T += gD1
+            g_D2_T += gD2
+    if not _all_finite(value, g1, g2, g_D1_T, g_D2_T):
         return -np.inf, zeros
 
     grad = np.empty(layout.size)
     grad[layout.sl_low1] = g1[:, :, layout.tril1[0], layout.tril1[1]].reshape(-1)
     grad[layout.sl_low2] = g2[:, :, layout.tril2[0], layout.tril2[1]].reshape(-1)
 
-    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1
-    dD1 = n_total * d2 / D1 - 0.5 * g_D1_T + (hyper.shape1 - 1.0) / D1 - hyper.rate1
-    dD2 = n_total * d1 / D2 - 0.5 * g_D2_T + (hyper.shape2 - 1.0) / D2 - hyper.rate2
-    grad[layout.sl_logd1] = transforms.positive_grad(D1, dD1)
-    grad[layout.sl_logd2] = transforms.positive_grad(D2, dD2)
+    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1, where
+    # the 1/D terms of the log-determinant and the Gamma prior times D are
+    # the constants n d2 and shape - 1, added without dividing by D
+    grad[layout.sl_logd1] = (transforms.positive_grad(D1, -0.5 * g_D1_T - hyper.rate1)
+                             + (n_total * d2 + hyper.shape1 - 1.0))
+    grad[layout.sl_logd2] = (transforms.positive_grad(D2, -0.5 * g_D2_T - hyper.rate2)
+                             + (n_total * d1 + hyper.shape2 - 1.0))
 
     # the weights enter only the priors: the lower-variance scaling of every
     # block, reached through omega_{t+1} = M_t omega_t by a reverse pass,
     # and the first block's Dirichlet
-    n_ent = layout.m1 + layout.m2
-    g_omega_direct = ssq / (2.0 * var * omegas) - 0.5 * n_ent / omegas
     g_A = [np.zeros((K, K)) for _ in range(layout.n_matrices)]
     lam = g_omega_direct[T - 1].copy()
     for t in range(T - 2, -1, -1):

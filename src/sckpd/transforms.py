@@ -2,6 +2,12 @@
 stick-breaking for simplex vectors, logit for the unit interval, log for
 positives.  The stick-breaking map is centered so the zero vector maps to
 the uniform simplex point.
+
+A forward map whose result leaves the open support in floating point (a
+logistic coordinate that rounds to 0 or 1, a positive value that
+underflows to 0 or overflows) returns a log-Jacobian of -inf, computed
+without a log of 0 or an overflowing exp: the caller treats the state as
+outside the support.
 """
 
 from __future__ import annotations
@@ -18,20 +24,30 @@ def expit(x):
     return out
 
 
-def stick_breaking_forward(y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map y in R^(K-1) to a simplex vector; also return log|det J|."""
-    y = np.asarray(y, dtype=float)
+def _sticks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Break fractions z, the simplex vector and the stick left before
+    each break, for y in R^(K-1)."""
     K = y.shape[0] + 1
     z = expit(y - np.log(np.arange(K - 1, 0, -1, dtype=float)))
     omega = np.empty(K)
-    log_jac = 0.0
+    sticks = np.empty(K - 1)
     stick = 1.0
     for k in range(K - 1):
+        sticks[k] = stick
         omega[k] = stick * z[k]
-        log_jac += np.log(z[k]) + np.log1p(-z[k]) + np.log(stick)
         stick *= 1.0 - z[k]
     omega[K - 1] = stick
-    return omega, float(log_jac)
+    return z, omega, sticks
+
+
+def stick_breaking_forward(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
+    is -inf when a break fraction saturates or a weight underflows to 0."""
+    z, omega, sticks = _sticks(np.asarray(y, dtype=float))
+    # every weight positive means every z in (0, 1) and every stick positive
+    if not omega.min() > 0.0:
+        return omega, -np.inf
+    return omega, float(np.sum(np.log(z) + np.log1p(-z) + np.log(sticks)))
 
 
 def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
@@ -58,18 +74,9 @@ def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray,
     Adds the gradient of log|det J| when ``with_log_jac`` (the usual case:
     the target density includes the change-of-variables term).
     """
-    y = np.asarray(y, dtype=float)
     grad_omega = np.asarray(grad_omega, dtype=float)
-    K = y.shape[0] + 1
-    z = expit(y - np.log(np.arange(K - 1, 0, -1, dtype=float)))
-    omega = np.empty(K)
-    sticks = np.empty(K - 1)
-    stick = 1.0
-    for k in range(K - 1):
-        sticks[k] = stick
-        omega[k] = stick * z[k]
-        stick *= 1.0 - z[k]
-    omega[K - 1] = stick
+    z, omega, sticks = _sticks(np.asarray(y, dtype=float))
+    K = omega.shape[0]
 
     # d omega_j / d z_k: s_k at j == k, -omega_j/(1-z_k) for j > k, else 0
     grad_y = np.empty(K - 1)
@@ -84,8 +91,11 @@ def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray,
 
 
 def interval_forward(v: float) -> tuple[float, float]:
-    """Logistic map to (0, 1) with log-Jacobian log(t(1-t))."""
+    """Logistic map to (0, 1) with log-Jacobian log(t(1-t)), -inf when t
+    rounds to 0 or 1."""
     t = float(expit(np.asarray([v]))[0])
+    if not 0.0 < t < 1.0:
+        return t, -np.inf
     return t, float(np.log(t) + np.log1p(-t))
 
 
@@ -104,9 +114,15 @@ def interval_grad(t: float, grad_t: float, with_log_jac: bool = True) -> float:
 
 
 def positive_forward(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp map to positives with log-Jacobian sum(u)."""
+    """exp map to positives with log-Jacobian sum(u), -inf when a value
+    underflows to 0 or the values or their sum overflow."""
     u = np.asarray(u, dtype=float)
-    return np.exp(u), float(np.sum(u))
+    with np.errstate(over="ignore"):
+        x = np.exp(u)
+        total = x.sum()
+    if x.size and not (x.min() > 0.0 and total < np.inf):
+        return x, -np.inf
+    return x, float(u.sum())
 
 
 def positive_inverse(x: np.ndarray) -> np.ndarray:

@@ -34,6 +34,13 @@ def test_ingest_skips_header(tmp_path):
     assert Y.shape == (1, 6)
 
 
+def test_ingest_rejects_malformed_first_row(tmp_path):
+    # line 1 is a header only when none of its fields is a number
+    p = _write(tmp_path / "d.csv", "1,2,oops,4,5,6\n1,2,3,4,5,6\n7,8,9,10,11,12\n")
+    with pytest.raises(ValueError, match="line 1: field 3 is not numeric"):
+        ingest_csv(p, 3, 2)
+
+
 def test_ingest_width_mismatch_names_expectation(tmp_path):
     p = _write(tmp_path / "d.csv", "1,2,3,4,5,6\n1,2,3\n")
     with pytest.raises(ValueError, match=r"line 2.*d1\*d2 = 6"):

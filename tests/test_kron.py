@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_params
-from sckpd.kron import (fold_mode1, kron, max_pvl_terms, pvl_decompose,
-                        sckpd_matvec, tucker_mode_product, unfold_mode1,
-                        vanloan_rearrange, vanloan_unrearrange)
+from conftest import make_rng
+from sckpd.kron import (kron, max_pvl_terms, pvl_decompose, vanloan_rearrange,
+                        vanloan_unrearrange)
 
 
 def test_kron_identity():
@@ -117,101 +116,6 @@ def test_pvl_deterministic():
 def test_pvl_rejects_too_many_terms():
     with pytest.raises(ValueError):
         pvl_decompose(np.eye(6), 3, 2, 5)
-
-
-def test_fold_round_trip():
-    rng = make_rng(11)
-    v = rng.normal(size=12)
-    assert np.allclose(unfold_mode1(fold_mode1(v, 3, 4)), v)
-    M = rng.normal(size=(4, 3))
-    assert np.allclose(fold_mode1(unfold_mode1(M), 3, 4), M)
-
-
-def test_fold_of_kron_vector_is_rank_one():
-    rng = make_rng(12)
-    a, b = rng.normal(size=3), rng.normal(size=4)
-    v = kron(a.reshape(-1, 1), b.reshape(-1, 1)).ravel()
-    assert np.linalg.matrix_rank(fold_mode1(v, 3, 4)) == 1
-
-
-def test_fold_matvec_identity():
-    rng = make_rng(13)
-    d1, d2 = 3, 2
-    A, B = rng.normal(size=(d1, d1)), rng.normal(size=(d2, d2))
-    v = rng.normal(size=d1 * d2)
-    dense = kron(A, B) @ v
-    folded = unfold_mode1(B @ fold_mode1(v, d1, d2) @ A.T)
-    assert np.allclose(dense, folded, atol=1e-12)
-
-
-def test_tucker_identity():
-    rng = make_rng(14)
-    T = rng.normal(size=(3, 4, 2))
-    for mode, d in enumerate(T.shape):
-        assert np.allclose(tucker_mode_product(T, np.eye(d), mode), T)
-
-
-def test_tucker_two_way_sandwich():
-    rng = make_rng(15)
-    T = rng.normal(size=(3, 4))
-    B1, B2 = rng.normal(size=(3, 3)), rng.normal(size=(4, 4))
-    out = tucker_mode_product(tucker_mode_product(T, B1, 0), B2, 1)
-    assert np.allclose(out, B1.T @ T @ B2, atol=1e-12)
-
-
-def test_tucker_vectorization_ordering():
-    # applying the transposed factors gives L1 T L2^T, whose column-major
-    # vectorization is kron(L2, L1) @ vec(T); this pins the ordering
-    rng = make_rng(16)
-    d1, d2 = 3, 4
-    T = rng.normal(size=(d1, d2))
-    L1 = np.tril(rng.normal(size=(d1, d1)))
-    L2 = np.tril(rng.normal(size=(d2, d2)))
-    out = tucker_mode_product(tucker_mode_product(T, L1.T, 0), L2.T, 1)
-    lhs = out.flatten(order="F")
-    rhs = kron(L2, L1) @ T.flatten(order="F")
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_tucker_shape_mismatch():
-    with pytest.raises(ValueError):
-        tucker_mode_product(np.zeros((3, 4)), np.eye(5), 0)
-
-
-def _dense_factor(params):
-    from sckpd.model import assemble_ldagger
-    return assemble_ldagger(params)
-
-
-def test_matvec_diagonal_case():
-    rng = make_rng(17)
-    d1, d2, K = 3, 4, 2
-    params = random_params(d1, d2, K, rng)
-    params = type(params)(lowers1=np.zeros_like(params.lowers1),
-                          lowers2=np.zeros_like(params.lowers2),
-                          d1_diag=params.d1_diag, d2_diag=params.d2_diag,
-                          omega=params.omega, theta=params.theta)
-    x = rng.normal(size=d1 * d2)
-    expected = kron(np.diag(params.d1_diag), np.diag(params.d2_diag)).diagonal() * x
-    assert np.allclose(sckpd_matvec(params, x), expected, atol=1e-12)
-
-
-def test_matvec_matches_dense_single_component():
-    rng = make_rng(18)
-    params = random_params(4, 3, 1, rng)
-    x = rng.normal(size=12)
-    dense = _dense_factor(params) @ x
-    assert np.allclose(sckpd_matvec(params, x), dense, atol=1e-10)
-
-
-def test_matvec_linearity():
-    rng = make_rng(19)
-    params = random_params(3, 4, 2, rng)
-    x, y = rng.normal(size=12), rng.normal(size=12)
-    a, b = 1.7, -0.3
-    lhs = sckpd_matvec(params, a * x + b * y)
-    rhs = a * sckpd_matvec(params, x) + b * sckpd_matvec(params, y)
-    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import scipy.stats
 
 from conftest import (log_posterior, make_rng, random_dataset, random_params,
                       summary_for, targets_and_hyper)
-from sckpd.model import (DataSummary, SCKPDParams, StateLayout,
-                         assemble_ldagger, log_det_ldagger, log_likelihood,
-                         log_posterior_grad, log_prior, trace_quadratic)
+from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
+from sckpd.kron import vanloan_unrearrange
+from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling,
+                         _trace_quad_core, assemble_ldagger, log_det_ldagger,
+                         log_likelihood, log_posterior_grad, log_prior, trace_quadratic)
 
 
 def _problem(rng, d1=3, d2=4, K=2, n=40):
@@ -81,7 +84,7 @@ def test_likelihood_identity_factor():
     p = SCKPDParams(lowers1=np.zeros((1, d1, d1)), lowers2=np.zeros((1, d2, d2)),
                     d1_diag=np.ones(d1), d2_diag=np.ones(d2),
                     omega=np.ones(1), theta=0.5)
-    expected = -0.5 * data.trace_scatter - 0.5 * n * d1 * d2 * math.log(2 * math.pi)
+    expected = -0.5 * np.trace(Y.T @ Y) - 0.5 * n * d1 * d2 * math.log(2 * math.pi)
     assert np.isclose(log_likelihood(p, data), expected, rtol=1e-12)
 
 
@@ -118,8 +121,8 @@ def test_trace_quadratic_diagonal_branch():
     p = random_params(d1, d2, 2, rng)
     p = SCKPDParams(lowers1=np.zeros_like(p.lowers1), lowers2=np.zeros_like(p.lowers2),
                     d1_diag=p.d1_diag, d2_diag=p.d2_diag, omega=p.omega, theta=p.theta)
-    expected = sum(np.trace(np.diag(p.d1_diag ** 2) @ A) * np.trace(np.diag(p.d2_diag ** 2) @ B)
-                   for A, B in data.scatter_pvl.terms)
+    dense = np.kron(np.diag(p.d1_diag ** 2), np.diag(p.d2_diag ** 2))
+    expected = np.trace(dense @ (Y.T @ Y))
     assert np.isclose(trace_quadratic(p, data), expected, rtol=1e-10)
 
 
@@ -149,6 +152,46 @@ def test_trace_quadratic_many_random_cases():
         dense = float(np.trace(L @ L.T @ (Y.T @ Y)))
         worst = max(worst, abs(trace_quadratic(p, data) - dense) / abs(dense))
     assert worst < 1e-9
+
+
+def _dense_trace_and_grad(p, S):
+    """tr(L L^T S) and its gradient from the dense factor: dT/dL = 2 S L,
+    pulled back through L = sum C[a,b] U_a (x) V_b, where the derivative
+    of <G, A (x) B> is sum_vw G[(r,v),(s,w)] B[v,w] w.r.t. A[r,s] and
+    sum_rs G[(r,v),(s,w)] A[r,s] w.r.t. B[v,w]."""
+    K, d1, d2 = p.n_components, p.d1, p.d2
+    L = assemble_ldagger(p)
+    G = (2.0 * S @ L).reshape(d1, d2, d1, d2)
+    C = _coupling(K)
+    U = np.concatenate([p.lowers1, np.diag(p.d1_diag)[None]])
+    V = np.concatenate([p.lowers2, np.diag(p.d2_diag)[None]])
+    gU = np.zeros_like(U)
+    gV = np.zeros_like(V)
+    for a in range(K + 1):
+        for b in range(K + 1):
+            if C[a, b]:
+                gU[a] += np.einsum('rvsw,vw->rs', G, V[b])
+                gV[b] += np.einsum('rvsw,rs->vw', G, U[a])
+    value = float(np.trace(L @ L.T @ S))
+    return value, (np.tril(gU[:K], -1), np.tril(gV[:K], -1),
+                   np.diagonal(gU[K]).copy(), np.diagonal(gV[K]).copy())
+
+
+@pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5)])
+def test_trace_core_matches_dense_gradient(dims, K):
+    d1, d2 = dims
+    rng = make_rng(26 + d1 * d2 + K)
+    for _ in range(4):
+        Y = random_dataset(d1, d2, 3 * d1 * d2, rng)
+        S = Y.T @ Y
+        p = random_params(d1, d2, K, rng)
+        value, grads = _trace_quad_core(p.lowers1, p.lowers2, p.d1_diag, p.d2_diag,
+                                        summary_for(Y, d1, d2).scatter_rearranged,
+                                        want_grad=True)
+        dense_value, dense_grads = _dense_trace_and_grad(p, S)
+        assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
+        for got, want in zip(grads, dense_grads):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ----- priors -------------------------------------------------------------------
@@ -323,9 +366,53 @@ def test_posterior_label_permutation_invariance():
     assert np.isclose(lp, lp_perm, rtol=1e-12)
 
 
-def test_scatter_pvl_reconstructs():
+def test_scatter_rearranged_round_trip():
     rng = make_rng(25)
     Y = random_dataset(4, 5, 30, rng)
     data = summary_for(Y, 4, 5)
     S = Y.T @ Y
-    assert np.linalg.norm(data.scatter_pvl.reconstruct() - S) < 1e-10 * np.linalg.norm(S)
+    assert np.array_equal(vanloan_unrearrange(data.scatter_rearranged, 4, 5), S)
+
+
+def _outside_support_states(layout, rng):
+    """A valid state, then copies with one coordinate pushed past the
+    floating-point support: diagonals that underflow, overflow or make the
+    trace term overflow, a saturated theta or stick coordinate, a weight
+    so small that its lower-variance terms overflow, and transition gammas
+    that overflow, underflow or overflow in their sum."""
+    base = rng.normal(0.0, 0.3, size=layout.size)
+    edits = [(layout.sl_logd1, 1, -800.0), (layout.sl_logd1, 1, 800.0),
+             (layout.sl_logd2, 1, -800.0), (layout.sl_logd1, 1, 400.0),
+             (layout.sl_theta, 1, 40.0), (layout.sl_theta, 1, -800.0),
+             (layout.sl_sticks, 1, 800.0), (layout.sl_sticks, 1, -800.0),
+             (layout.sl_sticks, 1, -400.0)]
+    if layout.n_matrices:
+        edits += [(layout.sl_gammas, 1, 800.0), (layout.sl_gammas, 1, -800.0),
+                  (layout.sl_gammas, 3, 709.0)]
+    for sl, n, val in edits:
+        u = base.copy()
+        u[sl.start:sl.start + n] = val
+        yield u
+
+
+def test_outside_support_is_clean_minus_infinity():
+    rng = make_rng(27)
+    d1, d2, K = 3, 4, 3
+    Ys = [random_dataset(d1, d2, 20, rng) for _ in range(3)]
+    targets, hyper = targets_and_hyper(d1, d2, rng)
+    data = summary_for(Ys[0], d1, d2)
+    sched = SeasonSchedule(n_seasons=3, n_cycles=1,
+                           blocks=tuple(summary_for(Y, d1, d2) for Y in Ys))
+    static = StateLayout(d1, d2, K)
+    seasonal = StateLayout(d1, d2, K, n_blocks=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for layout, post in ((static, lambda u: log_posterior_grad(u, static, data, hyper,
+                                                                   targets)),
+                             (seasonal, lambda u: sd_log_posterior_grad(u, seasonal, sched,
+                                                                        hyper, targets))):
+            assert np.isfinite(post(rng.normal(0.0, 0.3, size=layout.size))[0])
+            for u in _outside_support_states(layout, rng):
+                value, grad = post(u)
+                assert value == -np.inf
+                assert grad.shape == (layout.size,) and not np.any(grad)
