@@ -6,6 +6,11 @@ that share one schema so results can be joined mechanically.
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
 on (seed, 20000 + c), data simulation on (seed, 10000).
+
+Imports: a dependency used only to simulate data or to read a config file
+(``scipy.stats``, ``scipy.linalg.solve_triangular``, ``yaml``) is imported
+inside the function that uses it, so a ``fit`` process never loads
+``scipy.stats`` or ``yaml``.
 """
 
 from __future__ import annotations
@@ -15,15 +20,13 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
-import yaml
 
 from . import dynamic as dyn
+from . import hmc
 from . import model as mdl
 from .hmc import Chain, HMCConfig, diagnostics, hmc_sample
 from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_hyper
@@ -117,6 +120,7 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "RunConfig":
+        import yaml
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
         if not isinstance(raw, dict):
@@ -170,6 +174,7 @@ def _wishart_scales(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_diagonals(rng, d: int, scale: np.ndarray) -> np.ndarray:
+    import scipy.stats
     W = scipy.stats.wishart.rvs(df=d + 2, scale=np.diag(scale), random_state=rng)
     return np.diagonal(np.atleast_2d(W)).copy()
 
@@ -184,6 +189,7 @@ def _draw_lowers(rng, K: int, d: int, variances: np.ndarray) -> np.ndarray:
 
 def _observations(rng, L: np.ndarray, n: int) -> np.ndarray:
     """Draw n rows of N(0, (L L^T)^{-1}) by triangular solve against L^T."""
+    import scipy.linalg
     Z = rng.standard_normal(size=(L.shape[0], n))
     return scipy.linalg.solve_triangular(L.T, Z, lower=False).T
 
@@ -562,9 +568,8 @@ def _summarize_chains(kind, config, chains, table, columns, targets, hyper,
         col = table[:, j]
         entry = _quantiles(col)
         per_chain = col.reshape(n_chains, n_draws)
-        from .hmc import effective_sample_size, split_rhat
-        entry["ess"] = float(effective_sample_size(per_chain))
-        entry["rhat"] = float(split_rhat(per_chain))
+        entry["ess"] = float(hmc.effective_sample_size(per_chain))
+        entry["rhat"] = float(hmc.split_rhat(per_chain))
         stats[name] = entry
     diag = diagnostics(chains)
     summary = {
@@ -631,8 +636,29 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
     ground-truth file into a coverage report."""
     with open(draws_path, newline="") as fh:
         reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [[float(v) for v in rec] for rec in reader if rec]
+        columns = next(reader, None)
+        if not columns:
+            raise ValueError(f"{draws_path}: empty file, expected a header row")
+        if "chain" not in columns:
+            raise ValueError(f"{draws_path}: line 1: header has no 'chain' column")
+        rows = []
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != len(columns):
+                raise ValueError(f"{draws_path}: line {reader.line_num}: expected "
+                                 f"{len(columns)} fields as in the header, got {len(rec)}")
+            values = []
+            for k, cell in enumerate(rec):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{draws_path}: line {reader.line_num}: field {k + 1} "
+                                     f"({columns[k]}) is not numeric: {cell!r}") from None
+            rows.append(values)
+    if len(rows) < 2:
+        raise ValueError(f"{draws_path}: spread statistics need at least 2 draw rows "
+                         f"after the header, found {len(rows)}")
     table = np.asarray(rows)
     n_chains = int(table[:, columns.index("chain")].max()) + 1
     stats = {}

@@ -245,6 +245,39 @@ def test_check_hyper(tmp_path):
     assert out["targets"]["diag_energy"] > 0
 
 
+def _draws_file(tmp_path: Path, text: str) -> Path:
+    return _write(tmp_path / "draws.csv", text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file, expected a header row"),
+    ("chain,draw,theta\n", "at least 2 draw rows after the header, found 0"),
+    ("chain,draw,theta\n0,0,1.5\n", "at least 2 draw rows after the header, found 1"),
+], ids=["empty", "header-only", "one-row"])
+def test_summarize_draws_rejects_too_few_rows(tmp_path, text, message):
+    p = _draws_file(tmp_path, text)
+    with pytest.raises(ValueError, match=r"draws\.csv: .*" + message):
+        summarize_draws(p)
+
+
+def test_summarize_draws_rejects_table_without_chain_column(tmp_path):
+    p = _draws_file(tmp_path, "draw,theta\n0,1.5\n1,2.5\n")
+    with pytest.raises(ValueError, match=r"draws\.csv: line 1: header has no 'chain' column"):
+        summarize_draws(p)
+
+
+def test_summarize_draws_rejects_ragged_row(tmp_path):
+    p = _draws_file(tmp_path, "chain,draw,theta\n0,0,1.5\n0,1\n")
+    with pytest.raises(ValueError, match=r"draws\.csv: line 3: expected 3 fields.*got 2"):
+        summarize_draws(p)
+
+
+def test_summarize_draws_rejects_non_numeric_field(tmp_path):
+    p = _draws_file(tmp_path, "chain,draw,theta\n0,0,1.5\n0,1,oops\n")
+    with pytest.raises(ValueError, match=r"line 3: field 3 \(theta\) is not numeric: 'oops'"):
+        summarize_draws(p)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="mode"):
         RunConfig.from_dict(dict(mode="nope"))
@@ -287,6 +320,37 @@ def test_cli_simulate_and_check_hyper(tmp_path):
                    "--d1", "4", "--d2", "5")
     assert hyp.returncode == 0, hyp.stderr
     assert "lower_variance" in json.loads(hyp.stdout)["hyper"]
+
+
+def _loaded_after(code: str, *args) -> str:
+    """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
+    simulate-only or config-only dependencies it loaded."""
+    probe = (f"import sys\n{code}\n"
+             "print(sorted(m for m in ('scipy.stats', 'yaml') if m in sys.modules))\n"
+             "sys.exit(rc)\n")
+    out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
+def test_fit_does_not_import_simulate_only_dependencies(tmp_path):
+    simulate_static(RunConfig.from_dict(dict(
+        mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+        omega_weights=(1.0, 3.0), n_obs=60, seed=4, output_dir=str(tmp_path / "s"))))
+    simulate_dynamic(RunConfig.from_dict(dict(
+        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
+        omega_weights=(1.0, 3.0), n_obs=60, n_seasons=2, n_cycles=1, seed=4,
+        output_dir=str(tmp_path / "d"))))
+    fit_cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
+    tiny = ("--d1", "3", "--d2", "2", "--n-components", "2", "--seed", "4",
+            "--chains", "1", "--warmup", "3", "--draws", "2", "--leapfrog", "2")
+    assert _loaded_after(fit_cli, "fit", "--mode", "fit-static",
+                         "--input", str(tmp_path / "s" / "data.csv"),
+                         "--out", str(tmp_path / "fs"), *tiny) == "[]"
+    assert _loaded_after(fit_cli, "fit", "--mode", "fit-dynamic", "--seasons", "2",
+                         "--cycles", "1", "--input", str(tmp_path / "d"),
+                         "--out", str(tmp_path / "fd"), *tiny) == "[]"
+    assert _loaded_after("import sckpd\nrc = 0") == "[]"
 
 
 def test_cli_error_is_machine_readable(tmp_path):
