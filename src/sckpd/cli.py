@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .harness import PRESETS, RunConfig, check_hyper, fit, simulate_dynamic, \
-    simulate_static, summarize_draws
+from .harness import (PRESETS, RunConfig, check_hyper, fit, read_config_file, simulate,
+                      summarize_draws)
 
 PRESET_FAMILY = {
     "paper-static": "static",
@@ -45,11 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:
-    raw: dict = {}
-    if args.config:
-        import yaml
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh) or {}
+    raw = read_config_file(args.config) if args.config else {}
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config", "func") and v is not None}
     raw.update(overrides)
@@ -64,10 +60,7 @@ def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:
 
 def _cmd_simulate(args) -> dict:
     config = _build_config(args, "simulate")
-    if config.mode == "simulate-dynamic":
-        _, truth = simulate_dynamic(config)
-    else:
-        _, truth = simulate_static(config)
+    _, truth = simulate(config)
     return {"written": config.output_dir, "truth": truth}
 
 

@@ -1,7 +1,11 @@
 """Batch front door: simulate the reference data-generating processes,
-ingest CSV observation matrices, run static or dynamic inference from a
-declarative config, and emit draws tables plus summary/ground-truth JSON
-that share one schema so results can be joined mechanically.
+ingest CSV observation matrices, run inference from a declarative config,
+and emit draws tables plus summary/ground-truth JSON that share one schema
+so results can be joined mechanically.
+
+A static run is the one-block case of a seasonal run, so one simulator,
+one fit and one draws table serve both; ``_blocks`` names the blocks (CSV
+file and column tag) of either kind.
 
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
@@ -120,12 +124,7 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "RunConfig":
-        import yaml
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a key/value mapping")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config_file(path))
 
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
@@ -147,6 +146,26 @@ class RunConfig:
         if self.n_warmup < 0:
             raise ValueError("n_warmup must be nonnegative")
         return self
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The key/value mapping a YAML config file holds; an empty file is {}."""
+    import yaml
+    with open(path) as fh:
+        raw = yaml.safe_load(fh) or {}
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a key/value mapping")
+    return raw
+
+
+def _blocks(config: RunConfig) -> list[tuple[str, str]]:
+    """(column tag, CSV name) of every block in time order: one untagged
+    data.csv for a static run, one per (cycle, season) for a seasonal run,
+    season fastest."""
+    if not config.mode.endswith("dynamic"):
+        return [("", "data.csv")]
+    return [(f"_c{c}_s{s}", f"data_c{c}_s{s}.csv")
+            for c in range(1, config.n_cycles + 1) for s in range(1, config.n_seasons + 1)]
 
 
 def _sim_rng(seed: int) -> np.random.Generator:
@@ -264,79 +283,32 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _block_filename(cycle: int, season: int) -> str:
-    return f"data_c{cycle}_s{season}.csv"
+def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
+    """Draw one dataset, one observation matrix per block, plus its
+    ground-truth record.
 
-
-def simulate_static(config: RunConfig) -> tuple[np.ndarray, dict]:
-    """Draw one static dataset plus its ground-truth record.
-
-    Lowers come from the component priors at the configured weights and
-    variance scale, diagonals from scaled Wishart diagonals, and the
-    observations from the assembled precision factor.  Writes data.csv and
-    truth.json under the output directory.
+    A static run is one block at the configured weights.  A seasonal run
+    first draws a column-stochastic transition (Dirichlet columns), or
+    takes the identity, and moves the weights through it block by block.
+    The diagonals are scaled Wishart diagonals shared by every block; each
+    block draws its lowers from the component priors at its weights and
+    the variance scale, then its observations from the assembled precision
+    factor.  Writes the block CSVs and truth.json under the output
+    directory.
     """
     config.validate()
+    if not config.mode.startswith("simulate"):
+        raise ValueError(f"simulate() does not handle mode '{config.mode}'")
     rng = _sim_rng(config.seed)
     K = config.n_truth_components or config.n_components
     omega = np.asarray(config.omega_weights, dtype=float)
     if omega.shape != (K,):
         raise ValueError(f"omega_weights must have {K} entries, got {omega.shape}")
     omega = omega / omega.sum()
-    scale1, scale2 = _wishart_scales(config)
-    D1 = _draw_diagonals(rng, config.d1, scale1)
-    D2 = _draw_diagonals(rng, config.d2, scale2)
-    variances = omega * config.lower_variance
-    low1 = _draw_lowers(rng, K, config.d1, variances)
-    low2 = _draw_lowers(rng, K, config.d2, variances)
-    params = mdl.SCKPDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
-                             omega=omega, theta=0.5)
-    L = mdl.assemble_ldagger(params)
-    Y = _observations(rng, L, config.n_obs)
-
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    header = [f"y{j + 1}" for j in range(config.d1 * config.d2)]
-    write_csv_matrix(outdir / "data.csv", Y, header)
-    stats = {f"omega_sorted_{k + 1}": v
-             for k, v in enumerate(sorted(omega, reverse=True))}
-    stats.update(_factor_stats(params))
-    truth = {
-        "mode": "simulate-static",
-        "d1": config.d1, "d2": config.d2,
-        "n_truth_components": K, "n_obs": config.n_obs,
-        "seed": config.seed,
-        "omega": omega.tolist(),
-        "lower_variance": config.lower_variance,
-        "d1_diag": D1.tolist(), "d2_diag": D2.tolist(),
-        "wishart": {
-            "df1": config.d1 + 2, "df2": config.d2 + 2,
-            "scale_mode1": scale1.tolist(), "scale_mode2": scale2.tolist(),
-            "note": "scale vectors of lengths 5 and 4 are assigned to the modes "
-                    "whose dimensions match; see the audit fields above",
-        },
-        "stats": stats,
-    }
-    _write_json(outdir / "truth.json", truth)
-    return Y, truth
-
-
-def simulate_dynamic(config: RunConfig) -> tuple[list[np.ndarray], dict]:
-    """Draw one seasonal dataset: weights propagate through a column-
-    stochastic matrix across blocks while diagonals stay fixed.  Writes one
-    CSV per (cycle, season) block plus truth.json.
-    """
-    config.validate()
-    rng = _sim_rng(config.seed)
-    K = config.n_truth_components or config.n_components
-    S, Cyc = config.n_seasons, config.n_cycles
-    T = S * Cyc
-    omega1 = np.asarray(config.omega_weights, dtype=float)
-    if omega1.shape != (K,):
-        raise ValueError(f"omega_weights must have {K} entries, got {omega1.shape}")
-    omega1 = omega1 / omega1.sum()
-
-    if config.transition == "identity":
+    blocks = _blocks(config)
+    if config.mode == "simulate-static":
+        A = None
+    elif config.transition == "identity":
         A = np.eye(K)
     else:
         A = np.stack([rng.dirichlet(np.full(K, config.sim_transition_alpha))
@@ -344,56 +316,53 @@ def simulate_dynamic(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     scale1, scale2 = _wishart_scales(config)
     D1 = _draw_diagonals(rng, config.d1, scale1)
     D2 = _draw_diagonals(rng, config.d2, scale2)
+    omegas = mdl.omega_trajectory(omega, [A], (0,) * (len(blocks) - 1), len(blocks))
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     header = [f"y{j + 1}" for j in range(config.d1 * config.d2)]
-    omegas = dyn.omega_trajectory(omega1, [A], tuple(0 for _ in range(T - 1)), T)
-    blocks = []
+    Ys = []
     stats: dict[str, float] = {}
-    shared_stats_done = False
-    for c in range(1, Cyc + 1):
-        for s in range(1, S + 1):
-            t = S * (c - 1) + (s - 1)
-            variances = omegas[t] * config.lower_variance
-            low1 = _draw_lowers(rng, K, config.d1, variances)
-            low2 = _draw_lowers(rng, K, config.d2, variances)
-            params = mdl.SCKPDParams(lowers1=low1, lowers2=low2, d1_diag=D1,
-                                     d2_diag=D2, omega=omegas[t], theta=0.5)
-            L = mdl.assemble_ldagger(params)
-            Y = _observations(rng, L, config.n_obs)
-            blocks.append(Y)
-            write_csv_matrix(outdir / _block_filename(c, s), Y, header)
-            for k, v in enumerate(sorted(omegas[t], reverse=True)):
-                stats[f"omega_c{c}_s{s}_sorted_{k + 1}"] = v
-            fs = _factor_stats(params)
-            stats[f"fro2_lower_c{c}_s{s}"] = fs["fro2_lower"]
-            if not shared_stats_done:
-                stats["logdet_factor"] = fs["logdet_factor"]
-                stats["fro2_diag"] = fs["fro2_diag"]
-                shared_stats_done = True
+    for t, (tag, name) in enumerate(blocks):
+        variances = omegas[t] * config.lower_variance
+        low1 = _draw_lowers(rng, K, config.d1, variances)
+        low2 = _draw_lowers(rng, K, config.d2, variances)
+        params = mdl.SCKPDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
+                                 omega=omegas[t], theta=0.5)
+        Y = _observations(rng, mdl.assemble_ldagger(params), config.n_obs)
+        Ys.append(Y)
+        write_csv_matrix(outdir / name, Y, header)
+        for k, v in enumerate(sorted(omegas[t], reverse=True)):
+            stats[f"omega{tag}_sorted_{k + 1}"] = v
+        fs = _factor_stats(params)
+        stats[f"fro2_lower{tag}"] = fs.pop("fro2_lower")
+        if t == 0:   # the diagonal statistics are shared by every block
+            stats.update(fs)
 
     truth = {
-        "mode": "simulate-dynamic",
+        "mode": config.mode,
         "d1": config.d1, "d2": config.d2,
         "n_truth_components": K, "n_obs": config.n_obs,
-        "n_seasons": S, "n_cycles": Cyc,
         "seed": config.seed,
-        "omega1": omega1.tolist(),
-        "transition_matrix": A.tolist(),
-        "transition": config.transition,
-        "sim_transition_alpha": config.sim_transition_alpha,
         "lower_variance": config.lower_variance,
         "d1_diag": D1.tolist(), "d2_diag": D2.tolist(),
         "wishart": {
             "df1": config.d1 + 2, "df2": config.d2 + 2,
             "scale_mode1": scale1.tolist(), "scale_mode2": scale2.tolist(),
-            "note": "scale vectors are assigned by matching length to the mode dims",
+            "note": "each scale vector is assigned to the mode whose dimension "
+                    "matches its length",
         },
         "stats": stats,
     }
+    if A is None:
+        truth["omega"] = omega.tolist()
+    else:
+        truth.update(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
+                     omega1=omega.tolist(), transition_matrix=A.tolist(),
+                     transition=config.transition,
+                     sim_transition_alpha=config.sim_transition_alpha)
     _write_json(outdir / "truth.json", truth)
-    return blocks, truth
+    return Ys, truth
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +377,28 @@ def _n_threads() -> int:
 
 @dataclass
 class _ChainTask:
-    kind: str                       # "static" | "dynamic"
     config: RunConfig
     chain_index: int
-    init: np.ndarray
-    data: object                    # DataSummary or SeasonSchedule
+    init: np.ndarray | None
+    blocks: tuple[mdl.DataSummary, ...]   # one summary per block, in time order
     hyper: SolvedHyper
     targets: PriorTargets
 
 
 def _build_posterior(task: _ChainTask):
+    """The layout over the task's blocks and the posterior, through the
+    static or the seasonal entry point."""
     cfg = task.config
-    if task.kind == "static":
-        layout = mdl.StateLayout(cfg.d1, cfg.d2, cfg.n_components)
+    layout = mdl.StateLayout(cfg.d1, cfg.d2, cfg.n_components, len(task.blocks),
+                             transition_alpha=cfg.transition_dirichlet_alpha)
+    if cfg.mode == "fit-static":
         def fn(u):
-            return mdl.log_posterior_grad(u, layout, task.data, task.hyper, task.targets)
+            return mdl.log_posterior_grad(u, layout, task.blocks[0], task.hyper, task.targets)
     else:
-        layout = dyn.SDLayout(cfg.d1, cfg.d2, cfg.n_components, task.data.n_blocks,
-                              transition_alpha=cfg.transition_dirichlet_alpha)
+        schedule = dyn.SeasonSchedule(n_seasons=cfg.n_seasons, n_cycles=cfg.n_cycles,
+                                      blocks=task.blocks)
         def fn(u):
-            return dyn.sd_log_posterior_grad(u, layout, task.data, task.hyper, task.targets)
+            return dyn.sd_log_posterior_grad(u, layout, schedule, task.hyper, task.targets)
     return layout, fn
 
 
@@ -474,22 +445,16 @@ def fit(config: RunConfig) -> dict:
     """
     config.validate()
     workers = min(_n_threads(), config.n_chains)
-    if config.mode == "fit-static":
-        kind, paths = "static", [Path(config.input_path)]
-    elif config.mode == "fit-dynamic":
-        kind = "dynamic"
-        paths = [Path(config.input_path) / _block_filename(c, s)
-                 for c in range(1, config.n_cycles + 1)
-                 for s in range(1, config.n_seasons + 1)]
-    else:
+    if not config.mode.startswith("fit"):
         raise ValueError(f"fit() does not handle mode '{config.mode}'")
+    # a static input is the one data file, a seasonal input the block directory
+    paths = ([Path(config.input_path)] if config.mode == "fit-static" else
+             [Path(config.input_path) / name for _, name in _blocks(config)])
     summaries, first_Y = [], None
     for path in paths:
         Y = ingest_csv(path, config.d1, config.d2, center=config.center)
         first_Y = Y if first_Y is None else first_Y
         summaries.append(mdl.DataSummary.from_observations(Y, config.d1, config.d2))
-    data = summaries[0] if kind == "static" else dyn.SeasonSchedule(
-        n_seasons=config.n_seasons, n_cycles=config.n_cycles, blocks=tuple(summaries))
 
     targets = _targets(first_Y, config)
     hyper = solve_hyper(targets)
@@ -498,8 +463,8 @@ def fit(config: RunConfig) -> dict:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
                         "the shape was solved at the clamped target instead")
 
-    proto = _ChainTask(kind=kind, config=config, chain_index=0, init=None,
-                       data=data, hyper=hyper, targets=targets)
+    proto = _ChainTask(config=config, chain_index=0, init=None,
+                       blocks=tuple(summaries), hyper=hyper, targets=targets)
     layout, _ = _build_posterior(proto)
     tasks = []
     for c in range(config.n_chains):
@@ -515,30 +480,27 @@ def fit(config: RunConfig) -> dict:
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table, columns = _draw_table(kind, config, layout, chains)
+    table, columns = _draw_table(config, layout, chains)
     with open(outdir / "draws.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in table:
             writer.writerow([f"{v:.17g}" for v in row])
 
-    summary = _summarize_chains(kind, config, chains, table, columns, targets, hyper,
-                                warnings)
+    summary = _summarize_chains(config, chains, table, columns,
+                                _hyper_report(targets, hyper), warnings)
     _write_json(outdir / "summary.json", summary)
     return summary
 
 
-def _draw_table(kind: str, config: RunConfig, layout: mdl.StateLayout, chains: list[Chain]):
+def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain]):
     """One row per draw: bookkeeping columns, theta and the shared diagonal
     statistics, then the sorted weights and strict-lower energy of every
-    block.  A static fit is one block with untagged column names."""
+    block, under the block's column tag."""
     K = config.n_components
-    tags = [""] if kind == "static" else [
-        f"_c{c}_s{s}" for c in range(1, config.n_cycles + 1)
-        for s in range(1, config.n_seasons + 1)]
     columns = ["chain", "draw", "accept", "divergent", "energy", "theta",
                "logdet_factor", "fro2_diag"]
-    for tag in tags:
+    for tag, _ in _blocks(config):
         columns += [f"omega{tag}_sorted_{k + 1}" for k in range(K)] + [f"fro2_lower{tag}"]
     rows = []
     for ci, chain in enumerate(chains):
@@ -557,8 +519,25 @@ def _draw_table(kind: str, config: RunConfig, layout: mdl.StateLayout, chains: l
     return np.asarray(rows, dtype=float), columns
 
 
-def _summarize_chains(kind, config, chains, table, columns, targets, hyper,
-                      warnings) -> dict:
+def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:
+    """The prior targets and solved hyperparameters, as reported."""
+    return {
+        "targets": {
+            "chol_log_det": targets.chol_log_det,
+            "diag_energy": targets.diag_energy,
+            "lower_energy": targets.lower_energy,
+            "d1": targets.d1, "d2": targets.d2,
+        },
+        "hyper": {
+            "shape1": hyper.shape1, "shape2": hyper.shape2,
+            "rate1": hyper.rate1, "rate2": hyper.rate2,
+            "lower_variance": hyper.lower_variance,
+            "residual": hyper.residual,
+        },
+    }
+
+
+def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
     n_chains = len(chains)
     n_draws = chains[0].draws.shape[0]
     stat_cols = columns[5:]
@@ -584,21 +563,10 @@ def _summarize_chains(kind, config, chains, table, columns, targets, hyper,
         "divergences": [int(c.divergence_flags.sum()) for c in chains],
         "diagnostic_flags": diag.flags,
         "warnings": warnings,
-        "targets": {
-            "chol_log_det": targets.chol_log_det,
-            "diag_energy": targets.diag_energy,
-            "lower_energy": targets.lower_energy,
-            "d1": targets.d1, "d2": targets.d2,
-        },
-        "hyper": {
-            "shape1": hyper.shape1, "shape2": hyper.shape2,
-            "rate1": hyper.rate1, "rate2": hyper.rate2,
-            "lower_variance": hyper.lower_variance,
-            "residual": hyper.residual,
-        },
+        **report,
         "stats": stats,
     }
-    if kind == "dynamic":
+    if config.mode == "fit-dynamic":
         summary["n_seasons"] = config.n_seasons
         summary["n_cycles"] = config.n_cycles
     return summary
@@ -610,25 +578,13 @@ def check_hyper(config: RunConfig) -> dict:
     if config.input_path is None:
         raise ValueError("check-hyper requires input_path")
     path = Path(config.input_path)
-    if path.is_dir():
-        path = path / _block_filename(1, 1)
+    if path.is_dir():   # a seasonal run's directory, whatever the mode: its first block
+        path = path / "data_c1_s1.csv"
     targets = _targets(ingest_csv(path, config.d1, config.d2, center=config.center), config)
     hyper = solve_hyper(targets)
-    return {
-        "targets": {
-            "chol_log_det": targets.chol_log_det,
-            "diag_energy": targets.diag_energy,
-            "lower_energy": targets.lower_energy,
-            "d1": targets.d1, "d2": targets.d2,
-        },
-        "hyper": {
-            "shape1": hyper.shape1, "shape2": hyper.shape2,
-            "rate1": hyper.rate1, "rate2": hyper.rate2,
-            "lower_variance": hyper.lower_variance,
-            "residual": hyper.residual,
-            "degenerate": hyper.degenerate,
-        },
-    }
+    report = _hyper_report(targets, hyper)
+    report["hyper"]["degenerate"] = hyper.degenerate
+    return report
 
 
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:

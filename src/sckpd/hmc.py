@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DIVERGENCE_ENERGY = 1000.0   # |dH| beyond this flags the proposal divergent
+# fraction by which the step is uniformly jittered each iteration; kills the
+# near-periodic trapping a fixed trajectory length suffers on targets whose
+# oscillation period divides the integration time
+STEP_JITTER = 0.2
 
 
 @dataclass
@@ -28,13 +32,8 @@ class HMCConfig:
     n_draws: int = 1000
     seed: int = 0
     chain_index: int = 0
-    mass: np.ndarray | None = None     # diagonal of the momentum covariance
     adapt_mass: bool = False
     init_step_search: bool = True
-    # fraction by which the step is uniformly jittered each iteration; kills
-    # the near-periodic trapping a fixed trajectory length suffers on targets
-    # whose oscillation period divides the integration time
-    step_jitter: float = 0.2
     init: np.ndarray | None = None
 
     def __post_init__(self):
@@ -44,10 +43,6 @@ class HMCConfig:
             raise ValueError("target acceptance must lie in (0, 1)")
         if self.n_warmup < 0 or self.n_draws < 0:
             raise ValueError("warmup and draw counts must be nonnegative")
-        if not 0.0 <= self.step_jitter < 1.0:
-            raise ValueError("step jitter must lie in [0, 1)")
-        if self.mass is not None and np.any(np.asarray(self.mass) <= 0):
-            raise ValueError("mass diagonal must be strictly positive")
 
 
 @dataclass
@@ -162,7 +157,8 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     """Run one chain: dual-averaged warmup, then fixed-step sampling.
 
     ``value_and_grad(q)`` returns (log posterior, gradient).  Momentum is
-    resampled every iteration from N(0, mass); proposals are accepted with
+    resampled every iteration from N(0, mass), with unit mass until the
+    adaptation (if any) sets it; proposals are accepted with
     the Metropolis ratio min(1, exp(H0 - H1)); a proposal with |dH| above
     the divergence threshold (or a non-finite trajectory) is rejected and
     flagged.  Identical (config, target) pairs give identical chains.
@@ -174,7 +170,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     rng = np.random.Generator(np.random.Philox(
         key=np.array([config.seed % 2 ** 64, config.chain_index], dtype=np.uint64)))
 
-    mass = np.ones(dim) if config.mass is None else np.asarray(config.mass, dtype=float).copy()
+    mass = np.ones(dim)
     mass_inv = 1.0 / mass
     value, _ = value_and_grad(q)
     if not np.isfinite(value):
@@ -204,7 +200,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
         warmup = it < config.n_warmup
         p0 = rng.normal(size=dim) * np.sqrt(mass)
         h0 = -value + _kinetic(p0, mass_inv)
-        eps_it = eps * (1.0 + config.step_jitter * rng.uniform(-1.0, 1.0))
+        eps_it = eps * (1.0 + STEP_JITTER * rng.uniform(-1.0, 1.0))
         diverged = False
         delta = -np.inf
         h1 = h0

@@ -1,6 +1,6 @@
-"""Data-driven prior centering: the Gamma-shape root solve, targets
-extracted from a sample covariance, and the variance solve for the
-strict-lower normal priors.
+"""Data-driven prior centering: the Cholesky factorization of the sample
+covariance, the targets extracted from its factor, the Gamma-shape root
+solve, and the variance solve for the strict-lower normal priors.
 
 The construction centers the factor prior so that, a priori,
 ``E[log det(D1 (x) D2)]`` matches the log-determinant target and the
@@ -15,8 +15,49 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg import lapack
 
-from .cholgeom import NotPositiveDefiniteError, cholesky, diag_vector, strict_lower
+SYM_RTOL = 1e-12        # relative symmetry tolerance for SPD inputs
+PIVOT_FLOOR = 1e-14     # diagonal pivots at or below this count as failure
+
+
+class NotPositiveDefiniteError(ValueError):
+    """Raised when a factorization target is not positive definite."""
+
+    def __init__(self, order: int, advice: str = ""):
+        self.order = order
+        message = f"matrix is not positive definite: leading minor of order {order} failed"
+        super().__init__(f"{message}; {advice}" if advice else message)
+
+
+def check_spd(S: np.ndarray) -> np.ndarray:
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    scale = np.linalg.norm(S)
+    if scale > 0 and np.linalg.norm(S - S.T) > SYM_RTOL * scale * S.shape[0]:
+        raise ValueError("matrix is not symmetric to the required tolerance")
+    return S
+
+
+def cholesky(S: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L with L L^T = S.
+
+    Raises :class:`NotPositiveDefiniteError` naming the failing leading
+    minor when a pivot is non-positive or at/below the pivot floor.  LAPACK
+    reports only non-positive pivots, so the pivots it accepted (the
+    squared diagonal of its factor) are checked against the floor first.
+    """
+    S = check_spd(S)
+    L, info = lapack.dpotrf(S, lower=1, clean=1)
+    n_accepted = info - 1 if info > 0 else S.shape[0]
+    pivots = np.diagonal(L)[:n_accepted] ** 2
+    tiny = np.flatnonzero(~(np.isfinite(pivots) & (pivots > PIVOT_FLOOR)))
+    if tiny.size:
+        raise NotPositiveDefiniteError(int(tiny[0]) + 1)
+    if info > 0:
+        raise NotPositiveDefiniteError(int(info))
+    return L
 
 
 def digamma(x: float) -> float:
@@ -168,11 +209,11 @@ def prior_targets_from_sample(S: np.ndarray, d1: int, d2: int) -> PriorTargets:
             exc.order, "the sample covariance is rank deficient: it needs at least "
             f"d1*d2 = {d1 * d2} linearly independent observation rows, or diagonal "
             "jitter added before computing prior targets") from exc
-    diag = diag_vector(L)
+    diag = np.diagonal(L)
     return make_targets(
         chol_log_det=float(np.sum(np.log(diag))),
         diag_energy=float(np.sum(diag ** 2)),
-        lower_energy=float(np.sum(strict_lower(L) ** 2)),
+        lower_energy=float(np.sum(np.tril(L, -1) ** 2)),
         d1=d1, d2=d2)
 
 
@@ -222,8 +263,7 @@ class SolvedHyper:
 DEGENERATE_CLAMP = 1.05
 
 
-def solve_hyper(targets: PriorTargets, tol: float = 1e-10,
-                degenerate_policy: str = "clamp") -> SolvedHyper:
+def solve_hyper(targets: PriorTargets) -> SolvedHyper:
     """Solve both Gamma shapes, their rates, and the lower-prior variance.
 
     The shape targets are c_i = sqrt(F_D)/d_i * exp(-gamma/(d1 d2)), which
@@ -233,24 +273,17 @@ def solve_hyper(targets: PriorTargets, tol: float = 1e-10,
 
     A target c_i <= 1 asks for less dispersion than a point mass can give
     (E[X^2] >= exp(2 E[log X]) for any distribution), which the shape
-    equation cannot reach; under the default "clamp" policy the shape is
-    solved at c = 1.05 instead, the nearest proper tight prior, and
-    ``degenerate`` is set.  Policy "error" raises instead.
+    equation cannot reach; the shape is then solved at c = 1.05 instead,
+    the nearest proper tight prior, and ``degenerate`` is set.
     """
-    if degenerate_policy not in ("clamp", "error"):
-        raise ValueError("degenerate_policy must be 'clamp' or 'error'")
     gd = targets.chol_log_det
     scale = math.exp(-gd / (targets.d1 * targets.d2))
     c1 = math.sqrt(targets.diag_energy) / targets.d1 * scale
     c2 = math.sqrt(targets.diag_energy) / targets.d2 * scale
-    if (c1 <= 1.0 or c2 <= 1.0) and degenerate_policy == "error":
-        raise ValueError(
-            f"shape targets c1={c1:.4g}, c2={c2:.4g} must exceed 1; the sample "
-            "covariance factor's diagonal is too homogeneous for the centering")
     c1_eff = max(c1, DEGENERATE_CLAMP)
     c2_eff = max(c2, DEGENERATE_CLAMP)
-    a1 = solve_a(c1_eff, tol)
-    a2 = solve_a(c2_eff, tol)
+    a1 = solve_a(c1_eff)
+    a2 = solve_a(c2_eff)
     return SolvedHyper(
         shape1=a1,
         shape2=a2,

@@ -67,13 +67,10 @@ def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
     return y
 
 
-def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray,
-                        with_log_jac: bool = True) -> np.ndarray:
-    """Pull a gradient w.r.t. the simplex vector back to the y coordinates.
-
-    Adds the gradient of log|det J| when ``with_log_jac`` (the usual case:
-    the target density includes the change-of-variables term).
-    """
+def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. the simplex vector back to the y coordinates,
+    adding the gradient of log|det J| (the target density includes the
+    change-of-variables term)."""
     grad_omega = np.asarray(grad_omega, dtype=float)
     z, omega, sticks = _sticks(np.asarray(y, dtype=float))
     K = omega.shape[0]
@@ -82,9 +79,8 @@ def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray,
     grad_y = np.empty(K - 1)
     tail = float(grad_omega[K - 1] * omega[K - 1])
     for k in range(K - 2, -1, -1):
-        g = sticks[k] * grad_omega[k] - tail / (1.0 - z[k])
-        if with_log_jac:
-            g += 1.0 / z[k] - (1.0 + (K - 2 - k)) / (1.0 - z[k])
+        g = (sticks[k] * grad_omega[k] - tail / (1.0 - z[k])
+             + (1.0 / z[k] - (1.0 + (K - 2 - k)) / (1.0 - z[k])))
         grad_y[k] = g * z[k] * (1.0 - z[k])
         tail += float(grad_omega[k] * omega[k])
     return grad_y
@@ -105,12 +101,10 @@ def interval_inverse(t: float) -> float:
     return float(np.log(t) - np.log1p(-t))
 
 
-def interval_grad(t: float, grad_t: float, with_log_jac: bool = True) -> float:
-    """Chain a gradient w.r.t. t in (0,1) back to the logit coordinate."""
-    g = grad_t * t * (1.0 - t)
-    if with_log_jac:
-        g += 1.0 - 2.0 * t
-    return float(g)
+def interval_grad(t: float, grad_t: float) -> float:
+    """Chain a gradient w.r.t. t in (0,1) back to the logit coordinate,
+    adding the gradient of the log-Jacobian."""
+    return float(grad_t * t * (1.0 - t) + (1.0 - 2.0 * t))
 
 
 def positive_forward(u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -132,9 +126,7 @@ def positive_inverse(x: np.ndarray) -> np.ndarray:
     return np.log(x)
 
 
-def positive_grad(x: np.ndarray, grad_x: np.ndarray, with_log_jac: bool = True) -> np.ndarray:
-    """Chain a gradient w.r.t. x > 0 back to the log coordinate."""
-    g = np.asarray(grad_x, dtype=float) * np.asarray(x, dtype=float)
-    if with_log_jac:
-        g = g + 1.0
-    return g
+def positive_grad(x: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """Chain a gradient w.r.t. x > 0 back to the log coordinate, adding the
+    gradient of the log-Jacobian."""
+    return np.asarray(grad_x, dtype=float) * np.asarray(x, dtype=float) + 1.0

@@ -1,19 +1,25 @@
 import math
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from conftest import (log_posterior, make_rng, random_dataset, random_params,
                       summary_for, targets_and_hyper)
-from sckpd.dynamic import (SDLayout, SDParams, SeasonSchedule, StochasticMatrix,
-                           omega_trajectory, sd_log_posterior_grad,
-                           stochastic_from_gammas)
+from sckpd.dynamic import (SDLayout, SDParams, SeasonSchedule, omega_trajectory,
+                           sd_log_posterior_grad)
 from sckpd.model import SCKPDParams, StateLayout, log_likelihood, log_posterior_grad
 
 
+def _normalized(G):
+    """The fit's transition: the column-normalized gammas of SDParams.matrices."""
+    one = np.zeros((1, 1, 2, 2))
+    params = SDParams(lowers1=one, lowers2=one, d1_diag=np.ones(2), d2_diag=np.ones(2),
+                      omega1=np.ones(1), theta=0.5, gammas=(np.asarray(G, dtype=float),))
+    return params.matrices[0]
+
+
 def _random_transition(K, rng, alpha=0.5):
-    return stochastic_from_gammas(rng.gamma(alpha, 1.0, size=(K, K)) + 1e-12)
+    return _normalized(rng.gamma(alpha, 1.0, size=(K, K)) + 1e-12)
 
 
 def _schedule(rng, d1=3, d2=2, n_seasons=2, n_cycles=2, n=25):
@@ -49,7 +55,7 @@ def test_propagate_averaging_matrix():
 
 def test_propagate_matches_matvec_oracle_and_stays_simplex():
     rng = make_rng(0)
-    A = _random_transition(4, rng).matrix
+    A = _random_transition(4, rng)
     omega = rng.dirichlet(np.ones(4))
     out = propagate_omega(A, omega, 3)
     oracle = omega.copy()
@@ -59,34 +65,28 @@ def test_propagate_matches_matvec_oracle_and_stays_simplex():
     assert abs(out.sum() - 1.0) < 1e-12
 
 
-def test_propagate_rejects_bad_columns():
-    A = np.array([[0.5, 0.5], [0.4, 0.5]])
-    with pytest.raises(ValueError, match="column"):
-        StochasticMatrix(matrix=A)
-
-
 def test_simplex_conservation_long_runs():
     rng = make_rng(1)
     for _ in range(5):
-        A = _random_transition(5, rng).matrix
+        A = _random_transition(5, rng)
         omega = rng.dirichlet(np.ones(5))
         out = propagate_omega(A, omega, 50)
         assert abs(out.sum() - 1.0) < 1e-10
         assert np.all(out >= -1e-15)
 
 
-# ----- stochastic matrix construction ------------------------------------------
+# ----- transitions from gammas ---------------------------------------------------
 
 def test_gammas_constant_gives_uniform_columns():
-    sm = stochastic_from_gammas(np.full((3, 3), 4.2))
-    assert np.allclose(sm.matrix, np.full((3, 3), 1.0 / 3.0))
+    A = _normalized(np.full((3, 3), 4.2))
+    assert np.allclose(A, np.full((3, 3), 1.0 / 3.0))
 
 
 def test_gammas_dominant_entry_near_deterministic():
     G = np.full((3, 3), 1e-6)
     np.fill_diagonal(G, 1e6)
-    sm = stochastic_from_gammas(G)
-    assert np.allclose(np.diag(sm.matrix), 1.0, atol=1e-9)
+    A = _normalized(G)
+    assert np.allclose(np.diag(A), 1.0, atol=1e-9)
 
 
 def test_gammas_monte_carlo_column_means():
@@ -94,20 +94,10 @@ def test_gammas_monte_carlo_column_means():
     K, alpha, n = 3, 0.8, 20_000
     cols = np.empty((n, K))
     for i in range(n):
-        sm = stochastic_from_gammas(rng.gamma(alpha, 1.0, size=(K, K)))
-        cols[i] = sm.matrix[:, 0]
+        A = _normalized(rng.gamma(alpha, 1.0, size=(K, K)))
+        cols[i] = A[:, 0]
     se = cols.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(cols.mean(axis=0) - 1.0 / K) < 3 * se)
-
-
-def test_gammas_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        stochastic_from_gammas(np.array([[1.0, 0.0], [1.0, 1.0]]))
-
-
-def test_stochastic_matrix_validates_columns():
-    with pytest.raises(ValueError):
-        StochasticMatrix(matrix=np.array([[0.9, 0.5], [0.0, 0.5]]))
 
 
 # ----- seasonal posterior -------------------------------------------------------
@@ -236,7 +226,7 @@ def test_seasonal_prior_magnitude_invariance():
     beta = hyper.lower_variance
     m1, m2 = d1 * (d1 - 1) // 2, d2 * (d2 - 1) // 2
     n = 200_000
-    A = _random_transition(K, rng, alpha=0.6).matrix
+    A = _random_transition(K, rng, alpha=0.6)
     total_target = targets.diag_energy + targets.lower_energy
     # concentrations below ~0.05 underflow the gamma draws in double precision
     theta = np.maximum(rng.uniform(size=n), 0.05)

@@ -9,8 +9,7 @@ import yaml
 
 from conftest import make_rng, random_params
 from sckpd.harness import (PRESETS, RunConfig, _factor_stats, check_hyper, fit,
-                           ingest_csv, simulate_dynamic, simulate_static,
-                           summarize_draws)
+                           ingest_csv, simulate, summarize_draws)
 from sckpd.model import assemble_ldagger
 
 
@@ -70,10 +69,10 @@ def test_ingest_centering(tmp_path):
 def test_simulate_static_round_trip_and_determinism(tmp_path):
     cfg = RunConfig.from_dict(dict(mode="simulate-static", preset="paper-static",
                                    seed=5, output_dir=str(tmp_path / "a")))
-    Y1, truth1 = simulate_static(cfg)
+    (Y1,), truth1 = simulate(cfg)
     cfg2 = RunConfig.from_dict(dict(mode="simulate-static", preset="paper-static",
                                     seed=5, output_dir=str(tmp_path / "b")))
-    Y2, truth2 = simulate_static(cfg2)
+    (Y2,), truth2 = simulate(cfg2)
     assert np.array_equal(Y1, Y2)
     assert (tmp_path / "a" / "data.csv").read_bytes() == \
         (tmp_path / "b" / "data.csv").read_bytes()
@@ -87,7 +86,7 @@ def test_simulate_static_preset_values(tmp_path):
     assert (cfg.d1, cfg.d2) == (4, 5)
     assert cfg.n_obs == 500
     assert cfg.lower_variance == 2.0
-    _, truth = simulate_static(cfg)
+    _, truth = simulate(cfg)
     assert truth["n_truth_components"] == 5
     expect = np.array([1.0, 4.0, 6.0, 7.0, 9.0]) / 27.0
     assert np.allclose(truth["omega"], expect)
@@ -110,7 +109,7 @@ def test_simulate_dynamic_identity_transition(tmp_path):
         n_truth_components=3, omega_weights=(1.0, 2.0, 3.0), n_obs=30,
         n_seasons=2, n_cycles=2, transition="identity", seed=1,
         output_dir=str(tmp_path)))
-    _, truth = simulate_dynamic(cfg)
+    _, truth = simulate(cfg)
     base = [truth["stats"][f"omega_c1_s1_sorted_{k}"] for k in (1, 2, 3)]
     for c in (1, 2):
         for s in (1, 2):
@@ -125,7 +124,7 @@ def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
     cfg = RunConfig.from_dict(dict(
         mode="simulate-dynamic", preset="paper-dynamic", n_obs=20,
         n_seasons=3, n_cycles=2, seed=3, output_dir=str(tmp_path)))
-    _, truth = simulate_dynamic(cfg)
+    _, truth = simulate(cfg)
     A = np.asarray(truth["transition_matrix"])
     assert np.allclose(A.sum(axis=0), 1.0, atol=1e-12)
     for c in (1, 2):
@@ -133,6 +132,32 @@ def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
             w = [truth["stats"][f"omega_c{c}_s{s}_sorted_{k}"] for k in range(1, 6)]
             assert np.all(np.asarray(w) >= -1e-15)
             assert abs(sum(w) - 1.0) < 1e-10
+
+
+def test_static_run_is_the_one_block_seasonal_run(tmp_path):
+    # same data from simulate-static and a 1x1 identity simulate-dynamic, and
+    # the same draws from fit-static and a 1x1 fit-dynamic on them
+    design = dict(d1=3, d2=2, n_truth_components=2, n_components=2,
+                  omega_weights=(1.0, 3.0), n_obs=80, seed=6, transition="identity")
+    simulate(RunConfig.from_dict(dict(design, mode="simulate-static",
+                                      output_dir=str(tmp_path / "s"))))
+    simulate(RunConfig.from_dict(dict(design, mode="simulate-dynamic", n_seasons=1,
+                                      n_cycles=1, output_dir=str(tmp_path / "d"))))
+    assert (tmp_path / "s" / "data.csv").read_bytes() == \
+        (tmp_path / "d" / "data_c1_s1.csv").read_bytes()
+    fit_design = dict(d1=3, d2=2, n_components=2, seed=6, n_chains=1, n_warmup=20,
+                      n_draws=10, n_leapfrog=4)
+    fit(RunConfig.from_dict(dict(fit_design, mode="fit-static",
+                                 input_path=str(tmp_path / "s" / "data.csv"),
+                                 output_dir=str(tmp_path / "fs"))))
+    fit(RunConfig.from_dict(dict(fit_design, mode="fit-dynamic", n_seasons=1, n_cycles=1,
+                                 input_path=str(tmp_path / "d"),
+                                 output_dir=str(tmp_path / "fd"))))
+    static_rows = (tmp_path / "fs" / "draws.csv").read_text().splitlines()
+    seasonal_rows = (tmp_path / "fd" / "draws.csv").read_text().splitlines()
+    assert static_rows[0].replace("fro2_lower", "fro2_lower_c1_s1").replace(
+        "omega_sorted", "omega_c1_s1_sorted") == seasonal_rows[0]
+    assert static_rows[1:] == seasonal_rows[1:]
 
 
 def test_factor_stats_match_dense_assembly():
@@ -155,7 +180,7 @@ def _small_fit_config(tmp_path, seed=9):
         mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=200, seed=seed,
         output_dir=str(tmp_path / "sim")))
-    simulate_static(sim)
+    simulate(sim)
     return RunConfig.from_dict(dict(
         mode="fit-static", d1=3, d2=2, n_components=2,
         input_path=str(tmp_path / "sim" / "data.csv"),
@@ -213,7 +238,7 @@ def test_fit_dynamic_smoke(tmp_path):
         mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=120, n_seasons=2, n_cycles=1,
         seed=11, output_dir=str(tmp_path / "sim")))
-    simulate_dynamic(sim)
+    simulate(sim)
     cfg = RunConfig.from_dict(dict(
         mode="fit-dynamic", d1=3, d2=2, n_components=2, n_seasons=2, n_cycles=1,
         input_path=str(tmp_path / "sim"), output_dir=str(tmp_path / "fit"),
@@ -334,10 +359,10 @@ def _loaded_after(code: str, *args) -> str:
 
 
 def test_fit_does_not_import_simulate_only_dependencies(tmp_path):
-    simulate_static(RunConfig.from_dict(dict(
+    simulate(RunConfig.from_dict(dict(
         mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=60, seed=4, output_dir=str(tmp_path / "s"))))
-    simulate_dynamic(RunConfig.from_dict(dict(
+    simulate(RunConfig.from_dict(dict(
         mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=60, n_seasons=2, n_cycles=1, seed=4,
         output_dir=str(tmp_path / "d"))))
@@ -353,6 +378,14 @@ def test_fit_does_not_import_simulate_only_dependencies(tmp_path):
     assert _loaded_after("import sckpd\nrc = 0") == "[]"
 
 
+def test_cli_config_file_must_hold_a_mapping(tmp_path):
+    config = _write(tmp_path / "list.yaml", "- 1\n- 2\n")
+    out = _run_cli("fit", "--config", str(config), "--input", str(tmp_path / "d.csv"))
+    assert out.returncode == 2
+    err = json.loads(out.stderr)
+    assert err == {"error": "ValueError", "message": "config file must hold a key/value mapping"}
+
+
 def test_cli_error_is_machine_readable(tmp_path):
     out = _run_cli("fit", "--mode", "fit-static", "--input",
                    str(tmp_path / "missing.csv"), "--out", str(tmp_path))
@@ -366,7 +399,7 @@ def test_cli_summarize_round_trip(tmp_path):
         mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=150, seed=2,
         output_dir=str(tmp_path / "sim")))
-    simulate_static(sim)
+    simulate(sim)
     cfg = RunConfig.from_dict(dict(
         mode="fit-static", d1=3, d2=2, n_components=2,
         input_path=str(tmp_path / "sim" / "data.csv"),

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_spd, targets_and_hyper
-from sckpd.cholgeom import NotPositiveDefiniteError
-from sckpd.hyper import (diag_prior_rate, digamma, make_targets,
-                         prior_targets_from_sample, shape_residual, solve_a,
-                         solve_beta, solve_hyper, trigamma)
+from sckpd.hyper import (NotPositiveDefiniteError, diag_prior_rate, digamma,
+                         make_targets, prior_targets_from_sample, shape_residual,
+                         solve_a, solve_beta, solve_hyper, trigamma)
 
 EULER_GAMMA = 0.5772156649015329
 
