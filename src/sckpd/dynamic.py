@@ -13,7 +13,7 @@ seasonal layout and parameters are the model's own (``SDLayout`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,15 @@ SDLayout = StateLayout
 
 @dataclass(frozen=True)
 class SeasonSchedule:
-    """Per-block data summaries in time order (season fastest)."""
+    """Per-block data summaries in time order (season fastest), with their
+    rearranged scatters stacked once into the (T, d1^2, d2^2) array the
+    posterior reads and their total observation count."""
 
     n_seasons: int
     n_cycles: int
     blocks: tuple[DataSummary, ...]
+    scatters: np.ndarray = field(init=False, repr=False, compare=False)
+    n_obs: int = field(init=False)
 
     def __post_init__(self):
         if len(self.blocks) != self.n_seasons * self.n_cycles:
@@ -38,6 +42,9 @@ class SeasonSchedule:
         d1, d2 = self.blocks[0].d1, self.blocks[0].d2
         if any(b.d1 != d1 or b.d2 != d2 for b in self.blocks):
             raise ValueError("all blocks must share the mode dimensions")
+        object.__setattr__(self, "scatters",
+                           np.stack([b.scatter_rearranged for b in self.blocks]))
+        object.__setattr__(self, "n_obs", sum(b.n_obs for b in self.blocks))
 
     @property
     def n_blocks(self) -> int:
@@ -59,4 +66,4 @@ def sd_log_posterior_grad(u: np.ndarray, layout: StateLayout, schedule: SeasonSc
     over every block of ``schedule``.  ``targets`` is accepted for interface
     symmetry; the centering is baked into ``hyper``.
     """
-    return _log_posterior_blocks(u, layout, schedule.blocks, hyper)
+    return _log_posterior_blocks(u, layout, schedule.scatters, schedule.n_obs, hyper)

@@ -33,7 +33,6 @@ class HMCConfig:
     seed: int = 0
     chain_index: int = 0
     adapt_mass: bool = False
-    init_step_search: bool = True
     init: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,26 +75,32 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
 
     ``grad_fn(q)`` returns the gradient of the log posterior.  Deterministic,
     time reversible (negate p and integrate back), with O(step^2) energy
-    error.  Raises :class:`TrajectoryDivergence` on non-finite values.
+    error.  Raises :class:`TrajectoryDivergence` on non-finite values; an
+    update that overflows is one of them, and raises no warning.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     minv = np.ones_like(q) if mass_inv is None else mass_inv
-    q += 0.5 * step_size * minv * p
+    with np.errstate(over="ignore", invalid="ignore"):
+        q += 0.5 * step_size * minv * p
     for step in range(n_steps):
         g = grad_fn(q)
         if not np.all(np.isfinite(g)):
             raise TrajectoryDivergence(q, p, step)
-        p += step_size * g
         scale = step_size if step < n_steps - 1 else 0.5 * step_size
-        q += scale * minv * p
+        with np.errstate(over="ignore", invalid="ignore"):
+            p += step_size * g
+            q += scale * minv * p
         if not np.all(np.isfinite(q)):
             raise TrajectoryDivergence(q, p, step)
     return q, p
 
 
 def _kinetic(p: np.ndarray, mass_inv: np.ndarray) -> float:
-    return 0.5 * float(np.sum(p * p * mass_inv))
+    """0.5 p^T M^-1 p; a momentum so large that this overflows gives inf
+    without a warning, and the caller treats the proposal as divergent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.sum(p * p * mass_inv))
 
 
 def find_reasonable_step_size(value_and_grad, q: np.ndarray, step_size: float,
@@ -111,10 +116,8 @@ def find_reasonable_step_size(value_and_grad, q: np.ndarray, step_size: float,
             q1, p1 = leapfrog(grad_fn, q, p0, eps, 1, mass_inv)
         except TrajectoryDivergence:
             return -np.inf
-        v1 = value_and_grad(q1)[0]
-        if not np.isfinite(v1):
-            return -np.inf
-        return h0 - (-v1 + _kinetic(p1, mass_inv))
+        ratio = h0 - (-value_and_grad(q1)[0] + _kinetic(p1, mass_inv))
+        return ratio if np.isfinite(ratio) else -np.inf
 
     eps = step_size
     direction = 1.0 if log_ratio(eps) > math.log(0.5) else -1.0
@@ -177,7 +180,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
         raise ValueError("log posterior is not finite at the initial state")
 
     eps = config.step_size
-    if config.n_warmup > 0 and config.init_step_search:
+    if config.n_warmup > 0:
         eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
     averager = _DualAveraging(eps, config.target_accept)
     grad_fn = lambda x: value_and_grad(x)[1]
@@ -232,8 +235,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
                     floor = max(var.max(), 1e-12) * 1e-8
                     mass = 1.0 / np.maximum(var, floor)
                     mass_inv = 1.0 / mass
-                    eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng) \
-                        if config.init_step_search else averager.averaged
+                    eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
                     averager = _DualAveraging(eps, config.target_accept)
             if it == config.n_warmup - 1:
                 eps = averager.averaged

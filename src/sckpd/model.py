@@ -27,6 +27,19 @@ own strict-lower factors, sharing the diagonals; the component weights of
 block t+1 are A omega_t for a column-stochastic transition A (see
 ``dynamic``).  The static model is the case of one block and no
 transition, and :class:`SCKPDParams` is its parameter container.
+
+One evaluation has no loop over blocks.  The data are the (T, d1^2, d2^2)
+stack of the blocks' rearranged scatters (a view of the one scatter for the
+static model, stacked once by ``dynamic.SeasonSchedule``).  A state decodes
+once: one exp of the log diagonals and log gammas, one expit of the stick
+and theta coordinates, and a gather into the (T, K+1, d, d) member stacks
+of every block.  All T trace terms and their member gradients are batched
+matrix products over those stacks, and the gradients of the packed
+coordinates are read back by index.  What depends only on the shapes (the
+coupling CC, the gather and read-back index maps, the stick offsets) is
+built once, by :class:`StateLayout`.  A state outside the floating-point
+support is found by one finiteness check of the value and the assembled
+gradient, and gives (-inf, zeros) without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -34,8 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import expit
 
 from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
@@ -139,6 +154,22 @@ class DataSummary:
                    scatter_rearranged=vanloan_rearrange(scatter, d1, d2))
 
 
+class _Decoded(NamedTuple):
+    """One state decoded: the (T, K+1, d, d) member stacks [lowers,
+    diag(D)] of every block, the weights with their break fractions,
+    theta, the gammas and the log-Jacobian."""
+
+    members1: np.ndarray     # (T, K+1, d1, d1)
+    members2: np.ndarray     # (T, K+1, d2, d2)
+    d1_diag: np.ndarray
+    d2_diag: np.ndarray
+    breaks: np.ndarray       # (K-1,) break fractions
+    omega1: np.ndarray
+    theta: float
+    gammas: np.ndarray       # (n_matrices, K, K)
+    log_jac: float
+
+
 class StateLayout:
     """Index map between model parameters and a flat unconstrained vector.
 
@@ -188,6 +219,27 @@ class StateLayout:
          self.sl_sticks, self.sl_theta, self.sl_gammas) = (
             slice(bounds[i], bounds[i + 1]) for i in range(7))
         self.size = int(bounds[-1])
+        # constants of every evaluation: the coordinates decoded by exp
+        # (log D1, log D2, log gammas), the offsets of those decoded by expit
+        # (the sticks, then theta), the (block, component) of every
+        # strict-lower coordinate, how the member stacks are gathered from
+        # [strict lowers, D1, D2, 0] and where their gradients are read, the
+        # coupling of the member lists, and the steps each matrix drives
+        self.positive_index = np.r_[self.sl_logd1, self.sl_logd2, self.sl_gammas]
+        self.sl_logistic = slice(self.sl_sticks.start, self.sl_theta.stop)
+        self.logistic_offsets = np.append(transforms.stick_offsets(K), 0.0)
+        self.sl_lows = slice(0, self.sl_low2.stop)
+        self.n_ent = self.m1 + self.m2
+        self.lower_block = np.concatenate([np.repeat(np.arange(T * K), self.m1),
+                                           np.repeat(np.arange(T * K), self.m2)])
+        zero = self.sl_lows.stop + d1 + d2
+        self.members1_source, self.low1_pos, self.diag1_pos = _member_maps(
+            T, K, d1, self.tril1, 0, self.sl_lows.stop, zero)
+        self.members2_source, self.low2_pos, self.diag2_pos = _member_maps(
+            T, K, d2, self.tril2, self.sl_low2.start, self.sl_lows.stop + d1, zero)
+        self.coupling_pairs = np.kron(_coupling(K), _coupling(K))
+        self.matrix_steps = [np.flatnonzero([a == m for a in assignment])
+                             for m in range(n_matrices)]
 
     def pack(self, params: SCKPDParams | SDParams) -> np.ndarray:
         """Unconstrained coordinates of valid params (inverse of unpack)."""
@@ -214,9 +266,9 @@ class StateLayout:
                 [np.log(np.asarray(G, dtype=float)).reshape(-1) for G in params.gammas])
         return u
 
-    def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
-        """Block-stacked params plus the total log-Jacobian of the transform
-        at ``u``, whatever the number of blocks.
+    def _decode(self, u: np.ndarray) -> _Decoded:
+        """Every decoded quantity at ``u``, from one exp of the positive
+        coordinates and one expit of the logistic ones.
 
         The log-Jacobian is -inf when ``u`` decodes outside the support in
         floating point: a diagonal or transition gamma underflows to 0 or
@@ -225,23 +277,33 @@ class StateLayout:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
-        K, T, d1, d2 = self.n_components, self.n_blocks, self.d1, self.d2
-        low1 = np.zeros((T, K, d1, d1))
-        low1[:, :, self.tril1[0], self.tril1[1]] = u[self.sl_low1].reshape(T, K, self.m1)
-        low2 = np.zeros((T, K, d2, d2))
-        low2[:, :, self.tril2[0], self.tril2[1]] = u[self.sl_low2].reshape(T, K, self.m2)
-        D1, lj1 = transforms.positive_forward(u[self.sl_logd1])
-        D2, lj2 = transforms.positive_forward(u[self.sl_logd2])
-        if K > 1:
-            omega1, lj_sb = transforms.stick_breaking_forward(u[self.sl_sticks])
+        K, d1, d2 = self.n_components, self.d1, self.d2
+        positives, log_jac = transforms.positive_forward(u[self.positive_index])
+        D1, D2 = positives[:d1], positives[d1:d1 + d2]
+        z = expit(u[self.sl_logistic] - self.logistic_offsets)
+        omega1, left = transforms.stick_breaking(z[:-1])
+        theta = float(z[-1])
+        # every weight positive means every break fraction lies in (0, 1)
+        if log_jac > -np.inf and omega1.min() > 0.0 and 0.0 < theta < 1.0:
+            log_jac += transforms.logistic_log_jac(z) + np.log(left).sum()
         else:
-            omega1, lj_sb = np.ones(1), 0.0
-        theta, lj_t = transforms.interval_forward(float(u[self.sl_theta][0]))
-        gammas, lj_g = transforms.positive_forward(
-            u[self.sl_gammas].reshape(self.n_matrices, K, K))
-        params = SDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
-                          omega1=omega1, theta=theta, gammas=tuple(gammas))
-        return params, lj1 + lj2 + lj_sb + lj_t + lj_g
+            log_jac = -np.inf
+        source = np.concatenate((u[self.sl_lows], positives[:d1 + d2], np.zeros(1)))
+        return _Decoded(members1=source[self.members1_source],
+                        members2=source[self.members2_source], d1_diag=D1, d2_diag=D2,
+                        breaks=z[:-1], omega1=omega1, theta=theta,
+                        gammas=positives[d1 + d2:].reshape(self.n_matrices, K, K),
+                        log_jac=log_jac)
+
+    def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
+        """Block-stacked params plus the total log-Jacobian of the transform
+        at ``u``, whatever the number of blocks; -inf outside the support."""
+        s = self._decode(u)
+        K = self.n_components
+        params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
+                          d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
+                          theta=s.theta, gammas=tuple(s.gammas))
+        return params, s.log_jac
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams | SDParams, float]:
         """Params plus the total log-Jacobian of the transform at ``u``;
@@ -296,6 +358,21 @@ def _coupling(K: int) -> np.ndarray:
     return C
 
 
+def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, zero: int):
+    """Where the (T, K+1, d, d) member stacks meet the packed coordinates:
+    the position of each of their entries in [strict lowers, D1, D2, 0],
+    the flat position in them of each strict-lower coordinate (packing
+    order), and the (T, d) flat positions of the diagonal member's diagonal."""
+    n_low = T * K * len(tril[0])
+    flat = np.arange(T * (K + 1) * d * d).reshape(T, K + 1, d, d)
+    low_pos = flat[:, :K, tril[0], tril[1]].reshape(-1)
+    diag_pos = flat[:, K, np.arange(d), np.arange(d)]
+    source = np.full(flat.size, zero)
+    source[low_pos] = low_start + np.arange(n_low)
+    source[diag_pos] = diag_start + np.arange(d)
+    return source.reshape(flat.shape), low_pos, diag_pos
+
+
 def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.concatenate([low, np.diag(diag)[None]], axis=0)
 
@@ -320,53 +397,47 @@ def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
 
 
 def _pair_products(members: np.ndarray) -> np.ndarray:
-    """Row (a, a') is the row-major vec(M_a M_a'^T), for all ordered pairs."""
-    m, d, _ = members.shape
-    flat = members.reshape(m * d, d)
-    return (flat @ flat.T).reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
+    """Row (a, a') of block t is the row-major vec(M_a M_a'^T) of the
+    block's (K+1, d, d) members, for all ordered pairs: (T, m^2, d^2)."""
+    T, m, d, _ = members.shape
+    flat = members.reshape(T, m * d, d)
+    return ((flat @ flat.transpose(0, 2, 1)).reshape(T, m, d, m, d)
+            .transpose(0, 1, 3, 2, 4).reshape(T, m * m, d * d))
 
 
 def _member_grad(dP: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. the pair-product rows back to the members:
-    with W[a,a'] row (a, a') of ``dP`` as a matrix, the gradient of
-    sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
+    """Pull a gradient w.r.t. the pair-product rows back to the members of
+    every block: with W[a,a'] row (a, a') of ``dP`` as a matrix, the
+    gradient of sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
     sum_a' W[l,a'] M_a' + sum_a W[a,l]^T M_a."""
-    m, d, _ = members.shape
-    W = dP.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
-    return ((W + W.T) @ members.reshape(m * d, d)).reshape(m, d, d)
+    T, m, d, _ = members.shape
+    W = dP.reshape(T, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(T, m * d, m * d)
+    return ((W + W.transpose(0, 2, 1)) @ members.reshape(T, m * d, d)).reshape(T, m, d, d)
 
 
-def _trace_quad_core(low1, low2, D1, D2, R: np.ndarray, want_grad: bool):
-    """tr(L L^T S) = <CC, PU R QV^T> from the rearranged scatter ``R``,
-    optionally with gradients w.r.t. the strict-lower stacks and the
-    diagonal vectors."""
-    K = low1.shape[0]
-    m = K + 1
-    C = _coupling(K)
-    CC = (C[:, None, :, None] * C[None, :, None, :]).reshape(m * m, m * m)
-    Us = _members(low1, D1)
-    Vs = _members(low2, D2)
-    PU = _pair_products(Us)
-    QV = _pair_products(Vs)
-    dPU = CC @ (QV @ R.T)             # dT/dPU
-    T = float(np.vdot(PU, dPU))
+def _trace_quad_core(members1: np.ndarray, members2: np.ndarray, coupling_pairs: np.ndarray,
+                     scatters: np.ndarray, want_grad: bool):
+    """sum_t tr(L_t L_t^T S_t) = sum_t <CC, PU_t R_t QV_t^T> over the blocks'
+    (T, K+1, d, d) member stacks and (T, d1^2, d2^2) rearranged scatters,
+    optionally with the gradients w.r.t. every block's members."""
+    PU = _pair_products(members1)
+    QV = _pair_products(members2)
+    dPU = coupling_pairs @ (QV @ scatters.transpose(0, 2, 1))       # dT/dPU
+    value = float(np.vdot(PU, dPU))
     if not want_grad:
-        return T, None
-    GU = _member_grad(dPU, Us)
-    GV = _member_grad(CC.T @ (PU @ R), Vs)
-    g_low1 = np.tril(GU[:K], -1)
-    g_low2 = np.tril(GV[:K], -1)
-    g_D1 = np.diagonal(GU[K]).copy()
-    g_D2 = np.diagonal(GV[K]).copy()
-    return T, (g_low1, g_low2, g_D1, g_D2)
+        return value, None
+    # CC is symmetric, so dT/dQV = CC PU R
+    return value, (_member_grad(dPU, members1),
+                   _member_grad(coupling_pairs @ (PU @ scatters), members2))
 
 
 def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
     """tr(L L^T sum_i y_i y_i^T) evaluated on the rearranged scatter."""
-    T, _ = _trace_quad_core(params.lowers1, params.lowers2,
-                            params.d1_diag, params.d2_diag,
-                            data.scatter_rearranged, want_grad=False)
-    return T
+    C = _coupling(params.n_components)
+    value, _ = _trace_quad_core(_members(params.lowers1, params.d1_diag)[None],
+                                _members(params.lowers2, params.d2_diag)[None],
+                                np.kron(C, C), data.scatter_rearranged[None], want_grad=False)
+    return value
 
 
 def log_likelihood(params: SCKPDParams, data: DataSummary) -> float:
@@ -378,30 +449,31 @@ def log_likelihood(params: SCKPDParams, data: DataSummary) -> float:
 
 
 def _gamma_logpdf(x: np.ndarray, shape: float, rate: float) -> float:
-    return float(np.sum(shape * math.log(rate) - lgamma(shape)
-                        + (shape - 1.0) * np.log(x) - rate * x))
+    return (x.size * (shape * math.log(rate) - lgamma(shape))
+            + (shape - 1.0) * np.log(x).sum() - rate * x.sum())
 
 
-def _prior_terms(low1, low2, D1, D2, omegas, theta, hyper: SolvedHyper):
-    """Log prior density of all but the transition gammas, for (T, K, d, d)
-    lower stacks with (T, K) block weights, plus the per-(block, component)
-    strict-lower sums of squares.
+def _prior_terms(ssq, D1, D2, omegas, theta, n_ent: int, hyper: SolvedHyper):
+    """Log prior density of all but the transition gammas, from the (T, K)
+    strict-lower sums of squares ``ssq`` of n_ent entries each and the
+    (T, K) block weights, and its gradient w.r.t. those weights taken as
+    free.
 
     Strict-lower entries of block t, component i are N(0, omega_t[i] beta);
     the diagonals are Gamma; the first block's weights are Dirichlet(theta);
     theta is uniform on (0, 1) and contributes zero.
     """
-    d1, d2 = D1.shape[0], D2.shape[0]
-    n_ent = d1 * (d1 - 1) // 2 + d2 * (d2 - 1) // 2
-    ssq = np.einsum('tkij,tkij->tk', low1, low1) + np.einsum('tkij,tkij->tk', low2, low2)
     var = omegas * hyper.lower_variance
+    scaled = ssq / var
     K = omegas.shape[1]
     value = (_gamma_logpdf(D1, hyper.shape1, hyper.rate1)
              + _gamma_logpdf(D2, hyper.shape2, hyper.rate2)
-             - 0.5 * float(np.sum(ssq / var + n_ent * (LOG_2PI + np.log(var))))
+             - 0.5 * (scaled.sum() + n_ent * (var.size * LOG_2PI + np.log(var).sum()))
              + lgamma(K * theta) - K * lgamma(theta)
-             + (theta - 1.0) * float(np.sum(np.log(omegas[0]))))
-    return value, ssq
+             + (theta - 1.0) * np.log(omegas[0]).sum())
+    g_omegas = 0.5 * (scaled - n_ent) / omegas
+    g_omegas[0] += (theta - 1.0) / omegas[0]
+    return value, g_omegas
 
 
 def log_prior(params: SCKPDParams, hyper: SolvedHyper,
@@ -416,19 +488,20 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
     """
     if np.any(params.omega <= 0.0) or hyper.lower_variance <= 0.0:
         return -np.inf
-    value, _ = _prior_terms(params.lowers1[None], params.lowers2[None], params.d1_diag,
-                            params.d2_diag, params.omega[None], params.theta, hyper)
+    ssq = (np.einsum('kij,kij->k', params.lowers1, params.lowers1)
+           + np.einsum('kij,kij->k', params.lowers2, params.lowers2))
+    n_ent = params.d1 * (params.d1 - 1) // 2 + params.d2 * (params.d2 - 1) // 2
+    value, _ = _prior_terms(ssq[None], params.d1_diag, params.d2_diag, params.omega[None],
+                            params.theta, n_ent, hyper)
     return value
 
 
-def _all_finite(*arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
-                          hyper: SolvedHyper) -> tuple[float, np.ndarray]:
+def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarray,
+                          n_obs: int, hyper: SolvedHyper) -> tuple[float, np.ndarray]:
     """Log posterior over the layout's blocks in unconstrained coordinates,
-    and its exact gradient.
+    and its exact gradient, from the blocks' (T, d1^2, d2^2) rearranged
+    scatters and their total observation count ``n_obs`` (the shared
+    diagonals make the per-block counts enter only through their sum).
 
     Value = per-block likelihoods + priors + log-Jacobians of all
     transforms.  Likelihood blocks are independent given the parameters;
@@ -437,100 +510,77 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, blocks,
     pass over the chain.  States outside the support return (-inf, zeros);
     the sampler treats those as divergent proposals.
     """
-    u = np.asarray(u, dtype=float)
-    K, T = layout.n_components, layout.n_blocks
-    d1, d2 = layout.d1, layout.d2
-    if len(blocks) != T:
-        raise ValueError(f"the layout has {T} blocks, the data {len(blocks)}")
+    K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
+    if scatters.shape != (T, d1 * d1, d2 * d2):
+        raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
+                         f"the data rearranged scatters of shape {scatters.shape}")
     beta = hyper.lower_variance
-    zeros = np.zeros(layout.size)
-
-    params, log_jac = layout.decode_blocks(u)
-    if (not np.isfinite(log_jac)) or beta <= 0.0:
-        return -np.inf, zeros
-    matrices = params.matrices
-    omegas = omega_trajectory(params.omega1, matrices, layout.assignment, T)
-    if np.any(omegas <= 0.0):
-        return -np.inf, zeros
-
-    D1, D2 = params.d1_diag, params.d2_diag
-    var = omegas * beta
-    n_ent = layout.m1 + layout.m2
-    # weights so small that the lower variances underflow, or that the
-    # prior or its gradient overflows, leave the support
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prior, ssq = _prior_terms(params.lowers1, params.lowers2, D1, D2, omegas,
-                                  params.theta, hyper)
-        g1 = -params.lowers1 / var[:, :, None, None]
-        g2 = -params.lowers2 / var[:, :, None, None]
-        g_omega_direct = ssq / (2.0 * var * omegas) - 0.5 * n_ent / omegas
-    if not _all_finite(prior, g1, g2, g_omega_direct):
-        return -np.inf, zeros
-    value = log_jac + prior
+    s = layout._decode(u)
+    if not s.log_jac > -np.inf or beta <= 0.0:
+        return -np.inf, np.zeros(layout.size)
+    D1, D2, G, theta = s.d1_diag, s.d2_diag, s.gammas, s.theta
     alpha = layout.transition_alpha
-    for G in params.gammas:
-        value += float(np.sum((alpha - 1.0) * np.log(G) - G)) - G.size * lgamma(alpha)
-
-    logdet_unit = d2 * float(np.sum(np.log(D1))) + d1 * float(np.sum(np.log(D2)))
-    g_D1_T = np.zeros(d1)
-    g_D2_T = np.zeros(d2)
-    n_total = 0
-    # a trace term that overflows (huge diagonals) leaves the support
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, block in enumerate(blocks):
-            Tq, (gl1, gl2, gD1, gD2) = _trace_quad_core(
-                params.lowers1[t], params.lowers2[t], D1, D2,
-                block.scatter_rearranged, want_grad=True)
-            n_t = block.n_obs
-            n_total += n_t
-            value += n_t * logdet_unit - 0.5 * Tq - 0.5 * n_t * d1 * d2 * LOG_2PI
-            g1[t] -= 0.5 * gl1
-            g2[t] -= 0.5 * gl2
-            g_D1_T += gD1
-            g_D2_T += gD2
-    if not _all_finite(value, g1, g2, g_D1_T, g_D2_T):
-        return -np.inf, zeros
-
     grad = np.empty(layout.size)
-    grad[layout.sl_low1] = g1[:, :, layout.tril1[0], layout.tril1[1]].reshape(-1)
-    grad[layout.sl_low2] = g2[:, :, layout.tril2[0], layout.tril2[1]].reshape(-1)
+    # weights so small that the lower variances underflow, a prior or
+    # gradient term that overflows, or a trace term that overflows (huge
+    # diagonals) leave the support: the value or gradient comes out
+    # non-finite and is checked once, at the end
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        col_sums = G.sum(axis=1, keepdims=True)
+        matrices = G / col_sums
+        omegas = omega_trajectory(s.omega1, matrices, layout.assignment, T)
+        var = omegas * beta
+        lows = u[layout.sl_lows]
+        ssq = np.bincount(layout.lower_block, lows * lows, T * K).reshape(T, K)
+        trace, (GU, GV) = _trace_quad_core(s.members1, s.members2, layout.coupling_pairs,
+                                           scatters, want_grad=True)
+        prior, g_omegas = _prior_terms(ssq, D1, D2, omegas, theta, layout.n_ent, hyper)
+        logdet_unit = d2 * u[layout.sl_logd1].sum() + d1 * u[layout.sl_logd2].sum()
+        value = (s.log_jac + prior + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
+                 - 0.5 * trace)
+        if layout.n_matrices:
+            value += ((alpha - 1.0) * u[layout.sl_gammas].sum() - G.sum()
+                      - G.size * lgamma(alpha))
 
-    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1, where
-    # the 1/D terms of the log-determinant and the Gamma prior times D are
-    # the constants n d2 and shape - 1, added without dividing by D
-    grad[layout.sl_logd1] = (transforms.positive_grad(D1, -0.5 * g_D1_T - hyper.rate1)
-                             + (n_total * d2 + hyper.shape1 - 1.0))
-    grad[layout.sl_logd2] = (transforms.positive_grad(D2, -0.5 * g_D2_T - hyper.rate2)
-                             + (n_total * d1 + hyper.shape2 - 1.0))
+        # strict lowers: the N(0, omega beta) prior and the trace term
+        grad[layout.sl_lows] = -lows / var.take(layout.lower_block)
+        grad[layout.sl_low1] -= 0.5 * GU.take(layout.low1_pos)
+        grad[layout.sl_low2] -= 0.5 * GV.take(layout.low2_pos)
 
-    # the weights enter only the priors: the lower-variance scaling of every
-    # block, reached through omega_{t+1} = M_t omega_t by a reverse pass,
-    # and the first block's Dirichlet
-    g_A = [np.zeros((K, K)) for _ in range(layout.n_matrices)]
-    lam = g_omega_direct[T - 1].copy()
-    for t in range(T - 2, -1, -1):
-        m = layout.assignment[t]
-        if m is None:
-            lam = g_omega_direct[t] + lam
-        else:
-            g_A[m] += np.outer(lam, omegas[t])
-            lam = g_omega_direct[t] + matrices[m].T @ lam
-    g_omega1 = lam + (params.theta - 1.0) / params.omega1
-    if K > 1:
-        grad[layout.sl_sticks] = transforms.stick_breaking_grad(u[layout.sl_sticks], g_omega1)
+        # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1, where
+        # the 1/D terms of the log-determinant and the Gamma prior times D are
+        # the constants n d2 and shape - 1, added without dividing by D
+        g_D1 = GU.take(layout.diag1_pos).sum(axis=0)
+        g_D2 = GV.take(layout.diag2_pos).sum(axis=0)
+        grad[layout.sl_logd1] = (transforms.positive_grad(D1, -0.5 * g_D1 - hyper.rate1)
+                                 + (n_obs * d2 + hyper.shape1 - 1.0))
+        grad[layout.sl_logd2] = (transforms.positive_grad(D2, -0.5 * g_D2 - hyper.rate2)
+                                 + (n_obs * d1 + hyper.shape2 - 1.0))
 
-    g_theta = K * digamma(K * params.theta) - K * digamma(params.theta) \
-        + float(np.sum(np.log(params.omega1)))
-    grad[layout.sl_theta] = transforms.interval_grad(params.theta, g_theta)
+        # the weights enter only the priors, every block's through
+        # omega_{t+1} = M_t omega_t: a reverse pass gives the gradient w.r.t.
+        # each block's weights, lams[0] the first block's
+        lams = np.empty((T, K))
+        lams[T - 1] = g_omegas[T - 1]
+        for t in range(T - 2, -1, -1):
+            m = layout.assignment[t]
+            lams[t] = g_omegas[t] + (lams[t + 1] if m is None else matrices[m].T @ lams[t + 1])
+        if K > 1:
+            grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1, lams[0])
+        g_theta = K * digamma(K * theta) - K * digamma(theta) \
+            + np.log(s.omega1).sum()
+        grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
 
-    # chain gradients on each transition back to its gammas (log coordinates)
-    pieces = []
-    for G, A, gA in zip(params.gammas, matrices, g_A):
-        gG = (gA - np.sum(gA * A, axis=0, keepdims=True)) / G.sum(axis=0, keepdims=True)
-        pieces.append((gG * G + alpha - G).reshape(-1))
-    if pieces:
-        grad[layout.sl_gammas] = np.concatenate(pieces)
+        # each transition's gradient sums lams[t+1] omegas[t]^T over its
+        # steps; chain it back to the gammas (log coordinates) through the
+        # column normalization
+        if layout.n_matrices:
+            g_A = np.stack([lams[steps + 1].T @ omegas[steps] for steps in layout.matrix_steps])
+            g_G = (g_A - (g_A * matrices).sum(axis=1, keepdims=True)) / col_sums
+            grad[layout.sl_gammas] = (g_G * G + alpha - G).reshape(-1)
 
+    if not (np.isfinite(value) and np.isfinite(grad).all()):
+        return -np.inf, np.zeros(layout.size)
     return float(value), grad
 
 
@@ -541,4 +591,4 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data: DataSummary,
     gradient: the one-block case of the seasonal posterior.  ``targets`` is
     accepted for interface symmetry; the centering is baked into ``hyper``.
     """
-    return _log_posterior_blocks(u, layout, (data,), hyper)
+    return _log_posterior_blocks(u, layout, data.scatter_rearranged[None], data.n_obs, hyper)

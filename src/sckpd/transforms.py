@@ -13,41 +13,40 @@ outside the support.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 
-def expit(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def stick_offsets(n_weights: int) -> np.ndarray:
+    """Centering offsets log(K-1), .., log(1) of the K-1 stick coordinates:
+    the zero vector breaks into the uniform simplex point."""
+    return np.log(np.arange(n_weights - 1, 0, -1, dtype=float))
 
 
-def _sticks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Break fractions z, the simplex vector and the stick left before
-    each break, for y in R^(K-1)."""
-    K = y.shape[0] + 1
-    z = expit(y - np.log(np.arange(K - 1, 0, -1, dtype=float)))
-    omega = np.empty(K)
-    sticks = np.empty(K - 1)
-    stick = 1.0
-    for k in range(K - 1):
-        sticks[k] = stick
-        omega[k] = stick * z[k]
-        stick *= 1.0 - z[k]
-    omega[K - 1] = stick
-    return z, omega, sticks
+def stick_breaking(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex vector of K-1 break fractions z in (0, 1), and the stick
+    left before each break (K-1 entries)."""
+    left = np.ones(z.shape[0] + 1)
+    np.cumprod(1.0 - z, out=left[1:])
+    omega = left.copy()
+    omega[:-1] *= z
+    return omega, left[:-1]
+
+
+def logistic_log_jac(z: np.ndarray) -> float:
+    """sum log(z (1 - z)): the log-Jacobian of the logistic map to each z."""
+    return float((np.log(z) + np.log1p(-z)).sum())
 
 
 def stick_breaking_forward(y: np.ndarray) -> tuple[np.ndarray, float]:
     """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
     is -inf when a break fraction saturates or a weight underflows to 0."""
-    z, omega, sticks = _sticks(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    z = expit(y - stick_offsets(y.shape[0] + 1))
+    omega, left = stick_breaking(z)
     # every weight positive means every z in (0, 1) and every stick positive
     if not omega.min() > 0.0:
         return omega, -np.inf
-    return omega, float(np.sum(np.log(z) + np.log1p(-z) + np.log(sticks)))
+    return omega, logistic_log_jac(z) + float(np.sum(np.log(left)))
 
 
 def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
@@ -67,32 +66,26 @@ def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
     return y
 
 
-def stick_breaking_grad(y: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
+def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the simplex vector back to the y coordinates,
     adding the gradient of log|det J| (the target density includes the
-    change-of-variables term)."""
-    grad_omega = np.asarray(grad_omega, dtype=float)
-    z, omega, sticks = _sticks(np.asarray(y, dtype=float))
-    K = omega.shape[0]
-
-    # d omega_j / d z_k: s_k at j == k, -omega_j/(1-z_k) for j > k, else 0
-    grad_y = np.empty(K - 1)
-    tail = float(grad_omega[K - 1] * omega[K - 1])
-    for k in range(K - 2, -1, -1):
-        g = (sticks[k] * grad_omega[k] - tail / (1.0 - z[k])
-             + (1.0 / z[k] - (1.0 + (K - 2 - k)) / (1.0 - z[k])))
-        grad_y[k] = g * z[k] * (1.0 - z[k])
-        tail += float(grad_omega[k] * omega[k])
-    return grad_y
+    change-of-variables term).  ``z`` and ``omega`` are the break fractions
+    and weights of the forward map at y."""
+    # with p = grad_omega * omega, d/dy_k of f(omega) + log|det J| is
+    # (1 - z_k)(p_k + 1) - z_k sum_{j>k} (p_j + 1), since d omega_j / d z_k
+    # is left_k at j == k and -omega_j/(1-z_k) for j > k, and log|det J|
+    # adds log z_k + log(1 - z_k) + log left_k
+    q = grad_omega * omega + 1.0
+    return (1.0 - z) * q[:-1] - z * np.cumsum(q[:0:-1])[::-1]
 
 
 def interval_forward(v: float) -> tuple[float, float]:
     """Logistic map to (0, 1) with log-Jacobian log(t(1-t)), -inf when t
     rounds to 0 or 1."""
-    t = float(expit(np.asarray([v]))[0])
+    t = float(expit(v))
     if not 0.0 < t < 1.0:
         return t, -np.inf
-    return t, float(np.log(t) + np.log1p(-t))
+    return t, logistic_log_jac(t)
 
 
 def interval_inverse(t: float) -> float:

@@ -7,6 +7,7 @@ from conftest import (log_posterior, make_rng, random_dataset, random_params,
                       summary_for, targets_and_hyper)
 from sckpd.dynamic import (SDLayout, SDParams, SeasonSchedule, omega_trajectory,
                            sd_log_posterior_grad)
+from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import SCKPDParams, StateLayout, log_likelihood, log_posterior_grad
 
 
@@ -256,3 +257,48 @@ def test_seasonal_prior_magnitude_invariance():
         se_tr = traces.std(ddof=1) / math.sqrt(n)
         bias_bound = m1 * m2 * beta ** 2
         assert abs(traces.mean() - total_target) < 3 * se_tr + bias_bound
+
+
+def test_twelve_blocks_match_per_block_oracle():
+    # the paper-dynamic shape: 5x2, K=5, 12 blocks of unequal sizes, one
+    # shared transition drawn from its Gamma prior; all blocks are
+    # evaluated in stacked products, the oracle goes block by block
+    rng = make_rng(10)
+    d1, d2, K, T, alpha = 5, 2, 5, 12, 0.9
+    Ys = [random_dataset(d1, d2, 15 + 4 * t, rng) for t in range(T)]
+    blocks = tuple(summary_for(Y, d1, d2) for Y in Ys)
+    sched = SeasonSchedule(n_seasons=4, n_cycles=3, blocks=blocks)
+    # the fit's centering: targets from the first block (at 5x2 they may
+    # fall in the clamped shape regime, which the posterior handles alike)
+    targets = prior_targets_from_sample(Ys[0].T @ Ys[0] / len(Ys[0]), d1, d2)
+    hyper = solve_hyper(targets)
+    layout = SDLayout(d1, d2, K, T, transition_alpha=alpha)
+    u = rng.normal(0, 0.4, size=layout.size)
+    u[layout.sl_gammas] = np.log(rng.gamma(alpha, 1.0, size=K * K))
+    got, grad = sd_log_posterior_grad(u, layout, sched, hyper, targets)
+
+    params, log_jac = layout.decode(u)
+    omegas = omega_trajectory(params.omega1, params.matrices, layout.assignment, T)
+    expected = log_jac
+    t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)
+    for t in range(T):
+        expected += log_likelihood(params.season_params(t, omegas[t]), blocks[t])
+        for i in range(K):
+            sd = math.sqrt(omegas[t][i] * hyper.lower_variance)
+            expected += scipy.stats.norm.logpdf(params.lowers1[t][i][t1], scale=sd).sum()
+            expected += scipy.stats.norm.logpdf(params.lowers2[t][i][t2], scale=sd).sum()
+    expected += scipy.stats.gamma.logpdf(params.d1_diag, hyper.shape1,
+                                         scale=1 / hyper.rate1).sum()
+    expected += scipy.stats.gamma.logpdf(params.d2_diag, hyper.shape2,
+                                         scale=1 / hyper.rate2).sum()
+    expected += scipy.stats.dirichlet.logpdf(params.omega1, np.full(K, params.theta))
+    expected += scipy.stats.gamma.logpdf(params.gammas[0], alpha, scale=1.0).sum()
+    assert np.isclose(got, expected, rtol=1e-12, atol=0.0)
+
+    step = 1e-5
+    for _ in range(3):
+        v = rng.standard_normal(layout.size)
+        v /= np.linalg.norm(v)
+        fd = (_sd_value(u + step * v, layout, sched, hyper, targets)
+              - _sd_value(u - step * v, layout, sched, hyper, targets)) / (2 * step)
+        assert abs(grad @ v - fd) <= 1e-6 * abs(fd)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,9 +175,28 @@ def test_all_divergent_warmup_aborts():
         return 0.0, np.full_like(q, np.nan)
 
     config = HMCConfig(step_size=0.1, n_leapfrog=4, n_warmup=50, n_draws=10,
-                       seed=0, init=np.zeros(2), init_step_search=False)
+                       seed=0, init=np.zeros(2))
     with pytest.raises(RuntimeError, match="diverged"):
         hmc_sample(fn, config)
+
+
+def test_momentum_overflow_is_a_divergence_not_a_warning():
+    # a target so stiff that trajectories reach finite momenta whose kinetic
+    # energy overflows; the target itself returns inf without warning, so
+    # any RuntimeWarning would come from the sampler
+    prec = np.array([1.0, 1e200])
+
+    def fn(q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -0.5 * float(np.sum(prec * q * q)), -prec * q
+
+    for adapt_mass in (False, True):
+        config = HMCConfig(step_size=0.5, n_leapfrog=8, n_warmup=60, n_draws=20, seed=0,
+                           init=np.array([0.3, 1e-100]), adapt_mass=adapt_mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="every warmup iteration diverged"):
+                hmc_sample(fn, config)
 
 
 def test_mass_adaptation_handles_scale_separation():

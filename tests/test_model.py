@@ -9,7 +9,7 @@ from conftest import (log_posterior, make_rng, random_dataset, random_params,
                       summary_for, targets_and_hyper)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
 from sckpd.kron import vanloan_unrearrange
-from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling,
+from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members,
                          _trace_quad_core, assemble_ldagger, log_det_ldagger,
                          log_likelihood, log_posterior_grad, log_prior, trace_quadratic)
 
@@ -179,17 +179,27 @@ def _dense_trace_and_grad(p, S):
 
 @pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5)])
 def test_trace_core_matches_dense_gradient(dims, K):
+    # four cases stacked on the block axis: the value is their sum, and each
+    # block's member gradients are its own dense gradient
     d1, d2 = dims
     rng = make_rng(26 + d1 * d2 + K)
+    cases = []
     for _ in range(4):
         Y = random_dataset(d1, d2, 3 * d1 * d2, rng)
-        S = Y.T @ Y
-        p = random_params(d1, d2, K, rng)
-        value, grads = _trace_quad_core(p.lowers1, p.lowers2, p.d1_diag, p.d2_diag,
-                                        summary_for(Y, d1, d2).scatter_rearranged,
-                                        want_grad=True)
-        dense_value, dense_grads = _dense_trace_and_grad(p, S)
-        assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
+        cases.append((Y, random_params(d1, d2, K, rng)))
+    C = _coupling(K)
+    value, (GU, GV) = _trace_quad_core(
+        np.stack([_members(p.lowers1, p.d1_diag) for _, p in cases]),
+        np.stack([_members(p.lowers2, p.d2_diag) for _, p in cases]),
+        np.kron(C, C),
+        np.stack([summary_for(Y, d1, d2).scatter_rearranged for Y, _ in cases]),
+        want_grad=True)
+    dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in cases]
+    dense_value = sum(v for v, _ in dense)
+    assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
+    for t, (_, dense_grads) in enumerate(dense):
+        grads = (np.tril(GU[t, :K], -1), np.tril(GV[t, :K], -1),
+                 np.diagonal(GU[t, K]), np.diagonal(GV[t, K]))
         for got, want in zip(grads, dense_grads):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -416,3 +426,34 @@ def test_outside_support_is_clean_minus_infinity():
                 value, grad = post(u)
                 assert value == -np.inf
                 assert grad.shape == (layout.size,) and not np.any(grad)
+
+
+def test_posterior_outputs_are_not_aliased():
+    # a call's gradient must survive the next call, which the sampler relies
+    # on when it adds gradients into its momentum, and a repeated call at one
+    # state must return the same value and gradient
+    rng = make_rng(28)
+    d1, d2, K = 3, 4, 3
+    Ys = [random_dataset(d1, d2, 20, rng) for _ in range(3)]
+    targets, hyper = targets_and_hyper(d1, d2, rng)
+    data = summary_for(Ys[0], d1, d2)
+    sched = SeasonSchedule(n_seasons=3, n_cycles=1,
+                           blocks=tuple(summary_for(Y, d1, d2) for Y in Ys))
+    static = StateLayout(d1, d2, K)
+    seasonal = StateLayout(d1, d2, K, n_blocks=3)
+    for layout, post in ((static, lambda u: log_posterior_grad(u, static, data, hyper,
+                                                               targets)),
+                         (seasonal, lambda u: sd_log_posterior_grad(u, seasonal, sched,
+                                                                    hyper, targets))):
+        u1 = rng.normal(0.0, 0.4, size=layout.size)
+        u2 = rng.normal(0.0, 0.4, size=layout.size)
+        u1_kept = u1.copy()
+        v1, g1 = post(u1)
+        g1_kept = g1.copy()
+        v2, g2 = post(u2)
+        assert v2 != v1
+        assert np.array_equal(g1, g1_kept)
+        assert not np.shares_memory(g1, g2)
+        v1_again, g1_again = post(u1)
+        assert v1_again == v1 and np.array_equal(g1_again, g1)
+        assert np.array_equal(u1, u1_kept)

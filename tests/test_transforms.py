@@ -53,7 +53,9 @@ def test_stick_breaking_grad_matches_fd():
         omega, log_jac = tr.stick_breaking_forward(yv)
         return float(w @ omega) + log_jac
 
-    g = tr.stick_breaking_grad(y, w)
+    z = tr.expit(y - tr.stick_offsets(K))
+    omega, _ = tr.stick_breaking(z)
+    g = tr.stick_breaking_grad(z, omega, w)
     eps = 1e-6
     for j in range(K - 1):
         up, dn = y.copy(), y.copy()
