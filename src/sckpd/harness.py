@@ -11,10 +11,13 @@ RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
 on (seed, 20000 + c), data simulation on (seed, 10000).
 
-Imports: a dependency used only to simulate data or to read a config file
-(``scipy.stats``, ``scipy.linalg.solve_triangular``, ``yaml``) is imported
-inside the function that uses it, so a ``fit`` process never loads
-``scipy.stats`` or ``yaml``.
+Imports: every ``fit`` is its own process and pays its imports, which at
+the paper sizes cost as much as the sampling.  A dependency used only to
+simulate data, to read a config file or to run chains in parallel
+(``scipy.stats``, ``scipy.linalg.solve_triangular``, ``yaml``, the process
+pool) is imported inside the function that uses it, and the modules a fit
+loads use numpy and the standard library only, so a ``fit`` process loads
+no scipy and no ``yaml``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -473,6 +475,7 @@ def fit(config: RunConfig) -> dict:
         tasks.append(task)
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chains = list(pool.map(_run_chain, tasks))
     else:

@@ -6,6 +6,11 @@ The construction centers the factor prior so that, a priori,
 ``E[log det(D1 (x) D2)]`` matches the log-determinant target and the
 expected squared Frobenius norms of the diagonal and strict-lower parts
 match their targets.
+
+Digamma, trigamma and the Cholesky factorization use numpy and the
+standard library only.  Every fit is its own process and loads this
+module, and importing ``scipy.special`` or ``scipy.linalg`` costs more
+than a small fit's sampling; so the fit path loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,11 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lapack
 
 SYM_RTOL = 1e-12        # relative symmetry tolerance for SPD inputs
 PIVOT_FLOOR = 1e-14     # diagonal pivots at or below this count as failure
+SHAPE_TOL = 1e-10       # residual the Gamma-shape solve must reach
+
+# asymptotic tail coefficients, valid after shifting the argument above 10
+_PSI0_TAIL = (1 / 12., -1 / 120., 1 / 252., -1 / 240., 1 / 132., -691 / 32760., 1 / 12.)
+_PSI1_TAIL = (1 / 6., -1 / 30., 1 / 42., -1 / 30., 5 / 66., -691 / 2730., 7 / 6.)
+_SHIFT = 10.0
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -49,29 +58,63 @@ def cholesky(S: np.ndarray) -> np.ndarray:
     squared diagonal of its factor) are checked against the floor first.
     """
     S = check_spd(S)
-    L, info = lapack.dpotrf(S, lower=1, clean=1)
-    n_accepted = info - 1 if info > 0 else S.shape[0]
-    pivots = np.diagonal(L)[:n_accepted] ** 2
+    try:
+        L, failed = np.linalg.cholesky(S), 0
+    except np.linalg.LinAlgError:
+        # numpy does not say which pivot failed; the leading minors are
+        # nested, so bisect for the first that fails, keeping the factor of
+        # the last that passes
+        lo, failed, L = 0, S.shape[0], S[:0, :0]
+        while failed - lo > 1:
+            mid = (lo + failed) // 2
+            try:
+                lo, L = mid, np.linalg.cholesky(S[:mid, :mid])
+            except np.linalg.LinAlgError:
+                failed = mid
+    pivots = np.diagonal(L) ** 2
     tiny = np.flatnonzero(~(np.isfinite(pivots) & (pivots > PIVOT_FLOOR)))
     if tiny.size:
         raise NotPositiveDefiniteError(int(tiny[0]) + 1)
-    if info > 0:
-        raise NotPositiveDefiniteError(int(info))
+    if failed:
+        raise NotPositiveDefiniteError(failed)
     return L
 
 
 def digamma(x: float) -> float:
-    """psi_0(x) for x > 0."""
+    """psi_0(x) for x > 0 via upward recurrence and the asymptotic series."""
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(special.psi(x))
+    x = float(x)
+    acc = 0.0
+    while x < _SHIFT:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    s = 0.0
+    p = inv2
+    for b in _PSI0_TAIL:
+        s += b * p
+        p *= inv2
+    return acc + math.log(x) - 0.5 / x - s
 
 
 def trigamma(x: float) -> float:
     """psi_1(x) for x > 0; companion to :func:`digamma` for Newton steps."""
     if not x > 0:
         raise ValueError(f"trigamma requires x > 0, got {x}")
-    return float(special.polygamma(1, x))
+    x = float(x)
+    acc = 0.0
+    while x < _SHIFT:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    s = inv + 0.5 * inv2
+    p = inv * inv2
+    for b in _PSI1_TAIL:
+        s += b * p
+        p *= inv2
+    return acc + s
 
 
 def shape_residual(a: float, c: float) -> float:
@@ -79,7 +122,7 @@ def shape_residual(a: float, c: float) -> float:
     return abs(a * a + a - c * math.exp(2.0 * digamma(a)))
 
 
-def solve_a(c: float, tol: float = 1e-10, return_residuals: bool = False):
+def solve_a(c: float, return_residuals: bool = False):
     """Gamma shape minimizing |a^2 + a - c exp(2 psi_0(a))|.
 
     For c > 1 there is a unique root; iteration runs on the equivalent
@@ -87,8 +130,9 @@ def solve_a(c: float, tol: float = 1e-10, return_residuals: bool = False):
     then Newton safeguarded against leaving the bracket), which stays well
     conditioned where the raw residual cancels catastrophically.  For
     c <= 1 no root exists (exp(2 psi_0(a)) < a^2 for all a > 0) and the
-    objective infimum sits at a -> 0+, so the boundary minimizer a = tol/4
-    is returned; its residual is ~tol/4.
+    objective infimum sits at a -> 0+, so the boundary minimizer
+    a = SHAPE_TOL/4 is returned; its residual is ~SHAPE_TOL/4.  Otherwise
+    the returned shape has a residual below SHAPE_TOL.
     """
     c = float(c)
     if c <= 0:
@@ -99,7 +143,7 @@ def solve_a(c: float, tol: float = 1e-10, return_residuals: bool = False):
         return math.log(a * a + a) - 2.0 * digamma(a) - math.log(c)
 
     if c <= 1.0:
-        a = tol / 4.0
+        a = SHAPE_TOL / 4.0
         history.append(shape_residual(a, c))
         return (a, history) if return_residuals else a
 
@@ -124,12 +168,12 @@ def solve_a(c: float, tol: float = 1e-10, return_residuals: bool = False):
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm
-        if best[1] < tol or hi - lo < 1e-15 * hi:
+        if best[1] < SHAPE_TOL or hi - lo < 1e-15 * hi:
             break
 
     x = best[0]
     for _ in range(50):
-        if shape_residual(x, c) < tol:
+        if shape_residual(x, c) < SHAPE_TOL:
             break
         gx = g(x)
         dgx = (2 * x + 1) / (x * x + x) - 2.0 * trigamma(x)
@@ -148,9 +192,9 @@ def solve_a(c: float, tol: float = 1e-10, return_residuals: bool = False):
         history.append(best[1])
 
     a, res = best
-    if res >= tol:
+    if res >= SHAPE_TOL:
         raise ValueError(
-            f"shape solve stalled at residual {res:.3e} (tol {tol:.1e}); "
+            f"shape solve stalled at residual {res:.3e} (tol {SHAPE_TOL:.1e}); "
             f"c={c} is too close to 1 for double precision")
     return (a, history) if return_residuals else a
 

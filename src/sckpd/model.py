@@ -50,7 +50,6 @@ from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
@@ -280,7 +279,7 @@ class StateLayout:
         K, d1, d2 = self.n_components, self.d1, self.d2
         positives, log_jac = transforms.positive_forward(u[self.positive_index])
         D1, D2 = positives[:d1], positives[d1:d1 + d2]
-        z = expit(u[self.sl_logistic] - self.logistic_offsets)
+        z = transforms.expit(u[self.sl_logistic] - self.logistic_offsets)
         omega1, left = transforms.stick_breaking(z[:-1])
         theta = float(z[-1])
         # every weight positive means every break fraction lies in (0, 1)

@@ -13,7 +13,13 @@ outside the support.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)).  It rounds to exactly 0
+    below about -709.78, where exp(-x) overflows, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def stick_offsets(n_weights: int) -> np.ndarray:
@@ -35,18 +41,6 @@ def stick_breaking(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def logistic_log_jac(z: np.ndarray) -> float:
     """sum log(z (1 - z)): the log-Jacobian of the logistic map to each z."""
     return float((np.log(z) + np.log1p(-z)).sum())
-
-
-def stick_breaking_forward(y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
-    is -inf when a break fraction saturates or a weight underflows to 0."""
-    y = np.asarray(y, dtype=float)
-    z = expit(y - stick_offsets(y.shape[0] + 1))
-    omega, left = stick_breaking(z)
-    # every weight positive means every z in (0, 1) and every stick positive
-    if not omega.min() > 0.0:
-        return omega, -np.inf
-    return omega, logistic_log_jac(z) + float(np.sum(np.log(left)))
 
 
 def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
@@ -77,15 +71,6 @@ def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray
     # adds log z_k + log(1 - z_k) + log left_k
     q = grad_omega * omega + 1.0
     return (1.0 - z) * q[:-1] - z * np.cumsum(q[:0:-1])[::-1]
-
-
-def interval_forward(v: float) -> tuple[float, float]:
-    """Logistic map to (0, 1) with log-Jacobian log(t(1-t)), -inf when t
-    rounds to 0 or 1."""
-    t = float(expit(v))
-    if not 0.0 < t < 1.0:
-        return t, -np.inf
-    return t, logistic_log_jac(t)
 
 
 def interval_inverse(t: float) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sckpd import transforms as tr
 from sckpd.hyper import make_targets, prior_targets_from_sample, solve_hyper
 from sckpd.model import DataSummary, SCKPDParams, log_likelihood, log_prior
 
@@ -64,6 +65,29 @@ def log_posterior(u, layout, data, hyper, targets):
     if not np.isfinite(lp):
         return -np.inf
     return log_likelihood(params, data) + lp + log_jac
+
+
+def stick_breaking_forward(y):
+    """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
+    is -inf when a break fraction saturates or a weight underflows to 0.
+    The oracle of the sticks part of ``StateLayout`` decoding."""
+    y = np.asarray(y, dtype=float)
+    z = tr.expit(y - tr.stick_offsets(y.shape[0] + 1))
+    omega, left = tr.stick_breaking(z)
+    # every weight positive means every z in (0, 1) and every stick positive
+    if not omega.min() > 0.0:
+        return omega, -np.inf
+    return omega, tr.logistic_log_jac(z) + float(np.sum(np.log(left)))
+
+
+def interval_forward(v):
+    """Logistic map to (0, 1) with log-Jacobian log(t(1-t)), -inf when t
+    rounds to 0 or 1.  The oracle of the theta part of ``StateLayout``
+    decoding."""
+    t = float(tr.expit(v))
+    if not 0.0 < t < 1.0:
+        return t, -np.inf
+    return t, tr.logistic_log_jac(t)
 
 
 def summary_for(Y, d1, d2):

@@ -3,6 +3,8 @@ Cholesky factor as the Van Loan rearrangement sees it."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 from conftest import make_rng, random_chol, random_spd
 from sckpd.hyper import NotPositiveDefiniteError, cholesky
@@ -57,6 +59,32 @@ def test_cholesky_reconstruction_accuracy():
     S = random_spd(8, rng)
     L = cholesky(S)
     assert np.linalg.norm(L @ L.T - S) / np.linalg.norm(S) < 1e-12
+
+
+def test_cholesky_failing_order_matches_lapack():
+    # S = U D U^T with U unit lower triangular has the Cholesky pivots D, so a
+    # negative D[k-1] makes leading minor k the first to fail
+    rng = make_rng(7)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            U = np.tril(rng.normal(0.0, 0.5, (n, n)), -1) + np.eye(n)
+            D = rng.uniform(0.5, 2.0, n)
+            D[k - 1] = -rng.uniform(0.5, 2.0)
+            S = (U * D) @ U.T
+            S = 0.5 * (S + S.T)
+            info = lapack.dpotrf(S, lower=1)[1]
+            assert info == k
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky(S)
+            assert err.value.order == info
+
+
+def test_cholesky_matches_scipy_on_spd():
+    rng = make_rng(8)
+    for n in range(1, 13):
+        S = random_spd(n, rng)
+        expect = scipy.linalg.cholesky(S, lower=True)
+        assert np.linalg.norm(cholesky(S) - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 # ----- Kronecker structure of a Cholesky factor ---------------------------

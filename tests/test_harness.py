@@ -347,11 +347,13 @@ def test_cli_simulate_and_check_hyper(tmp_path):
     assert "lower_variance" in json.loads(hyp.stdout)["hyper"]
 
 
-def _loaded_after(code: str, *args) -> str:
+def _loaded_after(code: str, *args, modules=("scipy.stats", "yaml")) -> str:
     """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
-    simulate-only or config-only dependencies it loaded."""
-    probe = (f"import sys\n{code}\n"
-             "print(sorted(m for m in ('scipy.stats', 'yaml') if m in sys.modules))\n"
+    of ``modules`` or their submodules it loaded; by default the
+    simulate-only and config-only dependencies."""
+    probe = (f"import sys\n{code}\nnames = {tuple(modules)!r}\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if any(m == n or m.startswith(n + '.') for n in names)))\n"
              "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -376,6 +378,29 @@ def test_fit_does_not_import_simulate_only_dependencies(tmp_path):
                          "--cycles", "1", "--input", str(tmp_path / "d"),
                          "--out", str(tmp_path / "fd"), *tiny) == "[]"
     assert _loaded_after("import sckpd\nrc = 0") == "[]"
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # every fit is its own process, and importing scipy.special or
+    # scipy.linalg costs as much as a small fit's sampling
+    for mode, out in (("simulate-static", "s"), ("simulate-dynamic", "d")):
+        simulate(RunConfig.from_dict(dict(
+            mode=mode, d1=3, d2=2, n_truth_components=2, n_components=2,
+            omega_weights=(1.0, 3.0), n_obs=60, n_seasons=2, n_cycles=1, seed=5,
+            output_dir=str(tmp_path / out))))
+    cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
+    dims = ("--d1", "3", "--d2", "2")
+    tiny = (*dims, "--n-components", "2", "--seed", "5",
+            "--chains", "1", "--warmup", "3", "--draws", "2", "--leapfrog", "2")
+    runs = [(cli, "fit", "--mode", "fit-static", "--input", str(tmp_path / "s" / "data.csv"),
+             "--out", str(tmp_path / "fs"), *tiny),
+            (cli, "fit", "--mode", "fit-dynamic", "--seasons", "2", "--cycles", "1",
+             "--input", str(tmp_path / "d"), "--out", str(tmp_path / "fd"), *tiny),
+            (cli, "check-hyper", "--mode", "fit-static", "--input",
+             str(tmp_path / "s" / "data.csv"), *dims),
+            ("import sckpd\nrc = 0",)]
+    for run in runs:
+        assert _loaded_after(*run, modules=("scipy",)) == "[]", run[1:2]
 
 
 def test_cli_config_file_must_hold_a_mapping(tmp_path):

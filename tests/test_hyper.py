@@ -41,6 +41,16 @@ def test_trigamma_against_mpmath():
         assert abs(trigamma(x) - float(mpmath.polygamma(1, x))) < 1e-12
 
 
+def test_digamma_trigamma_on_solve_bracket():
+    # a log grid over [1e-8, 1e12], the range solve_a's bracket probes
+    with mpmath.workdps(40):
+        for x in np.logspace(-8.0, 12.0, 401):
+            psi0 = mpmath.digamma(mpmath.mpf(x))
+            psi1 = mpmath.polygamma(1, mpmath.mpf(x))
+            assert abs(digamma(x) - psi0) <= 2e-15 * max(abs(psi0), 1)
+            assert abs(trigamma(x) - psi1) <= 2e-15 * max(abs(psi1), 1)
+
+
 def test_digamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         digamma(0.0)

@@ -1,10 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
+from conftest import interval_forward, make_rng, stick_breaking_forward
 from sckpd import transforms as tr
+
+
+def test_expit_matches_scipy():
+    x = np.linspace(-800.0, 800.0, 160_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tr.expit(x)
+        ends = tr.expit(-800.0), tr.expit(800.0)
+    expect = scipy.special.expit(x)
+    assert np.all(np.abs(got - expect) <= 4 * np.spacing(expect))
+    assert ends == (0.0, 1.0)
 
 
 def test_stick_breaking_round_trip():
@@ -12,7 +26,7 @@ def test_stick_breaking_round_trip():
     for K in (2, 3, 6):
         omega = rng.dirichlet(np.full(K, 2.0))
         y = tr.stick_breaking_inverse(omega)
-        back, _ = tr.stick_breaking_forward(y)
+        back, _ = stick_breaking_forward(y)
         assert np.allclose(back, omega, atol=1e-12)
 
 
@@ -20,7 +34,7 @@ def test_uniform_simplex_maps_to_zero():
     for K in (2, 4, 7):
         y = tr.stick_breaking_inverse(np.full(K, 1.0 / K))
         assert np.allclose(y, 0.0, atol=1e-12)
-        omega, _ = tr.stick_breaking_forward(np.zeros(K - 1))
+        omega, _ = stick_breaking_forward(np.zeros(K - 1))
         assert np.allclose(omega, 1.0 / K, atol=1e-12)
 
 
@@ -28,15 +42,15 @@ def test_stick_breaking_log_jacobian_matches_numeric():
     rng = make_rng(1)
     for K in (2, 3, 5):
         y = rng.normal(0, 0.8, size=K - 1)
-        _, log_jac = tr.stick_breaking_forward(y)
+        _, log_jac = stick_breaking_forward(y)
         eps = 1e-6
         J = np.zeros((K - 1, K - 1))
         for j in range(K - 1):
             up, dn = y.copy(), y.copy()
             up[j] += eps
             dn[j] -= eps
-            f_up, _ = tr.stick_breaking_forward(up)
-            f_dn, _ = tr.stick_breaking_forward(dn)
+            f_up, _ = stick_breaking_forward(up)
+            f_dn, _ = stick_breaking_forward(dn)
             J[:, j] = (f_up[:-1] - f_dn[:-1]) / (2 * eps)
         sign, numeric = np.linalg.slogdet(J)
         assert sign > 0
@@ -50,7 +64,7 @@ def test_stick_breaking_grad_matches_fd():
     w = rng.normal(size=K)
 
     def scalar(yv):
-        omega, log_jac = tr.stick_breaking_forward(yv)
+        omega, log_jac = stick_breaking_forward(yv)
         return float(w @ omega) + log_jac
 
     z = tr.expit(y - tr.stick_offsets(K))
@@ -75,15 +89,15 @@ def test_stick_breaking_inverse_validates():
 def test_interval_round_trip_and_grad():
     for t in (0.01, 0.4, 0.97):
         v = tr.interval_inverse(t)
-        back, _ = tr.interval_forward(v)
+        back, _ = interval_forward(v)
         assert np.isclose(back, t, atol=1e-14)
     v0 = 0.3
 
     def scalar(v):
-        t, lj = tr.interval_forward(v)
+        t, lj = interval_forward(v)
         return 2.5 * t + lj
 
-    t0, _ = tr.interval_forward(v0)
+    t0, _ = interval_forward(v0)
     g = tr.interval_grad(t0, 2.5)
     eps = 1e-6
     fd = (scalar(v0 + eps) - scalar(v0 - eps)) / (2 * eps)
@@ -116,6 +130,6 @@ def test_positive_round_trip_and_grad():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=7))
 def test_stick_breaking_forward_always_simplex(ys):
-    omega, _ = tr.stick_breaking_forward(np.asarray(ys))
+    omega, _ = stick_breaking_forward(np.asarray(ys))
     assert np.all(omega >= 0)
     assert np.isclose(omega.sum(), 1.0, atol=1e-12)
