@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +40,11 @@ from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_h
 
 SIM_STREAM = 10_000
 INIT_STREAM = 20_000
+
+# The scatter Y^T Y is positive semidefinite, so its Frobenius norm is at
+# most its trace, the sum of the squared fields; below sqrt(float max) the
+# scatter, its norm and its Cholesky factor's energies stay finite.
+MAX_SUM_SQUARES = math.sqrt(sys.float_info.max)
 
 MODES = ("simulate-static", "simulate-dynamic", "fit-static", "fit-dynamic")
 
@@ -238,8 +244,9 @@ def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None)
 def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.ndarray:
     """Read observation rows of d1*d2 numeric fields; header row optional.
 
-    Malformed or non-finite input raises ValueError naming the offending
-    line and field.  With ``center`` the sample mean is subtracted (for data
+    Malformed or non-finite input, or values so large that the sample
+    covariance would overflow, raises ValueError naming the offending line
+    and field.  With ``center`` the sample mean is subtracted (for data
     with a free mean).
     """
     width = d1 * d2
@@ -274,6 +281,15 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
             k = int(np.flatnonzero(~np.isfinite(row))[0])
             raise ValueError(
                 f"{path}: line {linenos[r]}: field {k + 1} is not finite: {float(row[k])}")
+    with np.errstate(over="ignore"):
+        sum_squares = np.vdot(Y, Y)
+    if not sum_squares < MAX_SUM_SQUARES:
+        r, k = np.unravel_index(np.argmax(np.abs(Y)), Y.shape)
+        raise ValueError(
+            f"{path}: line {linenos[r]}: field {k + 1} is too large: {float(Y[r, k])}; "
+            f"the squared fields sum to {sum_squares:.3g}, beyond the "
+            f"{MAX_SUM_SQUARES:.3g} at which the sample covariance stays finite: "
+            f"rescale the values of column {k + 1}")
     if center:
         Y = Y - Y.mean(axis=0)
     return Y
@@ -425,15 +441,23 @@ def _draw_init(task: _ChainTask, size: int) -> np.ndarray:
     raise RuntimeError("no finite initial state found after 100 draws")
 
 
-def _quantiles(x: np.ndarray) -> dict:
-    q = np.quantile(x, [0.025, 0.5, 0.975])
-    return {"mean": float(np.mean(x)), "sd": float(np.std(x, ddof=1)),
-            "q025": float(q[0]), "q500": float(q[1]), "q975": float(q[2])}
+def _column_summaries(values: np.ndarray) -> list[dict]:
+    """mean, sd and 2.5/50/97.5% quantiles of every column of a (rows, m)
+    table.  The columns are copied to contiguous rows, so each sum runs in
+    the order it would over the column alone."""
+    rows = np.ascontiguousarray(values.T)
+    mean = rows.mean(axis=1)
+    sd = rows.std(axis=1, ddof=1)
+    q = np.quantile(rows, [0.025, 0.5, 0.975], axis=1)
+    return [{"mean": float(mean[j]), "sd": float(sd[j]),
+             "q025": float(q[0, j]), "q500": float(q[1, j]), "q975": float(q[2, j])}
+            for j in range(rows.shape[0])]
 
 
-def _targets(Y: np.ndarray, config: RunConfig) -> PriorTargets:
-    denom = max(Y.shape[0] - 1, 1) if config.center else Y.shape[0]
-    return prior_targets_from_sample(Y.T @ Y / denom, config.d1, config.d2)
+def _targets(scatter: np.ndarray, n_obs: int, config: RunConfig) -> PriorTargets:
+    """Prior targets from a block's scatter Y^T Y over its n_obs rows."""
+    denom = max(n_obs - 1, 1) if config.center else n_obs
+    return prior_targets_from_sample(scatter / denom, config.d1, config.d2)
 
 
 def fit(config: RunConfig) -> dict:
@@ -452,13 +476,14 @@ def fit(config: RunConfig) -> dict:
     # a static input is the one data file, a seasonal input the block directory
     paths = ([Path(config.input_path)] if config.mode == "fit-static" else
              [Path(config.input_path) / name for _, name in _blocks(config)])
-    summaries, first_Y = [], None
+    summaries, first = [], None
     for path in paths:
         Y = ingest_csv(path, config.d1, config.d2, center=config.center)
-        first_Y = Y if first_Y is None else first_Y
-        summaries.append(mdl.DataSummary.from_observations(Y, config.d1, config.d2))
+        scatter = Y.T @ Y
+        first = (scatter, Y.shape[0]) if first is None else first
+        summaries.append(mdl.DataSummary.from_scatter(scatter, Y.shape[0], config.d1, config.d2))
 
-    targets = _targets(first_Y, config)
+    targets = _targets(*first, config)
     hyper = solve_hyper(targets)
     warnings = []
     if hyper.degenerate:
@@ -543,15 +568,14 @@ def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:
 def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
     n_chains = len(chains)
     n_draws = chains[0].draws.shape[0]
-    stat_cols = columns[5:]
+    values = table[:, 5:]
+    per_chain = values.reshape(n_chains, n_draws, values.shape[1])
+    ess = hmc.effective_sample_size(per_chain)
+    rhat = hmc.split_rhat(per_chain)
     stats = {}
-    for name in stat_cols:
-        j = columns.index(name)
-        col = table[:, j]
-        entry = _quantiles(col)
-        per_chain = col.reshape(n_chains, n_draws)
-        entry["ess"] = float(hmc.effective_sample_size(per_chain))
-        entry["rhat"] = float(hmc.split_rhat(per_chain))
+    for j, (name, entry) in enumerate(zip(columns[5:], _column_summaries(values))):
+        entry["ess"] = float(ess[j])
+        entry["rhat"] = float(rhat[j])
         stats[name] = entry
     diag = diagnostics(chains)
     summary = {
@@ -583,7 +607,8 @@ def check_hyper(config: RunConfig) -> dict:
     path = Path(config.input_path)
     if path.is_dir():   # a seasonal run's directory, whatever the mode: its first block
         path = path / "data_c1_s1.csv"
-    targets = _targets(ingest_csv(path, config.d1, config.d2, center=config.center), config)
+    Y = ingest_csv(path, config.d1, config.d2, center=config.center)
+    targets = _targets(Y.T @ Y, Y.shape[0], config)
     hyper = solve_hyper(targets)
     report = _hyper_report(targets, hyper)
     report["hyper"]["degenerate"] = hyper.degenerate
@@ -620,11 +645,10 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
                          f"after the header, found {len(rows)}")
     table = np.asarray(rows)
     n_chains = int(table[:, columns.index("chain")].max()) + 1
-    stats = {}
-    for j, name in enumerate(columns):
-        if name in ("chain", "draw", "accept", "divergent", "energy"):
-            continue
-        stats[name] = _quantiles(table[:, j])
+    keep = [j for j, name in enumerate(columns)
+            if name not in ("chain", "draw", "accept", "divergent", "energy")]
+    stats = {columns[j]: entry
+             for j, entry in zip(keep, _column_summaries(table[:, keep]))}
     out = {"n_chains": n_chains, "n_rows": int(table.shape[0]), "stats": stats}
     if truth_path is not None:
         with open(truth_path) as fh:

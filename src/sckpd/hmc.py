@@ -4,6 +4,11 @@ half step in position), Metropolis correction, dual-averaging step-size
 adaptation toward a target acceptance rate, optional mass estimation from
 warmup variances, and autocorrelation-based chain diagnostics.
 
+The diagnostics take draws shaped (C, N, m), C chains of N draws of m
+columns, and return one value per column as an (m,) array;
+``effective_sample_size`` and ``split_rhat`` also take one column shaped
+(C, N), or one chain shaped (N,), and return a float.
+
 Randomness comes from a counter-based Philox generator keyed as
 (seed, chain_index), so chains are reproducible and independent whether
 they run sequentially or in parallel.
@@ -258,69 +263,100 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 
 # ---------------------------------------------------------------------------
 # diagnostics
+#
+# Draws come in as (C, N, m): C chains of N draws of m columns.  Columns are
+# taken in chunks of about CHUNK_VALUES draws, each copied to a contiguous
+# (chunk, C, N) array, so the FFT temporaries stay bounded however many
+# columns there are, and every sum runs along a contiguous draw axis in the
+# order it would for one column alone.
 
-def _autocov(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    xc = x - x.mean()
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, nfft)
-    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real
-    return acov / n
+CHUNK_VALUES = 1 << 17
 
 
-def effective_sample_size(chains: np.ndarray) -> float:
-    """Autocorrelation ESS for one coordinate, chains shaped (C, N).
+def _chunk_width(C: int, N: int) -> int:
+    """Columns per chunk of (C, N, m) draws."""
+    return max(1, CHUNK_VALUES // max(C * N, 1))
 
-    Uses the combined-chain correlation estimate with Geyer's initial
-    monotone positive-pair truncation.  Degenerate zero-variance input
-    returns 1.0.
-    """
-    chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    C, N = chains.shape
+
+def _per_column(core, chains):
+    """Apply ``core``, which maps (m, C, N) draws to (m,) values, to every
+    column: a (C, N) input (or (N,), one chain) gives a float, a (C, N, m)
+    input an (m,) array."""
+    x = np.asarray(chains, dtype=float)
+    if x.ndim > 3:
+        raise ValueError(f"expected draws shaped (C, N) or (C, N, m), got {x.shape}")
+    if x.ndim < 3:
+        return float(core(np.ascontiguousarray(np.atleast_2d(x)[None]))[0])
+    C, N, m = x.shape
+    step = _chunk_width(C, N)
+    out = np.empty(m)
+    for start in range(0, m, step):
+        chunk = np.ascontiguousarray(x[:, :, start:start + step].transpose(2, 0, 1))
+        out[start:start + step] = core(chunk)
+    return out
+
+
+def _ess_core(x: np.ndarray) -> np.ndarray:
+    m, C, N = x.shape
     if N < 4:
-        return float(N * C)
-    acov = np.stack([_autocov(c) for c in chains])
-    mean_acov = acov.mean(axis=0)
-    W = float(np.mean([c.var(ddof=1) for c in chains]))
+        return np.full(m, float(N * C))
+    means = x.mean(axis=2, keepdims=True)                  # (m, C, 1)
+    xc = x - means
+    nfft = 1 << (2 * N - 1).bit_length()
+    f = np.fft.rfft(xc, nfft)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:, :, :N] / N
+    mean_acov = acov.mean(axis=1)                           # (m, N)
+    W = x.var(axis=2, ddof=1).mean(axis=1)
     if C > 1:
-        B_over_n = float(np.var(chains.mean(axis=1), ddof=1))
-        var_plus = W * (N - 1) / N + B_over_n
+        var_plus = W * (N - 1) / N + means[:, :, 0].var(axis=1, ddof=1)
     else:
         var_plus = W * (N - 1) / N + W / N
-    if var_plus <= 0 or not np.isfinite(var_plus):
-        return 1.0
-    rho = 1.0 - (W - mean_acov) / var_plus
-    rho[0] = 1.0
-    # Geyer pairs: stop at the first negative pair, enforce non-increase
-    tau = 0.0
-    prev = np.inf
-    for k in range(0, (N - 1) // 2):
-        pair = rho[2 * k] + rho[2 * k + 1]
-        if pair < 0:
-            break
-        pair = min(pair, prev)
-        tau += pair
-        prev = pair
-    tau = max(2.0 * tau - 1.0, 1.0 / N)
-    return float(C * N / tau)
+    ok = (var_plus > 0) & np.isfinite(var_plus)
+    rho = 1.0 - (W[:, None] - mean_acov) / np.where(ok, var_plus, 1.0)[:, None]
+    rho[:, 0] = 1.0
+    # Geyer pairs: stop at the first negative pair, enforce non-increase;
+    # the running sum adds the pairs in order, then zeros past the stop
+    n_pairs = (N - 1) // 2
+    pairs = rho[:, 0:2 * n_pairs:2] + rho[:, 1:2 * n_pairs:2]
+    stopped = np.logical_or.accumulate(pairs < 0, axis=1)
+    kept = np.where(stopped, 0.0, np.minimum.accumulate(pairs, axis=1))
+    tau = np.maximum(2.0 * np.cumsum(kept, axis=1)[:, -1] - 1.0, 1.0 / N)
+    return np.where(ok, C * N / tau, 1.0)
 
 
-def split_rhat(chains: np.ndarray) -> float:
-    """Split potential scale reduction for one coordinate, chains (C, N)."""
-    chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    C, N = chains.shape
-    half = N // 2
-    if half < 2:
-        return float("nan")
-    splits = np.concatenate([chains[:, :half], chains[:, N - half:]], axis=0)
-    m, n = splits.shape
-    means = splits.mean(axis=1)
-    W = float(np.mean(splits.var(axis=1, ddof=1)))
-    B = n * float(np.var(means, ddof=1))
-    if W <= 0:
-        return 1.0
+def effective_sample_size(chains: np.ndarray):
+    """Autocorrelation ESS of every column of draws shaped (C, N, m), as an
+    (m,) array; draws shaped (C, N) are one column and give a float.
+
+    Uses the combined-chain correlation estimate with Geyer's initial
+    monotone positive-pair truncation.  Fewer than 4 draws per chain give
+    C*N; degenerate zero-variance input gives 1.0.
+    """
+    return _per_column(_ess_core, chains)
+
+
+def _rhat_core(x: np.ndarray) -> np.ndarray:
+    m, C, N = x.shape
+    n = N // 2
+    if n < 2:
+        return np.full(m, np.nan)
+    splits = np.concatenate([x[:, :, :n], x[:, :, N - n:]], axis=1)   # (m, 2C, n)
+    W = splits.var(axis=2, ddof=1).mean(axis=1)
+    B = n * splits.mean(axis=2).var(axis=1, ddof=1)
+    flat = W <= 0
+    W = np.where(flat, 1.0, W)
     var_plus = (n - 1) / n * W + B / n
-    return float(np.sqrt(var_plus / W))
+    return np.where(flat, 1.0, np.sqrt(var_plus / W))
+
+
+def split_rhat(chains: np.ndarray):
+    """Split potential scale reduction of every column of draws shaped
+    (C, N, m), as an (m,) array; draws shaped (C, N) give a float.
+
+    Fewer than 4 draws per chain give NaN; zero within-split variance
+    gives 1.0.
+    """
+    return _per_column(_rhat_core, chains)
 
 
 @dataclass
@@ -335,7 +371,8 @@ def diagnostics(chains) -> Diagnostics:
     """Per-coordinate ESS and split R-hat over one or more chains.
 
     Degenerate inputs (identical chains, zero-variance coordinates) are
-    reported in ``flags`` rather than passed off as healthy.
+    reported in ``flags`` rather than passed off as healthy; a coordinate
+    is zero-variance when every draw is ``np.isclose`` to its first.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -350,17 +387,16 @@ def diagnostics(chains) -> Diagnostics:
         for j in range(i + 1, C):
             if np.array_equal(stacked[i], stacked[j]):
                 flags.append(f"identical-chains:{i},{j}")
-    ess = np.empty(dim)
-    rhat = np.empty(dim)
-    for k in range(dim):
-        coord = stacked[:, :, k]
-        if np.allclose(coord, coord.ravel()[0]):
-            flags.append(f"zero-variance:{k}")
-            ess[k] = 1.0
-            rhat[k] = float("nan")
-            continue
-        ess[k] = effective_sample_size(coord)
-        rhat[k] = split_rhat(coord)
+    constant = np.empty(dim, dtype=bool)
+    step = _chunk_width(C, N)
+    for start in range(0, dim, step):
+        cols = stacked[:, :, start:start + step]
+        constant[start:start + step] = np.isclose(cols, cols[:1, :1]).all(axis=(0, 1))
+    flags += [f"zero-variance:{k}" for k in np.flatnonzero(constant)]
+    ess = effective_sample_size(stacked)
+    rhat = split_rhat(stacked)
+    ess[constant] = 1.0
+    rhat[constant] = np.nan
     rates = [c.acceptance_rate for c in chains if isinstance(c, Chain)]
     rate = float(np.mean(rates)) if rates else float("nan")
     return Diagnostics(acceptance_rate=rate, ess=ess, rhat=rhat, flags=flags)

@@ -90,6 +90,90 @@ def interval_forward(v):
     return t, tr.logistic_log_jac(t)
 
 
+def _autocov(x):
+    n = x.shape[0]
+    xc = x - x.mean()
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(xc, nfft)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real
+    return acov / n
+
+
+def effective_sample_size_oracle(chains):
+    """Geyer ESS of one coordinate, chains shaped (C, N), one chain and one
+    truncation step at a time.  The oracle of ``hmc.effective_sample_size``."""
+    chains = np.atleast_2d(np.asarray(chains, dtype=float))
+    C, N = chains.shape
+    if N < 4:
+        return float(N * C)
+    acov = np.stack([_autocov(c) for c in chains])
+    mean_acov = acov.mean(axis=0)
+    W = float(np.mean([c.var(ddof=1) for c in chains]))
+    if C > 1:
+        B_over_n = float(np.var(chains.mean(axis=1), ddof=1))
+        var_plus = W * (N - 1) / N + B_over_n
+    else:
+        var_plus = W * (N - 1) / N + W / N
+    if var_plus <= 0 or not np.isfinite(var_plus):
+        return 1.0
+    rho = 1.0 - (W - mean_acov) / var_plus
+    rho[0] = 1.0
+    tau = 0.0
+    prev = np.inf
+    for k in range(0, (N - 1) // 2):
+        pair = rho[2 * k] + rho[2 * k + 1]
+        if pair < 0:
+            break
+        pair = min(pair, prev)
+        tau += pair
+        prev = pair
+    tau = max(2.0 * tau - 1.0, 1.0 / N)
+    return float(C * N / tau)
+
+
+def split_rhat_oracle(chains):
+    """Split R-hat of one coordinate, chains (C, N).  The oracle of
+    ``hmc.split_rhat``."""
+    chains = np.atleast_2d(np.asarray(chains, dtype=float))
+    C, N = chains.shape
+    half = N // 2
+    if half < 2:
+        return float("nan")
+    splits = np.concatenate([chains[:, :half], chains[:, N - half:]], axis=0)
+    m, n = splits.shape
+    means = splits.mean(axis=1)
+    W = float(np.mean(splits.var(axis=1, ddof=1)))
+    B = n * float(np.var(means, ddof=1))
+    if W <= 0:
+        return 1.0
+    var_plus = (n - 1) / n * W + B / n
+    return float(np.sqrt(var_plus / W))
+
+
+def diagnostics_oracle(stacked):
+    """(ess, rhat, zero-variance flags) of draws shaped (C, N, dim), one
+    coordinate at a time.  The oracle of ``hmc.diagnostics``."""
+    C, N, dim = stacked.shape
+    ess, rhat, flags = np.empty(dim), np.empty(dim), []
+    for k in range(dim):
+        coord = stacked[:, :, k]
+        if np.allclose(coord, coord.ravel()[0]):
+            flags.append(f"zero-variance:{k}")
+            ess[k], rhat[k] = 1.0, float("nan")
+            continue
+        ess[k] = effective_sample_size_oracle(coord)
+        rhat[k] = split_rhat_oracle(coord)
+    return ess, rhat, flags
+
+
+def column_summary_oracle(x):
+    """mean, sd and quantiles of one column.  The oracle of the per-column
+    statistics in ``summary.json``."""
+    q = np.quantile(x, [0.025, 0.5, 0.975])
+    return {"mean": float(np.mean(x)), "sd": float(np.std(x, ddof=1)),
+            "q025": float(q[0]), "q500": float(q[1]), "q975": float(q[2])}
+
+
 def summary_for(Y, d1, d2):
     return DataSummary.from_observations(Y, d1, d2)
 

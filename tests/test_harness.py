@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import make_rng, random_params
+from conftest import (column_summary_oracle, diagnostics_oracle, effective_sample_size_oracle,
+                      make_rng, random_params, split_rhat_oracle)
+from sckpd import harness
 from sckpd.harness import (PRESETS, RunConfig, _factor_stats, check_hyper, fit,
                            ingest_csv, simulate, summarize_draws)
 from sckpd.model import assemble_ldagger
@@ -62,6 +65,32 @@ def test_ingest_centering(tmp_path):
     p = _write(tmp_path / "d.csv", "1,1,1,1,1,1\n3,3,3,3,3,3\n")
     Y = ingest_csv(p, 3, 2, center=True)
     assert np.allclose(Y.mean(axis=0), 0.0)
+
+
+def _huge_value_csv(tmp_path: Path) -> Path:
+    """60 rows of 3x2 data whose line 7, field 4 is 1e200: finite, but its
+    square overflows the scatter."""
+    rows = make_rng(43).normal(size=(60, 6))
+    lines = [[f"{v:.17g}" for v in r] for r in rows]
+    lines[6][3] = "1e200"
+    return _write(tmp_path / "huge.csv", "".join(",".join(r) + "\n" for r in lines))
+
+
+def test_huge_finite_value_fails_at_the_boundary(tmp_path):
+    p = _huge_value_csv(tmp_path)
+    cfg = RunConfig.from_dict(dict(mode="fit-static", d1=3, d2=2, n_components=2,
+                                   input_path=str(p), output_dir=str(tmp_path / "fit"),
+                                   n_chains=1, n_warmup=5, n_draws=4, n_leapfrog=2))
+    message = r"huge\.csv: line 7: field 4 is too large: 1e\+200;.*rescale the values of column 4"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            fit(cfg)
+        with pytest.raises(ValueError, match=message):
+            check_hyper(cfg)
+        with pytest.raises(ValueError, match=message):
+            ingest_csv(p, 3, 2, center=True)
+    assert not (tmp_path / "fit").exists()
 
 
 # ----- simulation ----------------------------------------------------------------
@@ -255,6 +284,66 @@ def test_fit_dynamic_smoke(tmp_path):
         vals = line.split(",")
         w = [float(vals[i]) for i in idx]
         assert abs(sum(w) - 1.0) < 1e-10
+
+
+def _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg):
+    """Fit, then check every statistic of summary.json and of
+    summarize_draws against the per-column oracles, and the diagnostic
+    flags against the per-coordinate oracle."""
+    seen = {}
+    summarize = harness._summarize_chains
+
+    def spy(config, chains, table, columns, report, warns):
+        seen.update(chains=chains, table=table, columns=columns)
+        return summarize(config, chains, table, columns, report, warns)
+
+    monkeypatch.setattr(harness, "_summarize_chains", spy)
+    summary = fit(cfg)
+    chains, table, columns = seen["chains"], seen["table"], seen["columns"]
+    n_chains, n_draws = len(chains), chains[0].draws.shape[0]
+    redone = summarize_draws(Path(cfg.output_dir) / "draws.csv")["stats"]
+    assert list(summary["stats"]) == list(redone) == columns[5:]
+    for name, entry in summary["stats"].items():
+        col = table[:, columns.index(name)]
+        expected = column_summary_oracle(col)
+        expected["ess"] = effective_sample_size_oracle(col.reshape(n_chains, n_draws))
+        expected["rhat"] = split_rhat_oracle(col.reshape(n_chains, n_draws))
+        assert set(entry) == set(expected)
+        for key, value in expected.items():
+            assert entry[key] == pytest.approx(value, rel=1e-12, abs=0.0, nan_ok=True), (name, key)
+        assert redone[name] == pytest.approx(column_summary_oracle(col), rel=1e-12, abs=0.0)
+    stacked = np.stack([c.draws for c in chains])
+    identical = [f"identical-chains:{i},{j}" for i in range(n_chains)
+                 for j in range(i + 1, n_chains) if np.array_equal(stacked[i], stacked[j])]
+    assert summary["diagnostic_flags"] == identical + diagnostics_oracle(stacked)[2]
+    return summary
+
+
+def test_summary_statistics_match_per_column_oracles_static(tmp_path, monkeypatch):
+    cfg = _small_fit_config(tmp_path)
+    cfg = RunConfig.from_dict({**cfg.__dict__, "n_warmup": 40, "n_draws": 61, "n_leapfrog": 6})
+    summary = _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg)
+    assert summary["n_chains"] == 2
+
+
+@pytest.mark.parametrize("n_chains, n_warmup", [(3, 30), (1, 0)],
+                         ids=["mixing", "never-accepts"])
+def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, monkeypatch,
+                                                              n_chains, n_warmup):
+    # without warmup the one chain rejects every proposal, so every
+    # coordinate is flagged and every statistic is constant
+    sim = RunConfig.from_dict(dict(
+        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
+        omega_weights=(1.0, 3.0), n_obs=80, n_seasons=3, n_cycles=1,
+        seed=12, output_dir=str(tmp_path / "sim")))
+    simulate(sim)
+    cfg = RunConfig.from_dict(dict(
+        mode="fit-dynamic", d1=3, d2=2, n_components=2, n_seasons=3, n_cycles=1,
+        input_path=str(tmp_path / "sim"), output_dir=str(tmp_path / "fit"),
+        seed=12, n_chains=n_chains, n_warmup=n_warmup, n_draws=40, n_leapfrog=4))
+    summary = _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg)
+    assert "fro2_lower_c1_s3" in summary["stats"]
+    assert bool(summary["diagnostic_flags"]) == (n_warmup == 0)
 
 
 def test_fit_rejects_bad_thread_count(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import diagnostics_oracle, effective_sample_size_oracle, split_rhat_oracle
 from sckpd.hmc import (Chain, HMCConfig, TrajectoryDivergence, diagnostics,
                        effective_sample_size, hmc_sample, leapfrog, split_rhat)
 
@@ -261,3 +263,94 @@ def test_split_rhat_detects_drift():
 def test_diagnostics_requires_chains():
     with pytest.raises(ValueError):
         diagnostics([])
+
+
+def _ar1(rng, phi, shape):
+    e = rng.normal(size=shape)
+    x = np.empty(shape)
+    x[..., 0] = e[..., 0]
+    for t in range(1, shape[-1]):
+        x[..., t] = phi * x[..., t - 1] + e[..., t]
+    return x
+
+
+def _oracle_columns(C, N, rng):
+    """(C, N, m) draws holding every case the batched diagnostics must
+    reproduce, with a name per column."""
+    steps = np.arange(N)
+    cols = {
+        "iid": rng.normal(size=(C, N)),
+        "shifted": 5.0 + 0.1 * rng.normal(size=(C, N)) + np.arange(C)[:, None],
+        "constant": np.full((C, N), 2.5),
+        "near-constant": 2.5 + 1e-9 * rng.normal(size=(C, N)),
+        # every chain alternates in phase: with C > 1 the between-chain
+        # variance is ~0, lag-1 correlation falls below -1, and the first
+        # Geyer pair is already negative
+        "antithetic": np.where(steps % 2 == 0, 1.0, -1.0) + 1e-3 * rng.normal(size=(C, N)),
+        "ar1": _ar1(rng, 0.98, (C, N)),
+        "drift": rng.normal(size=(C, N)) + np.linspace(0.0, 3.0, N),
+    }
+    return list(cols), np.stack(list(cols.values()), axis=-1)
+
+
+@pytest.mark.parametrize("C", [1, 4])
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 64, 101, 1000])
+def test_batched_diagnostics_match_per_column_oracle(C, N):
+    names, draws = _oracle_columns(C, N, np.random.default_rng(100 * C + N))
+    ess, rhat = effective_sample_size(draws), split_rhat(draws)
+    assert ess.shape == rhat.shape == (len(names),)
+    ess_ref = np.array([effective_sample_size_oracle(draws[:, :, j]) for j in range(len(names))])
+    rhat_ref = np.array([split_rhat_oracle(draws[:, :, j]) for j in range(len(names))])
+    np.testing.assert_allclose(ess, ess_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rhat, rhat_ref, rtol=1e-12, atol=0.0, equal_nan=True)
+    assert np.array_equal(np.isnan(rhat), np.isnan(rhat_ref))
+    # a (C, N) input is the one-column case and gives a float
+    for j in range(len(names)):
+        one_ess, one_rhat = effective_sample_size(draws[:, :, j]), split_rhat(draws[:, :, j])
+        assert isinstance(one_ess, float) and isinstance(one_rhat, float)
+        np.testing.assert_allclose(one_ess, ess_ref[j], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(one_rhat, rhat_ref[j], rtol=1e-12, atol=0.0, equal_nan=True)
+
+    diag = diagnostics(list(draws))
+    ess_o, rhat_o, flags_o = diagnostics_oracle(draws)
+    assert diag.flags == flags_o
+    np.testing.assert_allclose(diag.ess, ess_o, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(diag.rhat, rhat_o, rtol=1e-12, atol=0.0, equal_nan=True)
+    assert np.array_equal(np.isnan(diag.rhat), np.isnan(rhat_o))
+    assert f"zero-variance:{names.index('constant')}" in flags_o
+    assert f"zero-variance:{names.index('near-constant')}" in flags_o
+
+    if N >= 4 and C > 1:
+        # tau was clamped to 1/N: the first pair was negative
+        assert ess_ref[names.index("antithetic")] == C * N * N
+    if N == 1000:
+        # the AR(1) column sums many pairs before its truncation
+        assert ess_ref[names.index("ar1")] < C * N / 20
+
+
+def test_diagnostics_chunks_match_one_pass(monkeypatch):
+    # more columns than one chunk holds: the chunked result is the same
+    rng = np.random.default_rng(8)
+    draws = rng.normal(size=(2, 50, 37))
+    draws[:, :, 20] = 1.0
+    whole = diagnostics(list(draws))
+    monkeypatch.setattr("sckpd.hmc.CHUNK_VALUES", 2 * 50 * 4)
+    chunked = diagnostics(list(draws))
+    assert chunked.flags == whole.flags == ["zero-variance:20"]
+    assert np.array_equal(chunked.ess, whole.ess)
+    assert np.array_equal(chunked.rhat, whole.rhat, equal_nan=True)
+
+
+def test_diagnostics_memory_is_bounded_at_paper_dynamic_size():
+    # 4 chains x 1000 draws x 697 coordinates: the default paper-dynamic fit
+    rng = np.random.default_rng(9)
+    chains = [rng.normal(size=(1000, 697)) for _ in range(4)]
+    stacked_bytes = 4 * 1000 * 697 * 8
+    tracemalloc.start()
+    try:
+        diagnostics(chains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stacked draws themselves, plus at most as much again
+    assert peak <= 2 * stacked_bytes
