@@ -104,14 +104,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        # strict JSON: a NaN or infinite result is a failure, not a bare NaN token
+        text = json.dumps(args.func(args), indent=2, sort_keys=True, default=float,
+                          allow_nan=False)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, default=float)
         sys.stderr.write("\n")
         return 2
-    json.dump(result, sys.stdout, indent=2, sort_keys=True, default=float)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -2,11 +2,12 @@
 seasonal entry point of the one posterior in ``model``.
 
 Blocks are time ordered: cycle c, season s sits at t = S*(c-1) + s, and the
-weights evolve by the recurrence omega_{t+1} = A omega_t starting from the
-season-1 weights (so block t uses t-1 transition applications).  Columns of
-A summing to one is exactly the condition that keeps the weights on the
-simplex; the fit builds A by normalizing the columns of positive gammas
-(``SDParams.matrices``).  The static model is the one-block case, so the
+weights evolve through one transition A shared by every step,
+omega_{t+1} = A omega_t, starting from the season-1 weights (so block t
+uses t-1 applications of A).  Columns of A summing to one is exactly the
+condition that keeps the weights on the simplex; the fit builds A by
+normalizing the columns of a positive K x K gamma matrix
+(``SDParams.transition``).  The static model is the one-block case, so the
 seasonal layout and parameters are the model's own (``SDLayout`` is
 ``StateLayout``).
 """
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyper import PriorTargets, SolvedHyper
-from .model import (DataSummary, SDParams, StateLayout,  # noqa: F401 - seasonal names
-                    _log_posterior_blocks, omega_trajectory)
+from .model import DataSummary, StateLayout, _log_posterior_blocks
 
 SDLayout = StateLayout
 

@@ -149,8 +149,9 @@ class RunConfig:
             raise ValueError("transition must be 'sample' or 'identity'")
         if self.n_chains < 1 or self.n_leapfrog < 1:
             raise ValueError("n_chains and n_leapfrog must be at least 1")
-        if self.n_draws < 2:
-            raise ValueError("n_draws must be at least 2 for spread statistics")
+        if self.n_draws < 4:
+            raise ValueError("n_draws must be at least 4: split R-hat halves each chain "
+                             "and needs 2 draws in each half")
         if self.n_warmup < 0:
             raise ValueError("n_warmup must be nonnegative")
         return self
@@ -296,9 +297,11 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write strict JSON: a NaN or infinite value raises ValueError before
+    the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
@@ -334,7 +337,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     scale1, scale2 = _wishart_scales(config)
     D1 = _draw_diagonals(rng, config.d1, scale1)
     D2 = _draw_diagonals(rng, config.d2, scale2)
-    omegas = mdl.omega_trajectory(omega, [A], (0,) * (len(blocks) - 1), len(blocks))
+    omegas = mdl.omega_trajectory(omega, A, len(blocks))
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -534,8 +537,7 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
     for ci, chain in enumerate(chains):
         for di, u in enumerate(chain.draws):
             params, _ = layout.decode_blocks(u)
-            omegas = mdl.omega_trajectory(params.omega1, params.matrices,
-                                          layout.assignment, layout.n_blocks)
+            omegas = mdl.omega_trajectory(params.omega1, params.transition, layout.n_blocks)
             stats = [_factor_stats(params.season_params(t, omegas[t]))
                      for t in range(layout.n_blocks)]
             row = [ci, di, float(chain.accept_flags[di]), float(chain.divergence_flags[di]),
@@ -577,7 +579,6 @@ def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
         entry["ess"] = float(ess[j])
         entry["rhat"] = float(rhat[j])
         stats[name] = entry
-    diag = diagnostics(chains)
     summary = {
         "mode": config.mode,
         "d1": config.d1, "d2": config.d2,
@@ -588,7 +589,7 @@ def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
         "acceptance_rate": [c.acceptance_rate for c in chains],
         "adapted_step_size": [c.adapted_step_size for c in chains],
         "divergences": [int(c.divergence_flags.sum()) for c in chains],
-        "diagnostic_flags": diag.flags,
+        "diagnostic_flags": diagnostics(chains),
         "warnings": warnings,
         **report,
         "stats": stats,

@@ -4,10 +4,10 @@ half step in position), Metropolis correction, dual-averaging step-size
 adaptation toward a target acceptance rate, optional mass estimation from
 warmup variances, and autocorrelation-based chain diagnostics.
 
-The diagnostics take draws shaped (C, N, m), C chains of N draws of m
-columns, and return one value per column as an (m,) array;
-``effective_sample_size`` and ``split_rhat`` also take one column shaped
-(C, N), or one chain shaped (N,), and return a float.
+``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
+C chains of N draws of m columns, and return one value per column as an
+(m,) array; they also take one column shaped (C, N), or one chain shaped
+(N,), and return a float.  ``diagnostics`` flags degenerate chains.
 
 Randomness comes from a counter-based Philox generator keyed as
 (seed, chain_index), so chains are reproducible and independent whether
@@ -17,7 +17,7 @@ they run sequentially or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,20 +359,11 @@ def split_rhat(chains: np.ndarray):
     return _per_column(_rhat_core, chains)
 
 
-@dataclass
-class Diagnostics:
-    acceptance_rate: float
-    ess: np.ndarray
-    rhat: np.ndarray
-    flags: list[str] = field(default_factory=list)
-
-
-def diagnostics(chains) -> Diagnostics:
-    """Per-coordinate ESS and split R-hat over one or more chains.
-
-    Degenerate inputs (identical chains, zero-variance coordinates) are
-    reported in ``flags`` rather than passed off as healthy; a coordinate
-    is zero-variance when every draw is ``np.isclose`` to its first.
+def diagnostics(chains) -> list[str]:
+    """Flags for degenerate draws over one or more chains, as reported in
+    ``summary.json``: ``identical-chains:i,j`` for two chains with equal
+    draws, and ``zero-variance:k`` for a coordinate whose every draw is
+    ``np.isclose`` to its first, so such input is not passed off as healthy.
     """
     if not chains:
         raise ValueError("need at least one chain")
@@ -392,11 +383,4 @@ def diagnostics(chains) -> Diagnostics:
     for start in range(0, dim, step):
         cols = stacked[:, :, start:start + step]
         constant[start:start + step] = np.isclose(cols, cols[:1, :1]).all(axis=(0, 1))
-    flags += [f"zero-variance:{k}" for k in np.flatnonzero(constant)]
-    ess = effective_sample_size(stacked)
-    rhat = split_rhat(stacked)
-    ess[constant] = 1.0
-    rhat[constant] = np.nan
-    rates = [c.acceptance_rate for c in chains if isinstance(c, Chain)]
-    rate = float(np.mean(rates)) if rates else float("nan")
-    return Diagnostics(acceptance_rate=rate, ess=ess, rhat=rhat, flags=flags)
+    return flags + [f"zero-variance:{k}" for k in np.flatnonzero(constant)]

@@ -122,7 +122,7 @@ def shape_residual(a: float, c: float) -> float:
     return abs(a * a + a - c * math.exp(2.0 * digamma(a)))
 
 
-def solve_a(c: float, return_residuals: bool = False):
+def solve_a(c: float) -> float:
     """Gamma shape minimizing |a^2 + a - c exp(2 psi_0(a))|.
 
     For c > 1 there is a unique root; iteration runs on the equivalent
@@ -137,15 +137,12 @@ def solve_a(c: float, return_residuals: bool = False):
     c = float(c)
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    history: list[float] = []
 
     def g(a: float) -> float:
         return math.log(a * a + a) - 2.0 * digamma(a) - math.log(c)
 
     if c <= 1.0:
-        a = SHAPE_TOL / 4.0
-        history.append(shape_residual(a, c))
-        return (a, history) if return_residuals else a
+        return SHAPE_TOL / 4.0
 
     lo, hi = 1e-8, 10.0
     glo, ghi = g(lo), g(hi)
@@ -163,7 +160,6 @@ def solve_a(c: float, return_residuals: bool = False):
         res = shape_residual(mid, c)
         if best is None or res < best[1]:
             best = (mid, res)
-        history.append(best[1])
         if glo * gm <= 0:
             hi, ghi = mid, gm
         else:
@@ -189,14 +185,13 @@ def solve_a(c: float, return_residuals: bool = False):
         res = shape_residual(x, c)
         if res < best[1]:
             best = (x, res)
-        history.append(best[1])
 
     a, res = best
     if res >= SHAPE_TOL:
         raise ValueError(
             f"shape solve stalled at residual {res:.3e} (tol {SHAPE_TOL:.1e}); "
             f"c={c} is too close to 1 for double precision")
-    return (a, history) if return_residuals else a
+    return a
 
 
 @dataclass(frozen=True)

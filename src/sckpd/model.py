@@ -24,9 +24,9 @@ d1*d2-sized factor is ever formed.  The analytic gradient reuses them.
 
 There is one posterior.  It runs over T time-ordered blocks, each with its
 own strict-lower factors, sharing the diagonals; the component weights of
-block t+1 are A omega_t for a column-stochastic transition A (see
-``dynamic``).  The static model is the case of one block and no
-transition, and :class:`SCKPDParams` is its parameter container.
+block t+1 are A omega_t for one column-stochastic transition A shared by
+every step (see ``dynamic``).  The static model is the case of one block
+and no transition, and :class:`SCKPDParams` is its parameter container.
 
 One evaluation has no loop over blocks.  The data are the (T, d1^2, d2^2)
 stack of the blocks' rearranged scatters (a view of the one scatter for the
@@ -53,9 +53,22 @@ import numpy as np
 
 from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
-from .kron import vanloan_rearrange
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def vanloan_rearrange(S: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Rearrange a d1*d2 x d1*d2 matrix into the d1^2 x d2^2 form whose
+    rank-1 terms correspond to Kronecker terms of ``S``.
+
+    Row (r, s) of the result is the row-major vectorization of the
+    (r, s) block of ``S``; the rearrangement of ``np.kron(A, B)`` is the
+    rank-1 outer product vec(A) vec(B)^T.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix, got {S.shape}")
+    return S.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
 
 @dataclass(frozen=True)
@@ -81,27 +94,12 @@ class SCKPDParams:
     def d2(self) -> int:
         return self.lowers2.shape[1]
 
-    def validate(self) -> "SCKPDParams":
-        K = self.n_components
-        if self.lowers2.shape[0] != K or self.omega.shape != (K,):
-            raise ValueError("component counts disagree across fields")
-        for name, arr in (("lowers1", self.lowers1), ("lowers2", self.lowers2)):
-            if np.any(np.triu(arr, 0) != 0):
-                raise ValueError(f"{name} must be strictly lower triangular")
-        if np.any(self.d1_diag <= 0) or np.any(self.d2_diag <= 0):
-            raise ValueError("diagonal vectors must be strictly positive")
-        if np.any(self.omega < 0) or abs(self.omega.sum() - 1.0) > 1e-12:
-            raise ValueError("omega must be nonnegative and sum to 1")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        return self
-
 
 @dataclass(frozen=True)
 class SDParams:
     """Constrained parameters of T blocks: per-block strict-lower factors,
-    shared diagonals, the first block's weights and the positive gamma
-    matrices that generate the transitions."""
+    shared diagonals, the first block's weights and, for T > 1, the positive
+    K x K gamma matrix that generates the transition."""
 
     lowers1: np.ndarray          # (T, K, d1, d1)
     lowers2: np.ndarray          # (T, K, d2, d2)
@@ -109,7 +107,7 @@ class SDParams:
     d2_diag: np.ndarray
     omega1: np.ndarray           # first-block weights
     theta: float
-    gammas: tuple[np.ndarray, ...] = ()
+    gamma: np.ndarray | None = None
 
     @property
     def n_blocks(self) -> int:
@@ -120,9 +118,11 @@ class SDParams:
         return self.lowers1.shape[1]
 
     @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        """Column-normalized gammas: the column-stochastic transitions."""
-        return tuple(G / G.sum(axis=0, keepdims=True) for G in self.gammas)
+    def transition(self) -> np.ndarray | None:
+        """The column-normalized gamma: the column-stochastic transition."""
+        if self.gamma is None:
+            return None
+        return self.gamma / self.gamma.sum(axis=0, keepdims=True)
 
     def season_params(self, t: int, omega_t: np.ndarray) -> SCKPDParams:
         return SCKPDParams(lowers1=self.lowers1[t], lowers2=self.lowers2[t],
@@ -156,7 +156,7 @@ class DataSummary:
 class _Decoded(NamedTuple):
     """One state decoded: the (T, K+1, d, d) member stacks [lowers,
     diag(D)] of every block, the weights with their break fractions,
-    theta, the gammas and the log-Jacobian."""
+    theta, the transition gamma and the log-Jacobian."""
 
     members1: np.ndarray     # (T, K+1, d1, d1)
     members2: np.ndarray     # (T, K+1, d2, d2)
@@ -165,7 +165,7 @@ class _Decoded(NamedTuple):
     breaks: np.ndarray       # (K-1,) break fractions
     omega1: np.ndarray
     theta: float
-    gammas: np.ndarray       # (n_matrices, K, K)
+    gamma: np.ndarray | None   # (K, K), None for one block
     log_jac: float
 
 
@@ -175,44 +175,27 @@ class StateLayout:
     Packing order: strict-lower entries of every block's mode-1 components
     (row-major within each), then mode-2, then log D1, log D2, the K-1
     stick-breaking coordinates of the first block's weights, the logit of
-    theta, and the log gamma entries of each transition matrix (row-major).
-
-    ``assignment[t]`` names the matrix used for the step t -> t+1, with None
-    meaning the identity; by default every step uses one shared matrix.  A
-    one-block layout has no transitions and exchanges :class:`SCKPDParams`;
-    a longer one exchanges :class:`SDParams`.
+    theta, and, for more than one block, the K*K log entries (row-major) of
+    the gamma matrix whose column normalization is the transition of every
+    step.  A one-block layout has no transition and exchanges
+    :class:`SCKPDParams`; a longer one exchanges :class:`SDParams`.
     """
 
     def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1,
-                 n_matrices: int | None = None, assignment=None,
                  transition_alpha: float = 1.0):
         if min(d1, d2) < 2 or n_components < 1:
             raise ValueError("need d1, d2 >= 2 and at least one component")
         if n_blocks < 1:
             raise ValueError("need at least one block")
-        if n_matrices is None:
-            n_matrices = 1 if n_blocks > 1 else 0
-        if n_blocks == 1 and n_matrices:
-            raise ValueError("a single block has no transitions to assign matrices to")
-        if assignment is None:
-            assignment = tuple((0 if n_matrices else None) for _ in range(n_blocks - 1))
-        assignment = tuple(assignment)
-        if len(assignment) != n_blocks - 1:
-            raise ValueError("assignment needs one entry per transition")
-        for a in assignment:
-            if a is not None and not 0 <= a < n_matrices:
-                raise ValueError(f"assignment entry {a} has no matching matrix")
         self.d1, self.d2, self.n_components = d1, d2, n_components
         self.n_blocks = n_blocks
-        self.n_matrices = n_matrices
-        self.assignment = assignment
         self.transition_alpha = float(transition_alpha)
         self.tril1 = np.tril_indices(d1, -1)
         self.tril2 = np.tril_indices(d2, -1)
         self.m1 = len(self.tril1[0])
         self.m2 = len(self.tril2[0])
         K, T = n_components, n_blocks
-        sizes = [T * K * self.m1, T * K * self.m2, d1, d2, K - 1, 1, n_matrices * K * K]
+        sizes = [T * K * self.m1, T * K * self.m2, d1, d2, K - 1, 1, (T > 1) * K * K]
         bounds = np.cumsum([0] + sizes)
         (self.sl_low1, self.sl_low2, self.sl_logd1, self.sl_logd2,
          self.sl_sticks, self.sl_theta, self.sl_gammas) = (
@@ -222,8 +205,8 @@ class StateLayout:
         # (log D1, log D2, log gammas), the offsets of those decoded by expit
         # (the sticks, then theta), the (block, component) of every
         # strict-lower coordinate, how the member stacks are gathered from
-        # [strict lowers, D1, D2, 0] and where their gradients are read, the
-        # coupling of the member lists, and the steps each matrix drives
+        # [strict lowers, D1, D2, 0] and where their gradients are read, and
+        # the coupling of the member lists
         self.positive_index = np.r_[self.sl_logd1, self.sl_logd2, self.sl_gammas]
         self.sl_logistic = slice(self.sl_sticks.start, self.sl_theta.stop)
         self.logistic_offsets = np.append(transforms.stick_offsets(K), 0.0)
@@ -237,33 +220,6 @@ class StateLayout:
         self.members2_source, self.low2_pos, self.diag2_pos = _member_maps(
             T, K, d2, self.tril2, self.sl_low2.start, self.sl_lows.stop + d1, zero)
         self.coupling_pairs = np.kron(_coupling(K), _coupling(K))
-        self.matrix_steps = [np.flatnonzero([a == m for a in assignment])
-                             for m in range(n_matrices)]
-
-    def pack(self, params: SCKPDParams | SDParams) -> np.ndarray:
-        """Unconstrained coordinates of valid params (inverse of unpack)."""
-        if isinstance(params, SCKPDParams):
-            params.validate()
-            params = SDParams(lowers1=params.lowers1[None], lowers2=params.lowers2[None],
-                              d1_diag=params.d1_diag, d2_diag=params.d2_diag,
-                              omega1=params.omega, theta=params.theta)
-        K, T = self.n_components, self.n_blocks
-        if params.lowers1.shape != (T, K, self.d1, self.d1):
-            raise ValueError("lowers1 shape does not match the layout")
-        if len(params.gammas) != self.n_matrices:
-            raise ValueError("gamma matrix count does not match the layout")
-        u = np.empty(self.size)
-        u[self.sl_low1] = params.lowers1[:, :, self.tril1[0], self.tril1[1]].reshape(-1)
-        u[self.sl_low2] = params.lowers2[:, :, self.tril2[0], self.tril2[1]].reshape(-1)
-        u[self.sl_logd1] = np.log(params.d1_diag)
-        u[self.sl_logd2] = np.log(params.d2_diag)
-        if K > 1:
-            u[self.sl_sticks] = transforms.stick_breaking_inverse(params.omega1)
-        u[self.sl_theta] = transforms.interval_inverse(params.theta)
-        if self.n_matrices:
-            u[self.sl_gammas] = np.concatenate(
-                [np.log(np.asarray(G, dtype=float)).reshape(-1) for G in params.gammas])
-        return u
 
     def _decode(self, u: np.ndarray) -> _Decoded:
         """Every decoded quantity at ``u``, from one exp of the positive
@@ -291,7 +247,7 @@ class StateLayout:
         return _Decoded(members1=source[self.members1_source],
                         members2=source[self.members2_source], d1_diag=D1, d2_diag=D2,
                         breaks=z[:-1], omega1=omega1, theta=theta,
-                        gammas=positives[d1 + d2:].reshape(self.n_matrices, K, K),
+                        gamma=positives[d1 + d2:].reshape(K, K) if self.n_blocks > 1 else None,
                         log_jac=log_jac)
 
     def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
@@ -301,7 +257,7 @@ class StateLayout:
         K = self.n_components
         params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
                           d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
-                          theta=s.theta, gammas=tuple(s.gammas))
+                          theta=s.theta, gamma=s.gamma)
         return params, s.log_jac
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams | SDParams, float]:
@@ -316,18 +272,13 @@ class StateLayout:
         return self.decode(u)[0]
 
 
-def omega_trajectory(omega1: np.ndarray, matrices, assignment, n_blocks: int) -> np.ndarray:
-    """Weights for every block: omega_1 then one transition per step.
-
-    ``assignment[t]`` indexes ``matrices`` for the step t -> t+1 (0-based),
-    with None meaning the identity.
-    """
-    K = omega1.shape[0]
-    out = np.empty((n_blocks, K))
+def omega_trajectory(omega1: np.ndarray, A: np.ndarray | None, n_blocks: int) -> np.ndarray:
+    """Weights for every block: omega_1, then omega_{t+1} = A omega_t.  One
+    block needs no transition, and ``A`` may then be None."""
+    out = np.empty((n_blocks, omega1.shape[0]))
     out[0] = omega1
     for t in range(n_blocks - 1):
-        m = assignment[t]
-        out[t + 1] = out[t] if m is None else matrices[m] @ out[t]
+        out[t + 1] = A @ out[t]
     return out
 
 
@@ -439,14 +390,6 @@ def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
     return value
 
 
-def log_likelihood(params: SCKPDParams, data: DataSummary) -> float:
-    """Gaussian log-likelihood with the factor on the precision side."""
-    n, d = data.n_obs, data.d1 * data.d2
-    return (n * log_det_ldagger(params)
-            - 0.5 * trace_quadratic(params, data)
-            - 0.5 * n * d * LOG_2PI)
-
-
 def _gamma_logpdf(x: np.ndarray, shape: float, rate: float) -> float:
     return (x.size * (shape * math.log(rate) - lgamma(shape))
             + (shape - 1.0) * np.log(x).sum() - rate * x.sum())
@@ -517,7 +460,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
     s = layout._decode(u)
     if not s.log_jac > -np.inf or beta <= 0.0:
         return -np.inf, np.zeros(layout.size)
-    D1, D2, G, theta = s.d1_diag, s.d2_diag, s.gammas, s.theta
+    D1, D2, G, theta = s.d1_diag, s.d2_diag, s.gamma, s.theta
     alpha = layout.transition_alpha
     grad = np.empty(layout.size)
     # weights so small that the lower variances underflow, a prior or
@@ -525,9 +468,12 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
     # diagonals) leave the support: the value or gradient comes out
     # non-finite and is checked once, at the end
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        col_sums = G.sum(axis=1, keepdims=True)
-        matrices = G / col_sums
-        omegas = omega_trajectory(s.omega1, matrices, layout.assignment, T)
+        if T > 1:
+            col_sums = G.sum(axis=0, keepdims=True)
+            A = G / col_sums
+        else:
+            A = None
+        omegas = omega_trajectory(s.omega1, A, T)
         var = omegas * beta
         lows = u[layout.sl_lows]
         ssq = np.bincount(layout.lower_block, lows * lows, T * K).reshape(T, K)
@@ -537,7 +483,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
         logdet_unit = d2 * u[layout.sl_logd1].sum() + d1 * u[layout.sl_logd2].sum()
         value = (s.log_jac + prior + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
                  - 0.5 * trace)
-        if layout.n_matrices:
+        if T > 1:
             value += ((alpha - 1.0) * u[layout.sl_gammas].sum() - G.sum()
                       - G.size * lgamma(alpha))
 
@@ -557,25 +503,24 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
                                  + (n_obs * d1 + hyper.shape2 - 1.0))
 
         # the weights enter only the priors, every block's through
-        # omega_{t+1} = M_t omega_t: a reverse pass gives the gradient w.r.t.
+        # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
         # each block's weights, lams[0] the first block's
         lams = np.empty((T, K))
         lams[T - 1] = g_omegas[T - 1]
         for t in range(T - 2, -1, -1):
-            m = layout.assignment[t]
-            lams[t] = g_omegas[t] + (lams[t + 1] if m is None else matrices[m].T @ lams[t + 1])
+            lams[t] = g_omegas[t] + A.T @ lams[t + 1]
         if K > 1:
             grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1, lams[0])
         g_theta = K * digamma(K * theta) - K * digamma(theta) \
             + np.log(s.omega1).sum()
         grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
 
-        # each transition's gradient sums lams[t+1] omegas[t]^T over its
+        # the transition's gradient sums lams[t+1] omegas[t]^T over the
         # steps; chain it back to the gammas (log coordinates) through the
         # column normalization
-        if layout.n_matrices:
-            g_A = np.stack([lams[steps + 1].T @ omegas[steps] for steps in layout.matrix_steps])
-            g_G = (g_A - (g_A * matrices).sum(axis=1, keepdims=True)) / col_sums
+        if T > 1:
+            g_A = lams[1:].T @ omegas[:-1]
+            g_G = (g_A - (g_A * A).sum(axis=0, keepdims=True)) / col_sums
             grad[layout.sl_gammas] = (g_G * G + alpha - G).reshape(-1)
 
     if not (np.isfinite(value) and np.isfinite(grad).all()):

@@ -43,23 +43,6 @@ def logistic_log_jac(z: np.ndarray) -> float:
     return float((np.log(z) + np.log1p(-z)).sum())
 
 
-def stick_breaking_inverse(omega: np.ndarray) -> np.ndarray:
-    """Unconstrained coordinates of a strictly positive simplex vector."""
-    omega = np.asarray(omega, dtype=float)
-    K = omega.shape[0]
-    if K < 2:
-        raise ValueError("simplex must have at least 2 entries")
-    if np.any(omega <= 0) or abs(omega.sum() - 1.0) > 1e-9:
-        raise ValueError("input must be strictly positive and sum to 1")
-    y = np.empty(K - 1)
-    stick = 1.0
-    for k in range(K - 1):
-        z = omega[k] / stick
-        y[k] = np.log(z) - np.log1p(-z) + np.log(K - 1 - k)
-        stick -= omega[k]
-    return y
-
-
 def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the simplex vector back to the y coordinates,
     adding the gradient of log|det J| (the target density includes the
@@ -71,12 +54,6 @@ def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray
     # adds log z_k + log(1 - z_k) + log left_k
     q = grad_omega * omega + 1.0
     return (1.0 - z) * q[:-1] - z * np.cumsum(q[:0:-1])[::-1]
-
-
-def interval_inverse(t: float) -> float:
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"value must lie strictly inside (0, 1), got {t}")
-    return float(np.log(t) - np.log1p(-t))
 
 
 def interval_grad(t: float, grad_t: float) -> float:
@@ -95,13 +72,6 @@ def positive_forward(u: np.ndarray) -> tuple[np.ndarray, float]:
     if x.size and not (x.min() > 0.0 and total < np.inf):
         return x, -np.inf
     return x, float(u.sum())
-
-
-def positive_inverse(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("values must be strictly positive")
-    return np.log(x)
 
 
 def positive_grad(x: np.ndarray, grad_x: np.ndarray) -> np.ndarray:

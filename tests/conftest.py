@@ -1,9 +1,12 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from sckpd import transforms as tr
 from sckpd.hyper import make_targets, prior_targets_from_sample, solve_hyper
-from sckpd.model import DataSummary, SCKPDParams, log_likelihood, log_prior
+from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, SDParams, log_det_ldagger,
+                         log_prior, trace_quadratic, vanloan_rearrange)
 
 
 def make_rng(seed=0):
@@ -54,6 +57,15 @@ def targets_and_hyper(d1, d2, rng, n=200):
     raise RuntimeError("could not draw non-degenerate targets")
 
 
+def log_likelihood(params, data):
+    """Gaussian log-likelihood of one block with the factor on the precision
+    side.  The likelihood part of the value oracle."""
+    n, d = data.n_obs, data.d1 * data.d2
+    return (n * log_det_ldagger(params)
+            - 0.5 * trace_quadratic(params, data)
+            - 0.5 * n * d * LOG_2PI)
+
+
 def log_posterior(u, layout, data, hyper, targets):
     """Static posterior value assembled from its separately tested parts:
     log_likelihood + log_prior + the log-Jacobian of the layout's transform.
@@ -89,6 +101,172 @@ def interval_forward(v):
         return t, -np.inf
     return t, tr.logistic_log_jac(t)
 
+
+def stick_breaking_inverse(omega):
+    """Unconstrained coordinates of a strictly positive simplex vector: the
+    inverse of the sticks part of ``StateLayout`` decoding."""
+    omega = np.asarray(omega, dtype=float)
+    K = omega.shape[0]
+    if K < 2:
+        raise ValueError("simplex must have at least 2 entries")
+    if np.any(omega <= 0) or abs(omega.sum() - 1.0) > 1e-9:
+        raise ValueError("input must be strictly positive and sum to 1")
+    y = np.empty(K - 1)
+    stick = 1.0
+    for k in range(K - 1):
+        z = omega[k] / stick
+        y[k] = np.log(z) - np.log1p(-z) + np.log(K - 1 - k)
+        stick -= omega[k]
+    return y
+
+
+def interval_inverse(t):
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"value must lie strictly inside (0, 1), got {t}")
+    return float(np.log(t) - np.log1p(-t))
+
+
+def positive_inverse(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("values must be strictly positive")
+    return np.log(x)
+
+
+def validate_params(params):
+    """Check that one block's params lie in the model's support."""
+    K = params.n_components
+    if params.lowers2.shape[0] != K or params.omega.shape != (K,):
+        raise ValueError("component counts disagree across fields")
+    for name, arr in (("lowers1", params.lowers1), ("lowers2", params.lowers2)):
+        if np.any(np.triu(arr, 0) != 0):
+            raise ValueError(f"{name} must be strictly lower triangular")
+    if np.any(params.d1_diag <= 0) or np.any(params.d2_diag <= 0):
+        raise ValueError("diagonal vectors must be strictly positive")
+    if np.any(params.omega < 0) or abs(params.omega.sum() - 1.0) > 1e-12:
+        raise ValueError("omega must be nonnegative and sum to 1")
+    if not 0.0 < params.theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    return params
+
+
+def pack(layout, params):
+    """Unconstrained coordinates of valid params: the inverse of
+    ``layout.unpack``, for SCKPDParams (one block) or SDParams."""
+    if isinstance(params, SCKPDParams):
+        validate_params(params)
+        params = SDParams(lowers1=params.lowers1[None], lowers2=params.lowers2[None],
+                          d1_diag=params.d1_diag, d2_diag=params.d2_diag,
+                          omega1=params.omega, theta=params.theta)
+    K, T = layout.n_components, layout.n_blocks
+    if params.lowers1.shape != (T, K, layout.d1, layout.d1):
+        raise ValueError("lowers1 shape does not match the layout")
+    if (params.gamma is None) != (T == 1):
+        raise ValueError("a layout of more than one block needs one gamma matrix")
+    u = np.empty(layout.size)
+    u[layout.sl_low1] = params.lowers1[:, :, layout.tril1[0], layout.tril1[1]].reshape(-1)
+    u[layout.sl_low2] = params.lowers2[:, :, layout.tril2[0], layout.tril2[1]].reshape(-1)
+    u[layout.sl_logd1] = positive_inverse(params.d1_diag)
+    u[layout.sl_logd2] = positive_inverse(params.d2_diag)
+    if K > 1:
+        u[layout.sl_sticks] = stick_breaking_inverse(params.omega1)
+    u[layout.sl_theta] = interval_inverse(params.theta)
+    if T > 1:
+        u[layout.sl_gammas] = positive_inverse(params.gamma).reshape(-1)
+    return u
+
+
+# ----- Kronecker algebra ----------------------------------------------------
+#
+# Convention (0-based, row-major throughout):
+# kron(A, B)[d2*r + v, d2*s + w] == A[r, s] * B[v, w] for A of size d1 x d1
+# and B of size d2 x d2.
+
+def kron(A, B):
+    """Kronecker product with A indexing the blocks and B the entries."""
+    return np.kron(np.asarray(A), np.asarray(B))
+
+
+def vanloan_unrearrange(R, d1, d2):
+    """Inverse of ``model.vanloan_rearrange``."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (d1 * d1, d2 * d2):
+        raise ValueError(f"expected a {d1 * d1} x {d2 * d2} matrix, got {R.shape}")
+    return R.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+@dataclass(frozen=True)
+class PVLDecomp:
+    """Sum-of-Kronecker-products decomposition of a square matrix.
+
+    ``sum_q kron(left[q], right[q])`` reproduces the source up to
+    ``residual_fro`` (the Frobenius norm of the unexplained tail).  With
+    ``min(d1, d2)**2`` terms the residual vanishes for any source.
+    """
+
+    left: np.ndarray            # (n_terms, d1, d1)
+    right: np.ndarray           # (n_terms, d2, d2)
+    source_dims: tuple
+    residual_fro: float
+    singular_values: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def n_terms(self):
+        return self.left.shape[0]
+
+    @property
+    def terms(self):
+        return [(self.left[q], self.right[q]) for q in range(self.n_terms)]
+
+    def reconstruct(self):
+        d1, d2 = self.source_dims
+        out = np.zeros((d1 * d2, d1 * d2))
+        for A, B in self.terms:
+            out += kron(A, B)
+        return out
+
+
+def max_pvl_terms(d1, d2):
+    return min(d1, d2) ** 2
+
+
+def pvl_decompose(S, d1, d2, n_terms=None):
+    """Leading Kronecker terms of ``S`` via SVD of the rearrangement: the
+    Pitsianis-Van Loan decomposition (Van Loan & Pitsianis 1993).
+
+    Terms come in decreasing singular-value order; the residual equals
+    the tail singular-value energy, so it is monotone non-increasing in
+    ``n_terms``.  Sign convention: the first entry of each left factor
+    exceeding 1e-12 of its max magnitude is made positive (the right
+    factor flips with it), so the output is deterministic.
+
+    For symmetric ``S`` every factor is symmetric or antisymmetric, with
+    matching parity inside a pair, so each Kronecker term is symmetric.
+    """
+    r2 = max_pvl_terms(d1, d2)
+    if n_terms is None:
+        n_terms = r2
+    if not 1 <= n_terms <= r2:
+        raise ValueError(f"n_terms must be in [1, {r2}], got {n_terms}")
+    U, s, Vt = np.linalg.svd(vanloan_rearrange(S, d1, d2), full_matrices=False)
+    left = np.empty((n_terms, d1, d1))
+    right = np.empty((n_terms, d2, d2))
+    for q in range(n_terms):
+        u = U[:, q].copy()
+        v = Vt[q, :].copy()
+        anchor = np.flatnonzero(np.abs(u) > 1e-12 * np.abs(u).max()) if np.abs(u).max() > 0 else []
+        if len(anchor) and u[anchor[0]] < 0:
+            u = -u
+            v = -v
+        w = np.sqrt(s[q])
+        left[q] = (w * u).reshape(d1, d1)
+        right[q] = (w * v).reshape(d2, d2)
+    residual = float(np.sqrt(np.sum(s[n_terms:] ** 2)))
+    return PVLDecomp(left=left, right=right, source_dims=(d1, d2),
+                     residual_fro=residual, singular_values=s.copy())
+
+
+# ----- chain diagnostics ----------------------------------------------------
 
 def _autocov(x):
     n = x.shape[0]
@@ -151,19 +329,16 @@ def split_rhat_oracle(chains):
 
 
 def diagnostics_oracle(stacked):
-    """(ess, rhat, zero-variance flags) of draws shaped (C, N, dim), one
-    coordinate at a time.  The oracle of ``hmc.diagnostics``."""
+    """Degenerate-draw flags of draws shaped (C, N, dim), one chain pair and
+    one coordinate at a time.  The oracle of ``hmc.diagnostics``."""
     C, N, dim = stacked.shape
-    ess, rhat, flags = np.empty(dim), np.empty(dim), []
+    flags = [f"identical-chains:{i},{j}" for i in range(C) for j in range(i + 1, C)
+             if np.array_equal(stacked[i], stacked[j])]
     for k in range(dim):
         coord = stacked[:, :, k]
         if np.allclose(coord, coord.ravel()[0]):
             flags.append(f"zero-variance:{k}")
-            ess[k], rhat[k] = 1.0, float("nan")
-            continue
-        ess[k] = effective_sample_size_oracle(coord)
-        rhat[k] = split_rhat_oracle(coord)
-    return ess, rhat, flags
+    return flags
 
 
 def column_summary_oracle(x):

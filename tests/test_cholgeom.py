@@ -6,9 +6,8 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
-from conftest import make_rng, random_chol, random_spd
+from conftest import kron, make_rng, pvl_decompose, random_chol, random_spd
 from sckpd.hyper import NotPositiveDefiniteError, cholesky
-from sckpd.kron import kron, pvl_decompose
 
 
 # ----- cholesky -------------------------------------------------------------

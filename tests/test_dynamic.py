@@ -3,20 +3,19 @@ import math
 import numpy as np
 import scipy.stats
 
-from conftest import (log_posterior, make_rng, random_dataset, random_params,
+from conftest import (log_likelihood, log_posterior, make_rng, pack, random_dataset,
                       summary_for, targets_and_hyper)
-from sckpd.dynamic import (SDLayout, SDParams, SeasonSchedule, omega_trajectory,
-                           sd_log_posterior_grad)
+from sckpd.dynamic import SDLayout, SeasonSchedule, sd_log_posterior_grad
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
-from sckpd.model import SCKPDParams, StateLayout, log_likelihood, log_posterior_grad
+from sckpd.model import SDParams, StateLayout, log_posterior_grad, omega_trajectory
 
 
 def _normalized(G):
-    """The fit's transition: the column-normalized gammas of SDParams.matrices."""
+    """The fit's transition: the column-normalized gamma of SDParams.transition."""
     one = np.zeros((1, 1, 2, 2))
     params = SDParams(lowers1=one, lowers2=one, d1_diag=np.ones(2), d2_diag=np.ones(2),
-                      omega1=np.ones(1), theta=0.5, gammas=(np.asarray(G, dtype=float),))
-    return params.matrices[0]
+                      omega1=np.ones(1), theta=0.5, gamma=np.asarray(G, dtype=float))
+    return params.transition
 
 
 def _random_transition(K, rng, alpha=0.5):
@@ -35,7 +34,7 @@ def _sd_value(u, layout, sched, hyper, targets):
 
 def propagate_omega(A, omega, steps):
     """``steps`` applications of one transition, through the weight trajectory."""
-    return omega_trajectory(omega, [A], (0,) * steps, steps + 1)[-1]
+    return omega_trajectory(omega, A, steps + 1)[-1]
 
 
 # ----- propagation ------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_identity_transition_keeps_weights_equal():
     rng = make_rng(4)
     K = 3
     omega1 = rng.dirichlet(np.ones(K))
-    traj = omega_trajectory(omega1, [], (None, None, None), 4)
+    traj = omega_trajectory(omega1, np.eye(K), 4)
     assert np.allclose(traj, omega1[None, :].repeat(4, axis=0))
 
 
@@ -143,8 +142,7 @@ def test_two_season_value_matches_per_season_oracle():
     got = _sd_value(u, layout, sched, hyper, targets)
 
     params, log_jac = layout.decode(u)
-    A = params.matrices[0]
-    omegas = omega_trajectory(params.omega1, [A], (0,), 2)
+    omegas = omega_trajectory(params.omega1, params.transition, 2)
     expected = log_jac
     t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)
     for t in range(2):
@@ -159,7 +157,7 @@ def test_two_season_value_matches_per_season_oracle():
     expected += scipy.stats.gamma.logpdf(params.d2_diag, hyper.shape2,
                                          scale=1 / hyper.rate2).sum()
     expected += scipy.stats.dirichlet.logpdf(params.omega1, np.full(K, params.theta))
-    expected += scipy.stats.gamma.logpdf(params.gammas[0], alpha, scale=1.0).sum()
+    expected += scipy.stats.gamma.logpdf(params.gamma, alpha, scale=1.0).sum()
     assert np.isclose(got, expected, rtol=1e-10)
 
 
@@ -188,31 +186,8 @@ def test_sd_layout_pack_round_trip():
     layout = SDLayout(d1, d2, K, T)
     u = rng.normal(0, 0.5, size=layout.size)
     params = layout.unpack(u)
-    back = layout.pack(params)
+    back = pack(layout, params)
     assert np.allclose(back, u, atol=1e-12)
-
-
-def test_mixed_assignment_with_identity_steps():
-    rng = make_rng(8)
-    d1, d2, K = 3, 2, 2
-    sched = _schedule(rng, d1, d2, n_seasons=3, n_cycles=1)
-    targets, hyper = targets_and_hyper(d1, d2, rng)
-    layout = SDLayout(d1, d2, K, 3, n_matrices=1, assignment=(None, 0))
-    u = rng.normal(0, 0.4, size=layout.size)
-    v, g = sd_log_posterior_grad(u, layout, sched, hyper, targets)
-    assert np.isfinite(v)
-    params = layout.unpack(u)
-    traj = omega_trajectory(params.omega1, params.matrices, layout.assignment, 3)
-    assert np.allclose(traj[1], traj[0])
-    assert not np.allclose(traj[2], traj[1])
-    step = 1e-5
-    for j in range(0, layout.size, 7):
-        up, dn = u.copy(), u.copy()
-        up[j] += step
-        dn[j] -= step
-        fd = (_sd_value(up, layout, sched, hyper, targets)
-              - _sd_value(dn, layout, sched, hyper, targets)) / (2 * step)
-        assert abs(g[j] - fd) <= 1e-7 + 1e-5 * abs(fd)
 
 
 # ----- prior centering across seasons -------------------------------------------
@@ -278,7 +253,7 @@ def test_twelve_blocks_match_per_block_oracle():
     got, grad = sd_log_posterior_grad(u, layout, sched, hyper, targets)
 
     params, log_jac = layout.decode(u)
-    omegas = omega_trajectory(params.omega1, params.matrices, layout.assignment, T)
+    omegas = omega_trajectory(params.omega1, params.transition, T)
     expected = log_jac
     t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)
     for t in range(T):
@@ -292,7 +267,7 @@ def test_twelve_blocks_match_per_block_oracle():
     expected += scipy.stats.gamma.logpdf(params.d2_diag, hyper.shape2,
                                          scale=1 / hyper.rate2).sum()
     expected += scipy.stats.dirichlet.logpdf(params.omega1, np.full(K, params.theta))
-    expected += scipy.stats.gamma.logpdf(params.gammas[0], alpha, scale=1.0).sum()
+    expected += scipy.stats.gamma.logpdf(params.gamma, alpha, scale=1.0).sum()
     assert np.isclose(got, expected, rtol=1e-12, atol=0.0)
 
     step = 1e-5

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_spd, targets_and_hyper
-from sckpd.hyper import (NotPositiveDefiniteError, diag_prior_rate, digamma,
+from sckpd.hyper import (SHAPE_TOL, NotPositiveDefiniteError, diag_prior_rate, digamma,
                          make_targets, prior_targets_from_sample, shape_residual,
                          solve_a, solve_beta, solve_hyper, trigamma)
 
@@ -101,10 +101,9 @@ def test_solve_a_boundary_regime():
 
 
 def test_solve_a_residual_history_monotone_and_deterministic():
-    a1, hist1 = solve_a(7.5, return_residuals=True)
-    a2, hist2 = solve_a(7.5, return_residuals=True)
-    assert a1 == a2 and hist1 == hist2
-    assert all(x >= y - 1e-18 for x, y in zip(hist1, hist1[1:]))
+    a1, a2 = solve_a(7.5), solve_a(7.5)
+    assert a1 == a2
+    assert shape_residual(a1, 7.5) < SHAPE_TOL
 
 
 def test_solve_a_rejects_nonpositive():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
-from sckpd.kron import (kron, max_pvl_terms, pvl_decompose, vanloan_rearrange,
-                        vanloan_unrearrange)
+from conftest import kron, make_rng, max_pvl_terms, pvl_decompose, vanloan_unrearrange
+from sckpd.model import vanloan_rearrange
 
 
 def test_kron_identity():

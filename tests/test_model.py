@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (log_posterior, make_rng, random_dataset, random_params,
-                      summary_for, targets_and_hyper)
+from conftest import (log_likelihood, log_posterior, make_rng, pack, random_dataset,
+                      random_params, summary_for, targets_and_hyper, vanloan_unrearrange)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
-from sckpd.kron import vanloan_unrearrange
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members,
                          _trace_quad_core, assemble_ldagger, log_det_ldagger,
-                         log_likelihood, log_posterior_grad, log_prior, trace_quadratic)
+                         log_posterior_grad, log_prior, trace_quadratic)
 
 
 def _problem(rng, d1=3, d2=4, K=2, n=40):
@@ -276,7 +275,7 @@ def test_unconstrained_round_trip():
     layout = StateLayout(3, 4, 3)
     for _ in range(5):
         p = random_params(3, 4, 3, rng)
-        u = layout.pack(p)
+        u = pack(layout, p)
         back = layout.unpack(u)
         assert np.allclose(back.lowers1, p.lowers1, atol=1e-12)
         assert np.allclose(back.lowers2, p.lowers2, atol=1e-12)
@@ -292,7 +291,7 @@ def test_uniform_omega_gives_zero_sticks():
     p = random_params(3, 4, 4, rng)
     p = SCKPDParams(lowers1=p.lowers1, lowers2=p.lowers2, d1_diag=p.d1_diag,
                     d2_diag=p.d2_diag, omega=np.full(4, 0.25), theta=p.theta)
-    u = layout.pack(p)
+    u = pack(layout, p)
     assert np.allclose(u[layout.sl_sticks], 0.0, atol=1e-12)
 
 
@@ -396,7 +395,7 @@ def _outside_support_states(layout, rng):
              (layout.sl_theta, 1, 40.0), (layout.sl_theta, 1, -800.0),
              (layout.sl_sticks, 1, 800.0), (layout.sl_sticks, 1, -800.0),
              (layout.sl_sticks, 1, -400.0)]
-    if layout.n_matrices:
+    if layout.n_blocks > 1:
         edits += [(layout.sl_gammas, 1, 800.0), (layout.sl_gammas, 1, -800.0),
                   (layout.sl_gammas, 3, 709.0)]
     for sl, n, val in edits:

