@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -222,15 +223,18 @@ def _observations(rng, L: np.ndarray, n: int) -> np.ndarray:
     return scipy.linalg.solve_triangular(L.T, Z, lower=False).T
 
 
+def _diagonal_stats(d1_diag: np.ndarray, d2_diag: np.ndarray) -> dict:
+    """log det and diagonal energy of a factor, which every block shares."""
+    return {"logdet_factor": mdl.log_det_ldagger(d1_diag, d2_diag),
+            "fro2_diag": float(np.sum(d1_diag ** 2) * np.sum(d2_diag ** 2))}
+
+
 def _factor_stats(params: mdl.SCKPDParams) -> dict:
     """log det, diagonal and strict-lower energies of one block's factor,
     in closed form."""
-    return {
-        "logdet_factor": mdl.log_det_ldagger(params),
-        "fro2_diag": float(np.sum(params.d1_diag ** 2) * np.sum(params.d2_diag ** 2)),
-        "fro2_lower": mdl.lower_energy(params.lowers1, params.lowers2,
-                                       params.d1_diag, params.d2_diag),
-    }
+    return {**_diagonal_stats(params.d1_diag, params.d2_diag),
+            "fro2_lower": mdl.lower_energy(params.lowers1, params.lowers2,
+                                           params.d1_diag, params.d2_diag)}
 
 
 def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None) -> None:
@@ -243,30 +247,89 @@ def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None)
 
 
 def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.ndarray:
-    """Read observation rows of d1*d2 numeric fields; header row optional.
+    """Read the observation rows of a CSV file as an (n, d1*d2) array.
 
-    Malformed or non-finite input, or values so large that the sample
-    covariance would overflow, raises ValueError naming the offending line
-    and field.  With ``center`` the sample mean is subtracted (for data
-    with a free mean).
+    Each record holds d1*d2 comma-separated numbers as Python's ``float``
+    reads them, which may be space-padded or quoted.  Line 1 is a header,
+    and skipped, when none of its fields is a number; empty and
+    whitespace-only lines are skipped; lines may end in LF, CRLF or CR.  A
+    file without data rows, a field that is not a number, a record of the
+    wrong width, a non-finite value, or values so large that the sample
+    covariance would overflow raise ValueError naming the file and the
+    first line (and field) at fault.  With ``center`` the sample mean is
+    subtracted (for data with a free mean).
+
+    One ``np.loadtxt`` pass reads clean input; input it rejects is read
+    again by the record scanner, which returns the same array or names the
+    error.
     """
     width = d1 * d2
+    Y = _load_numeric(path, width)
+    if Y is None:
+        Y = _scan_csv(path, width)
+    if center:
+        Y = Y - Y.mean(axis=0)
+    return Y
+
+
+def _parse_record(rec: list[str]) -> tuple[list[float], list[tuple[int, str]]]:
+    """The fields of one CSV record that are numbers, as floats, and the
+    (index, text) of those that are not."""
+    values, bad = [], []
+    for k, cell in enumerate(rec):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            bad.append((k, cell))
+    return values, bad
+
+
+def _is_header(rec: list[str]) -> bool:
+    """Whether a first record is a header: it has fields, and none of them
+    is a number."""
+    return bool(rec) and not _parse_record(rec)[0]
+
+
+def _sum_squares(Y: np.ndarray) -> float:
+    """The sum of the squared fields: inf or NaN when a field is, so
+    ``< MAX_SUM_SQUARES`` also checks that every field is finite."""
+    with np.errstate(over="ignore"):
+        return float(np.vdot(Y, Y))
+
+
+def _load_numeric(path: str | Path, width: int) -> np.ndarray | None:
+    """The rows of a plain numeric CSV in one ``np.loadtxt`` pass, or None
+    when the input needs the scanner: ``loadtxt`` rejects it, or it has no
+    rows, the wrong width, or a field that is not finite or too large."""
+    with open(path, newline="") as fh:
+        # record 1 as the scanner reads it, so a header is skipped alike
+        if not _is_header(next(csv.reader(fh), [])):
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # the scanner names input without rows as an error
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                Y = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            return None
+    if Y.shape[0] == 0 or Y.shape[1] != width or not _sum_squares(Y) < MAX_SUM_SQUARES:
+        return None
+    return Y
+
+
+def _scan_csv(path: str | Path, width: int) -> np.ndarray:
+    """Read the file record by record with ``csv.reader``: the rows, or a
+    ValueError naming the first line and field at fault."""
     rows: list[list[float]] = []
     linenos: list[int] = []
     with open(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
-            values = []
-            bad = []
-            for k, cell in enumerate(rec):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    bad.append((k, cell))
+            if lineno == 1 and _is_header(rec):
+                continue
+            values, bad = _parse_record(rec)
             if bad:
-                if lineno == 1 and not values:
-                    continue  # header row: no field is a number
                 raise ValueError(
                     f"{path}: line {lineno}: field {bad[0][0] + 1} is not numeric: {bad[0][1]!r}")
             if len(values) != width:
@@ -282,8 +345,7 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
             k = int(np.flatnonzero(~np.isfinite(row))[0])
             raise ValueError(
                 f"{path}: line {linenos[r]}: field {k + 1} is not finite: {float(row[k])}")
-    with np.errstate(over="ignore"):
-        sum_squares = np.vdot(Y, Y)
+    sum_squares = _sum_squares(Y)
     if not sum_squares < MAX_SUM_SQUARES:
         r, k = np.unravel_index(np.argmax(np.abs(Y)), Y.shape)
         raise ValueError(
@@ -291,8 +353,6 @@ def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.n
             f"the squared fields sum to {sum_squares:.3g}, beyond the "
             f"{MAX_SUM_SQUARES:.3g} at which the sample covariance stays finite: "
             f"rescale the values of column {k + 1}")
-    if center:
-        Y = Y - Y.mean(axis=0)
     return Y
 
 
@@ -527,26 +587,29 @@ def fit(config: RunConfig) -> dict:
 def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain]):
     """One row per draw: bookkeeping columns, theta and the shared diagonal
     statistics, then the sorted weights and strict-lower energy of every
-    block, under the block's column tag."""
-    K = config.n_components
+    block, under the block's column tag.  Each draw is decoded once, and the
+    energies of all its blocks come from one batched Gram product."""
+    K, T = config.n_components, layout.n_blocks
     columns = ["chain", "draw", "accept", "divergent", "energy", "theta",
                "logdet_factor", "fro2_diag"]
     for tag, _ in _blocks(config):
         columns += [f"omega{tag}_sorted_{k + 1}" for k in range(K)] + [f"fro2_lower{tag}"]
-    rows = []
+    table = np.empty((sum(len(chain.draws) for chain in chains), len(columns)))
+    r = 0
     for ci, chain in enumerate(chains):
-        for di, u in enumerate(chain.draws):
-            params, _ = layout.decode_blocks(u)
-            omegas = mdl.omega_trajectory(params.omega1, params.transition, layout.n_blocks)
-            stats = [_factor_stats(params.season_params(t, omegas[t]))
-                     for t in range(layout.n_blocks)]
-            row = [ci, di, float(chain.accept_flags[di]), float(chain.divergence_flags[di]),
-                   float(chain.energies[di]), params.theta,
-                   stats[0]["logdet_factor"], stats[0]["fro2_diag"]]
-            for omega_t, stats_t in zip(omegas, stats):
-                row += sorted(omega_t, reverse=True) + [stats_t["fro2_lower"]]
-            rows.append(row)
-    return np.asarray(rows, dtype=float), columns
+        n = len(chain.draws)
+        table[r:r + n, :5] = np.column_stack([np.full(n, ci), np.arange(n), chain.accept_flags,
+                                              chain.divergence_flags, chain.energies])
+        for u in chain.draws:
+            s = layout._decode(u)
+            A = None if s.gamma is None else s.gamma / s.gamma.sum(axis=0, keepdims=True)
+            omegas = np.sort(mdl.omega_trajectory(s.omega1, A, T), axis=1)[:, ::-1]
+            diag = _diagonal_stats(s.d1_diag, s.d2_diag)
+            table[r, 5:8] = s.theta, diag["logdet_factor"], diag["fro2_diag"]
+            table[r, 8:] = np.column_stack(
+                [omegas, mdl.lower_energies(s.members1, s.members2)]).ravel()
+            r += 1
+    return table, columns
 
 
 def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:

@@ -294,10 +294,11 @@ def assemble_ldagger(params: SCKPDParams) -> np.ndarray:
     return L
 
 
-def log_det_ldagger(params: SCKPDParams) -> float:
-    """d2 * sum(log D1) + d1 * sum(log D2); the strict-lower parts drop out."""
-    return float(params.d2 * np.sum(np.log(params.d1_diag))
-                 + params.d1 * np.sum(np.log(params.d2_diag)))
+def log_det_ldagger(d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
+    """log det of a factor with diagonals D1, D2: d2 * sum(log D1) +
+    d1 * sum(log D2); the strict-lower parts drop out."""
+    return float(len(d2_diag) * np.sum(np.log(d1_diag))
+                 + len(d1_diag) * np.sum(np.log(d2_diag)))
 
 
 def _coupling(K: int) -> np.ndarray:
@@ -327,23 +328,27 @@ def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.concatenate([low, np.diag(diag)[None]], axis=0)
 
 
-def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
-                 d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
-    """Squared Frobenius norm of one block's strict-lower factor part,
-    without assembling the factor.
+def lower_energies(members1: np.ndarray, members2: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of the strict-lower factor part of every
+    block, from its (T, K+1, d, d) member stacks [lowers, diag(D)], without
+    assembling a factor: a (T,) array.
 
     The strict lower part is sum C'[a,b] U_a (x) V_b, with C' the coupling
     without its diag (x) diag entry, so its energy is
     sum C'[a,b] C'[a',b'] <U_a, U_a'> <V_b, V_b'>.
     """
-    K = lowers1.shape[0]
-    C = _coupling(K)
-    C[K, K] = 0.0
-    U = _members(lowers1, d1_diag)
-    V = _members(lowers2, d2_diag)
-    GU = np.einsum('aij,bij->ab', U, U)
-    GV = np.einsum('aij,bij->ab', V, V)
-    return float(np.sum(C * (GU @ C @ GV)))
+    C = _coupling(members1.shape[1] - 1)
+    C[-1, -1] = 0.0
+    GU = np.einsum('taij,tbij->tab', members1, members1)
+    GV = np.einsum('taij,tbij->tab', members2, members2)
+    return np.sum(C * (GU @ C @ GV), axis=(1, 2))
+
+
+def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
+                 d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
+    """:func:`lower_energies` of one block."""
+    return float(lower_energies(_members(lowers1, d1_diag)[None],
+                                _members(lowers2, d2_diag)[None])[0])
 
 
 def _pair_products(members: np.ndarray) -> np.ndarray:

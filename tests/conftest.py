@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sckpd import transforms as tr
+from sckpd.harness import _factor_stats
 from sckpd.hyper import make_targets, prior_targets_from_sample, solve_hyper
 from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, SDParams, log_det_ldagger,
-                         log_prior, trace_quadratic, vanloan_rearrange)
+                         log_prior, omega_trajectory, trace_quadratic, vanloan_rearrange)
 
 
 def make_rng(seed=0):
@@ -61,7 +62,7 @@ def log_likelihood(params, data):
     """Gaussian log-likelihood of one block with the factor on the precision
     side.  The likelihood part of the value oracle."""
     n, d = data.n_obs, data.d1 * data.d2
-    return (n * log_det_ldagger(params)
+    return (n * log_det_ldagger(params.d1_diag, params.d2_diag)
             - 0.5 * trace_quadratic(params, data)
             - 0.5 * n * d * LOG_2PI)
 
@@ -347,6 +348,26 @@ def column_summary_oracle(x):
     q = np.quantile(x, [0.025, 0.5, 0.975])
     return {"mean": float(np.mean(x)), "sd": float(np.std(x, ddof=1)),
             "q025": float(q[0]), "q500": float(q[1]), "q975": float(q[2])}
+
+
+def draw_table_oracle(layout, chains):
+    """The values of the draws table one draw and one block at a time: each
+    block's weights through the trajectory, then the closed-form statistics
+    of its factor.  The oracle of ``harness._draw_table``."""
+    rows = []
+    for ci, chain in enumerate(chains):
+        for di, u in enumerate(chain.draws):
+            params, _ = layout.decode_blocks(u)
+            omegas = omega_trajectory(params.omega1, params.transition, layout.n_blocks)
+            stats = [_factor_stats(params.season_params(t, omegas[t]))
+                     for t in range(layout.n_blocks)]
+            row = [ci, di, float(chain.accept_flags[di]), float(chain.divergence_flags[di]),
+                   float(chain.energies[di]), params.theta,
+                   stats[0]["logdet_factor"], stats[0]["fro2_diag"]]
+            for omega_t, stats_t in zip(omegas, stats):
+                row += sorted(omega_t, reverse=True) + [stats_t["fro2_lower"]]
+            rows.append(row)
+    return np.asarray(rows, dtype=float)
 
 
 def summary_for(Y, d1, d2):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import (column_summary_oracle, diagnostics_oracle, effective_sample_size_oracle,
-                      make_rng, random_params, split_rhat_oracle)
+from conftest import (column_summary_oracle, diagnostics_oracle, draw_table_oracle,
+                      effective_sample_size_oracle, make_rng, random_params, split_rhat_oracle)
 from sckpd import harness
 from sckpd.harness import (PRESETS, RunConfig, _factor_stats, check_hyper, fit,
                            ingest_csv, simulate, summarize_draws)
-from sckpd.model import assemble_ldagger
+from sckpd.hmc import Chain
+from sckpd.model import StateLayout, assemble_ldagger
 
 
 def _write(path: Path, text: str) -> Path:
@@ -91,6 +92,107 @@ def test_huge_finite_value_fails_at_the_boundary(tmp_path):
         with pytest.raises(ValueError, match=message):
             ingest_csv(p, 3, 2, center=True)
     assert not (tmp_path / "fit").exists()
+
+
+# The one-pass reader and the record scanner must agree: on valid input
+# they return the same array, on malformed input ingest_csv raises the
+# scanner's message.  Every case runs with warnings as errors, so a warning
+# that leaks from the one-pass reader (np.loadtxt warns on input without
+# rows) fails the test.
+
+_ROWS = "1,2,3,4,5,6\n7,8.5,9,10,11,-12e-3\n0,0,1,1,2,2\n"
+
+_VALID_CSV = {
+    "no-header": _ROWS,
+    "header": "y1,y2,y3,y4,y5,y6\n" + _ROWS,
+    "crlf": ("y1,y2,y3,y4,y5,y6\n" + _ROWS).replace("\n", "\r\n"),
+    "empty-lines": "\n\n" + _ROWS.replace("\n", "\n\n", 1) + "\n\n",
+    "whitespace-line": _ROWS.replace("\n", "\n   \t\n", 1),
+    "padded": " 1 ,2 , 3,4,5,6\n7,8.5,  9,10,11,-12e-3\n",
+    "quoted": '"y1","y2",y3,y4,y5,y6\n"1",2,"3",4,5,6\n7,8.5,9,10,11,"-12e-3"\n',
+    "underscore-digits": "1_0,2,3,4,5,6\n7,8,9,10,11,12\n",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory) -> Path:
+    """A simulated 16x16 file of 2000 rows, as ``sckpd simulate`` writes it."""
+    out = tmp_path_factory.mktemp("wide")
+    simulate(RunConfig.from_dict(dict(mode="simulate-static", d1=16, d2=16, n_components=5,
+                                      n_obs=2000, seed=3, output_dir=str(out))))
+    return out / "data.csv"
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_CSV))
+def test_ingest_matches_scanner_on_valid_input(tmp_path, name):
+    p = tmp_path / "d.csv"
+    p.write_bytes(_VALID_CSV[name].encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = ingest_csv(p, 3, 2)
+        scanned = harness._scan_csv(p, 6)
+    assert np.array_equal(Y, scanned)
+    assert Y.shape[1] == 6 and Y.shape[0] >= 2
+
+
+def test_ingest_matches_scanner_on_simulated_file(wide_csv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = ingest_csv(wide_csv, 16, 16)
+        centered = ingest_csv(wide_csv, 16, 16, center=True)
+        scanned = harness._scan_csv(wide_csv, 256)
+    assert Y.shape == (2000, 256)
+    assert np.array_equal(Y, scanned)
+    assert np.array_equal(centered, scanned - scanned.mean(axis=0))
+
+
+_MALFORMED_CSV = {
+    "empty": ("", "no observation rows found"),
+    "header-only": ("y1,y2,y3,y4,y5,y6\n", "no observation rows found"),
+    "non-numeric-line-1": ("1,2,oops,4,5,6\n" + _ROWS,
+                           "line 1: field 3 is not numeric: 'oops'"),
+    "non-numeric-later": (_ROWS + "1,2,3,4,x,6\n", "line 4: field 5 is not numeric: 'x'"),
+    "width": ("1,2,3,4,5,6\n1,2,3\n", "line 2: expected d1*d2 = 6 fields, got 3"),
+    "width-every-row": ("1,2,3\n4,5,6\n", "line 1: expected d1*d2 = 6 fields, got 3"),
+    "nan": ("y1,y2,y3,y4,y5,y6\n1,2,3,4,5,6\n1,2,3,nan,5,6\n",
+            "line 3: field 4 is not finite: nan"),
+    "inf": (_ROWS + "1,-inf,3,4,5,6\n", "line 4: field 2 is not finite: -inf"),
+    "huge": (_ROWS.replace("9,", "1e200,"),
+             "line 2: field 3 is too large: 1e+200; the squared fields sum to inf, beyond "
+             "the 1.34e+154 at which the sample covariance stays finite: "
+             "rescale the values of column 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_CSV))
+def test_ingest_raises_scanner_message_on_malformed_input(tmp_path, name):
+    text, message = _MALFORMED_CSV[name]
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            ingest_csv(p, 3, 2)
+        with pytest.raises(ValueError) as scanned:
+            harness._scan_csv(p, 6)
+    assert str(raised.value) == str(scanned.value) == f"{p}: {message}"
+
+
+def test_clean_input_never_reaches_the_scanner(wide_csv, tmp_path, monkeypatch):
+    expected = ingest_csv(wide_csv, 16, 16)
+    # the same rows with CRLF line endings and an empty line between two rows
+    lines = wide_csv.read_text().splitlines()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("\r\n".join(lines[:5] + [""] + lines[5:]).encode() + b"\r\n")
+
+    def no_scan(path, width):
+        raise AssertionError(f"{path} was read by the record scanner")
+
+    monkeypatch.setattr(harness, "_scan_csv", no_scan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ingest_csv(wide_csv, 16, 16), expected)
+        assert np.array_equal(ingest_csv(crlf, 16, 16), expected)
 
 
 # ----- simulation ----------------------------------------------------------------
@@ -200,6 +302,27 @@ def test_factor_stats_match_dense_assembly():
         dense_lower = float(np.sum(np.tril(L, -1) ** 2))
         assert abs(stats["fro2_diag"] - dense_diag) <= 1e-12 * dense_diag
         assert abs(stats["fro2_lower"] - dense_lower) <= 1e-12 * dense_lower
+
+
+def test_draw_table_matches_per_block_oracle():
+    # a 12-block 5x2, K=5 layout, as at the paper-dynamic preset
+    cfg = RunConfig.from_dict(dict(mode="fit-dynamic", preset="paper-dynamic",
+                                   input_path="unused", n_draws=30))
+    layout = StateLayout(cfg.d1, cfg.d2, cfg.n_components, cfg.n_seasons * cfg.n_cycles)
+    assert layout.n_blocks == 12
+    rng = make_rng(44)
+    chains = []
+    for _ in range(2):
+        n = cfg.n_draws
+        chains.append(Chain(draws=rng.uniform(-2.0, 2.0, (n, layout.size)),
+                            accept_flags=rng.random(n) < 0.7, accept_probs=rng.random(n),
+                            energies=rng.normal(size=n), divergence_flags=rng.random(n) < 0.1,
+                            adapted_step_size=0.1, mass=np.ones(layout.size)))
+    table, columns = harness._draw_table(cfg, layout, chains)
+    expected = draw_table_oracle(layout, chains)
+    assert table.shape == expected.shape == (2 * cfg.n_draws, 8 + 12 * (cfg.n_components + 1))
+    assert len(columns) == table.shape[1]
+    assert np.all(np.abs(table - expected) <= 1e-12 * np.abs(expected))
 
 
 # ----- fitting (smoke scale) -------------------------------------------------------

@@ -70,7 +70,7 @@ def test_logdet_formula_matches_assembly():
     for _ in range(5):
         p = random_params(4, 5, 3, rng)
         dense = float(np.sum(np.log(np.diag(assemble_ldagger(p)))))
-        assert np.isclose(log_det_ldagger(p), dense, atol=1e-10)
+        assert np.isclose(log_det_ldagger(p.d1_diag, p.d2_diag), dense, atol=1e-10)
 
 
 # ----- likelihood --------------------------------------------------------------
