@@ -12,7 +12,7 @@ from .hmc import Chain, HMCConfig, diagnostics, hmc_sample, leapfrog
 from .hyper import (NotPositiveDefiniteError, PriorTargets, SolvedHyper, cholesky,
                     diag_prior_rate, digamma, prior_targets_from_sample, solve_a,
                     solve_beta, solve_hyper)
-from .model import (DataSummary, SCKPDParams, SDParams, StateLayout, assemble_ldagger,
+from .model import (DataSummary, SCKPDParams, StateLayout, assemble_ldagger,
                     log_posterior_grad, log_prior, omega_trajectory, trace_quadratic,
                     vanloan_rearrange)
 

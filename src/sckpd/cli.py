@@ -15,12 +15,6 @@ import sys
 from .harness import (PRESETS, RunConfig, check_hyper, fit, read_config_file, simulate,
                       summarize_draws)
 
-PRESET_FAMILY = {
-    "paper-static": "static",
-    "paper-separable": "static",
-    "paper-dynamic": "dynamic",
-}
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file")
@@ -50,11 +44,10 @@ def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:
                  if k not in ("command", "config", "func") and v is not None}
     raw.update(overrides)
     if raw.get("mode") is None:
-        preset = raw.get("preset")
-        family = PRESET_FAMILY.get(preset, "dynamic" if
-                                   raw.get("n_seasons", 1) * raw.get("n_cycles", 1) > 1
-                                   else "static")
-        raw["mode"] = f"{family_prefix}-{family}"
+        # more than one (cycle, season) block, flags over the preset, is seasonal
+        merged = {**PRESETS.get(raw.get("preset"), {}), **raw}
+        blocks = merged.get("n_seasons", 1) * merged.get("n_cycles", 1)
+        raw["mode"] = f"{family_prefix}-{'dynamic' if blocks > 1 else 'static'}"
     return RunConfig.from_dict(raw)
 
 

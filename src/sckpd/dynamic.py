@@ -6,9 +6,9 @@ weights evolve through one transition A shared by every step,
 omega_{t+1} = A omega_t, starting from the season-1 weights (so block t
 uses t-1 applications of A).  Columns of A summing to one is exactly the
 condition that keeps the weights on the simplex; the fit builds A by
-normalizing the columns of a positive K x K gamma matrix
-(``SDParams.transition``).  The static model is the one-block case, so the
-seasonal layout and parameters are the model's own (``SDLayout`` is
+normalizing the columns of a positive K x K gamma matrix, once per state,
+when ``StateLayout`` decodes it.  The static model is the one-block case,
+so the seasonal layout is the model's own (``SDLayout`` is
 ``StateLayout``).
 """
 

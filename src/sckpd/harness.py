@@ -5,7 +5,11 @@ so results can be joined mechanically.
 
 A static run is the one-block case of a seasonal run, so one simulator,
 one fit and one draws table serve both; ``_blocks`` names the blocks (CSV
-file and column tag) of either kind.
+file and column tag) of either kind, and ``_stat_columns`` /
+``_stat_values`` name and compute the statistics that ``truth.json`` and
+``draws.csv`` share.  A fit builds one layout and one posterior, a
+``functools.partial`` of the static or seasonal entry point that every
+chain, sequential or in the process pool, evaluates.
 
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
@@ -28,7 +32,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,10 +136,6 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_yaml(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(read_config_file(path))
-
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
@@ -142,8 +143,9 @@ class RunConfig:
             raise ValueError("both mode dimensions must be at least 2")
         if self.n_components < 1 or self.n_obs < 1:
             raise ValueError("component and observation counts must be positive")
-        if self.mode.endswith("dynamic") and self.n_seasons * self.n_cycles < 1:
-            raise ValueError("dynamic modes need at least one (cycle, season) block")
+        for key in ("n_seasons", "n_cycles"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.mode.startswith("fit") and self.input_path is None:
             raise ValueError(f"mode '{self.mode}' requires input_path")
         if self.transition not in ("sample", "identity"):
@@ -223,18 +225,25 @@ def _observations(rng, L: np.ndarray, n: int) -> np.ndarray:
     return scipy.linalg.solve_triangular(L.T, Z, lower=False).T
 
 
-def _diagonal_stats(d1_diag: np.ndarray, d2_diag: np.ndarray) -> dict:
-    """log det and diagonal energy of a factor, which every block shares."""
-    return {"logdet_factor": mdl.log_det_ldagger(d1_diag, d2_diag),
-            "fro2_diag": float(np.sum(d1_diag ** 2) * np.sum(d2_diag ** 2))}
+def _stat_columns(config: RunConfig, K: int) -> list[str]:
+    """Names of the statistics of a factor over the run's blocks: the log
+    det and diagonal energy every block shares, then each block's sorted
+    weights and strict-lower energy under the block's column tag."""
+    columns = ["logdet_factor", "fro2_diag"]
+    for tag, _ in _blocks(config):
+        columns += [f"omega{tag}_sorted_{k + 1}" for k in range(K)] + [f"fro2_lower{tag}"]
+    return columns
 
 
-def _factor_stats(params: mdl.SCKPDParams) -> dict:
-    """log det, diagonal and strict-lower energies of one block's factor,
-    in closed form."""
-    return {**_diagonal_stats(params.d1_diag, params.d2_diag),
-            "fro2_lower": mdl.lower_energy(params.lowers1, params.lowers2,
-                                           params.d1_diag, params.d2_diag)}
+def _stat_values(D1: np.ndarray, D2: np.ndarray, omegas: np.ndarray,
+                 members1: np.ndarray, members2: np.ndarray) -> np.ndarray:
+    """The statistics named by :func:`_stat_columns`, in closed form, from
+    the shared diagonals, the (T, K) block weights and the blocks' (T, K+1,
+    d, d) member stacks."""
+    diag = [mdl.log_det_ldagger(D1, D2), float(np.sum(D1 ** 2) * np.sum(D2 ** 2))]
+    ranked = np.sort(omegas, axis=1)[:, ::-1]
+    return np.concatenate([diag, np.column_stack(
+        [ranked, mdl.lower_energies(members1, members2)]).ravel()])
 
 
 def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None) -> None:
@@ -402,23 +411,19 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     header = [f"y{j + 1}" for j in range(config.d1 * config.d2)]
-    Ys = []
-    stats: dict[str, float] = {}
-    for t, (tag, name) in enumerate(blocks):
+    Ys, lows1, lows2 = [], [], []
+    for t, (_, name) in enumerate(blocks):
         variances = omegas[t] * config.lower_variance
-        low1 = _draw_lowers(rng, K, config.d1, variances)
-        low2 = _draw_lowers(rng, K, config.d2, variances)
-        params = mdl.SCKPDParams(lowers1=low1, lowers2=low2, d1_diag=D1, d2_diag=D2,
+        lows1.append(_draw_lowers(rng, K, config.d1, variances))
+        lows2.append(_draw_lowers(rng, K, config.d2, variances))
+        params = mdl.SCKPDParams(lowers1=lows1[t], lowers2=lows2[t], d1_diag=D1, d2_diag=D2,
                                  omega=omegas[t], theta=0.5)
         Y = _observations(rng, mdl.assemble_ldagger(params), config.n_obs)
         Ys.append(Y)
         write_csv_matrix(outdir / name, Y, header)
-        for k, v in enumerate(sorted(omegas[t], reverse=True)):
-            stats[f"omega{tag}_sorted_{k + 1}"] = v
-        fs = _factor_stats(params)
-        stats[f"fro2_lower{tag}"] = fs.pop("fro2_lower")
-        if t == 0:   # the diagonal statistics are shared by every block
-            stats.update(fs)
+    values = _stat_values(D1, D2, omegas, mdl._members(np.stack(lows1), D1),
+                          mdl._members(np.stack(lows2), D2))
+    stats = dict(zip(_stat_columns(config, K), values.tolist()))
 
     truth = {
         "mode": config.mode,
@@ -456,47 +461,9 @@ def _n_threads() -> int:
     return int(raw)
 
 
-@dataclass
-class _ChainTask:
-    config: RunConfig
-    chain_index: int
-    init: np.ndarray | None
-    blocks: tuple[mdl.DataSummary, ...]   # one summary per block, in time order
-    hyper: SolvedHyper
-    targets: PriorTargets
-
-
-def _build_posterior(task: _ChainTask):
-    """The layout over the task's blocks and the posterior, through the
-    static or the seasonal entry point."""
-    cfg = task.config
-    layout = mdl.StateLayout(cfg.d1, cfg.d2, cfg.n_components, len(task.blocks),
-                             transition_alpha=cfg.transition_dirichlet_alpha)
-    if cfg.mode == "fit-static":
-        def fn(u):
-            return mdl.log_posterior_grad(u, layout, task.blocks[0], task.hyper, task.targets)
-    else:
-        schedule = dyn.SeasonSchedule(n_seasons=cfg.n_seasons, n_cycles=cfg.n_cycles,
-                                      blocks=task.blocks)
-        def fn(u):
-            return dyn.sd_log_posterior_grad(u, layout, schedule, task.hyper, task.targets)
-    return layout, fn
-
-
-def _run_chain(task: _ChainTask) -> Chain:
-    _, fn = _build_posterior(task)
-    cfg = task.config
-    hconf = HMCConfig(step_size=cfg.step_size, n_leapfrog=cfg.n_leapfrog,
-                      target_accept=cfg.target_accept, n_warmup=cfg.n_warmup,
-                      n_draws=cfg.n_draws, seed=cfg.seed, chain_index=task.chain_index,
-                      adapt_mass=cfg.adapt_mass, init=task.init)
-    return hmc_sample(fn, hconf)
-
-
-def _draw_init(task: _ChainTask, size: int) -> np.ndarray:
+def _draw_init(fn, seed: int, chain: int, size: int) -> np.ndarray:
     """Uniform(-2, 2) inits, re-drawn until the posterior is finite."""
-    _, fn = _build_posterior(task)
-    rng = _init_rng(task.config.seed, task.chain_index)
+    rng = _init_rng(seed, chain)
     for _ in range(100):
         u = rng.uniform(-2.0, 2.0, size=size)
         if np.isfinite(fn(u)[0]):
@@ -528,9 +495,12 @@ def fit(config: RunConfig) -> dict:
 
     Static mode reads one CSV; dynamic mode reads one CSV per (cycle,
     season) block from the input directory.  Prior targets come from the
-    sample covariance (first block for dynamic); chains run in parallel
-    when SCKPD_THREADS is set above 1.  Weights are sorted (descending)
-    within each draw before any summarization.
+    sample covariance (first block for dynamic).  One layout and one
+    posterior, a partial of ``model.log_posterior_grad`` or
+    ``dynamic.sd_log_posterior_grad``, serve the init draws and every
+    chain; chains run in a process pool when SCKPD_THREADS is set above 1,
+    which pickles the partial.  Weights are sorted (descending) within each
+    draw before any summarization.
     """
     config.validate()
     workers = min(_n_threads(), config.n_chains)
@@ -553,21 +523,28 @@ def fit(config: RunConfig) -> dict:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
                         "the shape was solved at the clamped target instead")
 
-    proto = _ChainTask(config=config, chain_index=0, init=None,
-                       blocks=tuple(summaries), hyper=hyper, targets=targets)
-    layout, _ = _build_posterior(proto)
-    tasks = []
-    for c in range(config.n_chains):
-        task = replace(proto, chain_index=c)
-        task = replace(task, init=_draw_init(task, layout.size))
-        tasks.append(task)
-
+    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(summaries),
+                             transition_alpha=config.transition_dirichlet_alpha)
+    if config.mode == "fit-static":
+        fn = partial(mdl.log_posterior_grad, layout=layout, data=summaries[0],
+                     hyper=hyper, targets=targets)
+    else:
+        schedule = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
+                                      blocks=tuple(summaries))
+        fn = partial(dyn.sd_log_posterior_grad, layout=layout, schedule=schedule,
+                     hyper=hyper, targets=targets)
+    hconfs = [HMCConfig(step_size=config.step_size, n_leapfrog=config.n_leapfrog,
+                        target_accept=config.target_accept, n_warmup=config.n_warmup,
+                        n_draws=config.n_draws, seed=config.seed, chain_index=c,
+                        adapt_mass=config.adapt_mass,
+                        init=_draw_init(fn, config.seed, c, layout.size))
+              for c in range(config.n_chains)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chains = list(pool.map(_run_chain, tasks))
+            chains = list(pool.map(hmc_sample, [fn] * config.n_chains, hconfs))
     else:
-        chains = [_run_chain(t) for t in tasks]
+        chains = list(map(hmc_sample, [fn] * config.n_chains, hconfs))
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -585,15 +562,11 @@ def fit(config: RunConfig) -> dict:
 
 
 def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain]):
-    """One row per draw: bookkeeping columns, theta and the shared diagonal
-    statistics, then the sorted weights and strict-lower energy of every
-    block, under the block's column tag.  Each draw is decoded once, and the
-    energies of all its blocks come from one batched Gram product."""
-    K, T = config.n_components, layout.n_blocks
-    columns = ["chain", "draw", "accept", "divergent", "energy", "theta",
-               "logdet_factor", "fro2_diag"]
-    for tag, _ in _blocks(config):
-        columns += [f"omega{tag}_sorted_{k + 1}" for k in range(K)] + [f"fro2_lower{tag}"]
+    """One row per draw: bookkeeping columns, theta, then the statistics of
+    :func:`_stat_columns`.  Each draw is decoded once, and the energies of
+    all its blocks come from one batched Gram product."""
+    columns = (["chain", "draw", "accept", "divergent", "energy", "theta"]
+               + _stat_columns(config, config.n_components))
     table = np.empty((sum(len(chain.draws) for chain in chains), len(columns)))
     r = 0
     for ci, chain in enumerate(chains):
@@ -602,12 +575,8 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
                                               chain.divergence_flags, chain.energies])
         for u in chain.draws:
             s = layout._decode(u)
-            A = None if s.gamma is None else s.gamma / s.gamma.sum(axis=0, keepdims=True)
-            omegas = np.sort(mdl.omega_trajectory(s.omega1, A, T), axis=1)[:, ::-1]
-            diag = _diagonal_stats(s.d1_diag, s.d2_diag)
-            table[r, 5:8] = s.theta, diag["logdet_factor"], diag["fro2_diag"]
-            table[r, 8:] = np.column_stack(
-                [omegas, mdl.lower_energies(s.members1, s.members2)]).ravel()
+            table[r, 5] = s.theta
+            table[r, 6:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas, s.members1, s.members2)
             r += 1
     return table, columns
 

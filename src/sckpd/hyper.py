@@ -201,34 +201,26 @@ class PriorTargets:
     chol_log_det: float      # log det of the covariance Cholesky factor
     diag_energy: float       # squared Frobenius norm of its diagonal
     lower_energy: float      # squared Frobenius norm of its strict lower part
-    lower_ratio: float       # d1(d1-1) / (d2(d2-1))
-    n_lower1: float          # d1(d1-1)/2, strict-lower entry count in mode 1
     d1: int
     d2: int
 
     def __post_init__(self):
+        if min(self.d1, self.d2) < 2:
+            raise ValueError("both mode dimensions must be at least 2")
         if self.diag_energy <= 0:
             raise ValueError("diagonal energy target must be positive")
         if self.lower_energy < 0:
             raise ValueError("lower energy target must be nonnegative")
-        expect_ratio = self.d1 * (self.d1 - 1) / (self.d2 * (self.d2 - 1))
-        expect_m1 = self.d1 * (self.d1 - 1) / 2
-        if not (math.isclose(self.lower_ratio, expect_ratio, rel_tol=1e-12)
-                and math.isclose(self.n_lower1, expect_m1, rel_tol=1e-12)):
-            raise ValueError("lower_ratio / n_lower1 inconsistent with dims")
 
+    @property
+    def lower_ratio(self) -> float:
+        """d1(d1-1) / (d2(d2-1)), the ratio of the strict-lower entry counts."""
+        return self.d1 * (self.d1 - 1) / (self.d2 * (self.d2 - 1))
 
-def make_targets(chol_log_det: float, diag_energy: float, lower_energy: float,
-                 d1: int, d2: int) -> PriorTargets:
-    if min(d1, d2) < 2:
-        raise ValueError("both mode dimensions must be at least 2")
-    return PriorTargets(
-        chol_log_det=float(chol_log_det),
-        diag_energy=float(diag_energy),
-        lower_energy=float(lower_energy),
-        lower_ratio=d1 * (d1 - 1) / (d2 * (d2 - 1)),
-        n_lower1=d1 * (d1 - 1) / 2,
-        d1=int(d1), d2=int(d2))
+    @property
+    def n_lower1(self) -> float:
+        """d1(d1-1)/2, the strict-lower entry count in mode 1."""
+        return self.d1 * (self.d1 - 1) / 2
 
 
 def prior_targets_from_sample(S: np.ndarray, d1: int, d2: int) -> PriorTargets:
@@ -249,7 +241,7 @@ def prior_targets_from_sample(S: np.ndarray, d1: int, d2: int) -> PriorTargets:
             f"d1*d2 = {d1 * d2} linearly independent observation rows, or diagonal "
             "jitter added before computing prior targets") from exc
     diag = np.diagonal(L)
-    return make_targets(
+    return PriorTargets(
         chol_log_det=float(np.sum(np.log(diag))),
         diag_energy=float(np.sum(diag ** 2)),
         lower_energy=float(np.sum(np.tril(L, -1) ** 2)),

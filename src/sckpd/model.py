@@ -26,20 +26,23 @@ There is one posterior.  It runs over T time-ordered blocks, each with its
 own strict-lower factors, sharing the diagonals; the component weights of
 block t+1 are A omega_t for one column-stochastic transition A shared by
 every step (see ``dynamic``).  The static model is the case of one block
-and no transition, and :class:`SCKPDParams` is its parameter container.
+and no transition; :class:`SCKPDParams` holds the parameters of one block,
+as the simulator draws them and a one-block layout decodes them.
 
 One evaluation has no loop over blocks.  The data are the (T, d1^2, d2^2)
 stack of the blocks' rearranged scatters (a view of the one scatter for the
 static model, stacked once by ``dynamic.SeasonSchedule``).  A state decodes
 once: one exp of the log diagonals and log gammas, one expit of the stick
-and theta coordinates, and a gather into the (T, K+1, d, d) member stacks
-of every block.  All T trace terms and their member gradients are batched
-matrix products over those stacks, and the gradients of the packed
-coordinates are read back by index.  What depends only on the shapes (the
-coupling CC, the gather and read-back index maps, the stick offsets) is
-built once, by :class:`StateLayout`.  A state outside the floating-point
-support is found by one finiteness check of the value and the assembled
-gradient, and gives (-inf, zeros) without a RuntimeWarning.
+and theta coordinates, a gather into the (T, K+1, d, d) member stacks of
+every block, and the column normalization of gamma with the weight
+trajectory it gives, which the posterior and the draws table both read.
+All T trace terms and their member gradients are batched matrix products
+over those stacks, and the gradients of the packed coordinates are read
+back by index.  What depends only on the shapes (the coupling CC, the
+gather and read-back index maps, the stick offsets) is built once, by
+:class:`StateLayout`.  A state outside the floating-point support is found
+by one finiteness check of the value and the assembled gradient, and gives
+(-inf, zeros) without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -96,41 +99,6 @@ class SCKPDParams:
 
 
 @dataclass(frozen=True)
-class SDParams:
-    """Constrained parameters of T blocks: per-block strict-lower factors,
-    shared diagonals, the first block's weights and, for T > 1, the positive
-    K x K gamma matrix that generates the transition."""
-
-    lowers1: np.ndarray          # (T, K, d1, d1)
-    lowers2: np.ndarray          # (T, K, d2, d2)
-    d1_diag: np.ndarray
-    d2_diag: np.ndarray
-    omega1: np.ndarray           # first-block weights
-    theta: float
-    gamma: np.ndarray | None = None
-
-    @property
-    def n_blocks(self) -> int:
-        return self.lowers1.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.lowers1.shape[1]
-
-    @property
-    def transition(self) -> np.ndarray | None:
-        """The column-normalized gamma: the column-stochastic transition."""
-        if self.gamma is None:
-            return None
-        return self.gamma / self.gamma.sum(axis=0, keepdims=True)
-
-    def season_params(self, t: int, omega_t: np.ndarray) -> SCKPDParams:
-        return SCKPDParams(lowers1=self.lowers1[t], lowers2=self.lowers2[t],
-                           d1_diag=self.d1_diag, d2_diag=self.d2_diag,
-                           omega=omega_t, theta=self.theta)
-
-
-@dataclass(frozen=True)
 class DataSummary:
     """Sufficient statistics: the scatter sum_i y_i y_i^T in its Van Loan
     rearrangement, the (d1^2, d2^2) form the trace term reads."""
@@ -155,8 +123,9 @@ class DataSummary:
 
 class _Decoded(NamedTuple):
     """One state decoded: the (T, K+1, d, d) member stacks [lowers,
-    diag(D)] of every block, the weights with their break fractions,
-    theta, the transition gamma and the log-Jacobian."""
+    diag(D)] of every block, the first block's weights with their break
+    fractions, theta, the transition gamma with its column normalization,
+    every block's weights and the log-Jacobian."""
 
     members1: np.ndarray     # (T, K+1, d1, d1)
     members2: np.ndarray     # (T, K+1, d2, d2)
@@ -165,7 +134,9 @@ class _Decoded(NamedTuple):
     breaks: np.ndarray       # (K-1,) break fractions
     omega1: np.ndarray
     theta: float
-    gamma: np.ndarray | None   # (K, K), None for one block
+    gamma: np.ndarray | None        # (K, K), None for one block
+    transition: np.ndarray | None   # gamma's column normalization
+    omegas: np.ndarray              # (T, K) weight trajectory
     log_jac: float
 
 
@@ -177,8 +148,8 @@ class StateLayout:
     stick-breaking coordinates of the first block's weights, the logit of
     theta, and, for more than one block, the K*K log entries (row-major) of
     the gamma matrix whose column normalization is the transition of every
-    step.  A one-block layout has no transition and exchanges
-    :class:`SCKPDParams`; a longer one exchanges :class:`SDParams`.
+    step.  A one-block layout has no transition, and ``decode`` exchanges
+    its :class:`SCKPDParams`.
     """
 
     def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1,
@@ -228,7 +199,9 @@ class StateLayout:
         The log-Jacobian is -inf when ``u`` decodes outside the support in
         floating point: a diagonal or transition gamma underflows to 0 or
         overflows, or theta or a stick-breaking coordinate saturates at 0
-        or 1 (see ``transforms``)."""
+        or 1 (see ``transforms``).  The transition and the weight
+        trajectory are then not finite, and are computed without a
+        RuntimeWarning."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
@@ -243,32 +216,33 @@ class StateLayout:
             log_jac += transforms.logistic_log_jac(z) + np.log(left).sum()
         else:
             log_jac = -np.inf
+        gamma = transition = None
+        if self.n_blocks > 1:
+            gamma = positives[d1 + d2:].reshape(K, K)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                transition = gamma / gamma.sum(axis=0, keepdims=True)
+                omegas = omega_trajectory(omega1, transition, self.n_blocks)
+        else:
+            omegas = omega1[None]
         source = np.concatenate((u[self.sl_lows], positives[:d1 + d2], np.zeros(1)))
         return _Decoded(members1=source[self.members1_source],
                         members2=source[self.members2_source], d1_diag=D1, d2_diag=D2,
-                        breaks=z[:-1], omega1=omega1, theta=theta,
-                        gamma=positives[d1 + d2:].reshape(K, K) if self.n_blocks > 1 else None,
-                        log_jac=log_jac)
+                        breaks=z[:-1], omega1=omega1, theta=theta, gamma=gamma,
+                        transition=transition, omegas=omegas, log_jac=log_jac)
 
-    def decode_blocks(self, u: np.ndarray) -> tuple[SDParams, float]:
-        """Block-stacked params plus the total log-Jacobian of the transform
-        at ``u``, whatever the number of blocks; -inf outside the support."""
+    def decode(self, u: np.ndarray) -> tuple[SCKPDParams, float]:
+        """One block's params plus the total log-Jacobian of the transform
+        at ``u``; -inf outside the support."""
+        if self.n_blocks != 1:
+            raise ValueError(f"decode gives one block's params; this layout has "
+                             f"{self.n_blocks} blocks")
         s = self._decode(u)
         K = self.n_components
-        params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
-                          d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
-                          theta=s.theta, gamma=s.gamma)
-        return params, s.log_jac
+        return SCKPDParams(lowers1=s.members1[0, :K], lowers2=s.members2[0, :K],
+                           d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega=s.omega1,
+                           theta=s.theta), s.log_jac
 
-    def decode(self, u: np.ndarray) -> tuple[SCKPDParams | SDParams, float]:
-        """Params plus the total log-Jacobian of the transform at ``u``;
-        :class:`SCKPDParams` for one block."""
-        params, log_jac = self.decode_blocks(u)
-        if self.n_blocks == 1:
-            return params.season_params(0, params.omega1), log_jac
-        return params, log_jac
-
-    def unpack(self, u: np.ndarray) -> SCKPDParams | SDParams:
+    def unpack(self, u: np.ndarray) -> SCKPDParams:
         return self.decode(u)[0]
 
 
@@ -325,7 +299,9 @@ def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, 
 
 
 def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    return np.concatenate([low, np.diag(diag)[None]], axis=0)
+    """The member stack [lowers, diag(D)] of (..., K, d, d) lowers."""
+    D = np.broadcast_to(np.diag(diag), low.shape[:-3] + (1,) + low.shape[-2:])
+    return np.concatenate([low, D], axis=-3)
 
 
 def lower_energies(members1: np.ndarray, members2: np.ndarray) -> np.ndarray:
@@ -342,13 +318,6 @@ def lower_energies(members1: np.ndarray, members2: np.ndarray) -> np.ndarray:
     GU = np.einsum('taij,tbij->tab', members1, members1)
     GV = np.einsum('taij,tbij->tab', members2, members2)
     return np.sum(C * (GU @ C @ GV), axis=(1, 2))
-
-
-def lower_energy(lowers1: np.ndarray, lowers2: np.ndarray,
-                 d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
-    """:func:`lower_energies` of one block."""
-    return float(lower_energies(_members(lowers1, d1_diag)[None],
-                                _members(lowers2, d2_diag)[None])[0])
 
 
 def _pair_products(members: np.ndarray) -> np.ndarray:
@@ -465,7 +434,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
     s = layout._decode(u)
     if not s.log_jac > -np.inf or beta <= 0.0:
         return -np.inf, np.zeros(layout.size)
-    D1, D2, G, theta = s.d1_diag, s.d2_diag, s.gamma, s.theta
+    D1, D2, G, A, omegas, theta = s.d1_diag, s.d2_diag, s.gamma, s.transition, s.omegas, s.theta
     alpha = layout.transition_alpha
     grad = np.empty(layout.size)
     # weights so small that the lower variances underflow, a prior or
@@ -473,12 +442,6 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
     # diagonals) leave the support: the value or gradient comes out
     # non-finite and is checked once, at the end
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if T > 1:
-            col_sums = G.sum(axis=0, keepdims=True)
-            A = G / col_sums
-        else:
-            A = None
-        omegas = omega_trajectory(s.omega1, A, T)
         var = omegas * beta
         lows = u[layout.sl_lows]
         ssq = np.bincount(layout.lower_block, lows * lows, T * K).reshape(T, K)
@@ -525,7 +488,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
         # column normalization
         if T > 1:
             g_A = lams[1:].T @ omegas[:-1]
-            g_G = (g_A - (g_A * A).sum(axis=0, keepdims=True)) / col_sums
+            g_G = (g_A - (g_A * A).sum(axis=0, keepdims=True)) / G.sum(axis=0, keepdims=True)
             grad[layout.sl_gammas] = (g_G * G + alpha - G).reshape(-1)
 
     if not (np.isfinite(value) and np.isfinite(grad).all()):

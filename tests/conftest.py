@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sckpd import transforms as tr
-from sckpd.harness import _factor_stats
-from sckpd.hyper import make_targets, prior_targets_from_sample, solve_hyper
-from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, SDParams, log_det_ldagger,
+from sckpd.hyper import prior_targets_from_sample, solve_hyper
+from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, assemble_ldagger, log_det_ldagger,
                          log_prior, omega_trajectory, trace_quadratic, vanloan_rearrange)
 
 
@@ -151,9 +150,48 @@ def validate_params(params):
     return params
 
 
+@dataclass(frozen=True)
+class SDParams:
+    """Constrained parameters of T blocks: per-block strict-lower factors,
+    shared diagonals, the first block's weights and, for T > 1, the positive
+    K x K gamma matrix that generates the transition."""
+
+    lowers1: np.ndarray          # (T, K, d1, d1)
+    lowers2: np.ndarray          # (T, K, d2, d2)
+    d1_diag: np.ndarray
+    d2_diag: np.ndarray
+    omega1: np.ndarray           # first-block weights
+    theta: float
+    gamma: np.ndarray | None = None
+
+    @property
+    def transition(self):
+        """The column-normalized gamma: the column-stochastic transition."""
+        if self.gamma is None:
+            return None
+        return self.gamma / self.gamma.sum(axis=0, keepdims=True)
+
+    def season_params(self, t, omega_t):
+        return SCKPDParams(lowers1=self.lowers1[t], lowers2=self.lowers2[t],
+                           d1_diag=self.d1_diag, d2_diag=self.d2_diag,
+                           omega=omega_t, theta=self.theta)
+
+
+def decode_blocks(layout, u):
+    """Block-stacked params plus the total log-Jacobian of the transform at
+    ``u``, for a layout of any number of blocks: the inverse of ``pack``."""
+    s = layout._decode(u)
+    K = layout.n_components
+    params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
+                      d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
+                      theta=s.theta, gamma=s.gamma)
+    return params, s.log_jac
+
+
 def pack(layout, params):
     """Unconstrained coordinates of valid params: the inverse of
-    ``layout.unpack``, for SCKPDParams (one block) or SDParams."""
+    ``layout.unpack`` for SCKPDParams (one block), of ``decode_blocks`` for
+    SDParams."""
     if isinstance(params, SCKPDParams):
         validate_params(params)
         params = SDParams(lowers1=params.lowers1[None], lowers2=params.lowers2[None],
@@ -350,16 +388,25 @@ def column_summary_oracle(x):
             "q025": float(q[0]), "q500": float(q[1]), "q975": float(q[2])}
 
 
+def dense_factor_stats(params):
+    """log det, diagonal and strict-lower energies of one block's dense
+    factor."""
+    L = assemble_ldagger(params)
+    diag = np.diagonal(L)
+    return {"logdet_factor": float(np.sum(np.log(diag))), "fro2_diag": float(np.sum(diag ** 2)),
+            "fro2_lower": float(np.sum(np.tril(L, -1) ** 2))}
+
+
 def draw_table_oracle(layout, chains):
     """The values of the draws table one draw and one block at a time: each
-    block's weights through the trajectory, then the closed-form statistics
-    of its factor.  The oracle of ``harness._draw_table``."""
+    block's weights through the trajectory, then the statistics of its
+    dense factor.  The oracle of ``harness._draw_table``."""
     rows = []
     for ci, chain in enumerate(chains):
         for di, u in enumerate(chain.draws):
-            params, _ = layout.decode_blocks(u)
+            params, _ = decode_blocks(layout, u)
             omegas = omega_trajectory(params.omega1, params.transition, layout.n_blocks)
-            stats = [_factor_stats(params.season_params(t, omegas[t]))
+            stats = [dense_factor_stats(params.season_params(t, omegas[t]))
                      for t in range(layout.n_blocks)]
             row = [ci, di, float(chain.accept_flags[di]), float(chain.divergence_flags[di]),
                    float(chain.energies[di]), params.theta,

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import scipy.stats
 
-from conftest import (log_likelihood, log_posterior, make_rng, pack, random_dataset,
-                      summary_for, targets_and_hyper)
+from conftest import (SDParams, decode_blocks, log_likelihood, log_posterior, make_rng, pack,
+                      random_dataset, summary_for, targets_and_hyper)
 from sckpd.dynamic import SDLayout, SeasonSchedule, sd_log_posterior_grad
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
-from sckpd.model import SDParams, StateLayout, log_posterior_grad, omega_trajectory
+from sckpd.model import StateLayout, log_posterior_grad, omega_trajectory
 
 
 def _normalized(G):
@@ -131,6 +131,22 @@ def test_identity_transition_keeps_weights_equal():
     assert np.allclose(traj, omega1[None, :].repeat(4, axis=0))
 
 
+def test_decoded_weights_match_the_oracle():
+    # the transition and trajectory a state decodes to, which the posterior
+    # and the draws table read, against gamma normalized on the test side
+    rng = make_rng(8)
+    layout = SDLayout(3, 2, 3, 4)
+    for _ in range(3):
+        u = rng.normal(0, 0.8, size=layout.size)
+        s = layout._decode(u)
+        params, _ = decode_blocks(layout, u)
+        assert np.array_equal(s.transition, params.transition)
+        assert np.array_equal(s.omegas, omega_trajectory(params.omega1, params.transition, 4))
+    static = StateLayout(3, 2, 3)
+    one = static._decode(rng.normal(size=static.size))
+    assert one.transition is None and np.array_equal(one.omegas, one.omega1[None])
+
+
 def test_two_season_value_matches_per_season_oracle():
     rng = make_rng(5)
     d1, d2, K = 3, 2, 2
@@ -141,7 +157,7 @@ def test_two_season_value_matches_per_season_oracle():
     u = rng.normal(0, 0.4, size=layout.size)
     got = _sd_value(u, layout, sched, hyper, targets)
 
-    params, log_jac = layout.decode(u)
+    params, log_jac = decode_blocks(layout, u)
     omegas = omega_trajectory(params.omega1, params.transition, 2)
     expected = log_jac
     t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)
@@ -185,7 +201,7 @@ def test_sd_layout_pack_round_trip():
     d1, d2, K, T = 3, 2, 2, 3
     layout = SDLayout(d1, d2, K, T)
     u = rng.normal(0, 0.5, size=layout.size)
-    params = layout.unpack(u)
+    params, _ = decode_blocks(layout, u)
     back = pack(layout, params)
     assert np.allclose(back, u, atol=1e-12)
 
@@ -252,7 +268,7 @@ def test_twelve_blocks_match_per_block_oracle():
     u[layout.sl_gammas] = np.log(rng.gamma(alpha, 1.0, size=K * K))
     got, grad = sd_log_posterior_grad(u, layout, sched, hyper, targets)
 
-    params, log_jac = layout.decode(u)
+    params, log_jac = decode_blocks(layout, u)
     omegas = omega_trajectory(params.omega1, params.transition, T)
     expected = log_jac
     t1, t2 = np.tril_indices(d1, -1), np.tril_indices(d2, -1)

@@ -1,20 +1,23 @@
+import argparse
 import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import (column_summary_oracle, diagnostics_oracle, draw_table_oracle,
-                      effective_sample_size_oracle, make_rng, random_params, split_rhat_oracle)
-from sckpd import harness
-from sckpd.harness import (PRESETS, RunConfig, _factor_stats, check_hyper, fit,
-                           ingest_csv, simulate, summarize_draws)
+from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_oracle,
+                      draw_table_oracle, effective_sample_size_oracle, make_rng, random_params,
+                      split_rhat_oracle)
+from sckpd import cli, harness
+from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
+                           ingest_csv, read_config_file, simulate, summarize_draws)
 from sckpd.hmc import Chain
-from sckpd.model import StateLayout, assemble_ldagger
+from sckpd.model import StateLayout, _members
 
 
 def _write(path: Path, text: str) -> Path:
@@ -292,16 +295,32 @@ def test_static_run_is_the_one_block_seasonal_run(tmp_path):
 
 
 def test_factor_stats_match_dense_assembly():
+    # the statistics truth.json and draws.csv share, on random states of one
+    # to four blocks, against each block's dense factor; a log det sum is
+    # compared relative to the sum of its terms' magnitudes
     rng = make_rng(40)
-    for _ in range(200):
+    for _ in range(100):
         d1, d2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        p = random_params(d1, d2, int(rng.integers(1, 6)), rng)
-        L = assemble_ldagger(p)
-        stats = _factor_stats(p)
-        dense_diag = float(np.sum(np.diagonal(L) ** 2))
-        dense_lower = float(np.sum(np.tril(L, -1) ** 2))
-        assert abs(stats["fro2_diag"] - dense_diag) <= 1e-12 * dense_diag
-        assert abs(stats["fro2_lower"] - dense_lower) <= 1e-12 * dense_lower
+        K, T = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        first = random_params(d1, d2, K, rng)
+        blocks = [first] + [replace(random_params(d1, d2, K, rng), d1_diag=first.d1_diag,
+                                    d2_diag=first.d2_diag) for _ in range(T - 1)]
+        config = RunConfig.from_dict(dict(
+            mode="simulate-static" if T == 1 else "simulate-dynamic", n_seasons=T, d1=d1, d2=d2))
+        values = _stat_values(first.d1_diag, first.d2_diag, np.stack([p.omega for p in blocks]),
+                              _members(np.stack([p.lowers1 for p in blocks]), first.d1_diag),
+                              _members(np.stack([p.lowers2 for p in blocks]), first.d2_diag))
+        stats = dict(zip(_stat_columns(config, K), values))
+        assert len(stats) == len(values) == 2 + T * (K + 1)
+        for (tag, _), p in zip(harness._blocks(config), blocks):
+            dense = dense_factor_stats(p)
+            log_terms = np.abs(np.log(np.outer(p.d1_diag, p.d2_diag))).sum()
+            assert abs(stats["logdet_factor"] - dense["logdet_factor"]) <= 1e-12 * log_terms
+            for name in ("fro2_diag", f"fro2_lower{tag}"):
+                expect = dense[name.removesuffix(tag)]
+                assert abs(stats[name] - expect) <= 1e-12 * expect
+            assert [stats[f"omega{tag}_sorted_{k + 1}"] for k in range(K)] == \
+                sorted(p.omega, reverse=True)
 
 
 def test_draw_table_matches_per_block_oracle():
@@ -348,11 +367,13 @@ def test_fit_static_smoke(tmp_path):
         <= stats["omega_sorted_1"]["q975"]
     assert (tmp_path / "fit" / "draws.csv").exists()
     assert (tmp_path / "fit" / "summary.json").exists()
-    # draws table pairs with the summary schema
+    # draws table pairs with the summary schema: the truth has every fitted
+    # statistic but theta, and each is covered or not
+    truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+    assert set(truth["stats"]) == set(stats) - {"theta"}
     re = summarize_draws(tmp_path / "fit" / "draws.csv",
                          tmp_path / "sim" / "truth.json")
-    assert "coverage" in re
-    assert set(re["coverage"]) <= set(re["stats"])
+    assert set(re["coverage"]) == set(truth["stats"])
     # sorted weights dominate componentwise
     assert stats["omega_sorted_1"]["q500"] >= stats["omega_sorted_2"]["q500"]
 
@@ -371,34 +392,46 @@ def test_fit_reproducible(tmp_path):
     assert s1["stats"] == s2["stats"]
 
 
-def test_fit_parallel_chains_match_sequential(tmp_path, monkeypatch):
-    cfg = _small_fit_config(tmp_path)
+def _small_seasonal_fit_config(tmp_path, seed=11, **fit_knobs):
+    simulate(RunConfig.from_dict(dict(
+        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
+        omega_weights=(1.0, 3.0), n_obs=120, n_seasons=2, n_cycles=1,
+        seed=seed, output_dir=str(tmp_path / "sim"))))
+    return RunConfig.from_dict(dict(dict(
+        mode="fit-dynamic", d1=3, d2=2, n_components=2, n_seasons=2, n_cycles=1,
+        input_path=str(tmp_path / "sim"), output_dir=str(tmp_path / "fit"),
+        seed=seed, n_chains=2, n_warmup=120, n_draws=120, n_leapfrog=12), **fit_knobs))
+
+
+def _assert_parallel_matches_sequential(tmp_path, monkeypatch, cfg):
+    """The chains of a fit run in a process pool, which pickles the
+    posterior, write the draws of the sequential fit."""
     fit(cfg)
     seq = (tmp_path / "fit" / "draws.csv").read_bytes()
     monkeypatch.setenv("SCKPD_THREADS", "2")
-    cfg2 = RunConfig.from_dict(dict(
-        mode="fit-static", d1=3, d2=2, n_components=2,
-        input_path=cfg.input_path, output_dir=str(tmp_path / "fitp"),
-        seed=cfg.seed, n_chains=2, n_warmup=150, n_draws=150, n_leapfrog=12))
-    fit(cfg2)
+    fit(RunConfig.from_dict({**cfg.__dict__, "output_dir": str(tmp_path / "fitp")}))
     par = (tmp_path / "fitp" / "draws.csv").read_bytes()
     assert seq == par
 
 
+def test_fit_parallel_chains_match_sequential(tmp_path, monkeypatch):
+    _assert_parallel_matches_sequential(tmp_path, monkeypatch, _small_fit_config(tmp_path))
+
+
+def test_fit_parallel_seasonal_chains_match_sequential(tmp_path, monkeypatch):
+    cfg = _small_seasonal_fit_config(tmp_path, n_warmup=60, n_draws=60)
+    _assert_parallel_matches_sequential(tmp_path, monkeypatch, cfg)
+
+
 def test_fit_dynamic_smoke(tmp_path):
-    sim = RunConfig.from_dict(dict(
-        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
-        omega_weights=(1.0, 3.0), n_obs=120, n_seasons=2, n_cycles=1,
-        seed=11, output_dir=str(tmp_path / "sim")))
-    simulate(sim)
-    cfg = RunConfig.from_dict(dict(
-        mode="fit-dynamic", d1=3, d2=2, n_components=2, n_seasons=2, n_cycles=1,
-        input_path=str(tmp_path / "sim"), output_dir=str(tmp_path / "fit"),
-        seed=11, n_chains=2, n_warmup=120, n_draws=120, n_leapfrog=12))
-    summary = fit(cfg)
+    summary = fit(_small_seasonal_fit_config(tmp_path))
     assert "omega_c1_s1_sorted_1" in summary["stats"]
     assert "omega_c1_s2_sorted_1" in summary["stats"]
     assert "fro2_lower_c1_s2" in summary["stats"]
+    truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+    assert set(truth["stats"]) == set(summary["stats"]) - {"theta"}
+    re = summarize_draws(tmp_path / "fit" / "draws.csv", tmp_path / "sim" / "truth.json")
+    assert set(re["coverage"]) == set(truth["stats"])
     # every per-draw weight row is a simplex point
     rows = (tmp_path / "fit" / "draws.csv").read_text().splitlines()
     header = rows[0].split(",")
@@ -525,6 +558,12 @@ def test_config_validation():
                        ("n_warmup", -1)):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
+    # each block count is checked alone: -2 seasons of -1 cycles is not 2 blocks
+    for mode in ("fit-dynamic", "simulate-dynamic"):
+        for seasons, cycles, bad in ((-2, -1, "n_seasons"), (2, 0, "n_cycles")):
+            with pytest.raises(ValueError, match=f"{bad} must be at least 1"):
+                RunConfig.from_dict(dict(mode=mode, input_path="d", n_seasons=seasons,
+                                         n_cycles=cycles))
 
 
 def test_config_yaml_and_hmc_section(tmp_path):
@@ -532,7 +571,7 @@ def test_config_yaml_and_hmc_section(tmp_path):
     p.write_text(yaml.safe_dump(dict(
         mode="simulate-static", d1=3, d2=2, n_obs=10,
         hmc=dict(n_chains=2, n_warmup=50))))
-    cfg = RunConfig.from_yaml(p)
+    cfg = RunConfig.from_dict(read_config_file(p))
     assert cfg.n_chains == 2
     assert cfg.n_warmup == 50
 
@@ -542,6 +581,18 @@ def test_config_yaml_and_hmc_section(tmp_path):
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "sckpd.cli", *args],
                           capture_output=True, text=True)
+
+
+def test_cli_takes_the_family_from_the_block_count():
+    # flags override the preset's seasons and cycles; more than one block is
+    # a seasonal run
+    for preset, flags, mode in (("paper-dynamic", {}, "fit-dynamic"),
+                                ("paper-dynamic", dict(n_seasons=1, n_cycles=1), "fit-static"),
+                                ("paper-static", dict(n_seasons=2), "fit-dynamic"),
+                                (None, {}, "fit-static")):
+        args = argparse.Namespace(command="fit", config=None, preset=preset,
+                                  input_path="d", **flags)
+        assert cli._build_config(args, "fit").mode == mode
 
 
 def test_cli_simulate_and_check_hyper(tmp_path):

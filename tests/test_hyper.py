@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_spd, targets_and_hyper
-from sckpd.hyper import (SHAPE_TOL, NotPositiveDefiniteError, diag_prior_rate, digamma,
-                         make_targets, prior_targets_from_sample, shape_residual,
-                         solve_a, solve_beta, solve_hyper, trigamma)
+from sckpd.hyper import (SHAPE_TOL, NotPositiveDefiniteError, PriorTargets, diag_prior_rate,
+                         digamma, prior_targets_from_sample, shape_residual, solve_a,
+                         solve_beta, solve_hyper, trigamma)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -151,14 +151,24 @@ def test_targets_rank_deficient_advises_jitter():
 # ----- beta solve ------------------------------------------------------------
 
 def test_beta_zero_lower_energy():
-    t = make_targets(0.3, 12.0, 0.0, 4, 5)
+    t = PriorTargets(0.3, 12.0, 0.0, 4, 5)
     assert solve_beta(t) == 0.0
+
+
+def test_targets_derive_their_counts_and_check_their_inputs():
+    t = PriorTargets(0.0, 20.0, 10.0, 4, 5)
+    assert (t.n_lower1, t.lower_ratio) == (6.0, 0.6)
+    for args, message in (((0.0, 20.0, 10.0, 1, 5), "mode dimensions"),
+                          ((0.0, 0.0, 10.0, 4, 5), "diagonal energy"),
+                          ((0.0, 20.0, -1.0, 4, 5), "lower energy")):
+        with pytest.raises(ValueError, match=message):
+            PriorTargets(*args)
 
 
 def test_beta_plug_back_random():
     rng = make_rng(3)
     for _ in range(10):
-        t = make_targets(rng.normal(), float(rng.uniform(5, 50)),
+        t = PriorTargets(rng.normal(), float(rng.uniform(5, 50)),
                          float(rng.uniform(0, 20)), 4, 5)
         b = solve_beta(t)
         assert b >= 0.0
@@ -169,7 +179,7 @@ def test_beta_plug_back_random():
 
 def test_beta_fixed_case():
     # d1=4, d2=5, F_D=20, F_L=10; root checked against the quadratic oracle
-    t = make_targets(0.0, 20.0, 10.0, 4, 5)
+    t = PriorTargets(0.0, 20.0, 10.0, 4, 5)
     b = solve_beta(t)
     m1, c = 6.0, 0.6
     roots = np.roots([m1 * m1 / c, math.sqrt(20.0) * m1 * (1 + 1 / c), -10.0])

@@ -302,6 +302,14 @@ def test_diag_recovered_from_log_coordinates():
     assert np.allclose(p.d1_diag, np.exp(u[layout.sl_logd1]), atol=1e-14)
 
 
+def test_decode_refuses_a_layout_of_more_blocks():
+    layout = StateLayout(3, 4, 2, n_blocks=3)
+    u = make_rng(19).normal(size=layout.size)
+    for decode in (layout.decode, layout.unpack):
+        with pytest.raises(ValueError, match="this layout has 3 blocks"):
+            decode(u)
+
+
 # ----- posterior gradient ---------------------------------------------------------
 
 def _fd_check(fn_value, fn_grad, u, rtol=1e-5, atol=1e-7, step=1e-5):
@@ -388,7 +396,8 @@ def _outside_support_states(layout, rng):
     floating-point support: diagonals that underflow, overflow or make the
     trace term overflow, a saturated theta or stick coordinate, a weight
     so small that its lower-variance terms overflow, and transition gammas
-    that overflow, underflow or overflow in their sum."""
+    that overflow, underflow (one entry, or every column to 0) or overflow
+    in their sum."""
     base = rng.normal(0.0, 0.3, size=layout.size)
     edits = [(layout.sl_logd1, 1, -800.0), (layout.sl_logd1, 1, 800.0),
              (layout.sl_logd2, 1, -800.0), (layout.sl_logd1, 1, 400.0),
@@ -397,7 +406,8 @@ def _outside_support_states(layout, rng):
              (layout.sl_sticks, 1, -400.0)]
     if layout.n_blocks > 1:
         edits += [(layout.sl_gammas, 1, 800.0), (layout.sl_gammas, 1, -800.0),
-                  (layout.sl_gammas, 3, 709.0)]
+                  (layout.sl_gammas, 3, 709.0),
+                  (layout.sl_gammas, layout.n_components ** 2, -800.0)]
     for sl, n, val in edits:
         u = base.copy()
         u[sl.start:sl.start + n] = val
