@@ -13,7 +13,7 @@ import json
 import sys
 
 from .harness import (PRESETS, RunConfig, check_hyper, fit, read_config_file, simulate,
-                      summarize_draws)
+                      strict_json, summarize_draws)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,8 +98,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # strict JSON: a NaN or infinite result is a failure, not a bare NaN token
-        text = json.dumps(args.func(args), indent=2, sort_keys=True, default=float,
-                          allow_nan=False)
+        text = strict_json(args.func(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, default=float)

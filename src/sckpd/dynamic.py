@@ -50,14 +50,6 @@ class SeasonSchedule:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def d1(self) -> int:
-        return self.blocks[0].d1
-
-    @property
-    def d2(self) -> int:
-        return self.blocks[0].d2
-
 
 def sd_log_posterior_grad(u: np.ndarray, layout: StateLayout, schedule: SeasonSchedule,
                           hyper: SolvedHyper, targets: PriorTargets

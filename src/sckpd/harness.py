@@ -87,7 +87,7 @@ class RunConfig:
     d1: int = 4
     d2: int = 5
     n_components: int = 5          # components the model fits with
-    n_truth_components: int | None = None
+    n_truth_components: int | None = None   # components simulated; None: n_components
     n_obs: int = 500               # observations per block
     n_seasons: int = 1
     n_cycles: int = 1
@@ -95,22 +95,21 @@ class RunConfig:
     input_path: str | None = None
     output_dir: str = "out"
     center: bool = False
-    # simulation knobs
+    # simulation design, all finite: weights >= 0 with a positive sum and a
+    # variance scale >= 0 (a zero switches a component off), Wishart scales > 0
     omega_weights: tuple = (1.0, 4.0, 6.0, 7.0, 9.0)
     lower_variance: float = 2.0
     wishart_scale1: tuple | None = None
     wishart_scale2: tuple | None = None
     transition: str = "sample"     # or "identity"
     sim_transition_alpha: float = 0.05
-    # fitting knobs
+    # sampler; a fit starts from HMCConfig's step, adapts it toward
+    # hmc.TARGET_ACCEPT with mass adaptation on, and keeps the layout's
+    # Gamma(1) transition prior
     n_chains: int = 4
     n_warmup: int = 800
     n_draws: int = 1000
     n_leapfrog: int = 32
-    step_size: float = 0.05
-    target_accept: float = 0.8
-    adapt_mass: bool = True
-    transition_dirichlet_alpha: float = 1.0
     preset: str | None = None
 
     @classmethod
@@ -146,6 +145,20 @@ class RunConfig:
         for key in ("n_seasons", "n_cycles"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.n_truth_components is not None and self.n_truth_components < 1:
+            raise ValueError(f"n_truth_components must be at least 1 or unset, "
+                             f"got {self.n_truth_components}")
+        if not (all(0 <= w < math.inf for w in self.omega_weights)
+                and sum(self.omega_weights) > 0):
+            raise ValueError(f"omega_weights must be finite and nonnegative with a positive "
+                             f"sum, got {list(self.omega_weights)}")
+        if not 0 <= self.lower_variance < math.inf:
+            raise ValueError(f"lower_variance must be finite and nonnegative, "
+                             f"got {self.lower_variance}")
+        for key in ("wishart_scale1", "wishart_scale2"):
+            scale = getattr(self, key)
+            if scale is not None and not all(0 < v < math.inf for v in scale):
+                raise ValueError(f"{key} entries must be finite and positive, got {list(scale)}")
         if self.mode.startswith("fit") and self.input_path is None:
             raise ValueError(f"mode '{self.mode}' requires input_path")
         if self.transition not in ("sample", "identity"):
@@ -178,16 +191,6 @@ def _blocks(config: RunConfig) -> list[tuple[str, str]]:
         return [("", "data.csv")]
     return [(f"_c{c}_s{s}", f"data_c{c}_s{s}.csv")
             for c in range(1, config.n_cycles + 1) for s in range(1, config.n_seasons + 1)]
-
-
-def _sim_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed % 2 ** 64, SIM_STREAM], dtype=np.uint64)))
-
-
-def _init_rng(seed: int, chain: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed % 2 ** 64, INIT_STREAM + chain], dtype=np.uint64)))
 
 
 def _wishart_scales(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -365,10 +368,15 @@ def _scan_csv(path: str | Path, width: int) -> np.ndarray:
     return Y
 
 
+def strict_json(payload: dict) -> str:
+    """``payload`` as indented strict JSON with sorted keys: a NaN or
+    infinite value raises ValueError rather than give a bare NaN token."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON: a NaN or infinite value raises ValueError before
-    the file is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
+    """Write strict JSON; a non-finite value raises before the file is opened."""
+    text = strict_json(payload)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -389,8 +397,8 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     config.validate()
     if not config.mode.startswith("simulate"):
         raise ValueError(f"simulate() does not handle mode '{config.mode}'")
-    rng = _sim_rng(config.seed)
-    K = config.n_truth_components or config.n_components
+    rng = hmc.philox_rng(config.seed, SIM_STREAM)
+    K = config.n_components if config.n_truth_components is None else config.n_truth_components
     omega = np.asarray(config.omega_weights, dtype=float)
     if omega.shape != (K,):
         raise ValueError(f"omega_weights must have {K} entries, got {omega.shape}")
@@ -463,7 +471,7 @@ def _n_threads() -> int:
 
 def _draw_init(fn, seed: int, chain: int, size: int) -> np.ndarray:
     """Uniform(-2, 2) inits, re-drawn until the posterior is finite."""
-    rng = _init_rng(seed, chain)
+    rng = hmc.philox_rng(seed, INIT_STREAM + chain)
     for _ in range(100):
         u = rng.uniform(-2.0, 2.0, size=size)
         if np.isfinite(fn(u)[0]):
@@ -523,8 +531,7 @@ def fit(config: RunConfig) -> dict:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
                         "the shape was solved at the clamped target instead")
 
-    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(summaries),
-                             transition_alpha=config.transition_dirichlet_alpha)
+    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(summaries))
     if config.mode == "fit-static":
         fn = partial(mdl.log_posterior_grad, layout=layout, data=summaries[0],
                      hyper=hyper, targets=targets)
@@ -533,11 +540,9 @@ def fit(config: RunConfig) -> dict:
                                       blocks=tuple(summaries))
         fn = partial(dyn.sd_log_posterior_grad, layout=layout, schedule=schedule,
                      hyper=hyper, targets=targets)
-    hconfs = [HMCConfig(step_size=config.step_size, n_leapfrog=config.n_leapfrog,
-                        target_accept=config.target_accept, n_warmup=config.n_warmup,
+    hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
-                        adapt_mass=config.adapt_mass,
-                        init=_draw_init(fn, config.seed, c, layout.size))
+                        adapt_mass=True, init=_draw_init(fn, config.seed, c, layout.size))
               for c in range(config.n_chains)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -549,11 +554,7 @@ def fit(config: RunConfig) -> dict:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     table, columns = _draw_table(config, layout, chains)
-    with open(outdir / "draws.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in table:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv_matrix(outdir / "draws.csv", table, columns)
 
     summary = _summarize_chains(config, chains, table, columns,
                                 _hyper_report(targets, hyper), warnings)

@@ -1,8 +1,9 @@
 """Self-contained Hamiltonian Monte Carlo with a diagonal mass matrix:
 position-Verlet leapfrog (half step in position, full step in momentum,
 half step in position), Metropolis correction, dual-averaging step-size
-adaptation toward a target acceptance rate, optional mass estimation from
-warmup variances, and autocorrelation-based chain diagnostics.
+adaptation toward the acceptance rate ``TARGET_ACCEPT``, optional mass
+estimation from warmup variances, and autocorrelation-based chain
+diagnostics.
 
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
@@ -10,8 +11,8 @@ C chains of N draws of m columns, and return one value per column as an
 (N,), and return a float.  ``diagnostics`` flags degenerate chains.
 
 Randomness comes from a counter-based Philox generator keyed as
-(seed, chain_index), so chains are reproducible and independent whether
-they run sequentially or in parallel.
+(seed, chain_index) by ``philox_rng``, so chains are reproducible and
+independent whether they run sequentially or in parallel.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIVERGENCE_ENERGY = 1000.0   # |dH| beyond this flags the proposal divergent
+TARGET_ACCEPT = 0.8          # acceptance rate the warmup adapts the step toward
 # fraction by which the step is uniformly jittered each iteration; kills the
 # near-periodic trapping a fixed trajectory length suffers on targets whose
 # oscillation period divides the integration time
@@ -30,9 +32,8 @@ STEP_JITTER = 0.2
 
 @dataclass
 class HMCConfig:
-    step_size: float = 0.1
+    step_size: float = 0.05      # initial step; warmup adapts it
     n_leapfrog: int = 32
-    target_accept: float = 0.8
     n_warmup: int = 1000
     n_draws: int = 1000
     seed: int = 0
@@ -43,8 +44,6 @@ class HMCConfig:
     def __post_init__(self):
         if self.step_size <= 0 or self.n_leapfrog < 1:
             raise ValueError("step size and leapfrog count must be positive")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target acceptance must lie in (0, 1)")
         if self.n_warmup < 0 or self.n_draws < 0:
             raise ValueError("warmup and draw counts must be nonnegative")
 
@@ -134,13 +133,18 @@ def find_reasonable_step_size(value_and_grad, q: np.ndarray, step_size: float,
     return eps
 
 
-class _DualAveraging:
-    """Nesterov-style averaging of log step sizes toward a target acceptance."""
+def philox_rng(seed: int, stream: int) -> np.random.Generator:
+    """A counter-based Philox generator keyed (seed, stream)."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed % 2 ** 64, stream], dtype=np.uint64)))
 
-    def __init__(self, step_size: float, target: float,
+
+class _DualAveraging:
+    """Nesterov-style averaging of log step sizes toward ``TARGET_ACCEPT``."""
+
+    def __init__(self, step_size: float,
                  gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
         self.mu = math.log(10.0 * step_size)
-        self.target = target
         self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.h_bar = 0.0
         self.log_eps_bar = 0.0
@@ -150,7 +154,7 @@ class _DualAveraging:
     def update(self, accept_prob: float) -> float:
         self.m += 1
         frac = 1.0 / (self.m + self.t0)
-        self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_prob)
+        self.h_bar = (1.0 - frac) * self.h_bar + frac * (TARGET_ACCEPT - accept_prob)
         self.log_eps = self.mu - math.sqrt(self.m) / self.gamma * self.h_bar
         w = self.m ** (-self.kappa)
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
@@ -175,8 +179,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
         raise ValueError("config.init must provide the starting state")
     q = np.array(config.init, dtype=float)
     dim = q.shape[0]
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([config.seed % 2 ** 64, config.chain_index], dtype=np.uint64)))
+    rng = philox_rng(config.seed, config.chain_index)
 
     mass = np.ones(dim)
     mass_inv = 1.0 / mass
@@ -187,7 +190,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     eps = config.step_size
     if config.n_warmup > 0:
         eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
-    averager = _DualAveraging(eps, config.target_accept)
+    averager = _DualAveraging(eps)
     grad_fn = lambda x: value_and_grad(x)[1]
 
     n_total = config.n_warmup + config.n_draws
@@ -197,10 +200,10 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     energies = np.empty(config.n_draws)
     div_flags = np.zeros(config.n_draws, dtype=bool)
     warmup_div = 0
-    warmup_accepts = 0
 
     # with mass adaptation, warmup splits at the midpoint: variances of the
-    # second quarter of phase one become the new mass diagonal
+    # second quarter of phase one, n_warmup//2 - n_warmup//4 >= 10 states,
+    # become the new mass diagonal
     mass_switch = config.n_warmup // 2 if (config.adapt_mass and config.n_warmup >= 40) else None
     window: list[np.ndarray] = []
 
@@ -230,18 +233,17 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 
         if warmup:
             warmup_div += int(diverged)
-            warmup_accepts += int(accepted)
             eps = averager.update(accept_prob)
             if mass_switch is not None:
                 if mass_switch // 2 <= it < mass_switch:
                     window.append(q.copy())
-                if it == mass_switch - 1 and len(window) >= 10:
+                if it == mass_switch - 1:
                     var = np.var(np.asarray(window), axis=0, ddof=1)
                     floor = max(var.max(), 1e-12) * 1e-8
                     mass = 1.0 / np.maximum(var, floor)
                     mass_inv = 1.0 / mass
                     eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
-                    averager = _DualAveraging(eps, config.target_accept)
+                    averager = _DualAveraging(eps)
             if it == config.n_warmup - 1:
                 eps = averager.averaged
                 if config.n_warmup >= 20 and warmup_div == config.n_warmup:

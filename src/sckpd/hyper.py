@@ -7,8 +7,8 @@ The construction centers the factor prior so that, a priori,
 expected squared Frobenius norms of the diagonal and strict-lower parts
 match their targets.
 
-Digamma, trigamma and the Cholesky factorization use numpy and the
-standard library only.  Every fit is its own process and loads this
+Digamma and the Cholesky factorization use numpy and the standard
+library only.  Every fit is its own process and loads this
 module, and importing ``scipy.special`` or ``scipy.linalg`` costs more
 than a small fit's sampling; so the fit path loads no scipy.
 """
@@ -26,7 +26,6 @@ SHAPE_TOL = 1e-10       # residual the Gamma-shape solve must reach
 
 # asymptotic tail coefficients, valid after shifting the argument above 10
 _PSI0_TAIL = (1 / 12., -1 / 120., 1 / 252., -1 / 240., 1 / 132., -691 / 32760., 1 / 12.)
-_PSI1_TAIL = (1 / 6., -1 / 30., 1 / 42., -1 / 30., 5 / 66., -691 / 2730., 7 / 6.)
 _SHIFT = 10.0
 
 
@@ -98,51 +97,28 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - s
 
 
-def trigamma(x: float) -> float:
-    """psi_1(x) for x > 0; companion to :func:`digamma` for Newton steps."""
-    if not x > 0:
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    x = float(x)
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    p = inv * inv2
-    for b in _PSI1_TAIL:
-        s += b * p
-        p *= inv2
-    return acc + s
-
-
 def shape_residual(a: float, c: float) -> float:
     """|a^2 + a - c exp(2 psi_0(a))|, the quantity the shape solve drives down."""
     return abs(a * a + a - c * math.exp(2.0 * digamma(a)))
 
 
 def solve_a(c: float) -> float:
-    """Gamma shape minimizing |a^2 + a - c exp(2 psi_0(a))|.
+    """Gamma shape a with |a^2 + a - c exp(2 psi_0(a))| below SHAPE_TOL, for
+    c > 1; :func:`solve_hyper` passes c >= DEGENERATE_CLAMP.
 
-    For c > 1 there is a unique root; iteration runs on the equivalent
-    log form g(a) = log(a^2 + a) - 2 psi_0(a) - log c (bracketed bisection,
-    then Newton safeguarded against leaving the bracket), which stays well
-    conditioned where the raw residual cancels catastrophically.  For
-    c <= 1 no root exists (exp(2 psi_0(a)) < a^2 for all a > 0) and the
-    objective infimum sits at a -> 0+, so the boundary minimizer
-    a = SHAPE_TOL/4 is returned; its residual is ~SHAPE_TOL/4.  Otherwise
-    the returned shape has a residual below SHAPE_TOL.
+    For c > 1 there is a unique root.  Bracketed bisection runs on the
+    equivalent log form g(a) = log(a^2 + a) - 2 psi_0(a) - log c, which
+    stays well conditioned where the raw residual cancels catastrophically,
+    and returns the midpoint of least raw residual.  For c <= 1 no root
+    exists (exp(2 psi_0(a)) < a^2 for all a > 0), and a c too close to 1 for
+    double precision stalls above SHAPE_TOL; both raise ValueError.
     """
     c = float(c)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not c > 1.0:
+        raise ValueError(f"the shape equation has a root only for c > 1, got c={c}")
 
     def g(a: float) -> float:
         return math.log(a * a + a) - 2.0 * digamma(a) - math.log(c)
-
-    if c <= 1.0:
-        return SHAPE_TOL / 4.0
 
     lo, hi = 1e-8, 10.0
     glo, ghi = g(lo), g(hi)
@@ -166,25 +142,6 @@ def solve_a(c: float) -> float:
             lo, glo = mid, gm
         if best[1] < SHAPE_TOL or hi - lo < 1e-15 * hi:
             break
-
-    x = best[0]
-    for _ in range(50):
-        if shape_residual(x, c) < SHAPE_TOL:
-            break
-        gx = g(x)
-        dgx = (2 * x + 1) / (x * x + x) - 2.0 * trigamma(x)
-        step = gx / dgx
-        xn = x - step
-        if not (lo <= xn <= hi) or not np.isfinite(xn):
-            xn = 0.5 * (lo + hi)
-        if g(xn) * glo <= 0:
-            hi = xn
-        else:
-            lo, glo = xn, g(xn)
-        x = xn
-        res = shape_residual(x, c)
-        if res < best[1]:
-            best = (x, res)
 
     a, res = best
     if res >= SHAPE_TOL:

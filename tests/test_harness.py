@@ -552,10 +552,18 @@ def test_config_validation():
         RunConfig.from_dict(dict(mode="fit-static"))
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict(dict(mode="simulate-static", bogus=1))
+    # the initial step, the target acceptance, mass adaptation and the
+    # transition prior are fixed: a config that sets one fails, naming it
+    for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
+                       ("transition_dirichlet_alpha", 1.0)):
+        for raw in ({key: value}, {"hmc": {key: value}}):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                RunConfig.from_dict({"mode": "simulate-static", **raw})
     with pytest.raises(ValueError, match="preset"):
         RunConfig.from_dict(dict(mode="simulate-static", preset="nope"))
+    # n_truth_components 0 is refused, not read as unset
     for key, value in (("n_chains", 0), ("n_leapfrog", 0), ("n_draws", 3),
-                       ("n_warmup", -1)):
+                       ("n_warmup", -1), ("n_truth_components", 0)):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     # each block count is checked alone: -2 seasons of -1 cycles is not 2 blocks
@@ -564,6 +572,39 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{bad} must be at least 1"):
                 RunConfig.from_dict(dict(mode=mode, input_path="d", n_seasons=seasons,
                                          n_cycles=cycles))
+
+
+_SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+                     omega_weights=(1.0, 3.0), n_obs=20, seed=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega_weights", (1.0, -3.0)),
+    ("omega_weights", (0.0, 0.0)),
+    ("omega_weights", (1.0, float("inf"))),
+    ("lower_variance", -1.0),
+    ("lower_variance", float("inf")),
+    ("wishart_scale1", (1.0, 0.0, 0.5)),
+    ("wishart_scale2", (1.0, -0.5)),
+    ("wishart_scale2", (1.0, float("nan"))),
+])
+def test_bad_simulation_inputs_fail_at_the_boundary(tmp_path, field, value):
+    # each is refused before any draw, with a message naming its field
+    config = RunConfig(**{**_SMALL_DESIGN, "output_dir": str(tmp_path / "sim"), field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=field):
+            simulate(config)
+    assert not (tmp_path / "sim").exists()
+
+
+def test_zero_weight_and_zero_variance_switch_components_off(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, truth = simulate(RunConfig(**dict(_SMALL_DESIGN, omega_weights=(0.0, 3.0),
+                                             lower_variance=0.0, output_dir=str(tmp_path))))
+    assert truth["omega"] == [0.0, 1.0]
+    assert truth["stats"]["fro2_lower"] == 0.0
 
 
 def test_config_yaml_and_hmc_section(tmp_path):

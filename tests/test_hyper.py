@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_spd, targets_and_hyper
-from sckpd.hyper import (SHAPE_TOL, NotPositiveDefiniteError, PriorTargets, diag_prior_rate,
-                         digamma, prior_targets_from_sample, shape_residual, solve_a,
-                         solve_beta, solve_hyper, trigamma)
+from sckpd.hyper import (DEGENERATE_CLAMP, SHAPE_TOL, NotPositiveDefiniteError, PriorTargets,
+                         diag_prior_rate, digamma, prior_targets_from_sample, shape_residual,
+                         solve_a, solve_beta, solve_hyper)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -36,19 +36,12 @@ def test_digamma_against_mpmath():
         assert abs(digamma(x) - float(mpmath.digamma(x))) < 1e-12
 
 
-def test_trigamma_against_mpmath():
-    for x in (0.1, 1.0, 5.5, 10.0, 250.0):
-        assert abs(trigamma(x) - float(mpmath.polygamma(1, x))) < 1e-12
-
-
 def test_digamma_trigamma_on_solve_bracket():
     # a log grid over [1e-8, 1e12], the range solve_a's bracket probes
     with mpmath.workdps(40):
         for x in np.logspace(-8.0, 12.0, 401):
             psi0 = mpmath.digamma(mpmath.mpf(x))
-            psi1 = mpmath.polygamma(1, mpmath.mpf(x))
             assert abs(digamma(x) - psi0) <= 2e-15 * max(abs(psi0), 1)
-            assert abs(trigamma(x) - psi1) <= 2e-15 * max(abs(psi1), 1)
 
 
 def test_digamma_rejects_nonpositive():
@@ -93,11 +86,19 @@ def test_solve_a_self_consistency():
 
 
 def test_solve_a_boundary_regime():
-    # no root exists at or below c = 1; the argmin sits at the tiny-shape
-    # boundary and still satisfies the residual contract
-    a = solve_a(0.5)
-    assert a > 0
-    assert shape_residual(a, 0.5) < 1e-8
+    # no root exists at or below c = 1; solve_hyper clamps its targets to
+    # DEGENERATE_CLAMP, so solve_a refuses such a c and names it
+    for c in (0.5, 1.0):
+        with pytest.raises(ValueError, match=f"c={c}"):
+            solve_a(c)
+
+
+def test_solve_a_bisection_meets_tolerance_over_its_domain():
+    # every c solve_hyper can pass, from the clamp up to the bracket's end
+    for c in np.logspace(math.log10(DEGENERATE_CLAMP), 12.0, 241):
+        a = solve_a(c)
+        assert a > 0
+        assert shape_residual(a, c) < SHAPE_TOL
 
 
 def test_solve_a_residual_history_monotone_and_deterministic():
