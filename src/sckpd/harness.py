@@ -81,7 +81,8 @@ PRESETS: dict[str, dict] = {
 
 @dataclass
 class RunConfig:
-    """Declarative run description; YAML keys mirror the field names."""
+    """Declarative run description.  A config file holds top-level keys
+    only, and they mirror the field names; any other key is refused."""
 
     mode: str
     d1: int = 4
@@ -103,9 +104,9 @@ class RunConfig:
     wishart_scale2: tuple | None = None
     transition: str = "sample"     # or "identity"
     sim_transition_alpha: float = 0.05
-    # sampler; a fit starts from HMCConfig's step, adapts it toward
-    # hmc.TARGET_ACCEPT with mass adaptation on, and keeps the layout's
-    # Gamma(1) transition prior
+    # sampler; a fit starts from hmc.INITIAL_STEP, adapts it toward
+    # hmc.TARGET_ACCEPT, estimates the mass at the warmup midpoint when
+    # n_warmup >= 40, and keeps the layout's Gamma(1) transition prior
     n_chains: int = 4
     n_warmup: int = 800
     n_draws: int = 1000
@@ -114,8 +115,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = dict(raw)
-        hmc_part = raw.pop("hmc", {})
         preset = raw.get("preset")
         merged: dict = {}
         if preset is not None:
@@ -123,7 +122,6 @@ class RunConfig:
                 raise ValueError(f"unknown preset '{preset}'; choose from {sorted(PRESETS)}")
             merged.update(PRESETS[preset])
         merged.update({k: v for k, v in raw.items() if v is not None})
-        merged.update({k: v for k, v in hmc_part.items() if v is not None})
         fields = cls.__dataclass_fields__
         unknown = set(merged) - set(fields)
         if unknown:
@@ -159,6 +157,9 @@ class RunConfig:
             scale = getattr(self, key)
             if scale is not None and not all(0 < v < math.inf for v in scale):
                 raise ValueError(f"{key} entries must be finite and positive, got {list(scale)}")
+        if not 0 < self.sim_transition_alpha < math.inf:
+            raise ValueError(f"sim_transition_alpha must be finite and positive, "
+                             f"got {self.sim_transition_alpha}")
         if self.mode.startswith("fit") and self.input_path is None:
             raise ValueError(f"mode '{self.mode}' requires input_path")
         if self.transition not in ("sample", "identity"):
@@ -194,17 +195,18 @@ def _blocks(config: RunConfig) -> list[tuple[str, str]]:
 
 
 def _wishart_scales(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    def pick(scale, d):
+    def pick(key, d_key):
+        scale, d = getattr(config, key), getattr(config, d_key)
         if scale is not None:
             scale = np.asarray(scale, dtype=float)
             if scale.shape != (d,):
-                raise ValueError(f"Wishart scale length {scale.shape} does not match dim {d}")
+                raise ValueError(f"{key} has {scale.size} entries; {d_key} = {d} needs {d}")
             return scale
         for ref in (_SCALE_LEN5, _SCALE_LEN4):
             if len(ref) == d:
                 return np.asarray(ref)
         return np.full(d, 0.5)
-    return pick(config.wishart_scale1, config.d1), pick(config.wishart_scale2, config.d2)
+    return pick("wishart_scale1", "d1"), pick("wishart_scale2", "d2")
 
 
 def _draw_diagonals(rng, d: int, scale: np.ndarray) -> np.ndarray:
@@ -401,7 +403,8 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     K = config.n_components if config.n_truth_components is None else config.n_truth_components
     omega = np.asarray(config.omega_weights, dtype=float)
     if omega.shape != (K,):
-        raise ValueError(f"omega_weights must have {K} entries, got {omega.shape}")
+        raise ValueError(f"omega_weights has {omega.size} entries; "
+                         f"{K} simulated components need {K}")
     omega = omega / omega.sum()
     blocks = _blocks(config)
     if config.mode == "simulate-static":
@@ -542,7 +545,7 @@ def fit(config: RunConfig) -> dict:
                      hyper=hyper, targets=targets)
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
-                        adapt_mass=True, init=_draw_init(fn, config.seed, c, layout.size))
+                        init=_draw_init(fn, config.seed, c, layout.size))
               for c in range(config.n_chains)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

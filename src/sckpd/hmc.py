@@ -1,9 +1,9 @@
 """Self-contained Hamiltonian Monte Carlo with a diagonal mass matrix:
 position-Verlet leapfrog (half step in position, full step in momentum,
 half step in position), Metropolis correction, dual-averaging step-size
-adaptation toward the acceptance rate ``TARGET_ACCEPT``, optional mass
-estimation from warmup variances, and autocorrelation-based chain
-diagnostics.
+adaptation from ``INITIAL_STEP`` toward the acceptance rate ``TARGET_ACCEPT``,
+mass estimation from warmup variances at the midpoint of a warmup of at
+least 40 iterations, and autocorrelation-based chain diagnostics.
 
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
@@ -24,6 +24,7 @@ import numpy as np
 
 DIVERGENCE_ENERGY = 1000.0   # |dH| beyond this flags the proposal divergent
 TARGET_ACCEPT = 0.8          # acceptance rate the warmup adapts the step toward
+INITIAL_STEP = 0.05          # step the warmup's first step search starts from
 # fraction by which the step is uniformly jittered each iteration; kills the
 # near-periodic trapping a fixed trajectory length suffers on targets whose
 # oscillation period divides the integration time
@@ -32,18 +33,16 @@ STEP_JITTER = 0.2
 
 @dataclass
 class HMCConfig:
-    step_size: float = 0.05      # initial step; warmup adapts it
+    init: np.ndarray             # starting state
     n_leapfrog: int = 32
     n_warmup: int = 1000
     n_draws: int = 1000
     seed: int = 0
     chain_index: int = 0
-    adapt_mass: bool = False
-    init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.n_leapfrog < 1:
-            raise ValueError("step size and leapfrog count must be positive")
+        if self.n_leapfrog < 1:
+            raise ValueError("leapfrog count must be positive")
         if self.n_warmup < 0 or self.n_draws < 0:
             raise ValueError("warmup and draw counts must be nonnegative")
 
@@ -52,12 +51,9 @@ class HMCConfig:
 class Chain:
     draws: np.ndarray                  # (n_draws, dim) unconstrained states
     accept_flags: np.ndarray
-    accept_probs: np.ndarray
     energies: np.ndarray
     divergence_flags: np.ndarray
     adapted_step_size: float
-    mass: np.ndarray
-    warmup_divergences: int = 0
 
     @property
     def acceptance_rate(self) -> float:
@@ -65,10 +61,10 @@ class Chain:
 
 
 class TrajectoryDivergence(Exception):
-    """Non-finite state or gradient mid-trajectory; carries the partial point."""
+    """Non-finite state or gradient mid-trajectory, at leapfrog step ``step``."""
 
-    def __init__(self, q: np.ndarray, p: np.ndarray, step: int):
-        self.q, self.p, self.step = q, p, step
+    def __init__(self, step: int):
+        self.step = step
         super().__init__(f"trajectory diverged at leapfrog step {step}")
 
 
@@ -90,13 +86,13 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
     for step in range(n_steps):
         g = grad_fn(q)
         if not np.all(np.isfinite(g)):
-            raise TrajectoryDivergence(q, p, step)
+            raise TrajectoryDivergence(step)
         scale = step_size if step < n_steps - 1 else 0.5 * step_size
         with np.errstate(over="ignore", invalid="ignore"):
             p += step_size * g
             q += scale * minv * p
         if not np.all(np.isfinite(q)):
-            raise TrajectoryDivergence(q, p, step)
+            raise TrajectoryDivergence(step)
     return q, p
 
 
@@ -142,10 +138,10 @@ def philox_rng(seed: int, stream: int) -> np.random.Generator:
 class _DualAveraging:
     """Nesterov-style averaging of log step sizes toward ``TARGET_ACCEPT``."""
 
-    def __init__(self, step_size: float,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    gamma, t0, kappa = 0.05, 10.0, 0.75   # Hoffman & Gelman (2014)
+
+    def __init__(self, step_size: float):
         self.mu = math.log(10.0 * step_size)
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.h_bar = 0.0
         self.log_eps_bar = 0.0
         self.m = 0
@@ -168,15 +164,15 @@ class _DualAveraging:
 def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     """Run one chain: dual-averaged warmup, then fixed-step sampling.
 
-    ``value_and_grad(q)`` returns (log posterior, gradient).  Momentum is
-    resampled every iteration from N(0, mass), with unit mass until the
-    adaptation (if any) sets it; proposals are accepted with
-    the Metropolis ratio min(1, exp(H0 - H1)); a proposal with |dH| above
-    the divergence threshold (or a non-finite trajectory) is rejected and
-    flagged.  Identical (config, target) pairs give identical chains.
+    ``value_and_grad(q)`` returns (log posterior, gradient).  The warmup
+    adapts from a step search at ``INITIAL_STEP``; with no warmup every
+    draw uses ``INITIAL_STEP``.  Momentum is resampled every iteration from
+    N(0, mass), with unit mass until the midpoint of a warmup of n_warmup
+    >= 40 sets it; proposals are accepted with the Metropolis ratio
+    min(1, exp(H0 - H1)); a proposal with |dH| above the divergence
+    threshold (or a non-finite trajectory) is rejected and flagged.
+    Identical (config, target) pairs give identical chains.
     """
-    if config.init is None:
-        raise ValueError("config.init must provide the starting state")
     q = np.array(config.init, dtype=float)
     dim = q.shape[0]
     rng = philox_rng(config.seed, config.chain_index)
@@ -187,7 +183,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     if not np.isfinite(value):
         raise ValueError("log posterior is not finite at the initial state")
 
-    eps = config.step_size
+    eps = INITIAL_STEP
     if config.n_warmup > 0:
         eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
     averager = _DualAveraging(eps)
@@ -196,15 +192,13 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
     n_total = config.n_warmup + config.n_draws
     draws = np.empty((config.n_draws, dim))
     accept_flags = np.zeros(config.n_draws, dtype=bool)
-    accept_probs = np.zeros(config.n_draws)
     energies = np.empty(config.n_draws)
     div_flags = np.zeros(config.n_draws, dtype=bool)
     warmup_div = 0
 
-    # with mass adaptation, warmup splits at the midpoint: variances of the
-    # second quarter of phase one, n_warmup//2 - n_warmup//4 >= 10 states,
-    # become the new mass diagonal
-    mass_switch = config.n_warmup // 2 if (config.adapt_mass and config.n_warmup >= 40) else None
+    # warmup splits at the midpoint: variances of the second quarter of phase
+    # one, n_warmup//2 - n_warmup//4 >= 10 states, become the mass diagonal
+    mass_switch = config.n_warmup // 2 if config.n_warmup >= 40 else None
     window: list[np.ndarray] = []
 
     for it in range(n_total):
@@ -254,13 +248,11 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
             k = it - config.n_warmup
             draws[k] = q
             accept_flags[k] = accepted
-            accept_probs[k] = accept_prob
             energies[k] = h1 if accepted else h0
             div_flags[k] = diverged
 
-    return Chain(draws=draws, accept_flags=accept_flags, accept_probs=accept_probs,
-                 energies=energies, divergence_flags=div_flags,
-                 adapted_step_size=eps, mass=mass, warmup_divergences=warmup_div)
+    return Chain(draws=draws, accept_flags=accept_flags, energies=energies,
+                 divergence_flags=div_flags, adapted_step_size=eps)
 
 
 # ---------------------------------------------------------------------------

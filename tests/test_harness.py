@@ -13,7 +13,7 @@ import yaml
 from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_oracle,
                       draw_table_oracle, effective_sample_size_oracle, make_rng, random_params,
                       split_rhat_oracle)
-from sckpd import cli, harness
+from sckpd import cli, harness, hmc
 from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
                            ingest_csv, read_config_file, simulate, summarize_draws)
 from sckpd.hmc import Chain
@@ -334,9 +334,8 @@ def test_draw_table_matches_per_block_oracle():
     for _ in range(2):
         n = cfg.n_draws
         chains.append(Chain(draws=rng.uniform(-2.0, 2.0, (n, layout.size)),
-                            accept_flags=rng.random(n) < 0.7, accept_probs=rng.random(n),
-                            energies=rng.normal(size=n), divergence_flags=rng.random(n) < 0.1,
-                            adapted_step_size=0.1, mass=np.ones(layout.size)))
+                            accept_flags=rng.random(n) < 0.7, energies=rng.normal(size=n),
+                            divergence_flags=rng.random(n) < 0.1, adapted_step_size=0.1))
     table, columns = harness._draw_table(cfg, layout, chains)
     expected = draw_table_oracle(layout, chains)
     assert table.shape == expected.shape == (2 * cfg.n_draws, 8 + 12 * (cfg.n_components + 1))
@@ -390,6 +389,15 @@ def test_fit_reproducible(tmp_path):
     out2 = (tmp_path / "fit2" / "draws.csv").read_bytes()
     assert out1 == out2
     assert s1["stats"] == s2["stats"]
+
+
+def test_fit_without_warmup_samples_at_the_initial_step(tmp_path):
+    cfg = _small_fit_config(tmp_path)
+    summary = fit(RunConfig.from_dict({**cfg.__dict__, "n_warmup": 0, "n_draws": 10,
+                                       "n_leapfrog": 4}))
+    assert summary["adapted_step_size"] == [hmc.INITIAL_STEP] * cfg.n_chains
+    rows = (tmp_path / "fit" / "draws.csv").read_text().splitlines()
+    assert len(rows) == 1 + cfg.n_chains * 10
 
 
 def _small_seasonal_fit_config(tmp_path, seed=11, **fit_knobs):
@@ -553,12 +561,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict(dict(mode="simulate-static", bogus=1))
     # the initial step, the target acceptance, mass adaptation and the
-    # transition prior are fixed: a config that sets one fails, naming it
+    # transition prior are fixed, and sampler keys are top-level only: a
+    # config that sets one of these keys fails, naming it
     for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
-                       ("transition_dirichlet_alpha", 1.0)):
-        for raw in ({key: value}, {"hmc": {key: value}}):
-            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
-                RunConfig.from_dict({"mode": "simulate-static", **raw})
+                       ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2})):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            RunConfig.from_dict({"mode": "simulate-static", key: value})
     with pytest.raises(ValueError, match="preset"):
         RunConfig.from_dict(dict(mode="simulate-static", preset="nope"))
     # n_truth_components 0 is refused, not read as unset
@@ -587,6 +595,9 @@ _SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n
     ("wishart_scale1", (1.0, 0.0, 0.5)),
     ("wishart_scale2", (1.0, -0.5)),
     ("wishart_scale2", (1.0, float("nan"))),
+    ("sim_transition_alpha", 0.0),
+    ("sim_transition_alpha", -0.5),
+    ("sim_transition_alpha", float("inf")),
 ])
 def test_bad_simulation_inputs_fail_at_the_boundary(tmp_path, field, value):
     # each is refused before any draw, with a message naming its field
@@ -596,6 +607,24 @@ def test_bad_simulation_inputs_fail_at_the_boundary(tmp_path, field, value):
         with pytest.raises(ValueError, match=field):
             simulate(config)
     assert not (tmp_path / "sim").exists()
+
+
+def test_length_mismatch_names_the_field_and_a_fit_ignores_it(tmp_path):
+    # a simulation design of the wrong length fails in simulate, naming the
+    # field and the dimension; a fit reads no simulation field and runs
+    for field, value, message in (
+            ("wishart_scale1", (1.0, 0.5), "wishart_scale1 has 2 entries; d1 = 3 needs 3"),
+            ("wishart_scale2", (1.0, 0.5, 0.2), "wishart_scale2 has 3 entries; d2 = 2 needs 2"),
+            ("omega_weights", (1.0, 3.0, 2.0), "omega_weights has 3 entries; 2 simulated")):
+        with pytest.raises(ValueError, match=message):
+            simulate(RunConfig(**{**_SMALL_DESIGN, "output_dir": str(tmp_path / "bad"),
+                                  field: value}))
+    simulate(RunConfig(**_SMALL_DESIGN, output_dir=str(tmp_path / "sim")))
+    fit(RunConfig.from_dict(dict(
+        _SMALL_DESIGN, mode="fit-static", wishart_scale1=(1.0, 0.5), omega_weights=(1.0,),
+        input_path=str(tmp_path / "sim" / "data.csv"), output_dir=str(tmp_path / "fit"),
+        n_chains=1, n_warmup=5, n_draws=4, n_leapfrog=2)))
+    assert (tmp_path / "fit" / "draws.csv").exists()
 
 
 def test_zero_weight_and_zero_variance_switch_components_off(tmp_path):
@@ -608,13 +637,16 @@ def test_zero_weight_and_zero_variance_switch_components_off(tmp_path):
 
 
 def test_config_yaml_and_hmc_section(tmp_path):
+    # sampler keys are read at the top level; an hmc: section is refused
     p = tmp_path / "c.yaml"
-    p.write_text(yaml.safe_dump(dict(
-        mode="simulate-static", d1=3, d2=2, n_obs=10,
-        hmc=dict(n_chains=2, n_warmup=50))))
+    p.write_text(yaml.safe_dump(dict(mode="simulate-static", d1=3, d2=2, n_obs=10,
+                                     n_chains=2, n_warmup=50)))
     cfg = RunConfig.from_dict(read_config_file(p))
     assert cfg.n_chains == 2
     assert cfg.n_warmup == 50
+    p.write_text(yaml.safe_dump(dict(mode="simulate-static", hmc=dict(n_chains=2))))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['hmc'\]"):
+        RunConfig.from_dict(read_config_file(p))
 
 
 # ----- CLI -------------------------------------------------------------------------
