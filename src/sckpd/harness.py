@@ -118,7 +118,7 @@ class RunConfig:
         preset = raw.get("preset")
         merged: dict = {}
         if preset is not None:
-            if preset not in PRESETS:
+            if not (isinstance(preset, str) and preset in PRESETS):
                 raise ValueError(f"unknown preset '{preset}'; choose from {sorted(PRESETS)}")
             merged.update(PRESETS[preset])
         merged.update({k: v for k, v in raw.items() if v is not None})
@@ -126,10 +126,7 @@ class RunConfig:
         unknown = set(merged) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("omega_weights", "wishart_scale1", "wishart_scale2"):
-            if merged.get(key) is not None:
-                merged[key] = tuple(float(v) for v in merged[key])
-        cfg = cls(**merged)
+        cfg = cls(**{key: _typed(key, value, fields[key].type) for key, value in merged.items()})
         cfg.validate()
         return cfg
 
@@ -172,6 +169,34 @@ class RunConfig:
         if self.n_warmup < 0:
             raise ValueError("n_warmup must be nonnegative")
         return self
+
+
+_TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
+               "bool": "true or false", "tuple": "a list of numbers"}
+
+
+def _typed(key: str, value, annotation: str):
+    """A config value as the type its :class:`RunConfig` field is annotated
+    with (a number may be written as a string), or a ValueError naming the
+    field.  An integer field refuses a fractional number, and only the bool
+    field takes true or false."""
+    kind = annotation.split(" |")[0]
+    try:
+        if kind == "tuple":
+            return tuple(float(v) for v in value)
+        if isinstance(value, bool) != (kind == "bool"):
+            raise TypeError
+        if kind == "int":
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError
+            return int(value)
+        if kind == "float":
+            return float(value)
+        if not isinstance(value, str if kind == "str" else bool):
+            raise TypeError
+        return value
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -655,32 +680,10 @@ def check_hyper(config: RunConfig) -> dict:
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:
     """Recompute quantile summaries from a draws table; optionally join a
     ground-truth file into a coverage report."""
-    with open(draws_path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader, None)
-        if not columns:
-            raise ValueError(f"{draws_path}: empty file, expected a header row")
-        if "chain" not in columns:
-            raise ValueError(f"{draws_path}: line 1: header has no 'chain' column")
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(columns):
-                raise ValueError(f"{draws_path}: line {reader.line_num}: expected "
-                                 f"{len(columns)} fields as in the header, got {len(rec)}")
-            values = []
-            for k, cell in enumerate(rec):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{draws_path}: line {reader.line_num}: field {k + 1} "
-                                     f"({columns[k]}) is not numeric: {cell!r}") from None
-            rows.append(values)
-    if len(rows) < 2:
+    columns, table = _read_draws(draws_path)
+    if table.shape[0] < 2:
         raise ValueError(f"{draws_path}: spread statistics need at least 2 draw rows "
-                         f"after the header, found {len(rows)}")
-    table = np.asarray(rows)
+                         f"after the header, found {table.shape[0]}")
     n_chains = int(table[:, columns.index("chain")].max()) + 1
     keep = [j for j, name in enumerate(columns)
             if name not in ("chain", "draw", "accept", "divergent", "energy")]
@@ -701,3 +704,51 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
                 }
         out["coverage"] = coverage
     return out
+
+
+def _read_draws(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of a draws table.  One ``np.loadtxt`` pass
+    reads clean input; input it rejects, or rows of another width than the
+    header, are read again by :func:`_scan_draws`, which returns the same
+    rows or names the first line and field at fault."""
+    with open(path, newline="") as fh:
+        columns = next(csv.reader(fh), None)
+        if not columns:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        if "chain" not in columns:
+            raise ValueError(f"{path}: line 1: header has no 'chain' column")
+        try:
+            with warnings.catch_warnings():
+                # the scanner counts a table without rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != len(columns):
+        table = _scan_draws(path, columns)
+    return columns, table
+
+
+def _scan_draws(path: str | Path, columns: list[str]) -> np.ndarray:
+    """The rows after the header, read record by record with
+    ``csv.reader``, or a ValueError naming the first line and field at
+    fault.  Empty lines are skipped."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != len(columns):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(columns)} fields as in the header, got {len(rec)}")
+            values = []
+            for k, cell in enumerate(rec):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}: field {k + 1} "
+                                     f"({columns[k]}) is not numeric: {cell!r}") from None
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), len(columns))

@@ -85,13 +85,13 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
         q += 0.5 * step_size * minv * p
     for step in range(n_steps):
         g = grad_fn(q)
-        if not np.all(np.isfinite(g)):
-            raise TrajectoryDivergence(step)
         scale = step_size if step < n_steps - 1 else 0.5 * step_size
         with np.errstate(over="ignore", invalid="ignore"):
             p += step_size * g
             q += scale * minv * p
-        if not np.all(np.isfinite(q)):
+        # minv is finite and positive, so a non-finite gradient makes q
+        # non-finite in this same step: one check covers both
+        if not np.isfinite(q).all():
             raise TrajectoryDivergence(step)
     return q, p
 

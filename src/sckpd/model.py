@@ -13,14 +13,25 @@ left member list as [low1_1, .., low1_K, diag(D1)] and the right list as
 0/1 coupling C = [[I_K, 1], [1^T, 1]].  The data enter only through the
 scatter S = sum_i y_i y_i^T, held as its rearrangement R = vanloan_rearrange(S)
 (Van Loan & Pitsianis 1993), for which tr((A (x) B) S) = vec(A)^T R vec(B).
-So
+The trace term tr(L L^T S) has two contractions, with m = K + 1 members
+and d = d1 d2:
 
-    tr(L L^T S) = sum C[a,b] C[a',b'] vec(U_a U_a'^T)^T R vec(V_b V_b'^T)
-                = <CC, PU R QV^T>,
+- through the dense factor: the rearrangement of L is U~^T C V~, with U~,
+  V~ the members stacked as rows vec(U_a), vec(V_b), so one product and
+  one inverse rearrangement give L; then tr(L L^T S) = <L, S L>.  It costs
+  about d^3 + 3 m d1^2 d2^2 multiply-adds.
+- through the pair products, never forming a d-sized matrix:
 
-with PU, QV the stacked pair products vec(U_a U_a'^T), vec(V_b V_b'^T) and
-CC[(a,a'),(b,b')] = C[a,b] C[a',b']: three matrix products, and no
-d1*d2-sized factor is ever formed.  The analytic gradient reuses them.
+      tr(L L^T S) = sum C[a,b] C[a',b'] vec(U_a U_a'^T)^T R vec(V_b V_b'^T)
+                  = <CC, PU R QV^T>,
+
+  with PU, QV the stacked pair products and CC[(a,a'),(b,b')] =
+  C[a,b] C[a',b'].  It costs about 2 m^2 d1^2 d2^2 + m^4 (d1^2 + d2^2).
+
+:class:`StateLayout` picks the one with fewer flops, once, from (d1, d2,
+K) (:func:`trace_contraction`): the dense one at the paper shapes (4x5 and
+5x2 with K = 5), the pair products at 16x16.  Both give the member
+gradients from the products they already hold.
 
 There is one posterior.  It runs over T time-ordered blocks, each with its
 own strict-lower factors, sharing the diagonals; the component weights of
@@ -29,26 +40,32 @@ every step (see ``dynamic``).  The static model is the case of one block
 and no transition; :class:`SCKPDParams` holds the parameters of one block,
 as the simulator draws them and a one-block layout decodes them.
 
-One evaluation has no loop over blocks.  The data are the (T, d1^2, d2^2)
-stack of the blocks' rearranged scatters (a view of the one scatter for the
-static model, stacked once by ``dynamic.SeasonSchedule``).  A state decodes
-once: one exp of the log diagonals and log gammas, one expit of the stick
-and theta coordinates, a gather into the (T, K+1, d, d) member stacks of
-every block, and the column normalization of gamma with the weight
-trajectory it gives, which the posterior and the draws table both read.
-All T trace terms and their member gradients are batched matrix products
-over those stacks, and the gradients of the packed coordinates are read
-back by index.  What depends only on the shapes (the coupling CC, the
-gather and read-back index maps, the stick offsets) is built once, by
+One evaluation has no loop over blocks but the weight trajectory's.  The
+data are the (T, d1^2, d2^2) stack of the blocks' rearranged scatters (a
+view of the one scatter for the static model, stacked once by
+``dynamic.SeasonSchedule``); the dense contraction reads it back as the
+(T, d, d) scatters with one reshape per call.  A state decodes once: one
+exp over every coordinate after the strict lowers gives the diagonals, the
+gammas and the logistic values of the sticks and theta; one gather gives
+the (T, K+1, d, d) member stacks of every block in one buffer; and the
+column normalization of gamma gives the weight trajectory, which the
+posterior and the draws table both read.  All T trace terms and their
+member gradients are batched matrix products, the member gradients land
+in one buffer, and one index read each takes back every strict-lower and
+every diagonal gradient.  The value's terms linear in the coordinates or
+in their exps are a few dot products.  What depends only on the shapes
+(the contraction and its coupling, the exp signs and offsets, the dot
+product weights, the gather and read-back index maps) is built once, by
 :class:`StateLayout`.  A state outside the floating-point support is found
-by one finiteness check of the value and the assembled gradient, and gives
-(-inf, zeros) without a RuntimeWarning.
+by the decode's check or by one finiteness check of the value and the
+assembled gradient, and gives (-inf, zeros) without a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import lgamma
 from typing import NamedTuple
 
@@ -58,6 +75,7 @@ from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
 
 LOG_2PI = math.log(2.0 * math.pi)
+_ZERO = np.zeros(1)   # the value of the member entries no coordinate sets
 
 
 def vanloan_rearrange(S: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -71,7 +89,7 @@ def vanloan_rearrange(S: np.ndarray, d1: int, d2: int) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix, got {S.shape}")
-    return S.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    return _regroup(S, d1, d2, d1, d2)[0]
 
 
 @dataclass(frozen=True)
@@ -138,6 +156,7 @@ class _Decoded(NamedTuple):
     transition: np.ndarray | None   # gamma's column normalization
     omegas: np.ndarray              # (T, K) weight trajectory
     log_jac: float
+    exps: np.ndarray                # the tail's exps, D1 and D2 and gamma among them
 
 
 class StateLayout:
@@ -172,63 +191,95 @@ class StateLayout:
          self.sl_sticks, self.sl_theta, self.sl_gammas) = (
             slice(bounds[i], bounds[i + 1]) for i in range(7))
         self.size = int(bounds[-1])
-        # constants of every evaluation: the coordinates decoded by exp
-        # (log D1, log D2, log gammas), the offsets of those decoded by expit
-        # (the sticks, then theta), the (block, component) of every
-        # strict-lower coordinate, how the member stacks are gathered from
-        # [strict lowers, D1, D2, 0] and where their gradients are read, and
-        # the coupling of the member lists
-        self.positive_index = np.r_[self.sl_logd1, self.sl_logd2, self.sl_gammas]
-        self.sl_logistic = slice(self.sl_sticks.start, self.sl_theta.stop)
-        self.logistic_offsets = np.append(transforms.stick_offsets(K), 0.0)
-        self.sl_lows = slice(0, self.sl_low2.stop)
+        # constants of every evaluation.  The coordinates after the strict
+        # lowers (the tail) decode by one exp of sign * u + offset: exp(u)
+        # for log D1, log D2 and the log gammas, and w = exp(offset - u) for
+        # the sticks and theta, whose logistic values are z = 1 / (1 + w).
+        # With log z = -log1p(w) and log(1 - z) = offset - u - log1p(w), the
+        # log-Jacobian is a dot product of the tail, a constant and a dot
+        # product of log1p(w); so are the value's other linear terms.
+        self.n_low = self.sl_low2.stop
+        n_pos, n_tail = d1 + d2, self.size - self.n_low
+        self.sl_logistic = slice(n_pos, n_pos + K)   # within the tail
+        offsets = np.append(transforms.stick_offsets(K), 0.0)
+        self.tail_sign = np.ones(n_tail)
+        self.tail_sign[self.sl_logistic] = -1.0
+        self.tail_offset = np.zeros(n_tail)
+        self.tail_offset[self.sl_logistic] = offsets
+        # log(1 - z_k) enters once for itself and once for every later
+        # stick left, log z_k once: theta has no later sticks
+        n_logs = np.append(np.arange(K - 1, 0, -1), 1.0)
+        self.jac_weights = self.tail_sign.copy()
+        self.jac_weights[self.sl_logistic] = -n_logs
+        self.jac_offset = float(n_logs @ offsets)
+        self.log1p_weights = n_logs + 1.0
+        # columns: the unit log-determinant d2 sum log D1 + d1 sum log D2,
+        # sum log D1, sum log D2, sum log gamma; and sum D1, sum D2, sum gamma
+        W = self.tail_sum_weights = np.zeros((n_tail, 4))
+        W[:d1, 0], W[d1:n_pos, 0] = d2, d1
+        W[:d1, 1] = W[d1:n_pos, 2] = W[n_pos + K:, 3] = 1.0
+        W = self.exp_sum_weights = np.zeros((n_tail, 3))
+        W[:d1, 0] = W[d1:n_pos, 1] = W[n_pos + K:, 2] = 1.0
+        # the (block, component) of every strict-lower coordinate; the flat
+        # member buffer, mode 1's (T, K+1, d1, d1) stack then mode 2's,
+        # gathered from [strict lowers, D1, D2, 0]; where the strict-lower
+        # coordinates (packing order) and the (T, d1 + d2) diagonal entries
+        # of the diagonal members sit in it; and the trace contraction
         self.n_ent = self.m1 + self.m2
         self.lower_block = np.concatenate([np.repeat(np.arange(T * K), self.m1),
                                            np.repeat(np.arange(T * K), self.m2)])
-        zero = self.sl_lows.stop + d1 + d2
-        self.members1_source, self.low1_pos, self.diag1_pos = _member_maps(
-            T, K, d1, self.tril1, 0, self.sl_lows.stop, zero)
-        self.members2_source, self.low2_pos, self.diag2_pos = _member_maps(
-            T, K, d2, self.tril2, self.sl_low2.start, self.sl_lows.stop + d1, zero)
-        self.coupling_pairs = np.kron(_coupling(K), _coupling(K))
+        zero = self.n_low + n_pos
+        self.n_members1 = T * (K + 1) * d1 * d1
+        source1, low1, diag1 = _member_maps(T, K, d1, self.tril1, 0, self.n_low, zero, 0)
+        source2, low2, diag2 = _member_maps(T, K, d2, self.tril2, self.sl_low2.start,
+                                            self.n_low + d1, zero, self.n_members1)
+        self.member_source = np.concatenate([source1, source2])
+        self.low_pos = np.concatenate([low1, low2])
+        self.diag_pos = np.concatenate([diag1, diag2], axis=1)
+        self.trace_core = trace_contraction(d1, d2, K)
 
     def _decode(self, u: np.ndarray) -> _Decoded:
-        """Every decoded quantity at ``u``, from one exp of the positive
-        coordinates and one expit of the logistic ones.
+        """Every decoded quantity at ``u``, from one exp over the tail.
 
         The log-Jacobian is -inf when ``u`` decodes outside the support in
         floating point: a diagonal or transition gamma underflows to 0 or
         overflows, or theta or a stick-breaking coordinate saturates at 0
-        or 1 (see ``transforms``).  The transition and the weight
+        or 1.  The transition and the weight
         trajectory are then not finite, and are computed without a
         RuntimeWarning."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
-        K, d1, d2 = self.n_components, self.d1, self.d2
-        positives, log_jac = transforms.positive_forward(u[self.positive_index])
-        D1, D2 = positives[:d1], positives[d1:d1 + d2]
-        z = transforms.expit(u[self.sl_logistic] - self.logistic_offsets)
-        omega1, left = transforms.stick_breaking(z[:-1])
-        theta = float(z[-1])
-        # every weight positive means every break fraction lies in (0, 1)
-        if log_jac > -np.inf and omega1.min() > 0.0 and 0.0 < theta < 1.0:
-            log_jac += transforms.logistic_log_jac(z) + np.log(left).sum()
-        else:
-            log_jac = -np.inf
+        K, d1, d2, n_low = self.n_components, self.d1, self.d2, self.n_low
+        tail = u[n_low:]
+        with np.errstate(over="ignore"):
+            e = np.exp(tail * self.tail_sign + self.tail_offset)
+            w = e[self.sl_logistic]
+            z = 1.0 / (1.0 + w)
+            omega1, _ = transforms.stick_breaking(z[:-1])
+            theta = float(z[-1])
+            # a positive coordinate that leaves the support gives a zero or
+            # an infinite sum of the exps; a saturated logistic one gives a
+            # theta of 0 or 1 or a zero last weight
+            if e.min() > 0.0 and e.sum() < math.inf and 0.0 < theta < 1.0 and omega1[-1] > 0.0:
+                log_jac = (float(tail @ self.jac_weights) + self.jac_offset
+                           - float(np.log1p(w) @ self.log1p_weights))
+            else:
+                log_jac = -math.inf
         gamma = transition = None
         if self.n_blocks > 1:
-            gamma = positives[d1 + d2:].reshape(K, K)
+            gamma = e[d1 + d2 + K:].reshape(K, K)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 transition = gamma / gamma.sum(axis=0, keepdims=True)
                 omegas = omega_trajectory(omega1, transition, self.n_blocks)
         else:
             omegas = omega1[None]
-        source = np.concatenate((u[self.sl_lows], positives[:d1 + d2], np.zeros(1)))
-        return _Decoded(members1=source[self.members1_source],
-                        members2=source[self.members2_source], d1_diag=D1, d2_diag=D2,
-                        breaks=z[:-1], omega1=omega1, theta=theta, gamma=gamma,
-                        transition=transition, omegas=omegas, log_jac=log_jac)
+        members = np.concatenate((u[:n_low], e[:d1 + d2], _ZERO)).take(self.member_source)
+        return _Decoded(members1=members[:self.n_members1].reshape(-1, K + 1, d1, d1),
+                        members2=members[self.n_members1:].reshape(-1, K + 1, d2, d2),
+                        d1_diag=e[:d1], d2_diag=e[d1:d1 + d2], breaks=z[:-1], omega1=omega1,
+                        theta=theta, gamma=gamma, transition=transition, omegas=omegas,
+                        log_jac=log_jac, exps=e)
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams, float]:
         """One block's params plus the total log-Jacobian of the transform
@@ -252,7 +303,7 @@ def omega_trajectory(omega1: np.ndarray, A: np.ndarray | None, n_blocks: int) ->
     out = np.empty((n_blocks, omega1.shape[0]))
     out[0] = omega1
     for t in range(n_blocks - 1):
-        out[t + 1] = A @ out[t]
+        np.dot(A, out[t], out=out[t + 1])
     return out
 
 
@@ -283,11 +334,13 @@ def _coupling(K: int) -> np.ndarray:
     return C
 
 
-def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, zero: int):
-    """Where the (T, K+1, d, d) member stacks meet the packed coordinates:
-    the position of each of their entries in [strict lowers, D1, D2, 0],
-    the flat position in them of each strict-lower coordinate (packing
-    order), and the (T, d) flat positions of the diagonal member's diagonal."""
+def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, zero: int,
+                 base: int):
+    """Where one mode's (T, K+1, d, d) member stack, at offset ``base`` of
+    the flat member buffer, meets the packed coordinates: the position of
+    each of its entries in [strict lowers, D1, D2, 0], the buffer position
+    of each strict-lower coordinate (packing order), and the (T, d) buffer
+    positions of the diagonal member's diagonal."""
     n_low = T * K * len(tril[0])
     flat = np.arange(T * (K + 1) * d * d).reshape(T, K + 1, d, d)
     low_pos = flat[:, :K, tril[0], tril[1]].reshape(-1)
@@ -295,7 +348,7 @@ def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, 
     source = np.full(flat.size, zero)
     source[low_pos] = low_start + np.arange(n_low)
     source[diag_pos] = diag_start + np.arange(d)
-    return source.reshape(flat.shape), low_pos, diag_pos
+    return source, base + low_pos, base + diag_pos
 
 
 def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -320,6 +373,39 @@ def lower_energies(members1: np.ndarray, members2: np.ndarray) -> np.ndarray:
     return np.sum(C * (GU @ C @ GV), axis=(1, 2))
 
 
+def _regroup(x: np.ndarray, p: int, q: int, r: int, s: int) -> np.ndarray:
+    """Swap the middle index pair of a (T, p*q, r*s) stack: entry
+    [(i, j), (k, l)] moves to [(i, k), (j, l)] of a (T, p*r, q*s) stack.
+    With (p, q, r, s) = (d1, d2, d1, d2) this is the Van Loan rearrangement
+    of every block; with (d1, d1, d2, d2) it is its inverse."""
+    return x.reshape(-1, p, q, r, s).swapaxes(2, 3).reshape(-1, p * r, q * s)
+
+
+def _trace_dense(members1: np.ndarray, members2: np.ndarray, scatters: np.ndarray,
+                 want_grad: bool, coupling: np.ndarray):
+    """sum_t tr(L_t L_t^T S_t) = sum_t <L_t, S_t L_t> through every block's
+    dense factor.  The gradient w.r.t. the rearrangement U~^T C V~ of L is
+    2 H, H the rearrangement of S L, so the member gradients are
+    2 (C V~) H^T and 2 (C U~) H, written into one flat buffer in the
+    member-buffer layout."""
+    T, m, d1, _ = members1.shape
+    d2 = members2.shape[-1]
+    U = members1.reshape(T, m, d1 * d1)
+    CV = coupling @ members2.reshape(T, m, d2 * d2)
+    L = _regroup(U.transpose(0, 2, 1) @ CV, d1, d1, d2, d2)
+    SL = _regroup(scatters, d1, d1, d2, d2) @ L
+    value = float(np.vdot(L, SL))
+    if not want_grad:
+        return value, None
+    H = _regroup(SL, d1, d2, d1, d2)
+    grad = np.empty(T * m * (d1 * d1 + d2 * d2))
+    n1 = T * m * d1 * d1
+    np.matmul(CV, H.transpose(0, 2, 1), out=grad[:n1].reshape(T, m, d1 * d1))
+    np.matmul(coupling @ U, H, out=grad[n1:].reshape(T, m, d2 * d2))
+    grad *= 2.0
+    return value, grad
+
+
 def _pair_products(members: np.ndarray) -> np.ndarray:
     """Row (a, a') of block t is the row-major vec(M_a M_a'^T) of the
     block's (K+1, d, d) members, for all ordered pairs: (T, m^2, d^2)."""
@@ -329,67 +415,84 @@ def _pair_products(members: np.ndarray) -> np.ndarray:
             .transpose(0, 1, 3, 2, 4).reshape(T, m * m, d * d))
 
 
-def _member_grad(dP: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _member_grad(dP: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
     """Pull a gradient w.r.t. the pair-product rows back to the members of
-    every block: with W[a,a'] row (a, a') of ``dP`` as a matrix, the
-    gradient of sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
+    every block, into the flat ``out``: with W[a,a'] row (a, a') of ``dP``
+    as a matrix, the gradient of sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
     sum_a' W[l,a'] M_a' + sum_a W[a,l]^T M_a."""
     T, m, d, _ = members.shape
     W = dP.reshape(T, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(T, m * d, m * d)
-    return ((W + W.transpose(0, 2, 1)) @ members.reshape(T, m * d, d)).reshape(T, m, d, d)
+    np.matmul(W + W.transpose(0, 2, 1), members.reshape(T, m * d, d),
+              out=out.reshape(T, m * d, d))
 
 
-def _trace_quad_core(members1: np.ndarray, members2: np.ndarray, coupling_pairs: np.ndarray,
-                     scatters: np.ndarray, want_grad: bool):
-    """sum_t tr(L_t L_t^T S_t) = sum_t <CC, PU_t R_t QV_t^T> over the blocks'
-    (T, K+1, d, d) member stacks and (T, d1^2, d2^2) rearranged scatters,
-    optionally with the gradients w.r.t. every block's members."""
+def _trace_pairs(members1: np.ndarray, members2: np.ndarray, scatters: np.ndarray,
+                 want_grad: bool, coupling_pairs: np.ndarray):
+    """sum_t tr(L_t L_t^T S_t) = sum_t <CC, PU_t R_t QV_t^T> over the pair
+    products of every block's members, never forming a d1*d2-sized
+    matrix; the member gradients go into one flat buffer in the
+    member-buffer layout."""
     PU = _pair_products(members1)
     QV = _pair_products(members2)
     dPU = coupling_pairs @ (QV @ scatters.transpose(0, 2, 1))       # dT/dPU
     value = float(np.vdot(PU, dPU))
     if not want_grad:
         return value, None
+    grad = np.empty(members1.size + members2.size)
+    _member_grad(dPU, members1, grad[:members1.size])
     # CC is symmetric, so dT/dQV = CC PU R
-    return value, (_member_grad(dPU, members1),
-                   _member_grad(coupling_pairs @ (PU @ scatters), members2))
+    _member_grad(coupling_pairs @ (PU @ scatters), members2, grad[members1.size:])
+    return value, grad
+
+
+def trace_contraction(d1: int, d2: int, n_components: int) -> partial:
+    """The contraction of the trace term with fewer flops at this shape (the
+    counts are in the module docstring), with its coupling bound:
+    ``core(members1, members2, scatters, want_grad)`` gives the summed
+    trace and the flat member gradient."""
+    m, d = n_components + 1, d1 * d2
+    C = _coupling(n_components)
+    if d ** 3 + 3 * m * d * d < 2 * m * m * d * d + m ** 4 * (d1 * d1 + d2 * d2):
+        return partial(_trace_dense, coupling=C)
+    return partial(_trace_pairs, coupling_pairs=np.kron(C, C))
 
 
 def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
     """tr(L L^T sum_i y_i y_i^T) evaluated on the rearranged scatter."""
-    C = _coupling(params.n_components)
-    value, _ = _trace_quad_core(_members(params.lowers1, params.d1_diag)[None],
-                                _members(params.lowers2, params.d2_diag)[None],
-                                np.kron(C, C), data.scatter_rearranged[None], want_grad=False)
+    core = trace_contraction(params.d1, params.d2, params.n_components)
+    value, _ = core(_members(params.lowers1, params.d1_diag)[None],
+                    _members(params.lowers2, params.d2_diag)[None],
+                    data.scatter_rearranged[None], want_grad=False)
     return value
 
 
-def _gamma_logpdf(x: np.ndarray, shape: float, rate: float) -> float:
-    return (x.size * (shape * math.log(rate) - lgamma(shape))
-            + (shape - 1.0) * np.log(x).sum() - rate * x.sum())
+def _gamma_logpdf(n: int, log_sum: float, total: float, shape: float, rate: float) -> float:
+    """Log density of n iid Gamma(shape, rate) values from the sum of their
+    logs and their sum."""
+    return n * (shape * math.log(rate) - lgamma(shape)) + (shape - 1.0) * log_sum - rate * total
 
 
-def _prior_terms(ssq, D1, D2, omegas, theta, n_ent: int, hyper: SolvedHyper):
-    """Log prior density of all but the transition gammas, from the (T, K)
-    strict-lower sums of squares ``ssq`` of n_ent entries each and the
-    (T, K) block weights, and its gradient w.r.t. those weights taken as
-    free.
+def _prior_terms(scaled, omegas, theta, n_ent: int, hyper: SolvedHyper):
+    """Log prior density of the strict lowers, the first block's weights
+    and theta, from the (T, K) strict-lower sums of squares over their
+    prior variances ``scaled``, of n_ent entries each, and the (T, K) block
+    weights; and its gradients w.r.t. those weights taken as free and
+    w.r.t. theta.
 
     Strict-lower entries of block t, component i are N(0, omega_t[i] beta);
-    the diagonals are Gamma; the first block's weights are Dirichlet(theta);
-    theta is uniform on (0, 1) and contributes zero.
+    the first block's weights are Dirichlet(theta); theta is uniform on
+    (0, 1) and contributes zero.
     """
-    var = omegas * hyper.lower_variance
-    scaled = ssq / var
     K = omegas.shape[1]
-    value = (_gamma_logpdf(D1, hyper.shape1, hyper.rate1)
-             + _gamma_logpdf(D2, hyper.shape2, hyper.rate2)
-             - 0.5 * (scaled.sum() + n_ent * (var.size * LOG_2PI + np.log(var).sum()))
-             + lgamma(K * theta) - K * lgamma(theta)
-             + (theta - 1.0) * np.log(omegas[0]).sum())
+    log_omegas = np.log(omegas)
+    log_w = log_omegas.sum(axis=1).tolist()
+    value = (-0.5 * (float(scaled.sum()) + n_ent * (omegas.size * (
+                 LOG_2PI + math.log(hyper.lower_variance)) + sum(log_w)))
+             + lgamma(K * theta) - K * lgamma(theta) + (theta - 1.0) * log_w[0])
     g_omegas = 0.5 * (scaled - n_ent) / omegas
     g_omegas[0] += (theta - 1.0) / omegas[0]
-    return value, g_omegas
+    g_theta = K * digamma(K * theta) - K * digamma(theta) + log_w[0]
+    return value, g_omegas, g_theta
 
 
 def log_prior(params: SCKPDParams, hyper: SolvedHyper,
@@ -398,18 +501,20 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
 
     The centering targets are already baked into ``hyper``; ``targets`` is
     accepted for interface symmetry.  Strict-lower entries are
-    N(0, omega_i * beta); a component weight at or below zero (or a
-    nonpositive lower variance) puts the state outside the open-simplex
-    support and returns -inf, never an exception.
+    N(0, omega_i * beta), the diagonals Gamma; a component weight at or
+    below zero (or a nonpositive lower variance) puts the state outside the
+    open-simplex support and returns -inf, never an exception.
     """
     if np.any(params.omega <= 0.0) or hyper.lower_variance <= 0.0:
         return -np.inf
     ssq = (np.einsum('kij,kij->k', params.lowers1, params.lowers1)
            + np.einsum('kij,kij->k', params.lowers2, params.lowers2))
     n_ent = params.d1 * (params.d1 - 1) // 2 + params.d2 * (params.d2 - 1) // 2
-    value, _ = _prior_terms(ssq[None], params.d1_diag, params.d2_diag, params.omega[None],
-                            params.theta, n_ent, hyper)
-    return value
+    scaled = ssq / (params.omega * hyper.lower_variance)
+    value, _, _ = _prior_terms(scaled[None], params.omega[None], params.theta, n_ent, hyper)
+    D1, D2 = params.d1_diag, params.d2_diag
+    return (value + _gamma_logpdf(D1.size, np.log(D1).sum(), D1.sum(), hyper.shape1, hyper.rate1)
+            + _gamma_logpdf(D2.size, np.log(D2).sum(), D2.sum(), hyper.shape2, hyper.rate2))
 
 
 def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarray,
@@ -436,62 +541,57 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
         return -np.inf, np.zeros(layout.size)
     D1, D2, G, A, omegas, theta = s.d1_diag, s.d2_diag, s.gamma, s.transition, s.omegas, s.theta
     alpha = layout.transition_alpha
+    n_low = layout.n_low
     grad = np.empty(layout.size)
     # weights so small that the lower variances underflow, a prior or
     # gradient term that overflows, or a trace term that overflows (huge
     # diagonals) leave the support: the value or gradient comes out
     # non-finite and is checked once, at the end
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        var = omegas * beta
-        lows = u[layout.sl_lows]
-        ssq = np.bincount(layout.lower_block, lows * lows, T * K).reshape(T, K)
-        trace, (GU, GV) = _trace_quad_core(s.members1, s.members2, layout.coupling_pairs,
-                                           scatters, want_grad=True)
-        prior, g_omegas = _prior_terms(ssq, D1, D2, omegas, theta, layout.n_ent, hyper)
-        logdet_unit = d2 * u[layout.sl_logd1].sum() + d1 * u[layout.sl_logd2].sum()
-        value = (s.log_jac + prior + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
-                 - 0.5 * trace)
+        lows = u[:n_low]
+        lows_var = lows / (omegas * beta).take(layout.lower_block)
+        scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
+        trace, g_members = layout.trace_core(s.members1, s.members2, scatters, True)
+        prior, g_omegas, g_theta = _prior_terms(scaled, omegas, theta, layout.n_ent, hyper)
+        logdet_unit, log_d1, log_d2, log_g = (u[n_low:] @ layout.tail_sum_weights).tolist()
+        sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
+        value = (s.log_jac + prior - 0.5 * trace
+                 + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
+                 + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
+                 + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI))
         if T > 1:
-            value += ((alpha - 1.0) * u[layout.sl_gammas].sum() - G.sum()
-                      - G.size * lgamma(alpha))
+            value += (alpha - 1.0) * log_g - sum_g - G.size * lgamma(alpha)
 
         # strict lowers: the N(0, omega beta) prior and the trace term
-        grad[layout.sl_lows] = -lows / var.take(layout.lower_block)
-        grad[layout.sl_low1] -= 0.5 * GU.take(layout.low1_pos)
-        grad[layout.sl_low2] -= 0.5 * GV.take(layout.low2_pos)
+        grad[:n_low] = -0.5 * g_members.take(layout.low_pos) - lows_var
 
         # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1, where
         # the 1/D terms of the log-determinant and the Gamma prior times D are
-        # the constants n d2 and shape - 1, added without dividing by D
-        g_D1 = GU.take(layout.diag1_pos).sum(axis=0)
-        g_D2 = GV.take(layout.diag2_pos).sum(axis=0)
-        grad[layout.sl_logd1] = (transforms.positive_grad(D1, -0.5 * g_D1 - hyper.rate1)
-                                 + (n_obs * d2 + hyper.shape1 - 1.0))
-        grad[layout.sl_logd2] = (transforms.positive_grad(D2, -0.5 * g_D2 - hyper.rate2)
-                                 + (n_obs * d1 + hyper.shape2 - 1.0))
+        # the constants n d2 and shape - 1: with the 1 they add n d2 + shape,
+        # without dividing by D
+        g_D = -0.5 * g_members.take(layout.diag_pos).sum(axis=0)
+        grad[layout.sl_logd1] = (g_D[:d1] - hyper.rate1) * D1 + (n_obs * d2 + hyper.shape1)
+        grad[layout.sl_logd2] = (g_D[d1:] - hyper.rate2) * D2 + (n_obs * d1 + hyper.shape2)
 
         # the weights enter only the priors, every block's through
         # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
         # each block's weights, lams[0] the first block's
-        lams = np.empty((T, K))
-        lams[T - 1] = g_omegas[T - 1]
+        lams = g_omegas
         for t in range(T - 2, -1, -1):
-            lams[t] = g_omegas[t] + A.T @ lams[t + 1]
+            lams[t] += np.dot(A.T, lams[t + 1])
         if K > 1:
             grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1, lams[0])
-        g_theta = K * digamma(K * theta) - K * digamma(theta) \
-            + np.log(s.omega1).sum()
         grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
 
         # the transition's gradient sums lams[t+1] omegas[t]^T over the
         # steps; chain it back to the gammas (log coordinates) through the
-        # column normalization
+        # column normalization A = G / colsum(G), whose Jacobian times G is
+        # (g_A - colsum(g_A A)) A
         if T > 1:
             g_A = lams[1:].T @ omegas[:-1]
-            g_G = (g_A - (g_A * A).sum(axis=0, keepdims=True)) / G.sum(axis=0, keepdims=True)
-            grad[layout.sl_gammas] = (g_G * G + alpha - G).reshape(-1)
+            grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (alpha - G)).ravel()
 
-    if not (np.isfinite(value) and np.isfinite(grad).all()):
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
         return -np.inf, np.zeros(layout.size)
     return float(value), grad
 

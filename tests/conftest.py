@@ -79,27 +79,58 @@ def log_posterior(u, layout, data, hyper, targets):
     return log_likelihood(params, data) + lp + log_jac
 
 
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)).  It rounds to exactly 0
+    below about -709.78, where exp(-x) overflows, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def logistic_log_jac(z):
+    """sum log(z (1 - z)): the log-Jacobian of the logistic map to each z."""
+    return float((np.log(z) + np.log1p(-z)).sum())
+
+
+def positive_forward(u):
+    """exp map to positives with log-Jacobian sum(u), -inf when a value
+    underflows to 0 or the values or their sum overflow.  The oracle of
+    the positive part of ``StateLayout`` decoding."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.exp(u)
+        total = x.sum()
+    if x.size and not (x.min() > 0.0 and total < np.inf):
+        return x, -np.inf
+    return x, float(u.sum())
+
+
+def positive_grad(x, grad_x):
+    """Chain a gradient w.r.t. x > 0 back to the log coordinate, adding the
+    gradient of the log-Jacobian."""
+    return np.asarray(grad_x, dtype=float) * np.asarray(x, dtype=float) + 1.0
+
+
 def stick_breaking_forward(y):
     """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
     is -inf when a break fraction saturates or a weight underflows to 0.
     The oracle of the sticks part of ``StateLayout`` decoding."""
     y = np.asarray(y, dtype=float)
-    z = tr.expit(y - tr.stick_offsets(y.shape[0] + 1))
+    z = expit(y - tr.stick_offsets(y.shape[0] + 1))
     omega, left = tr.stick_breaking(z)
     # every weight positive means every z in (0, 1) and every stick positive
     if not omega.min() > 0.0:
         return omega, -np.inf
-    return omega, tr.logistic_log_jac(z) + float(np.sum(np.log(left)))
+    return omega, logistic_log_jac(z) + float(np.sum(np.log(left)))
 
 
 def interval_forward(v):
     """Logistic map to (0, 1) with log-Jacobian log(t(1-t)), -inf when t
     rounds to 0 or 1.  The oracle of the theta part of ``StateLayout``
     decoding."""
-    t = float(tr.expit(v))
+    t = float(expit(v))
     if not 0.0 < t < 1.0:
         return t, -np.inf
-    return t, tr.logistic_log_jac(t)
+    return t, logistic_log_jac(t)
 
 
 def stick_breaking_inverse(omega):

@@ -553,6 +553,35 @@ def test_summarize_draws_rejects_non_numeric_field(tmp_path):
         summarize_draws(p)
 
 
+def test_summarize_draws_reads_one_table_on_both_paths(tmp_path, monkeypatch):
+    # a simulated draws table: np.loadtxt reads it, the record scanner reads
+    # it to the same rows, and a copy only the scanner reads (quoted fields
+    # and an empty line) summarizes alike
+    rng = make_rng(40)
+    columns = ["chain", "draw", "accept", "divergent", "energy", "theta", "logdet_factor"]
+    n = 50
+    table = np.column_stack([np.repeat([0.0, 1.0], n // 2), np.tile(np.arange(n // 2), 2),
+                             rng.integers(0, 2, n), np.zeros(n), rng.normal(40.0, 5.0, n),
+                             rng.uniform(size=n), rng.normal(30.0, 1.0, n) * 1e-7])
+    clean = tmp_path / "draws.csv"
+    harness.write_csv_matrix(clean, table, columns)
+    lines = clean.read_text().splitlines()
+    quoted = _write(tmp_path / "quoted.csv", "\n".join(
+        lines[:1] + [",".join(f'"{v}"' for v in line.split(",")) for line in lines[1:4]]
+        + [""] + lines[4:]) + "\n")
+    scanned = harness._scan_draws(clean, columns)
+    assert np.array_equal(scanned, table)
+    expected = summarize_draws(quoted)
+
+    def no_scan(path, header):
+        raise AssertionError(f"{path} was read by the record scanner")
+
+    monkeypatch.setattr(harness, "_scan_draws", no_scan)
+    header, rows = harness._read_draws(clean)
+    assert header == columns and np.array_equal(rows, scanned)
+    assert summarize_draws(clean) == expected
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="mode"):
         RunConfig.from_dict(dict(mode="nope"))
@@ -574,6 +603,17 @@ def test_config_validation():
                        ("n_warmup", -1), ("n_truth_components", 0)):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
+    # a value of the wrong type fails at the boundary, naming its field; a
+    # number written as a string is read as the number
+    for key, value in (("n_chains", "two"), ("n_chains", 2.5), ("n_chains", True),
+                       ("lower_variance", "abc"), ("center", "yes"), ("mode", 3),
+                       ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1])):
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({"mode": "simulate-static", key: value})
+    cfg = RunConfig.from_dict(dict(mode="simulate-static", n_chains="2", n_draws=8.0,
+                                   lower_variance="1e-3", omega_weights=[1, "2"]))
+    assert (cfg.n_chains, cfg.n_draws, cfg.lower_variance) == (2, 8, 1e-3)
+    assert type(cfg.n_draws) is int and cfg.omega_weights == (1.0, 2.0)
     # each block count is checked alone: -2 seasons of -1 cycles is not 2 blocks
     for mode in ("fit-dynamic", "simulate-dynamic"):
         for seasons, cycles, bad in ((-2, -1, "n_seasons"), (2, 0, "n_cycles")):

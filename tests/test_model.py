@@ -9,7 +9,7 @@ from conftest import (log_likelihood, log_posterior, make_rng, pack, random_data
                       random_params, summary_for, targets_and_hyper, vanloan_unrearrange)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members,
-                         _trace_quad_core, assemble_ldagger, log_det_ldagger,
+                         _trace_dense, _trace_pairs, assemble_ldagger, log_det_ldagger,
                          log_posterior_grad, log_prior, trace_quadratic)
 
 
@@ -176,31 +176,42 @@ def _dense_trace_and_grad(p, S):
                    np.diagonal(gU[K]).copy(), np.diagonal(gV[K]).copy())
 
 
-@pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5)])
+@pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5),
+                                    ((16, 16), 5)])
 def test_trace_core_matches_dense_gradient(dims, K):
     # four cases stacked on the block axis: the value is their sum, and each
-    # block's member gradients are its own dense gradient
+    # block's member gradients are its own dense gradient, for both
+    # contractions whichever the shape's rule picks
     d1, d2 = dims
     rng = make_rng(26 + d1 * d2 + K)
     cases = []
     for _ in range(4):
         Y = random_dataset(d1, d2, 3 * d1 * d2, rng)
         cases.append((Y, random_params(d1, d2, K, rng)))
-    C = _coupling(K)
-    value, (GU, GV) = _trace_quad_core(
-        np.stack([_members(p.lowers1, p.d1_diag) for _, p in cases]),
-        np.stack([_members(p.lowers2, p.d2_diag) for _, p in cases]),
-        np.kron(C, C),
-        np.stack([summary_for(Y, d1, d2).scatter_rearranged for Y, _ in cases]),
-        want_grad=True)
+    members1 = np.stack([_members(p.lowers1, p.d1_diag) for _, p in cases])
+    members2 = np.stack([_members(p.lowers2, p.d2_diag) for _, p in cases])
+    scatters = np.stack([summary_for(Y, d1, d2).scatter_rearranged for Y, _ in cases])
     dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in cases]
     dense_value = sum(v for v, _ in dense)
-    assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
-    for t, (_, dense_grads) in enumerate(dense):
-        grads = (np.tril(GU[t, :K], -1), np.tril(GV[t, :K], -1),
-                 np.diagonal(GU[t, K]), np.diagonal(GV[t, K]))
-        for got, want in zip(grads, dense_grads):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    C = _coupling(K)
+    for value, grad in (_trace_dense(members1, members2, scatters, True, coupling=C),
+                        _trace_pairs(members1, members2, scatters, True,
+                                     coupling_pairs=np.kron(C, C))):
+        assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
+        GU = grad[:members1.size].reshape(members1.shape)
+        GV = grad[members1.size:].reshape(members2.shape)
+        for t, (_, dense_grads) in enumerate(dense):
+            grads = (np.tril(GU[t, :K], -1), np.tril(GV[t, :K], -1),
+                     np.diagonal(GU[t, K]), np.diagonal(GV[t, K]))
+            for got, want in zip(grads, dense_grads):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_trace_contraction_follows_the_flop_rule():
+    # the dense contraction at the paper shapes, the pair products at 16x16
+    assert StateLayout(4, 5, 5).trace_core.func is _trace_dense
+    assert StateLayout(5, 2, 5, n_blocks=12).trace_core.func is _trace_dense
+    assert StateLayout(16, 16, 5).trace_core.func is _trace_pairs
 
 
 # ----- priors -------------------------------------------------------------------

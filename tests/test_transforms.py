@@ -6,17 +6,19 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (interval_forward, interval_inverse, make_rng, positive_inverse,
-                      stick_breaking_forward, stick_breaking_inverse)
+from conftest import (decode_blocks, expit, interval_forward, interval_inverse, make_rng,
+                      positive_forward, positive_grad, positive_inverse, stick_breaking_forward,
+                      stick_breaking_inverse)
 from sckpd import transforms as tr
+from sckpd.model import StateLayout
 
 
 def test_expit_matches_scipy():
     x = np.linspace(-800.0, 800.0, 160_001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = tr.expit(x)
-        ends = tr.expit(-800.0), tr.expit(800.0)
+        got = expit(x)
+        ends = expit(-800.0), expit(800.0)
     expect = scipy.special.expit(x)
     assert np.all(np.abs(got - expect) <= 4 * np.spacing(expect))
     assert ends == (0.0, 1.0)
@@ -68,7 +70,7 @@ def test_stick_breaking_grad_matches_fd():
         omega, log_jac = stick_breaking_forward(yv)
         return float(w @ omega) + log_jac
 
-    z = tr.expit(y - tr.stick_offsets(K))
+    z = expit(y - tr.stick_offsets(K))
     omega, _ = tr.stick_breaking(z)
     g = tr.stick_breaking_grad(z, omega, w)
     eps = 1e-6
@@ -109,16 +111,16 @@ def test_positive_round_trip_and_grad():
     rng = make_rng(3)
     x = rng.uniform(0.2, 5.0, size=4)
     u = positive_inverse(x)
-    back, log_jac = tr.positive_forward(u)
+    back, log_jac = positive_forward(u)
     assert np.allclose(back, x, atol=1e-14)
     assert np.isclose(log_jac, np.sum(u))
     w = rng.normal(size=4)
 
     def scalar(uv):
-        xv, lj = tr.positive_forward(uv)
+        xv, lj = positive_forward(uv)
         return float(w @ xv) + lj
 
-    g = tr.positive_grad(x, w)
+    g = positive_grad(x, w)
     eps = 1e-7
     for j in range(4):
         up, dn = u.copy(), u.copy()
@@ -134,3 +136,38 @@ def test_stick_breaking_forward_always_simplex(ys):
     omega, _ = stick_breaking_forward(np.asarray(ys))
     assert np.all(omega >= 0)
     assert np.isclose(omega.sum(), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_fused_decode_matches_the_transform_oracles(n_blocks):
+    # the layout decodes every coordinate after the strict lowers with one
+    # exp; its values and log-Jacobian are the per-transform oracles', and
+    # it is -inf where one of them is
+    layout = StateLayout(3, 4, 3, n_blocks=n_blocks)
+    rng = make_rng(5 + n_blocks)
+    states = [rng.normal(0.0, 2.0, size=layout.size) for _ in range(50)]
+    for sl, val in ((layout.sl_logd1, -800.0), (layout.sl_logd2, 800.0),
+                    (layout.sl_theta, 40.0), (layout.sl_sticks, 800.0),
+                    (layout.sl_sticks, -800.0), (layout.sl_gammas, -800.0)):
+        if sl.stop > sl.start:
+            u = rng.normal(size=layout.size)
+            u[sl.start] = val
+            states.append(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in states:
+            params, log_jac = decode_blocks(layout, u)
+            positives = np.r_[u[layout.sl_logd1], u[layout.sl_logd2], u[layout.sl_gammas]]
+            x, jac_pos = positive_forward(positives)
+            omega, jac_sticks = stick_breaking_forward(u[layout.sl_sticks])
+            theta, jac_theta = interval_forward(float(u[layout.sl_theta][0]))
+            expected = jac_pos + jac_sticks + jac_theta
+            assert np.array_equal(np.r_[params.d1_diag, params.d2_diag], x[:7])
+            if n_blocks > 1:
+                assert np.array_equal(params.gamma.ravel(), x[7:])
+            if expected == -np.inf:
+                assert log_jac == -np.inf
+                continue
+            assert np.allclose(params.omega1, omega, rtol=1e-15, atol=0.0)
+            assert theta == params.theta
+            assert log_jac == pytest.approx(expected, rel=1e-13, abs=1e-13)
