@@ -43,12 +43,7 @@ def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config", "func") and v is not None}
     raw.update(overrides)
-    if raw.get("mode") is None:
-        # more than one (cycle, season) block, flags over the preset, is seasonal
-        merged = {**PRESETS.get(raw.get("preset"), {}), **raw}
-        blocks = merged.get("n_seasons", 1) * merged.get("n_cycles", 1)
-        raw["mode"] = f"{family_prefix}-{'dynamic' if blocks > 1 else 'static'}"
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(raw, family=family_prefix)
 
 
 def _cmd_simulate(args) -> dict:

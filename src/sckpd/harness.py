@@ -11,6 +11,10 @@ file and column tag) of either kind, and ``_stat_columns`` /
 ``functools.partial`` of the static or seasonal entry point that every
 chain, sequential or in the process pool, evaluates.
 
+Every table is CSV in one format: ``_read_table`` reads data files and
+draws tables alike, and its docstring states the format; ``write_csv_matrix``
+writes every table, in the form that reader reads back bit for bit.
+
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
 on (seed, 20000 + c), data simulation on (seed, 10000).
@@ -53,6 +57,9 @@ INIT_STREAM = 20_000
 MAX_SUM_SQUARES = math.sqrt(sys.float_info.max)
 
 MODES = ("simulate-static", "simulate-dynamic", "fit-static", "fit-dynamic")
+
+# The draws table's leading columns; every later one is a summarized statistic.
+_BOOKKEEPING = ("chain", "draw", "accept", "divergent", "energy")
 
 # Reference simulation designs.  The two Wishart scale vectors have lengths
 # 5 and 4 while the design uses d1 = 4, d2 = 5, so the length-4 vector
@@ -114,7 +121,10 @@ class RunConfig:
     preset: str | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
+    def from_dict(cls, raw: dict, family: str | None = None) -> "RunConfig":
+        """The config a mapping describes.  Without a mode, ``family`` gives
+        its seasonal mode when the typed block count is above 1, else its
+        static one."""
         preset = raw.get("preset")
         merged: dict = {}
         if preset is not None:
@@ -126,7 +136,11 @@ class RunConfig:
         unknown = set(merged) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**{key: _typed(key, value, fields[key].type) for key, value in merged.items()})
+        typed = {key: _typed(key, value, fields[key].type) for key, value in merged.items()}
+        if "mode" not in typed and family is not None:
+            blocks = typed.get("n_seasons", 1) * typed.get("n_cycles", 1)
+            typed["mode"] = f"{family}-{'dynamic' if blocks > 1 else 'static'}"
+        cfg = cls(**typed)
         cfg.validate()
         return cfg
 
@@ -183,6 +197,8 @@ def _typed(key: str, value, annotation: str):
     kind = annotation.split(" |")[0]
     try:
         if kind == "tuple":
+            if not isinstance(value, (list, tuple)):
+                raise TypeError
             return tuple(float(v) for v in value)
         if isinstance(value, bool) != (kind == "bool"):
             raise TypeError
@@ -277,56 +293,73 @@ def _stat_values(D1: np.ndarray, D2: np.ndarray, omegas: np.ndarray,
 
 
 def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None) -> None:
+    """Write ``Y`` under ``header`` as CRLF records of 17-digit values, which
+    :func:`_read_table` reads back bit for bit."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
-        for row in Y:
-            writer.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(fh, Y, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header or []), comments="")
 
 
 def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.ndarray:
-    """Read the observation rows of a CSV file as an (n, d1*d2) array.
-
-    Each record holds d1*d2 comma-separated numbers as Python's ``float``
-    reads them, which may be space-padded or quoted.  Line 1 is a header,
-    and skipped, when none of its fields is a number; empty and
-    whitespace-only lines are skipped; lines may end in LF, CRLF or CR.  A
-    file without data rows, a field that is not a number, a record of the
-    wrong width, a non-finite value, or values so large that the sample
-    covariance would overflow raise ValueError naming the file and the
-    first line (and field) at fault.  With ``center`` the sample mean is
-    subtracted (for data with a free mean).
-
-    One ``np.loadtxt`` pass reads clean input; input it rejects is read
-    again by the record scanner, which returns the same array or names the
-    error.
-    """
-    width = d1 * d2
-    Y = _load_numeric(path, width)
-    if Y is None:
-        Y = _scan_csv(path, width)
+    """The observation rows of a CSV file in :func:`_read_table`'s format as
+    an (n, d1*d2) array; a file without rows is refused.  With ``center``
+    the sample mean is subtracted (for data with a free mean)."""
+    _, Y = _read_table(path, d1 * d2)
+    if Y.shape[0] == 0:
+        raise ValueError(f"{path}: no observation rows found")
     if center:
         Y = Y - Y.mean(axis=0)
     return Y
 
 
-def _parse_record(rec: list[str]) -> tuple[list[float], list[tuple[int, str]]]:
-    """The fields of one CSV record that are numbers, as floats, and the
-    (index, text) of those that are not."""
-    values, bad = [], []
-    for k, cell in enumerate(rec):
+def _read_table(path: str | Path,
+                width: int | None = None) -> tuple[list[str] | None, np.ndarray]:
+    """The header (or None) and the (rows, width) array of a CSV table.
+
+    This is the one CSV format every file the CLI reads is held to, data
+    files and draws tables alike:
+
+    - each record holds comma-separated numbers as Python's ``float`` reads
+      them, which may be space-padded or quoted;
+    - record 1 is a header, and not a row, when none of its fields is a
+      number;
+    - empty and whitespace-only lines are skipped;
+    - lines may end in LF, CRLF or CR;
+    - every row has ``width`` fields, or with ``width`` None as many as the
+      header (as the first row when there is no header);
+    - every field is finite, and the squared fields sum below
+      ``MAX_SUM_SQUARES``, so the sample covariance stays finite.
+
+    Input that breaks a rule raises ValueError naming the file, the first
+    line and field at fault, and the field's column under a header.  Clean
+    input takes one ``np.loadtxt`` pass; :func:`_scan_table` reads the rest.
+    """
+    with open(path, newline="") as fh:
+        # record 1 as the scanner reads it, so a header is skipped alike
+        first = next(csv.reader(fh), [])
+        header = first if first and all(_number(f) is None for f in first) else None
+        if header is None:
+            fh.seek(0)
         try:
-            values.append(float(cell))
+            with warnings.catch_warnings():
+                # a table without rows is for the caller to refuse
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
-            bad.append((k, cell))
-    return values, bad
+            rows = None
+    # every row as wide as the caller asks, the header, or else the first row
+    if (rows is not None and rows.shape[1] == (width or len(header or ()) or rows.shape[1])
+            and _sum_squares(rows) < MAX_SUM_SQUARES):
+        return header, rows
+    return header, _scan_table(path, header, width)
 
 
-def _is_header(rec: list[str]) -> bool:
-    """Whether a first record is a header: it has fields, and none of them
-    is a number."""
-    return bool(rec) and not _parse_record(rec)[0]
+def _number(field: str) -> float | None:
+    """A CSV field as Python's ``float`` reads it, or None if it is not a number."""
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
 
 def _sum_squares(Y: np.ndarray) -> float:
@@ -336,54 +369,40 @@ def _sum_squares(Y: np.ndarray) -> float:
         return float(np.vdot(Y, Y))
 
 
-def _load_numeric(path: str | Path, width: int) -> np.ndarray | None:
-    """The rows of a plain numeric CSV in one ``np.loadtxt`` pass, or None
-    when the input needs the scanner: ``loadtxt`` rejects it, or it has no
-    rows, the wrong width, or a field that is not finite or too large."""
-    with open(path, newline="") as fh:
-        # record 1 as the scanner reads it, so a header is skipped alike
-        if not _is_header(next(csv.reader(fh), [])):
-            fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # the scanner names input without rows as an error
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                Y = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            return None
-    if Y.shape[0] == 0 or Y.shape[1] != width or not _sum_squares(Y) < MAX_SUM_SQUARES:
-        return None
-    return Y
-
-
-def _scan_csv(path: str | Path, width: int) -> np.ndarray:
-    """Read the file record by record with ``csv.reader``: the rows, or a
-    ValueError naming the first line and field at fault."""
+def _scan_table(path: str | Path, header: list[str] | None, width: int | None) -> np.ndarray:
+    """Read the rows of :func:`_read_table`'s format record by record with
+    ``csv.reader``: the rows, or a ValueError naming the first line and
+    field at fault."""
+    if width:
+        label = f"d1*d2 = {width} fields"
+    elif header:
+        width, label = len(header), f"{len(header)} fields as in the header"
     rows: list[list[float]] = []
     linenos: list[int] = []
     with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
+        reader = csv.reader(fh)
+        for n, rec in enumerate(reader):
+            lineno = reader.line_num   # a record's last line: a quoted field may hold a newline
+            if (not rec or (len(rec) == 1 and not rec[0].strip())
+                    or (n == 0 and header is not None)):
                 continue
-            if lineno == 1 and _is_header(rec):
-                continue
-            values, bad = _parse_record(rec)
-            if bad:
+            values = [_number(field) for field in rec]
+            if None in values:
+                k = values.index(None)
+                name = f" ({header[k]})" if header and k < len(header) else ""
                 raise ValueError(
-                    f"{path}: line {lineno}: field {bad[0][0] + 1} is not numeric: {bad[0][1]!r}")
+                    f"{path}: line {lineno}: field {k + 1}{name} is not numeric: {rec[k]!r}")
+            if width is None:   # no header: every row as wide as the first
+                width, label = len(values), f"{len(values)} fields as in line {lineno}"
             if len(values) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected d1*d2 = {width} fields, got {len(values)}")
+                raise ValueError(f"{path}: line {lineno}: expected {label}, got {len(values)}")
             rows.append(values)
             linenos.append(lineno)
-    if not rows:
-        raise ValueError(f"{path}: no observation rows found")
-    Y = np.asarray(rows, dtype=float)
-    for r, row in enumerate(Y):   # row by row: no temporary the size of Y
-        if not np.isfinite(row).all():
-            k = int(np.flatnonzero(~np.isfinite(row))[0])
-            raise ValueError(
-                f"{path}: line {linenos[r]}: field {k + 1} is not finite: {float(row[k])}")
+    Y = np.asarray(rows, dtype=float).reshape(len(rows), width or 0)
+    non_finite = np.argwhere(~np.isfinite(Y))
+    if len(non_finite):
+        r, k = non_finite[0]
+        raise ValueError(f"{path}: line {linenos[r]}: field {k + 1} is not finite: {Y[r, k]}")
     sum_squares = _sum_squares(Y)
     if not sum_squares < MAX_SUM_SQUARES:
         r, k = np.unravel_index(np.argmax(np.abs(Y)), Y.shape)
@@ -399,13 +418,6 @@ def strict_json(payload: dict) -> str:
     """``payload`` as indented strict JSON with sorted keys: a NaN or
     infinite value raises ValueError rather than give a bare NaN token."""
     return json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON; a non-finite value raises before the file is opened."""
-    text = strict_json(payload)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
@@ -483,7 +495,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
                      omega1=omega.tolist(), transition_matrix=A.tolist(),
                      transition=config.transition,
                      sim_transition_alpha=config.sim_transition_alpha)
-    _write_json(outdir / "truth.json", truth)
+    (outdir / "truth.json").write_text(strict_json(truth) + "\n")
     return Ys, truth
 
 
@@ -586,7 +598,7 @@ def fit(config: RunConfig) -> dict:
 
     summary = _summarize_chains(config, chains, table, columns,
                                 _hyper_report(targets, hyper), warnings)
-    _write_json(outdir / "summary.json", summary)
+    (outdir / "summary.json").write_text(strict_json(summary) + "\n")
     return summary
 
 
@@ -594,18 +606,19 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
     """One row per draw: bookkeeping columns, theta, then the statistics of
     :func:`_stat_columns`.  Each draw is decoded once, and the energies of
     all its blocks come from one batched Gram product."""
-    columns = (["chain", "draw", "accept", "divergent", "energy", "theta"]
-               + _stat_columns(config, config.n_components))
+    columns = [*_BOOKKEEPING, "theta", *_stat_columns(config, config.n_components)]
+    nb = len(_BOOKKEEPING)
     table = np.empty((sum(len(chain.draws) for chain in chains), len(columns)))
     r = 0
     for ci, chain in enumerate(chains):
         n = len(chain.draws)
-        table[r:r + n, :5] = np.column_stack([np.full(n, ci), np.arange(n), chain.accept_flags,
-                                              chain.divergence_flags, chain.energies])
+        table[r:r + n, :nb] = np.column_stack([np.full(n, ci), np.arange(n), chain.accept_flags,
+                                               chain.divergence_flags, chain.energies])
         for u in chain.draws:
             s = layout._decode(u)
-            table[r, 5] = s.theta
-            table[r, 6:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas, s.members1, s.members2)
+            table[r, nb] = s.theta
+            table[r, nb + 1:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas,
+                                             s.members1, s.members2)
             r += 1
     return table, columns
 
@@ -631,12 +644,13 @@ def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:
 def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
     n_chains = len(chains)
     n_draws = chains[0].draws.shape[0]
-    values = table[:, 5:]
+    nb = len(_BOOKKEEPING)
+    values = table[:, nb:]
     per_chain = values.reshape(n_chains, n_draws, values.shape[1])
     ess = hmc.effective_sample_size(per_chain)
     rhat = hmc.split_rhat(per_chain)
     stats = {}
-    for j, (name, entry) in enumerate(zip(columns[5:], _column_summaries(values))):
+    for j, (name, entry) in enumerate(zip(columns[nb:], _column_summaries(values))):
         entry["ess"] = float(ess[j])
         entry["rhat"] = float(rhat[j])
         stats[name] = entry
@@ -678,77 +692,28 @@ def check_hyper(config: RunConfig) -> dict:
 
 
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:
-    """Recompute quantile summaries from a draws table; optionally join a
+    """Recompute quantile summaries from a draws table in :func:`_read_table`'s
+    format, with a ``chain`` column and 2 rows or more; optionally join a
     ground-truth file into a coverage report."""
-    columns, table = _read_draws(draws_path)
+    columns, table = _read_table(draws_path)
+    if columns is None and table.size == 0:
+        raise ValueError(f"{draws_path}: empty file, expected a header row")
+    if "chain" not in (columns or ()):
+        raise ValueError(f"{draws_path}: line 1: header has no 'chain' column")
     if table.shape[0] < 2:
         raise ValueError(f"{draws_path}: spread statistics need at least 2 draw rows "
                          f"after the header, found {table.shape[0]}")
     n_chains = int(table[:, columns.index("chain")].max()) + 1
-    keep = [j for j, name in enumerate(columns)
-            if name not in ("chain", "draw", "accept", "divergent", "energy")]
+    keep = [j for j, name in enumerate(columns) if name not in _BOOKKEEPING]
     stats = {columns[j]: entry
              for j, entry in zip(keep, _column_summaries(table[:, keep]))}
     out = {"n_chains": n_chains, "n_rows": int(table.shape[0]), "stats": stats}
     if truth_path is not None:
         with open(truth_path) as fh:
             truth = json.load(fh)
-        coverage = {}
-        for name, value in truth.get("stats", {}).items():
-            if name in stats:
-                entry = stats[name]
-                coverage[name] = {
-                    "truth": value,
-                    "q025": entry["q025"], "q975": entry["q975"],
-                    "covered": bool(entry["q025"] <= value <= entry["q975"]),
-                }
-        out["coverage"] = coverage
+        out["coverage"] = {
+            name: {"truth": value, "q025": stats[name]["q025"], "q975": stats[name]["q975"],
+                   "covered": bool(stats[name]["q025"] <= value <= stats[name]["q975"])}
+            for name, value in truth.get("stats", {}).items() if name in stats}
     return out
 
-
-def _read_draws(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The header and the rows of a draws table.  One ``np.loadtxt`` pass
-    reads clean input; input it rejects, or rows of another width than the
-    header, are read again by :func:`_scan_draws`, which returns the same
-    rows or names the first line and field at fault."""
-    with open(path, newline="") as fh:
-        columns = next(csv.reader(fh), None)
-        if not columns:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        if "chain" not in columns:
-            raise ValueError(f"{path}: line 1: header has no 'chain' column")
-        try:
-            with warnings.catch_warnings():
-                # the scanner counts a table without rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or table.shape[1] != len(columns):
-        table = _scan_draws(path, columns)
-    return columns, table
-
-
-def _scan_draws(path: str | Path, columns: list[str]) -> np.ndarray:
-    """The rows after the header, read record by record with
-    ``csv.reader``, or a ValueError naming the first line and field at
-    fault.  Empty lines are skipped."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(columns):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(columns)} fields as in the header, got {len(rec)}")
-            values = []
-            for k, cell in enumerate(rec):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: line {reader.line_num}: field {k + 1} "
-                                     f"({columns[k]}) is not numeric: {cell!r}") from None
-            rows.append(values)
-    return np.array(rows, dtype=float).reshape(len(rows), len(columns))

@@ -97,11 +97,12 @@ def test_huge_finite_value_fails_at_the_boundary(tmp_path):
     assert not (tmp_path / "fit").exists()
 
 
-# The one-pass reader and the record scanner must agree: on valid input
-# they return the same array, on malformed input ingest_csv raises the
-# scanner's message.  Every case runs with warnings as errors, so a warning
-# that leaks from the one-pass reader (np.loadtxt warns on input without
-# rows) fails the test.
+# One reader serves every table: data files, whose rows have d1*d2 fields,
+# and draws tables, whose rows are as wide as the header.  Its one-pass read
+# and its record scanner must agree: on valid input they return the same
+# array, and malformed input raises the scanner's message.  Every case runs
+# with warnings as errors, so a warning that leaks from the one-pass read
+# (np.loadtxt warns on input without rows) fails the test.
 
 _ROWS = "1,2,3,4,5,6\n7,8.5,9,10,11,-12e-3\n0,0,1,1,2,2\n"
 
@@ -128,14 +129,18 @@ def wide_csv(tmp_path_factory) -> Path:
 
 @pytest.mark.parametrize("name", sorted(_VALID_CSV))
 def test_ingest_matches_scanner_on_valid_input(tmp_path, name):
+    # read as a data file (d1*d2 fields) and as a table as wide as its header
     p = tmp_path / "d.csv"
     p.write_bytes(_VALID_CSV[name].encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Y = ingest_csv(p, 3, 2)
-        scanned = harness._scan_csv(p, 6)
-    assert np.array_equal(Y, scanned)
+        header, rows = harness._read_table(p)
+        scanned = harness._scan_table(p, header, 6)
+    assert np.array_equal(Y, scanned) and np.array_equal(rows, scanned)
     assert Y.shape[1] == 6 and Y.shape[0] >= 2
+    assert header == (None if name in ("no-header", "empty-lines", "whitespace-line", "padded",
+                                       "underscore-digits") else [f"y{j}" for j in range(1, 7)])
 
 
 def test_ingest_matches_scanner_on_simulated_file(wide_csv):
@@ -143,7 +148,8 @@ def test_ingest_matches_scanner_on_simulated_file(wide_csv):
         warnings.simplefilter("error")
         Y = ingest_csv(wide_csv, 16, 16)
         centered = ingest_csv(wide_csv, 16, 16, center=True)
-        scanned = harness._scan_csv(wide_csv, 256)
+        header, _ = harness._read_table(wide_csv)
+        scanned = harness._scan_table(wide_csv, header, 256)
     assert Y.shape == (2000, 256)
     assert np.array_equal(Y, scanned)
     assert np.array_equal(centered, scanned - scanned.mean(axis=0))
@@ -155,6 +161,8 @@ _MALFORMED_CSV = {
     "non-numeric-line-1": ("1,2,oops,4,5,6\n" + _ROWS,
                            "line 1: field 3 is not numeric: 'oops'"),
     "non-numeric-later": (_ROWS + "1,2,3,4,x,6\n", "line 4: field 5 is not numeric: 'x'"),
+    # a quoted field that holds a newline is one record over two lines
+    "quoted-newline": ('"1\n",2,3,4,5,6\n1,2,x,4,5,6\n', "line 3: field 3 is not numeric: 'x'"),
     "width": ("1,2,3,4,5,6\n1,2,3\n", "line 2: expected d1*d2 = 6 fields, got 3"),
     "width-every-row": ("1,2,3\n4,5,6\n", "line 1: expected d1*d2 = 6 fields, got 3"),
     "nan": ("y1,y2,y3,y4,y5,y6\n1,2,3,4,5,6\n1,2,3,nan,5,6\n",
@@ -172,30 +180,102 @@ def test_ingest_raises_scanner_message_on_malformed_input(tmp_path, name):
     text, message = _MALFORMED_CSV[name]
     p = tmp_path / "d.csv"
     p.write_bytes(text.encode())
+    header = text.splitlines()[0].split(",") if text.startswith("y1") else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as raised:
             ingest_csv(p, 3, 2)
-        with pytest.raises(ValueError) as scanned:
-            harness._scan_csv(p, 6)
-    assert str(raised.value) == str(scanned.value) == f"{p}: {message}"
+        if message != "no observation rows found":   # ingest's own check, not the scanner's
+            with pytest.raises(ValueError) as scanned:
+                harness._scan_table(p, header, 6)
+            assert str(scanned.value) == str(raised.value)
+    assert str(raised.value) == f"{p}: {message}"
+
+
+def _draws_table(tmp_path: Path) -> tuple[Path, list[str], np.ndarray]:
+    """A draws table as a fit writes it: 2 chains of 25 rows."""
+    rng = make_rng(40)
+    columns = [*harness._BOOKKEEPING, "theta", "logdet_factor"]
+    n = 50
+    table = np.column_stack([np.repeat([0.0, 1.0], n // 2), np.tile(np.arange(n // 2), 2),
+                             rng.integers(0, 2, n), np.zeros(n), rng.normal(40.0, 5.0, n),
+                             rng.uniform(size=n), rng.normal(30.0, 1.0, n) * 1e-7])
+    path = tmp_path / "draws.csv"
+    harness.write_csv_matrix(path, table, columns)
+    return path, columns, table
+
+
+def _both_kinds(kind: str, tmp_path: Path, wide_csv: Path):
+    """The path, header and rows of a clean table of the given kind, and the
+    width a caller reads it at."""
+    if kind == "data":
+        return wide_csv, [f"y{j}" for j in range(1, 257)], ingest_csv(wide_csv, 16, 16), 256
+    path, columns, table = _draws_table(tmp_path)
+    return path, columns, table, None
+
+
+def _rewrite(tmp_path: Path, clean: Path, edit) -> Path:
+    """A copy of ``clean`` whose LF-separated lines are ``edit(lines)``."""
+    out = tmp_path / f"edited-{clean.name}"
+    out.write_bytes(("\n".join(edit(clean.read_text().splitlines())) + "\n").encode())
+    return out
 
 
 def test_clean_input_never_reaches_the_scanner(wide_csv, tmp_path, monkeypatch):
-    expected = ingest_csv(wide_csv, 16, 16)
-    # the same rows with CRLF line endings and an empty line between two rows
-    lines = wide_csv.read_text().splitlines()
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes("\r\n".join(lines[:5] + [""] + lines[5:]).encode() + b"\r\n")
+    kinds = [_both_kinds(kind, tmp_path, wide_csv) for kind in ("data", "draws")]
 
-    def no_scan(path, width):
+    def no_scan(path, header, width):
         raise AssertionError(f"{path} was read by the record scanner")
 
-    monkeypatch.setattr(harness, "_scan_csv", no_scan)
+    monkeypatch.setattr(harness, "_scan_table", no_scan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(ingest_csv(wide_csv, 16, 16), expected)
-        assert np.array_equal(ingest_csv(crlf, 16, 16), expected)
+        for clean, header, expected, width in kinds:
+            # the same rows with LF line endings and an empty line between two rows
+            spaced = _rewrite(tmp_path, clean, lambda lines: lines[:5] + [""] + lines[5:])
+            for path in (clean, spaced):
+                got_header, rows = harness._read_table(path, width)
+                assert got_header == header and np.array_equal(rows, expected)
+            if width is None:   # a draws table: both copies summarize alike
+                assert summarize_draws(clean) == summarize_draws(spaced)
+
+
+@pytest.mark.parametrize("kind", ["data", "draws"])
+def test_scanner_reads_what_loadtxt_rejects(kind, wide_csv, tmp_path, monkeypatch):
+    # quoted fields and a whitespace-only line: np.loadtxt rejects the copy,
+    # and the scanner reads it to the same rows
+    clean, header, expected, width = _both_kinds(kind, tmp_path, wide_csv)
+    odd = _rewrite(tmp_path, clean, lambda lines: (
+        lines[:1] + [",".join(f'"{v}"' for v in line.split(",")) for line in lines[1:4]]
+        + ["  \t "] + lines[4:]))
+    scans = []
+    scan = harness._scan_table
+    monkeypatch.setattr(harness, "_scan_table", lambda *args: scans.append(args) or scan(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_header, rows = harness._read_table(odd, width)
+        assert len(scans) == 1
+        assert got_header == header and np.array_equal(rows, expected)
+        if kind == "draws":
+            assert summarize_draws(odd) == summarize_draws(clean)
+
+
+@pytest.mark.parametrize("header", [None, ["a", "b", "c"]], ids=["no-header", "header"])
+def test_write_csv_matrix_round_trip(tmp_path, header):
+    # every value reads back bit for bit, the sign of -0.0 and subnormals
+    # too, and the bytes are the 17-digit CRLF records of csv.writer
+    table = np.array([[-0.0, 5e-324, 1.0 / 3.0],
+                      [2.2250738585072014e-308 / 7, -1e70, 123456789.123456789],
+                      [0.0, 1e-300, -2.5]])
+    p = tmp_path / "t.csv"
+    harness.write_csv_matrix(p, table, header)
+    expected = "".join(",".join(f"{v:.17g}" for v in row) + "\r\n" for row in table)
+    assert p.read_bytes() == ((",".join(header) + "\r\n" if header else "") + expected).encode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_header, rows = harness._read_table(p)
+    assert got_header == header
+    assert rows.tobytes() == table.tobytes()
 
 
 # ----- simulation ----------------------------------------------------------------
@@ -553,33 +633,19 @@ def test_summarize_draws_rejects_non_numeric_field(tmp_path):
         summarize_draws(p)
 
 
-def test_summarize_draws_reads_one_table_on_both_paths(tmp_path, monkeypatch):
-    # a simulated draws table: np.loadtxt reads it, the record scanner reads
-    # it to the same rows, and a copy only the scanner reads (quoted fields
-    # and an empty line) summarizes alike
-    rng = make_rng(40)
-    columns = ["chain", "draw", "accept", "divergent", "energy", "theta", "logdet_factor"]
-    n = 50
-    table = np.column_stack([np.repeat([0.0, 1.0], n // 2), np.tile(np.arange(n // 2), 2),
-                             rng.integers(0, 2, n), np.zeros(n), rng.normal(40.0, 5.0, n),
-                             rng.uniform(size=n), rng.normal(30.0, 1.0, n) * 1e-7])
-    clean = tmp_path / "draws.csv"
-    harness.write_csv_matrix(clean, table, columns)
-    lines = clean.read_text().splitlines()
-    quoted = _write(tmp_path / "quoted.csv", "\n".join(
-        lines[:1] + [",".join(f'"{v}"' for v in line.split(",")) for line in lines[1:4]]
-        + [""] + lines[4:]) + "\n")
-    scanned = harness._scan_draws(clean, columns)
-    assert np.array_equal(scanned, table)
-    expected = summarize_draws(quoted)
-
-    def no_scan(path, header):
-        raise AssertionError(f"{path} was read by the record scanner")
-
-    monkeypatch.setattr(harness, "_scan_draws", no_scan)
-    header, rows = harness._read_draws(clean)
-    assert header == columns and np.array_equal(rows, scanned)
-    assert summarize_draws(clean) == expected
+@pytest.mark.parametrize("field, message", [
+    ("nan", "line 3: field 3 is not finite: nan"),
+    ("1e200", "line 3: field 3 is too large: 1e+200"),
+], ids=["nan", "huge"])
+def test_summarize_draws_rejects_non_finite_field(tmp_path, field, message):
+    # a field the summaries cannot use fails at the boundary, named, with
+    # no warning on the way
+    p = _draws_file(tmp_path, f"chain,draw,theta\n0,0,1.5\n0,1,{field}\n0,2,2.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            summarize_draws(p)
+    assert str(raised.value).startswith(f"{p}: {message}")
 
 
 def test_config_validation():
@@ -607,9 +673,18 @@ def test_config_validation():
     # number written as a string is read as the number
     for key, value in (("n_chains", "two"), ("n_chains", 2.5), ("n_chains", True),
                        ("lower_variance", "abc"), ("center", "yes"), ("mode", 3),
-                       ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1])):
+                       ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1]),
+                       ("preset", ["paper-static"])):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
+    # a tuple field refuses a string rather than read it character by character
+    with pytest.raises(ValueError) as raised:
+        RunConfig.from_dict(dict(mode="simulate-static", omega_weights="13"))
+    assert str(raised.value) == "omega_weights must be a list of numbers, got '13'"
+    # a mode taken from the block count is taken from the typed values
+    for key, value in (("n_seasons", "two"), ("n_cycles", [2]), ("preset", ["paper-dynamic"])):
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({"input_path": "d", key: value}, family="fit")
     cfg = RunConfig.from_dict(dict(mode="simulate-static", n_chains="2", n_draws=8.0,
                                    lower_variance="1e-3", omega_weights=[1, "2"]))
     assert (cfg.n_chains, cfg.n_draws, cfg.lower_variance) == (2, 8, 1e-3)
@@ -706,6 +781,12 @@ def test_cli_takes_the_family_from_the_block_count():
         args = argparse.Namespace(command="fit", config=None, preset=preset,
                                   input_path="d", **flags)
         assert cli._build_config(args, "fit").mode == mode
+    # a preset or a block count of the wrong type fails naming its key
+    for flags, key in ((dict(preset=["paper-static"]), "preset"),
+                       (dict(n_seasons="two"), "n_seasons")):
+        args = argparse.Namespace(command="fit", config=None, input_path="d", **flags)
+        with pytest.raises(ValueError, match=key):
+            cli._build_config(args, "fit")
 
 
 def test_cli_simulate_and_check_hyper(tmp_path):
