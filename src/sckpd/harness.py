@@ -7,9 +7,7 @@ A static run is the one-block case of a seasonal run, so one simulator,
 one fit and one draws table serve both; ``_blocks`` names the blocks (CSV
 file and column tag) of either kind, and ``_stat_columns`` /
 ``_stat_values`` name and compute the statistics that ``truth.json`` and
-``draws.csv`` share.  A fit builds one layout and one posterior, a
-``functools.partial`` of the static or seasonal entry point that every
-chain, sequential or in the process pool, evaluates.
+``draws.csv`` share.
 
 Every table is CSV in one format: ``_read_table`` reads data files and
 draws tables alike, and its docstring states the format; ``write_csv_matrix``
@@ -19,13 +17,10 @@ RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
 on (seed, 20000 + c), data simulation on (seed, 10000).
 
-Imports: every ``fit`` is its own process and pays its imports, which at
-the paper sizes cost as much as the sampling.  A dependency used only to
-simulate data, to read a config file or to run chains in parallel
-(``scipy.stats``, ``scipy.linalg.solve_triangular``, ``yaml``, the process
-pool) is imported inside the function that uses it, and the modules a fit
-loads use numpy and the standard library only, so a ``fit`` process loads
-no scipy and no ``yaml``.
+Imports: every run is its own process and pays its imports, which at the
+paper sizes cost as much as the sampling.  The package needs numpy and the
+standard library only; ``yaml`` and the process pool are imported inside
+the functions that read a config file or run chains in parallel.
 """
 
 from __future__ import annotations
@@ -154,6 +149,9 @@ class RunConfig:
         for key in ("n_seasons", "n_cycles"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.mode.endswith("static") and self.n_seasons * self.n_cycles > 1:
+            raise ValueError(f"mode '{self.mode}' runs one block, not n_seasons = "
+                             f"{self.n_seasons} x n_cycles = {self.n_cycles}")
         if self.n_truth_components is not None and self.n_truth_components < 1:
             raise ValueError(f"n_truth_components must be at least 1 or unset, "
                              f"got {self.n_truth_components}")
@@ -251,9 +249,13 @@ def _wishart_scales(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_diagonals(rng, d: int, scale: np.ndarray) -> np.ndarray:
-    import scipy.stats
-    W = scipy.stats.wishart.rvs(df=d + 2, scale=np.diag(scale), random_state=rng)
-    return np.diagonal(np.atleast_2d(W)).copy()
+    """The diagonal of a Wishart(d + 2, diag(scale)) draw, made as scipy.stats.wishart does."""
+    A = np.zeros((d, d))
+    A[np.tril_indices(d, -1)] = rng.normal(size=d * (d - 1) // 2)
+    chi = [rng.chisquare(d + 2 - i, size=1) ** 0.5 for i in range(d)]
+    A[np.diag_indices(d)] = np.concatenate(chi)
+    CA = np.dot(np.diag(np.sqrt(scale)), A)
+    return np.diagonal(np.dot(CA, CA.T)).copy()
 
 
 def _draw_lowers(rng, K: int, d: int, variances: np.ndarray) -> np.ndarray:
@@ -265,10 +267,9 @@ def _draw_lowers(rng, K: int, d: int, variances: np.ndarray) -> np.ndarray:
 
 
 def _observations(rng, L: np.ndarray, n: int) -> np.ndarray:
-    """Draw n rows of N(0, (L L^T)^{-1}) by triangular solve against L^T."""
-    import scipy.linalg
+    """Draw n rows of N(0, (L L^T)^{-1}) by a solve against L^T."""
     Z = rng.standard_normal(size=(L.shape[0], n))
-    return scipy.linalg.solve_triangular(L.T, Z, lower=False).T
+    return np.linalg.solve(L.T, Z).T
 
 
 def _stat_columns(config: RunConfig, K: int) -> list[str]:
@@ -554,7 +555,6 @@ def fit(config: RunConfig) -> dict:
     workers = min(_n_threads(), config.n_chains)
     if not config.mode.startswith("fit"):
         raise ValueError(f"fit() does not handle mode '{config.mode}'")
-    # a static input is the one data file, a seasonal input the block directory
     paths = ([Path(config.input_path)] if config.mode == "fit-static" else
              [Path(config.input_path) / name for _, name in _blocks(config)])
     summaries, first = [], None

@@ -10,7 +10,7 @@ match their targets.
 Digamma and the Cholesky factorization use numpy and the standard
 library only.  Every fit is its own process and loads this
 module, and importing ``scipy.special`` or ``scipy.linalg`` costs more
-than a small fit's sampling; so the fit path loads no scipy.
+than a small fit's sampling; so no run of the package loads scipy.
 """
 
 from __future__ import annotations
@@ -254,10 +254,10 @@ DEGENERATE_CLAMP = 1.05
 def solve_hyper(targets: PriorTargets) -> SolvedHyper:
     """Solve both Gamma shapes, their rates, and the lower-prior variance.
 
-    The shape targets are c_i = sqrt(F_D)/d_i * exp(-gamma/(d1 d2)), which
-    makes E[norm(D_i)_F^2] land on sqrt(F_D) once the shape equation holds;
-    together with the rate choice this centers the diagonal determinant
-    and energy simultaneously.
+    The shape targets are c_i = sqrt(F_D)/d_i * exp(-chol_log_det/(d1 d2)),
+    which makes E[norm(D_i)_F^2] land on sqrt(F_D) once the shape equation
+    holds; together with the rate choice this centers the diagonal
+    determinant and energy simultaneously.
 
     A target c_i <= 1 asks for less dispersion than a point mass can give
     (E[X^2] >= exp(2 E[log X]) for any distribution), which the shape

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 import yaml
 
 from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_oracle,
@@ -17,7 +19,7 @@ from sckpd import cli, harness, hmc
 from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
                            ingest_csv, read_config_file, simulate, summarize_draws)
 from sckpd.hmc import Chain
-from sckpd.model import StateLayout, _members
+from sckpd.model import StateLayout, _members, assemble_ldagger
 
 
 def _write(path: Path, text: str) -> Path:
@@ -374,6 +376,29 @@ def test_static_run_is_the_one_block_seasonal_run(tmp_path):
     assert static_rows[1:] == seasonal_rows[1:]
 
 
+def test_simulator_draws_match_scipy_bit_for_bit():
+    # the numpy Wishart diagonal and observation solve give scipy's bits from
+    # the same Philox stream, and leave the stream where scipy leaves it, so
+    # every later draw of a simulation stays the same
+    for d in range(2, 17):
+        for seed in range(4):
+            scale = make_rng(seed).uniform(0.05, 3.0, size=d)
+            ours, ref = hmc.philox_rng(seed, 7), hmc.philox_rng(seed, 7)
+            diag = harness._draw_diagonals(ours, d, scale)
+            W = scipy.stats.wishart.rvs(df=d + 2, scale=np.diag(scale), random_state=ref)
+            assert np.array_equal(diag, np.diagonal(W)), (d, seed)
+            assert ours.standard_normal() == ref.standard_normal(), (d, seed)
+    for (d1, d2), K in (((2, 2), 1), ((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 3),
+                        ((16, 16), 5)):
+        for seed in range(3):
+            L = assemble_ldagger(random_params(d1, d2, K, make_rng(seed)))
+            ours, ref = hmc.philox_rng(seed, 8), hmc.philox_rng(seed, 8)
+            Y = harness._observations(ours, L, 30)
+            Z = ref.standard_normal(size=(d1 * d2, 30))
+            assert np.array_equal(Y, scipy.linalg.solve_triangular(L.T, Z, lower=False).T), \
+                (d1, d2, K, seed)
+
+
 def test_factor_stats_match_dense_assembly():
     # the statistics truth.json and draws.csv share, on random states of one
     # to four blocks, against each block's dense factor; a log det sum is
@@ -689,6 +714,15 @@ def test_config_validation():
                                    lower_variance="1e-3", omega_weights=[1, "2"]))
     assert (cfg.n_chains, cfg.n_draws, cfg.lower_variance) == (2, 8, 1e-3)
     assert type(cfg.n_draws) is int and cfg.omega_weights == (1.0, 2.0)
+    # a static mode runs one block: more seasons or cycles are refused, not
+    # dropped
+    for mode, seasons, cycles in (("simulate-static", 4, 3), ("fit-static", 1, 2),
+                                  ("simulate-static", 2, 1)):
+        with pytest.raises(ValueError) as raised:
+            RunConfig.from_dict(dict(mode=mode, input_path="d", n_seasons=seasons,
+                                     n_cycles=cycles))
+        assert str(raised.value) == (f"mode '{mode}' runs one block, not n_seasons = "
+                                     f"{seasons} x n_cycles = {cycles}")
     # each block count is checked alone: -2 seasons of -1 cycles is not 2 blocks
     for mode in ("fit-dynamic", "simulate-dynamic"):
         for seasons, cycles, bad in ((-2, -1, "n_seasons"), (2, 0, "n_cycles")):
@@ -801,60 +835,42 @@ def test_cli_simulate_and_check_hyper(tmp_path):
     assert "lower_variance" in json.loads(hyp.stdout)["hyper"]
 
 
-def _loaded_after(code: str, *args, modules=("scipy.stats", "yaml")) -> str:
+def _loaded_after(code: str, *args) -> str:
     """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
-    of ``modules`` or their submodules it loaded; by default the
-    simulate-only and config-only dependencies."""
-    probe = (f"import sys\n{code}\nnames = {tuple(modules)!r}\n"
-             "print(sorted(m for m in sys.modules\n"
-             "             if any(m == n or m.startswith(n + '.') for n in names)))\n"
+    of scipy and yaml it loaded, as the sorted list of their names."""
+    probe = (f"import sys\n{code}\n"
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))\n"
              "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()[-1]
 
 
-def test_fit_does_not_import_simulate_only_dependencies(tmp_path):
-    simulate(RunConfig.from_dict(dict(
-        mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
-        omega_weights=(1.0, 3.0), n_obs=60, seed=4, output_dir=str(tmp_path / "s"))))
-    simulate(RunConfig.from_dict(dict(
-        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
-        omega_weights=(1.0, 3.0), n_obs=60, n_seasons=2, n_cycles=1, seed=4,
-        output_dir=str(tmp_path / "d"))))
-    fit_cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
-    tiny = ("--d1", "3", "--d2", "2", "--n-components", "2", "--seed", "4",
-            "--chains", "1", "--warmup", "3", "--draws", "4", "--leapfrog", "2")
-    assert _loaded_after(fit_cli, "fit", "--mode", "fit-static",
-                         "--input", str(tmp_path / "s" / "data.csv"),
-                         "--out", str(tmp_path / "fs"), *tiny) == "[]"
-    assert _loaded_after(fit_cli, "fit", "--mode", "fit-dynamic", "--seasons", "2",
-                         "--cycles", "1", "--input", str(tmp_path / "d"),
-                         "--out", str(tmp_path / "fd"), *tiny) == "[]"
-    assert _loaded_after("import sckpd\nrc = 0") == "[]"
-
-
-def test_fit_loads_no_scipy(tmp_path):
-    # every fit is its own process, and importing scipy.special or
-    # scipy.linalg costs as much as a small fit's sampling
-    for mode, out in (("simulate-static", "s"), ("simulate-dynamic", "d")):
-        simulate(RunConfig.from_dict(dict(
-            mode=mode, d1=3, d2=2, n_truth_components=2, n_components=2,
-            omega_weights=(1.0, 3.0), n_obs=60, n_seasons=2, n_cycles=1, seed=5,
-            output_dir=str(tmp_path / out))))
+def test_no_run_loads_scipy_and_only_a_config_run_loads_yaml(tmp_path):
+    # every run is its own process, and importing scipy costs more than a
+    # small fit's sampling: no subcommand loads it, and only reading a
+    # --config file loads yaml
+    config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
+                    "n_truth_components: 2\nomega_weights: [1.0, 3.0]\nn_obs: 60\n")
     cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
     dims = ("--d1", "3", "--d2", "2")
     tiny = (*dims, "--n-components", "2", "--seed", "5",
             "--chains", "1", "--warmup", "3", "--draws", "4", "--leapfrog", "2")
-    runs = [(cli, "fit", "--mode", "fit-static", "--input", str(tmp_path / "s" / "data.csv"),
+    runs = [("[]", "simulate", "--mode", "simulate-static", *dims, "--n-components", "5",
+             "--n-obs", "60", "--seed", "5", "--out", str(tmp_path / "s")),
+            ("['yaml']", "simulate", "--config", str(config), "--mode", "simulate-dynamic",
+             "--seasons", "2", "--cycles", "1", "--seed", "5", "--out", str(tmp_path / "d")),
+            ("[]", "fit", "--mode", "fit-static", "--input", str(tmp_path / "s" / "data.csv"),
              "--out", str(tmp_path / "fs"), *tiny),
-            (cli, "fit", "--mode", "fit-dynamic", "--seasons", "2", "--cycles", "1",
+            ("[]", "fit", "--mode", "fit-dynamic", "--seasons", "2", "--cycles", "1",
              "--input", str(tmp_path / "d"), "--out", str(tmp_path / "fd"), *tiny),
-            (cli, "check-hyper", "--mode", "fit-static", "--input",
+            ("[]", "check-hyper", "--mode", "fit-static", "--input",
              str(tmp_path / "s" / "data.csv"), *dims),
-            ("import sckpd\nrc = 0",)]
-    for run in runs:
-        assert _loaded_after(*run, modules=("scipy",)) == "[]", run[1:2]
+            ("[]", "summarize", str(tmp_path / "fd" / "draws.csv"),
+             "--truth", str(tmp_path / "d" / "truth.json"))]
+    for loaded, *args in runs:
+        assert _loaded_after(cli, *args) == loaded, args[:3]
+    assert _loaded_after("import sckpd\nrc = 0") == "[]"
 
 
 def test_cli_config_file_must_hold_a_mapping(tmp_path):

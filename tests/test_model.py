@@ -394,6 +394,36 @@ def test_posterior_label_permutation_invariance():
     assert np.isclose(lp, lp_perm, rtol=1e-12)
 
 
+def test_one_component_is_the_tensor_normal_model():
+    # at K = 1 the factor is the Kronecker product A (x) B of two Cholesky
+    # factors, A = D1 + low1 and B = D2 + low2, and the static posterior is
+    # the tensor-normal log-likelihood of the d1 x d2 observations plus the
+    # prior and the log-Jacobian
+    rng = make_rng(26)
+    for d1, d2 in ((2, 2), (3, 4), (4, 5), (3, 2)):
+        p = random_params(d1, d2, 1, rng)
+        A, B = np.diag(p.d1_diag) + p.lowers1[0], np.diag(p.d2_diag) + p.lowers2[0]
+        L = assemble_ldagger(p)
+        assert np.allclose(L, np.kron(A, B), rtol=0.0, atol=1e-14 * np.abs(L).max())
+
+        Y = random_dataset(d1, d2, 30, rng)
+        Yi = Y.reshape(-1, d1, d2)
+        data = summary_for(Y, d1, d2)
+        targets, hyper = targets_and_hyper(d1, d2, rng)
+        layout = StateLayout(d1, d2, 1)
+        for _ in range(3):
+            u = rng.normal(0.0, 0.4, size=layout.size)
+            params, log_jac = layout.decode(u)
+            A = np.diag(params.d1_diag) + params.lowers1[0]
+            B = np.diag(params.d2_diag) + params.lowers2[0]
+            log_det = d2 * np.log(np.diag(A)).sum() + d1 * np.log(np.diag(B)).sum()
+            tensor_normal = (len(Y) * log_det - 0.5 * np.sum((A.T @ Yi @ B) ** 2)
+                             - 0.5 * len(Y) * d1 * d2 * math.log(2.0 * math.pi))
+            value, _ = log_posterior_grad(u, layout, data, hyper, targets)
+            expect = tensor_normal + log_prior(params, hyper, targets) + log_jac
+            assert abs(value - expect) <= 1e-12 * abs(expect), (d1, d2)
+
+
 def test_scatter_rearranged_round_trip():
     rng = make_rng(25)
     Y = random_dataset(4, 5, 30, rng)
