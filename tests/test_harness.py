@@ -846,31 +846,51 @@ def _loaded_after(code: str, *args) -> str:
     return out.stdout.splitlines()[-1]
 
 
-def test_no_run_loads_scipy_and_only_a_config_run_loads_yaml(tmp_path):
-    # every run is its own process, and importing scipy costs more than a
-    # small fit's sampling: no subcommand loads it, and only reading a
-    # --config file loads yaml
+@pytest.fixture(scope="module")
+def loaded_by_run(tmp_path_factory) -> dict:
+    """Run every subcommand on tiny inputs, and ``import sckpd``, each in a
+    fresh interpreter; map each run's name to the scipy and yaml it loaded."""
+    tmp_path = tmp_path_factory.mktemp("imports")
     config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
                     "n_truth_components: 2\nomega_weights: [1.0, 3.0]\nn_obs: 60\n")
     cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
     dims = ("--d1", "3", "--d2", "2")
     tiny = (*dims, "--n-components", "2", "--seed", "5",
             "--chains", "1", "--warmup", "3", "--draws", "4", "--leapfrog", "2")
-    runs = [("[]", "simulate", "--mode", "simulate-static", *dims, "--n-components", "5",
-             "--n-obs", "60", "--seed", "5", "--out", str(tmp_path / "s")),
-            ("['yaml']", "simulate", "--config", str(config), "--mode", "simulate-dynamic",
-             "--seasons", "2", "--cycles", "1", "--seed", "5", "--out", str(tmp_path / "d")),
-            ("[]", "fit", "--mode", "fit-static", "--input", str(tmp_path / "s" / "data.csv"),
-             "--out", str(tmp_path / "fs"), *tiny),
-            ("[]", "fit", "--mode", "fit-dynamic", "--seasons", "2", "--cycles", "1",
-             "--input", str(tmp_path / "d"), "--out", str(tmp_path / "fd"), *tiny),
-            ("[]", "check-hyper", "--mode", "fit-static", "--input",
-             str(tmp_path / "s" / "data.csv"), *dims),
-            ("[]", "summarize", str(tmp_path / "fd" / "draws.csv"),
-             "--truth", str(tmp_path / "d" / "truth.json"))]
-    for loaded, *args in runs:
-        assert _loaded_after(cli, *args) == loaded, args[:3]
-    assert _loaded_after("import sckpd\nrc = 0") == "[]"
+    runs = {"simulate static": ("simulate", "--mode", "simulate-static", *dims,
+                                "--n-components", "5", "--n-obs", "60", "--seed", "5",
+                                "--out", str(tmp_path / "s")),
+            "simulate --config": ("simulate", "--config", str(config), "--mode",
+                                  "simulate-dynamic", "--seasons", "2", "--cycles", "1",
+                                  "--seed", "5", "--out", str(tmp_path / "d")),
+            "fit static": ("fit", "--mode", "fit-static", "--input",
+                           str(tmp_path / "s" / "data.csv"), "--out", str(tmp_path / "fs"),
+                           *tiny),
+            "fit seasonal": ("fit", "--mode", "fit-dynamic", "--seasons", "2", "--cycles", "1",
+                             "--input", str(tmp_path / "d"), "--out", str(tmp_path / "fd"),
+                             *tiny),
+            "check-hyper": ("check-hyper", "--mode", "fit-static", "--input",
+                            str(tmp_path / "s" / "data.csv"), *dims),
+            "summarize": ("summarize", str(tmp_path / "fd" / "draws.csv"),
+                          "--truth", str(tmp_path / "d" / "truth.json"))}
+    loaded = {name: _loaded_after(cli, *args) for name, args in runs.items()}
+    loaded["import sckpd"] = _loaded_after("import sckpd\nrc = 0")
+    return loaded
+
+
+def test_fit_does_not_import_simulate_only_dependencies(loaded_by_run):
+    # fitting loads neither scipy nor yaml, and only reading a --config file
+    # loads yaml
+    for run in ("fit static", "fit seasonal", "check-hyper", "import sckpd"):
+        assert loaded_by_run[run] == "[]", run
+    assert {run for run, loaded in loaded_by_run.items() if "yaml" in loaded} \
+        == {"simulate --config"}
+
+
+def test_fit_loads_no_scipy(loaded_by_run):
+    # every run is its own process, and importing scipy costs more than a
+    # small fit's sampling: no subcommand loads it
+    assert {run: loaded for run, loaded in loaded_by_run.items() if "scipy" in loaded} == {}
 
 
 def test_cli_config_file_must_hold_a_mapping(tmp_path):
