@@ -544,12 +544,12 @@ def fit(config: RunConfig) -> dict:
 
     Static mode reads one CSV; dynamic mode reads one CSV per (cycle,
     season) block from the input directory.  Prior targets come from the
-    sample covariance (first block for dynamic).  One layout and one
-    posterior, a partial of ``model.log_posterior_grad`` or
-    ``dynamic.sd_log_posterior_grad``, serve the init draws and every
-    chain; chains run in a process pool when SCKPD_THREADS is set above 1,
-    which pickles the partial.  Weights are sorted (descending) within each
-    draw before any summarization.
+    sample covariance (first block for dynamic).  One season schedule (1 x 1
+    for static), one layout and one posterior, a partial of
+    ``model.log_posterior_grad`` over the schedule, serve the init draws
+    and every chain; chains run in a process pool when SCKPD_THREADS is set
+    above 1, which pickles the partial.  Weights are sorted (descending)
+    within each draw before any summarization.
     """
     config.validate()
     workers = min(_n_threads(), config.n_chains)
@@ -571,15 +571,11 @@ def fit(config: RunConfig) -> dict:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
                         "the shape was solved at the clamped target instead")
 
-    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(summaries))
-    if config.mode == "fit-static":
-        fn = partial(mdl.log_posterior_grad, layout=layout, data=summaries[0],
-                     hyper=hyper, targets=targets)
-    else:
-        schedule = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
-                                      blocks=tuple(summaries))
-        fn = partial(dyn.sd_log_posterior_grad, layout=layout, schedule=schedule,
-                     hyper=hyper, targets=targets)
+    schedule = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
+                                  blocks=tuple(summaries))
+    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, schedule.n_blocks)
+    fn = partial(mdl.log_posterior_grad, layout=layout, data=schedule, hyper=hyper,
+                 targets=targets)
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
                         init=_draw_init(fn, config.seed, c, layout.size))
@@ -709,11 +705,25 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
              for j, entry in zip(keep, _column_summaries(table[:, keep]))}
     out = {"n_chains": n_chains, "n_rows": int(table.shape[0]), "stats": stats}
     if truth_path is not None:
-        with open(truth_path) as fh:
-            truth = json.load(fh)
         out["coverage"] = {
             name: {"truth": value, "q025": stats[name]["q025"], "q975": stats[name]["q975"],
                    "covered": bool(stats[name]["q025"] <= value <= stats[name]["q975"])}
-            for name, value in truth.get("stats", {}).items() if name in stats}
+            for name, value in _truth_stats(truth_path).items() if name in stats}
     return out
 
+
+def _truth_stats(path: str | Path) -> dict:
+    """The ``stats`` of a ground-truth file: a JSON object whose ``stats``
+    maps names to finite numbers.  NaN and Infinity read as their text, so
+    they are refused, with their key, as any other value not a number."""
+    with open(path) as fh:
+        truth = json.load(fh, parse_constant=str)
+    stats = truth.get("stats", {}) if isinstance(truth, dict) else None
+    if not isinstance(stats, dict):
+        raise ValueError(f"{path}: expected a JSON object whose key 'stats' maps "
+                         f"statistic names to numbers")
+    for name, value in stats.items():
+        if type(value) not in (int, float) or not -math.inf < value < math.inf:
+            raise ValueError(f"{path}: key 'stats.{name}' must be a finite number, "
+                             f"got {value!r}")
+    return stats

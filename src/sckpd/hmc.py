@@ -5,6 +5,10 @@ adaptation from ``INITIAL_STEP`` toward the acceptance rate ``TARGET_ACCEPT``,
 mass estimation from warmup variances at the midpoint of a warmup of at
 least 40 iterations, and autocorrelation-based chain diagnostics.
 
+Every proposal, the sampler's and the step search's, is one
+``_trajectory``, whose energy is inf if it diverges; each caller keeps its
+own rule on the energy difference.
+
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
 (m,) array; they also take one column shaped (C, N), or one chain shaped
@@ -34,9 +38,9 @@ STEP_JITTER = 0.2
 @dataclass
 class HMCConfig:
     init: np.ndarray             # starting state
-    n_leapfrog: int = 32
-    n_warmup: int = 1000
-    n_draws: int = 1000
+    n_leapfrog: int
+    n_warmup: int
+    n_draws: int
     seed: int = 0
     chain_index: int = 0
 
@@ -103,20 +107,29 @@ def _kinetic(p: np.ndarray, mass_inv: np.ndarray) -> float:
         return 0.5 * float(np.sum(p * p * mass_inv))
 
 
-def find_reasonable_step_size(value_and_grad, q: np.ndarray, step_size: float,
+def _trajectory(value_and_grad, q: np.ndarray, p: np.ndarray, step_size: float,
+                n_steps: int, mass_inv: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """One proposal: ``n_steps`` leapfrog steps from (q, p), and the log
+    posterior and the energy -value + 0.5 p^T M^-1 p at the end point.  A
+    trajectory that diverges ends nowhere: it gives (q, -inf, inf)."""
+    try:
+        q1, p1 = leapfrog(lambda x: value_and_grad(x)[1], q, p, step_size, n_steps, mass_inv)
+    except TrajectoryDivergence:
+        return q, -math.inf, math.inf
+    value1, _ = value_and_grad(q1)
+    return q1, value1, -value1 + _kinetic(p1, mass_inv)
+
+
+def find_reasonable_step_size(value_and_grad, q: np.ndarray, value: float, step_size: float,
                               mass: np.ndarray, rng: np.random.Generator) -> float:
-    """Double or halve the step until a single step crosses 50% acceptance."""
+    """Double or halve the step until a one-step proposal from ``q`` (log
+    posterior ``value``) crosses 50% acceptance (Hoffman & Gelman 2014, Alg. 4)."""
     mass_inv = 1.0 / mass
-    grad_fn = lambda x: value_and_grad(x)[1]
     p0 = rng.normal(size=q.shape) * np.sqrt(mass)
-    h0 = -value_and_grad(q)[0] + _kinetic(p0, mass_inv)
+    h0 = -value + _kinetic(p0, mass_inv)
 
     def log_ratio(eps):
-        try:
-            q1, p1 = leapfrog(grad_fn, q, p0, eps, 1, mass_inv)
-        except TrajectoryDivergence:
-            return -np.inf
-        ratio = h0 - (-value_and_grad(q1)[0] + _kinetic(p1, mass_inv))
+        ratio = h0 - _trajectory(value_and_grad, q, p0, eps, 1, mass_inv)[2]
         return ratio if np.isfinite(ratio) else -np.inf
 
     eps = step_size
@@ -185,9 +198,8 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 
     eps = INITIAL_STEP
     if config.n_warmup > 0:
-        eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
+        eps = find_reasonable_step_size(value_and_grad, q, value, eps, mass, rng)
     averager = _DualAveraging(eps)
-    grad_fn = lambda x: value_and_grad(x)[1]
 
     n_total = config.n_warmup + config.n_draws
     draws = np.empty((config.n_draws, dim))
@@ -206,19 +218,10 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
         p0 = rng.normal(size=dim) * np.sqrt(mass)
         h0 = -value + _kinetic(p0, mass_inv)
         eps_it = eps * (1.0 + STEP_JITTER * rng.uniform(-1.0, 1.0))
-        diverged = False
-        delta = -np.inf
-        h1 = h0
-        try:
-            q_new, p_new = leapfrog(grad_fn, q, p0, eps_it, config.n_leapfrog, mass_inv)
-            v_new, _ = value_and_grad(q_new)
-            h1 = -v_new + _kinetic(p_new, mass_inv)
-            delta = h0 - h1
-            if not np.isfinite(delta) or abs(delta) > DIVERGENCE_ENERGY:
-                diverged = True
-                delta = -np.inf
-        except TrajectoryDivergence:
-            diverged = True
+        q_new, v_new, h1 = _trajectory(value_and_grad, q, p0, eps_it, config.n_leapfrog,
+                                       mass_inv)
+        delta = h0 - h1
+        diverged = not abs(delta) <= DIVERGENCE_ENERGY
         accept_prob = 0.0 if diverged else min(1.0, math.exp(min(delta, 0.0)))
 
         accepted = bool(rng.uniform() < accept_prob)
@@ -236,7 +239,7 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
                     floor = max(var.max(), 1e-12) * 1e-8
                     mass = 1.0 / np.maximum(var, floor)
                     mass_inv = 1.0 / mass
-                    eps = find_reasonable_step_size(value_and_grad, q, eps, mass, rng)
+                    eps = find_reasonable_step_size(value_and_grad, q, value, eps, mass, rng)
                     averager = _DualAveraging(eps)
             if it == config.n_warmup - 1:
                 eps = averager.averaged

@@ -33,18 +33,18 @@ K) (:func:`trace_contraction`): the dense one at the paper shapes (4x5 and
 5x2 with K = 5), the pair products at 16x16.  Both give the member
 gradients from the products they already hold.
 
-There is one posterior.  It runs over T time-ordered blocks, each with its
-own strict-lower factors, sharing the diagonals; the component weights of
-block t+1 are A omega_t for one column-stochastic transition A shared by
-every step (see ``dynamic``).  The static model is the case of one block
-and no transition; :class:`SCKPDParams` holds the parameters of one block,
-as the simulator draws them and a one-block layout decodes them.
+There is one posterior, :func:`log_posterior_grad`, over T time-ordered
+blocks, each with its own strict-lower factors, sharing the diagonals; the
+weights of block t+1 are A omega_t for one column-stochastic transition A
+shared by every step (see ``dynamic``).  The static model is the case of
+one block and no transition; :class:`SCKPDParams` holds the parameters of
+one block, as the simulator draws them and a one-block layout decodes them.
 
 One evaluation has no loop over blocks but the weight trajectory's.  The
 data are the (T, d1^2, d2^2) stack of the blocks' rearranged scatters (a
-view of the one scatter for the static model, stacked once by
-``dynamic.SeasonSchedule``); the dense contraction reads it back as the
-(T, d, d) scatters with one reshape per call.  A state decodes once: one
+fit's ``dynamic.SeasonSchedule`` stacks them once, and a one-block stack
+is a view); the dense contraction reads it back as the (T, d, d)
+scatters with one reshape per call.  A state decodes once: one
 exp over every coordinate after the strict lowers gives the diagonals, the
 gammas and the logistic values of the sticks and theta; one gather gives
 the (T, K+1, d, d) member stacks of every block in one buffer; and the
@@ -137,6 +137,11 @@ class DataSummary:
     def from_scatter(cls, scatter: np.ndarray, n_obs: int, d1: int, d2: int) -> "DataSummary":
         return cls(n_obs=int(n_obs), d1=d1, d2=d2,
                    scatter_rearranged=vanloan_rearrange(scatter, d1, d2))
+
+    @property
+    def scatters(self) -> np.ndarray:
+        """The (1, d1^2, d2^2) stack :func:`log_posterior_grad` reads: a view."""
+        return self.scatter_rearranged[None]
 
 
 class _Decoded(NamedTuple):
@@ -462,7 +467,7 @@ def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
     core = trace_contraction(params.d1, params.d2, params.n_components)
     value, _ = core(_members(params.lowers1, params.d1_diag)[None],
                     _members(params.lowers2, params.d2_diag)[None],
-                    data.scatter_rearranged[None], want_grad=False)
+                    data.scatters, want_grad=False)
     return value
 
 
@@ -517,12 +522,14 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
             + _gamma_logpdf(D2.size, np.log(D2).sum(), D2.sum(), hyper.shape2, hyper.rate2))
 
 
-def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarray,
-                          n_obs: int, hyper: SolvedHyper) -> tuple[float, np.ndarray]:
+def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
+                       targets: PriorTargets) -> tuple[float, np.ndarray]:
     """Log posterior over the layout's blocks in unconstrained coordinates,
-    and its exact gradient, from the blocks' (T, d1^2, d2^2) rearranged
-    scatters and their total observation count ``n_obs`` (the shared
-    diagonals make the per-block counts enter only through their sum).
+    and its exact gradient.  ``data``, a :class:`DataSummary` or a
+    ``dynamic.SeasonSchedule``, gives the (T, d1^2, d2^2) rearranged
+    ``scatters`` and their total count ``n_obs`` (the shared diagonals make
+    the per-block counts enter only through their sum).  ``targets`` is
+    accepted for interface symmetry; the centering is baked into ``hyper``.
 
     Value = per-block likelihoods + priors + log-Jacobians of all
     transforms.  Likelihood blocks are independent given the parameters;
@@ -531,6 +538,7 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
     pass over the chain.  States outside the support return (-inf, zeros);
     the sampler treats those as divergent proposals.
     """
+    scatters, n_obs = data.scatters, data.n_obs
     K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
     if scatters.shape != (T, d1 * d1, d2 * d2):
         raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
@@ -595,12 +603,3 @@ def _log_posterior_blocks(u: np.ndarray, layout: StateLayout, scatters: np.ndarr
         return -np.inf, np.zeros(layout.size)
     return float(value), grad
 
-
-def log_posterior_grad(u: np.ndarray, layout: StateLayout, data: DataSummary,
-                       hyper: SolvedHyper, targets: PriorTargets
-                       ) -> tuple[float, np.ndarray]:
-    """Static log posterior in unconstrained coordinates and its exact
-    gradient: the one-block case of the seasonal posterior.  ``targets`` is
-    accepted for interface symmetry; the centering is baked into ``hyper``.
-    """
-    return _log_posterior_blocks(u, layout, data.scatter_rearranged[None], data.n_obs, hyper)

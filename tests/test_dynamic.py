@@ -102,6 +102,13 @@ def test_gammas_monte_carlo_column_means():
 
 # ----- seasonal posterior -------------------------------------------------------
 
+def test_seasonal_names_are_the_model_names():
+    # the benchmark calls the seasonal names; they are the one layout and
+    # the one posterior
+    assert sd_log_posterior_grad is log_posterior_grad
+    assert SDLayout is StateLayout
+
+
 def test_single_season_reduces_to_static():
     # the one-block seasonal value against the static oracle assembled from
     # log_likelihood + log_prior + log-Jacobian

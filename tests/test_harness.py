@@ -928,6 +928,21 @@ def test_cli_summarize_round_trip(tmp_path):
     assert "coverage" in payload
 
 
+@pytest.mark.parametrize("text, key", [
+    ('[1, 2]', "key 'stats'"),
+    ('{"stats": [1]}', "key 'stats'"),
+    ('{"stats": {"theta": NaN}}', "key 'stats.theta'"),
+    ('{"stats": {"logdet_factor": -Infinity}}', "key 'stats.logdet_factor'"),
+    ('{"stats": {"theta": "0.5"}}', "key 'stats.theta'"),
+])
+def test_summarize_refuses_a_bad_truth_file_naming_file_and_key(tmp_path, text, key):
+    draws, _, _ = _draws_table(tmp_path)
+    truth = _write(tmp_path / "bad-truth.json", text)
+    with pytest.raises(ValueError) as info:
+        summarize_draws(draws, truth)
+    assert str(truth) in str(info.value) and key in str(info.value)
+
+
 def test_cli_rank_deficient_data_names_the_cause(tmp_path):
     # four rows of six fields: the fifth leading minor of the covariance fails
     rows = make_rng(41).normal(size=(4, 6))

@@ -8,7 +8,8 @@ import scipy.stats
 
 from conftest import diagnostics_oracle, effective_sample_size_oracle, split_rhat_oracle
 from sckpd.hmc import (Chain, HMCConfig, TrajectoryDivergence, diagnostics,
-                       effective_sample_size, hmc_sample, leapfrog, split_rhat)
+                       effective_sample_size, find_reasonable_step_size, hmc_sample, leapfrog,
+                       philox_rng, split_rhat)
 
 
 def gaussian_target(cov):
@@ -209,6 +210,37 @@ def test_mass_adaptation_handles_scale_separation():
     assert 0.5 <= chain.acceptance_rate <= 0.99
     sd = chain.draws[:, 1].std(ddof=1)
     assert 12.0 < sd < 28.0
+
+
+class CountingTarget:
+    """A Gaussian target that records every state it is evaluated at."""
+
+    def __init__(self, cov):
+        self.value_and_grad = gaussian_target(cov)
+        self.states = []
+
+    def __call__(self, q):
+        self.states.append(np.array(q))
+        return self.value_and_grad(q)
+
+
+def test_chain_without_warmup_makes_one_evaluation_per_step_and_proposal():
+    # the initial state, then per draw n_leapfrog gradients and the end value
+    target = CountingTarget(np.eye(3))
+    n_draws, n_leapfrog = 25, 7
+    hmc_sample(target, HMCConfig(init=np.full(3, 0.5), n_leapfrog=n_leapfrog, n_warmup=0,
+                                 n_draws=n_draws, seed=1))
+    assert len(target.states) == 1 + n_draws * (n_leapfrog + 1)
+
+
+def test_step_search_takes_the_start_value_and_never_evaluates_there():
+    target = CountingTarget(np.array([[1.0, 0.3], [0.3, 2.0]]))
+    q = np.array([0.4, -0.7])
+    value, _ = target.value_and_grad(q)
+    eps = find_reasonable_step_size(target, q, value, 0.05, np.ones(2), philox_rng(0, 0))
+    assert eps > 0.05
+    assert target.states
+    assert not any(np.array_equal(state, q) for state in target.states)
 
 
 # ----- diagnostics ---------------------------------------------------------------
