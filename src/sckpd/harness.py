@@ -660,7 +660,7 @@ def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
         "acceptance_rate": [c.acceptance_rate for c in chains],
         "adapted_step_size": [c.adapted_step_size for c in chains],
         "divergences": [int(c.divergence_flags.sum()) for c in chains],
-        "diagnostic_flags": diagnostics(chains),
+        "diagnostic_flags": diagnostics([c.draws for c in chains]),
         "warnings": warnings,
         **report,
         "stats": stats,

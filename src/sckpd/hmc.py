@@ -11,8 +11,8 @@ own rule on the energy difference.
 
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
-(m,) array; they also take one column shaped (C, N), or one chain shaped
-(N,), and return a float.  ``diagnostics`` flags degenerate chains.
+(m,) array.  ``diagnostics`` takes a list of per-chain (N, dim) draws,
+reads each chain where it lies, and flags degenerate chains.
 
 Randomness comes from a counter-based Philox generator keyed as
 (seed, chain_index) by ``philox_rng``, so chains are reproducible and
@@ -261,35 +261,24 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 # ---------------------------------------------------------------------------
 # diagnostics
 #
-# Draws come in as (C, N, m): C chains of N draws of m columns.  Columns are
-# taken in chunks of about CHUNK_VALUES draws, each copied to a contiguous
-# (chunk, C, N) array, so the FFT temporaries stay bounded however many
-# columns there are, and every sum runs along a contiguous draw axis in the
-# order it would for one column alone.
+# ESS and R-hat take draws as (C, N, m): C chains of N draws of m columns.
+# Columns are taken in chunks of about CHUNK_VALUES draws, each copied to a
+# contiguous (chunk, C, N) array, so the FFT temporaries stay bounded however
+# many columns there are, and every sum runs along a contiguous draw axis in
+# the order it would for one column alone.
 
 CHUNK_VALUES = 1 << 17
 
 
-def _chunk_width(C: int, N: int) -> int:
-    """Columns per chunk of (C, N, m) draws."""
-    return max(1, CHUNK_VALUES // max(C * N, 1))
-
-
-def _per_column(core, chains):
+def _per_column(core, draws: np.ndarray) -> np.ndarray:
     """Apply ``core``, which maps (m, C, N) draws to (m,) values, to every
-    column: a (C, N) input (or (N,), one chain) gives a float, a (C, N, m)
-    input an (m,) array."""
-    x = np.asarray(chains, dtype=float)
-    if x.ndim > 3:
-        raise ValueError(f"expected draws shaped (C, N) or (C, N, m), got {x.shape}")
-    if x.ndim < 3:
-        return float(core(np.ascontiguousarray(np.atleast_2d(x)[None]))[0])
-    C, N, m = x.shape
-    step = _chunk_width(C, N)
+    column of (C, N, m) draws, a chunk of columns at a time."""
+    C, N, m = draws.shape
+    step = max(1, CHUNK_VALUES // max(C * N, 1))
     out = np.empty(m)
     for start in range(0, m, step):
-        chunk = np.ascontiguousarray(x[:, :, start:start + step].transpose(2, 0, 1))
-        out[start:start + step] = core(chunk)
+        out[start:start + step] = core(np.ascontiguousarray(
+            draws[:, :, start:start + step].transpose(2, 0, 1), dtype=float))
     return out
 
 
@@ -321,15 +310,15 @@ def _ess_core(x: np.ndarray) -> np.ndarray:
     return np.where(ok, C * N / tau, 1.0)
 
 
-def effective_sample_size(chains: np.ndarray):
+def effective_sample_size(draws: np.ndarray) -> np.ndarray:
     """Autocorrelation ESS of every column of draws shaped (C, N, m), as an
-    (m,) array; draws shaped (C, N) are one column and give a float.
+    (m,) array.
 
     Uses the combined-chain correlation estimate with Geyer's initial
     monotone positive-pair truncation.  Fewer than 4 draws per chain give
     C*N; degenerate zero-variance input gives 1.0.
     """
-    return _per_column(_ess_core, chains)
+    return _per_column(_ess_core, draws)
 
 
 def _rhat_core(x: np.ndarray) -> np.ndarray:
@@ -346,38 +335,27 @@ def _rhat_core(x: np.ndarray) -> np.ndarray:
     return np.where(flat, 1.0, np.sqrt(var_plus / W))
 
 
-def split_rhat(chains: np.ndarray):
+def split_rhat(draws: np.ndarray) -> np.ndarray:
     """Split potential scale reduction of every column of draws shaped
-    (C, N, m), as an (m,) array; draws shaped (C, N) give a float.
+    (C, N, m), as an (m,) array.
 
     Fewer than 4 draws per chain give NaN; zero within-split variance
     gives 1.0.
     """
-    return _per_column(_rhat_core, chains)
+    return _per_column(_rhat_core, draws)
 
 
-def diagnostics(chains) -> list[str]:
-    """Flags for degenerate draws over one or more chains, as reported in
+def diagnostics(draws: list[np.ndarray]) -> list[str]:
+    """Flags for degenerate per-chain (N, dim) draws, as reported in
     ``summary.json``: ``identical-chains:i,j`` for two chains with equal
     draws, and ``zero-variance:k`` for a coordinate whose every draw is
-    ``np.isclose`` to its first, so such input is not passed off as healthy.
+    ``np.isclose`` to chain 0's first, so such input is not passed off as
+    healthy.  Each chain is read in place; none is copied.
     """
-    if not chains:
+    if not draws:
         raise ValueError("need at least one chain")
-    arrs = [c.draws if isinstance(c, Chain) else np.asarray(c, dtype=float) for c in chains]
-    shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        raise ValueError("chains must share (n_draws, dim)")
-    stacked = np.stack(arrs)                       # (C, N, dim)
-    C, N, dim = stacked.shape
-    flags = []
-    for i in range(C):
-        for j in range(i + 1, C):
-            if np.array_equal(stacked[i], stacked[j]):
-                flags.append(f"identical-chains:{i},{j}")
-    constant = np.empty(dim, dtype=bool)
-    step = _chunk_width(C, N)
-    for start in range(0, dim, step):
-        cols = stacked[:, :, start:start + step]
-        constant[start:start + step] = np.isclose(cols, cols[:1, :1]).all(axis=(0, 1))
+    flags = [f"identical-chains:{i},{j}" for i in range(len(draws))
+             for j in range(i + 1, len(draws)) if np.array_equal(draws[i], draws[j])]
+    first = draws[0][0]
+    constant = np.logical_and.reduce([np.isclose(d, first).all(axis=0) for d in draws])
     return flags + [f"zero-variance:{k}" for k in np.flatnonzero(constant)]
