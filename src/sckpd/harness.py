@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -620,21 +620,10 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
 
 
 def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:
-    """The prior targets and solved hyperparameters, as reported."""
-    return {
-        "targets": {
-            "chol_log_det": targets.chol_log_det,
-            "diag_energy": targets.diag_energy,
-            "lower_energy": targets.lower_energy,
-            "d1": targets.d1, "d2": targets.d2,
-        },
-        "hyper": {
-            "shape1": hyper.shape1, "shape2": hyper.shape2,
-            "rate1": hyper.rate1, "rate2": hyper.rate2,
-            "lower_variance": hyper.lower_variance,
-            "residual": hyper.residual,
-        },
-    }
+    """The prior targets and solved hyperparameters, as ``fit`` and
+    ``check_hyper`` both report them."""
+    return {"targets": asdict(targets),
+            "hyper": {**asdict(hyper), "degenerate": hyper.degenerate}}
 
 
 def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
@@ -672,7 +661,8 @@ def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
 
 
 def check_hyper(config: RunConfig) -> dict:
-    """Solve and report targets plus hyperparameters for a dataset."""
+    """Solve and report targets plus hyperparameters for a dataset, as a fit
+    of it reports them in ``summary.json``."""
     config.validate()
     if config.input_path is None:
         raise ValueError("check-hyper requires input_path")
@@ -681,16 +671,19 @@ def check_hyper(config: RunConfig) -> dict:
         path = path / "data_c1_s1.csv"
     Y = ingest_csv(path, config.d1, config.d2, center=config.center)
     targets = _targets(Y.T @ Y, Y.shape[0], config)
-    hyper = solve_hyper(targets)
-    report = _hyper_report(targets, hyper)
-    report["hyper"]["degenerate"] = hyper.degenerate
-    return report
+    return _hyper_report(targets, solve_hyper(targets))
 
 
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:
     """Recompute quantile summaries from a draws table in :func:`_read_table`'s
     format, with a ``chain`` column and 2 rows or more; optionally join a
-    ground-truth file into a coverage report."""
+    ground-truth file into a coverage report.
+
+    The data do not identify every column alike.  theta and the weights
+    given the lowers enter only the prior, and the likelihood is invariant
+    along a (K-1)^2 + 1-dimensional group of moves of the lowers, so the
+    ``theta`` and ``omega*_sorted_*`` intervals mostly reflect the prior.
+    """
     columns, table = _read_table(draws_path)
     if columns is None and table.size == 0:
         raise ValueError(f"{draws_path}: empty file, expected a header row")
@@ -717,7 +710,10 @@ def _truth_stats(path: str | Path) -> dict:
     maps names to finite numbers.  NaN and Infinity read as their text, so
     they are refused, with their key, as any other value not a number."""
     with open(path) as fh:
-        truth = json.load(fh, parse_constant=str)
+        try:
+            truth = json.load(fh, parse_constant=str)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     stats = truth.get("stats", {}) if isinstance(truth, dict) else None
     if not isinstance(stats, dict):
         raise ValueError(f"{path}: expected a JSON object whose key 'stats' maps "

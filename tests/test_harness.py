@@ -17,7 +17,7 @@ from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_ora
                       split_rhat_oracle)
 from sckpd import cli, harness, hmc
 from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
-                           ingest_csv, read_config_file, simulate, summarize_draws)
+                           ingest_csv, read_config_file, simulate, strict_json, summarize_draws)
 from sckpd.hmc import Chain
 from sckpd.model import StateLayout, _members, assemble_ldagger
 
@@ -625,6 +625,19 @@ def test_check_hyper(tmp_path):
     assert out["targets"]["diag_energy"] > 0
 
 
+@pytest.mark.parametrize("config", [_small_fit_config, _small_seasonal_fit_config],
+                         ids=["static-file", "seasonal-directory"])
+def test_fit_reports_the_prior_check_hyper_reports(tmp_path, config):
+    cfg = config(tmp_path)
+    fit(RunConfig.from_dict({**cfg.__dict__, "n_chains": 1, "n_warmup": 0, "n_draws": 4,
+                             "n_leapfrog": 1}))
+    written = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    report = json.loads(strict_json(check_hyper(cfg)))
+    assert written["targets"] == report["targets"]
+    assert written["hyper"] == report["hyper"]
+    assert {"c1", "c2", "degenerate"} <= set(report["hyper"])
+
+
 def _draws_file(tmp_path: Path, text: str) -> Path:
     return _write(tmp_path / "draws.csv", text)
 
@@ -934,6 +947,7 @@ def test_cli_summarize_round_trip(tmp_path):
     ('{"stats": {"theta": NaN}}', "key 'stats.theta'"),
     ('{"stats": {"logdet_factor": -Infinity}}', "key 'stats.logdet_factor'"),
     ('{"stats": {"theta": "0.5"}}', "key 'stats.theta'"),
+    ('{"stats": {"theta": 0.5,}}', "not valid JSON: Expecting property name"),
 ])
 def test_summarize_refuses_a_bad_truth_file_naming_file_and_key(tmp_path, text, key):
     draws, _, _ = _draws_table(tmp_path)
