@@ -80,12 +80,11 @@ def main(argv=None) -> int:
     _add_common(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_sum = sub.add_parser(
-        "summarize", help="summarize a draws table",
-        description="Summarize a draws table.  theta and the weights given the lowers "
-                    "enter only the prior, and the likelihood is invariant along a "
-                    "(K-1)^2 + 1-dimensional group of moves of the lowers, so the theta "
-                    "and omega*_sorted_* intervals mostly reflect the prior.")
+    p_sum = sub.add_parser("summarize", help="summarize a draws table", description=(
+        "Summarize a draws table.  theta and the weights given the lowers enter only the "
+        "prior, and the likelihood is invariant along a (K-1)^2 + 1-dimensional group of "
+        "moves of the lowers, so the theta and omega*_sorted_* intervals mostly reflect "
+        "the prior."))
     p_sum.add_argument("draws_file")
     p_sum.add_argument("--truth", help="ground-truth JSON for a coverage report")
     p_sum.set_defaults(func=_cmd_summarize)

@@ -260,19 +260,16 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 
 # ---------------------------------------------------------------------------
 # diagnostics
-#
-# ESS and R-hat take draws as (C, N, m): C chains of N draws of m columns.
-# Columns are taken in chunks of about CHUNK_VALUES draws, each copied to a
-# contiguous (chunk, C, N) array, so the FFT temporaries stay bounded however
-# many columns there are, and every sum runs along a contiguous draw axis in
-# the order it would for one column alone.
 
 CHUNK_VALUES = 1 << 17
 
 
 def _per_column(core, draws: np.ndarray) -> np.ndarray:
     """Apply ``core``, which maps (m, C, N) draws to (m,) values, to every
-    column of (C, N, m) draws, a chunk of columns at a time."""
+    column of (C, N, m) draws.  Columns are taken in chunks of about
+    CHUNK_VALUES draws, each copied to a contiguous (chunk, C, N) array, so
+    the FFT temporaries stay bounded however many columns there are, and
+    every sum runs along a contiguous draw axis as for one column alone."""
     C, N, m = draws.shape
     step = max(1, CHUNK_VALUES // max(C * N, 1))
     out = np.empty(m)
@@ -293,10 +290,8 @@ def _ess_core(x: np.ndarray) -> np.ndarray:
     acov = np.fft.irfft(f * np.conjugate(f), nfft)[:, :, :N] / N
     mean_acov = acov.mean(axis=1)                           # (m, N)
     W = x.var(axis=2, ddof=1).mean(axis=1)
-    if C > 1:
-        var_plus = W * (N - 1) / N + means[:, :, 0].var(axis=1, ddof=1)
-    else:
-        var_plus = W * (N - 1) / N + W / N
+    B_over_N = means[:, :, 0].var(axis=1, ddof=1) if C > 1 else W / N
+    var_plus = W * (N - 1) / N + B_over_N
     ok = (var_plus > 0) & np.isfinite(var_plus)
     rho = 1.0 - (W[:, None] - mean_acov) / np.where(ok, var_plus, 1.0)[:, None]
     rho[:, 0] = 1.0
