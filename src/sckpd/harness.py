@@ -108,7 +108,7 @@ class RunConfig:
     sim_transition_alpha: float = 0.05
     # sampler; a fit starts from hmc.INITIAL_STEP, adapts it toward
     # hmc.TARGET_ACCEPT, estimates the mass at the warmup midpoint when
-    # n_warmup >= 40, and keeps the layout's Gamma(1) transition prior
+    # n_warmup >= 40; the transition gammas' Gamma(1, 1) prior is fixed
     n_chains: int = 4
     n_warmup: int = 800
     n_draws: int = 1000

@@ -171,20 +171,18 @@ class StateLayout:
     (row-major within each), then mode-2, then log D1, log D2, the K-1
     stick-breaking coordinates of the first block's weights, the logit of
     theta, and, for more than one block, the K*K log entries (row-major) of
-    the gamma matrix whose column normalization is the transition of every
-    step.  A one-block layout has no transition, and ``decode`` exchanges
-    its :class:`SCKPDParams`.
+    the gamma matrix, iid Gamma(1, 1) a priori, whose column normalization
+    is the transition of every step.  A one-block layout has no transition,
+    and ``decode`` exchanges its :class:`SCKPDParams`.
     """
 
-    def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1,
-                 transition_alpha: float = 1.0):
+    def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1):
         if min(d1, d2) < 2 or n_components < 1:
             raise ValueError("need d1, d2 >= 2 and at least one component")
         if n_blocks < 1:
             raise ValueError("need at least one block")
         self.d1, self.d2, self.n_components = d1, d2, n_components
         self.n_blocks = n_blocks
-        self.transition_alpha = float(transition_alpha)
         self.tril1 = np.tril_indices(d1, -1)
         self.tril2 = np.tril_indices(d2, -1)
         self.m1 = len(self.tril1[0])
@@ -219,10 +217,10 @@ class StateLayout:
         self.jac_offset = float(n_logs @ offsets)
         self.log1p_weights = n_logs + 1.0
         # columns: the unit log-determinant d2 sum log D1 + d1 sum log D2,
-        # sum log D1, sum log D2, sum log gamma; and sum D1, sum D2, sum gamma
-        W = self.tail_sum_weights = np.zeros((n_tail, 4))
+        # sum log D1, sum log D2; and sum D1, sum D2, sum gamma
+        W = self.tail_sum_weights = np.zeros((n_tail, 3))
         W[:d1, 0], W[d1:n_pos, 0] = d2, d1
-        W[:d1, 1] = W[d1:n_pos, 2] = W[n_pos + K:, 3] = 1.0
+        W[:d1, 1] = W[d1:n_pos, 2] = 1.0
         W = self.exp_sum_weights = np.zeros((n_tail, 3))
         W[:d1, 0] = W[d1:n_pos, 1] = W[n_pos + K:, 2] = 1.0
         # the (block, component) of every strict-lower coordinate; the flat
@@ -548,7 +546,6 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     if not s.log_jac > -np.inf or beta <= 0.0:
         return -np.inf, np.zeros(layout.size)
     D1, D2, G, A, omegas, theta = s.d1_diag, s.d2_diag, s.gamma, s.transition, s.omegas, s.theta
-    alpha = layout.transition_alpha
     n_low = layout.n_low
     grad = np.empty(layout.size)
     # weights so small that the lower variances underflow, a prior or
@@ -561,14 +558,14 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
         scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
         trace, g_members = layout.trace_core(s.members1, s.members2, scatters, True)
         prior, g_omegas, g_theta = _prior_terms(scaled, omegas, theta, layout.n_ent, hyper)
-        logdet_unit, log_d1, log_d2, log_g = (u[n_low:] @ layout.tail_sum_weights).tolist()
+        logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
         sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
         value = (s.log_jac + prior - 0.5 * trace
                  + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
                  + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
                  + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI))
-        if T > 1:
-            value += (alpha - 1.0) * log_g - sum_g - G.size * lgamma(alpha)
+        if T > 1:   # the gammas' Gamma(1, 1) prior
+            value -= sum_g
 
         # strict lowers: the N(0, omega beta) prior and the trace term
         grad[:n_low] = -0.5 * g_members.take(layout.low_pos) - lows_var
@@ -597,7 +594,7 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
         # (g_A - colsum(g_A A)) A
         if T > 1:
             g_A = lams[1:].T @ omegas[:-1]
-            grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (alpha - G)).ravel()
+            grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - G)).ravel()
 
     if not (math.isfinite(value) and np.isfinite(grad).all()):
         return -np.inf, np.zeros(layout.size)

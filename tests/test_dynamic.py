@@ -159,8 +159,8 @@ def test_two_season_value_matches_per_season_oracle():
     d1, d2, K = 3, 2, 2
     sched = _schedule(rng, d1, d2, n_seasons=2, n_cycles=1)
     targets, hyper = targets_and_hyper(d1, d2, rng)
-    alpha = 0.9
-    layout = SDLayout(d1, d2, K, 2, transition_alpha=alpha)
+    alpha = 1.0     # the gammas' fixed prior
+    layout = SDLayout(d1, d2, K, 2)
     u = rng.normal(0, 0.4, size=layout.size)
     got = _sd_value(u, layout, sched, hyper, targets)
 
@@ -189,7 +189,7 @@ def test_sd_gradient_matches_fd():
     d1, d2, K = 3, 2, 2
     sched = _schedule(rng, d1, d2, n_seasons=2, n_cycles=2)
     targets, hyper = targets_and_hyper(d1, d2, rng)
-    layout = SDLayout(d1, d2, K, 4, transition_alpha=0.7)
+    layout = SDLayout(d1, d2, K, 4)
     for _ in range(2):
         u = rng.normal(0, 0.4, size=layout.size)
         _, g = sd_log_posterior_grad(u, layout, sched, hyper, targets)
@@ -262,7 +262,7 @@ def test_twelve_blocks_match_per_block_oracle():
     # shared transition drawn from its Gamma prior; all blocks are
     # evaluated in stacked products, the oracle goes block by block
     rng = make_rng(10)
-    d1, d2, K, T, alpha = 5, 2, 5, 12, 0.9
+    d1, d2, K, T, alpha = 5, 2, 5, 12, 1.0
     Ys = [random_dataset(d1, d2, 15 + 4 * t, rng) for t in range(T)]
     blocks = tuple(summary_for(Y, d1, d2) for Y in Ys)
     sched = SeasonSchedule(n_seasons=4, n_cycles=3, blocks=blocks)
@@ -270,7 +270,7 @@ def test_twelve_blocks_match_per_block_oracle():
     # fall in the clamped shape regime, which the posterior handles alike)
     targets = prior_targets_from_sample(Ys[0].T @ Ys[0] / len(Ys[0]), d1, d2)
     hyper = solve_hyper(targets)
-    layout = SDLayout(d1, d2, K, T, transition_alpha=alpha)
+    layout = SDLayout(d1, d2, K, T)
     u = rng.normal(0, 0.4, size=layout.size)
     u[layout.sl_gammas] = np.log(rng.gamma(alpha, 1.0, size=K * K))
     got, grad = sd_log_posterior_grad(u, layout, sched, hyper, targets)
