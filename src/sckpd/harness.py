@@ -510,14 +510,33 @@ def _n_threads() -> int:
     return int(raw)
 
 
-def _draw_init(fn, seed: int, chain: int, size: int) -> np.ndarray:
-    """Uniform(-2, 2) inits, re-drawn until the posterior is finite."""
+def _draw_init(value_fn, seed: int, chain: int, size: int) -> np.ndarray:
+    """Uniform(-2, 2) inits, re-drawn until the log posterior ``value_fn``
+    is finite."""
     rng = hmc.philox_rng(seed, INIT_STREAM + chain)
     for _ in range(100):
         u = rng.uniform(-2.0, 2.0, size=size)
-        if np.isfinite(fn(u)[0]):
+        if np.isfinite(value_fn(u)):
             return u
     raise RuntimeError("no finite initial state found after 100 draws")
+
+
+def _quantiles(rows: np.ndarray, probs) -> np.ndarray:
+    """The ``probs`` quantiles of every row of a (m, n) array, as (len(probs),
+    m): numpy's default linear rule, with np.quantile's bits.  The value at
+    the virtual index h = p (n - 1) interpolates the sorted row's entries a
+    at floor(h) and b after it, as a + (b - a) t below t = h - floor(h) = 0.5
+    and as b - (b - a)(1 - t) from there.  One sort per row, and no import
+    of numpy.ma, which np.quantile loads."""
+    n = rows.shape[1]
+    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(virtual)
+    t = (virtual - below)[:, None]
+    ordered = np.sort(rows, axis=1)
+    lo = below.astype(np.intp)
+    a, b = ordered[:, lo].T, ordered[:, np.minimum(lo + 1, n - 1)].T
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def _column_summaries(values: np.ndarray) -> list[dict]:
@@ -527,7 +546,7 @@ def _column_summaries(values: np.ndarray) -> list[dict]:
     rows = np.ascontiguousarray(values.T)
     mean = rows.mean(axis=1)
     sd = rows.std(axis=1, ddof=1)
-    q = np.quantile(rows, [0.025, 0.5, 0.975], axis=1)
+    q = _quantiles(rows, [0.025, 0.5, 0.975])
     return [{"mean": float(mean[j]), "sd": float(sd[j]),
              "q025": float(q[0, j]), "q500": float(q[1, j]), "q975": float(q[2, j])}
             for j in range(rows.shape[0])]
@@ -545,10 +564,11 @@ def fit(config: RunConfig) -> dict:
     Static mode reads one CSV; dynamic mode reads one CSV per (cycle,
     season) block from the input directory.  Prior targets come from the
     sample covariance (first block for dynamic).  One season schedule (1 x 1
-    for static), one layout and one posterior, a partial of
-    ``model.log_posterior_grad`` over the schedule, serve the init draws
-    and every chain; chains run in a process pool when SCKPD_THREADS is set
-    above 1, which pickles the partial.  Weights are sorted (descending)
+    for static), one layout and one posterior over the schedule serve the
+    init draws and every chain.  The posterior's two requests, the value
+    and the gradient, are partials of ``model.log_posterior_grad``; chains
+    run in a process pool when SCKPD_THREADS is set above 1, which pickles
+    the partials.  Weights are sorted (descending)
     within each draw before any summarization.
     """
     config.validate()
@@ -574,18 +594,20 @@ def fit(config: RunConfig) -> dict:
     schedule = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
                                   blocks=tuple(summaries))
     layout = mdl.StateLayout(config.d1, config.d2, config.n_components, schedule.n_blocks)
-    fn = partial(mdl.log_posterior_grad, layout=layout, data=schedule, hyper=hyper,
-                 targets=targets)
+    value_fn, grad_fn = (partial(mdl.log_posterior_grad, layout=layout, data=schedule,
+                                 hyper=hyper, targets=targets, want=want)
+                         for want in ("value", "grad"))
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
-                        init=_draw_init(fn, config.seed, c, layout.size))
+                        init=_draw_init(value_fn, config.seed, c, layout.size))
               for c in range(config.n_chains)]
+    value_fns, grad_fns = [value_fn] * config.n_chains, [grad_fn] * config.n_chains
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chains = list(pool.map(hmc_sample, [fn] * config.n_chains, hconfs))
+            chains = list(pool.map(hmc_sample, value_fns, grad_fns, hconfs))
     else:
-        chains = list(map(hmc_sample, [fn] * config.n_chains, hconfs))
+        chains = list(map(hmc_sample, value_fns, grad_fns, hconfs))
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -611,7 +633,7 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
         table[r:r + n, :nb] = np.column_stack([np.full(n, ci), np.arange(n), chain.accept_flags,
                                                chain.divergence_flags, chain.energies])
         for u in chain.draws:
-            s = layout._decode(u)
+            s = layout._decode(u, jacobian=False)
             table[r, nb] = s.theta
             table[r, nb + 1:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas,
                                              s.members1, s.members2)

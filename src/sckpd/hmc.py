@@ -5,9 +5,12 @@ adaptation from ``INITIAL_STEP`` toward the acceptance rate ``TARGET_ACCEPT``,
 mass estimation from warmup variances at the midpoint of a warmup of at
 least 40 iterations, and autocorrelation-based chain diagnostics.
 
-Every proposal, the sampler's and the step search's, is one
-``_trajectory``, whose energy is inf if it diverges; each caller keeps its
-own rule on the energy difference.
+The target comes as two requests: ``value_fn(q)``, the log posterior, and
+``grad_fn(q)``, its gradient.  Every proposal, the sampler's and the step
+search's, is one ``_trajectory``: ``n_leapfrog`` gradient requests along
+the way and one value request at the end point, whose energy is inf if
+the trajectory diverges; each caller keeps its own rule on the energy
+difference.  A chain makes one more value request, at its initial state.
 
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
@@ -80,23 +83,24 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
     ``grad_fn(q)`` returns the gradient of the log posterior.  Deterministic,
     time reversible (negate p and integrate back), with O(step^2) energy
     error.  Raises :class:`TrajectoryDivergence` on non-finite values; an
-    update that overflows is one of them, and raises no warning.
+    update that overflows is one of them, and raises no warning.  One
+    error-state scope, which ignores overflow and invalid operations,
+    covers the whole trajectory, ``grad_fn``'s calls included.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     minv = np.ones_like(q) if mass_inv is None else mass_inv
+    full = step_size * minv
+    half = 0.5 * step_size * minv
     with np.errstate(over="ignore", invalid="ignore"):
-        q += 0.5 * step_size * minv * p
-    for step in range(n_steps):
-        g = grad_fn(q)
-        scale = step_size if step < n_steps - 1 else 0.5 * step_size
-        with np.errstate(over="ignore", invalid="ignore"):
-            p += step_size * g
-            q += scale * minv * p
-        # minv is finite and positive, so a non-finite gradient makes q
-        # non-finite in this same step: one check covers both
-        if not np.isfinite(q).all():
-            raise TrajectoryDivergence(step)
+        q += half * p
+        for step in range(n_steps):
+            p += step_size * grad_fn(q)
+            q += (full if step < n_steps - 1 else half) * p
+            # minv is finite and positive, so a non-finite gradient makes q
+            # non-finite in this same step: one check covers both
+            if not np.isfinite(q).all():
+                raise TrajectoryDivergence(step)
     return q, p
 
 
@@ -107,21 +111,22 @@ def _kinetic(p: np.ndarray, mass_inv: np.ndarray) -> float:
         return 0.5 * float(np.sum(p * p * mass_inv))
 
 
-def _trajectory(value_and_grad, q: np.ndarray, p: np.ndarray, step_size: float,
+def _trajectory(value_fn, grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
                 n_steps: int, mass_inv: np.ndarray) -> tuple[np.ndarray, float, float]:
     """One proposal: ``n_steps`` leapfrog steps from (q, p), and the log
     posterior and the energy -value + 0.5 p^T M^-1 p at the end point.  A
     trajectory that diverges ends nowhere: it gives (q, -inf, inf)."""
     try:
-        q1, p1 = leapfrog(lambda x: value_and_grad(x)[1], q, p, step_size, n_steps, mass_inv)
+        q1, p1 = leapfrog(grad_fn, q, p, step_size, n_steps, mass_inv)
     except TrajectoryDivergence:
         return q, -math.inf, math.inf
-    value1, _ = value_and_grad(q1)
+    value1 = value_fn(q1)
     return q1, value1, -value1 + _kinetic(p1, mass_inv)
 
 
-def find_reasonable_step_size(value_and_grad, q: np.ndarray, value: float, step_size: float,
-                              mass: np.ndarray, rng: np.random.Generator) -> float:
+def find_reasonable_step_size(value_fn, grad_fn, q: np.ndarray, value: float,
+                              step_size: float, mass: np.ndarray,
+                              rng: np.random.Generator) -> float:
     """Double or halve the step until a one-step proposal from ``q`` (log
     posterior ``value``) crosses 50% acceptance (Hoffman & Gelman 2014, Alg. 4)."""
     mass_inv = 1.0 / mass
@@ -129,7 +134,7 @@ def find_reasonable_step_size(value_and_grad, q: np.ndarray, value: float, step_
     h0 = -value + _kinetic(p0, mass_inv)
 
     def log_ratio(eps):
-        ratio = h0 - _trajectory(value_and_grad, q, p0, eps, 1, mass_inv)[2]
+        ratio = h0 - _trajectory(value_fn, grad_fn, q, p0, eps, 1, mass_inv)[2]
         return ratio if np.isfinite(ratio) else -np.inf
 
     eps = step_size
@@ -174,17 +179,17 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
+def hmc_sample(value_fn, grad_fn, config: HMCConfig) -> Chain:
     """Run one chain: dual-averaged warmup, then fixed-step sampling.
 
-    ``value_and_grad(q)`` returns (log posterior, gradient).  The warmup
-    adapts from a step search at ``INITIAL_STEP``; with no warmup every
-    draw uses ``INITIAL_STEP``.  Momentum is resampled every iteration from
-    N(0, mass), with unit mass until the midpoint of a warmup of n_warmup
-    >= 40 sets it; proposals are accepted with the Metropolis ratio
-    min(1, exp(H0 - H1)); a proposal with |dH| above the divergence
-    threshold (or a non-finite trajectory) is rejected and flagged.
-    Identical (config, target) pairs give identical chains.
+    ``value_fn(q)`` returns the log posterior and ``grad_fn(q)`` its
+    gradient.  The warmup adapts from a step search at ``INITIAL_STEP``;
+    with no warmup every draw uses ``INITIAL_STEP``.  Momentum is resampled
+    every iteration from N(0, mass), with unit mass until the midpoint of a
+    warmup of n_warmup >= 40 sets it; proposals are accepted with the
+    Metropolis ratio min(1, exp(H0 - H1)); a proposal with |dH| above the
+    divergence threshold (or a non-finite trajectory) is rejected and
+    flagged.  Identical (config, target) pairs give identical chains.
     """
     q = np.array(config.init, dtype=float)
     dim = q.shape[0]
@@ -192,13 +197,13 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
 
     mass = np.ones(dim)
     mass_inv = 1.0 / mass
-    value, _ = value_and_grad(q)
+    value = value_fn(q)
     if not np.isfinite(value):
         raise ValueError("log posterior is not finite at the initial state")
 
     eps = INITIAL_STEP
     if config.n_warmup > 0:
-        eps = find_reasonable_step_size(value_and_grad, q, value, eps, mass, rng)
+        eps = find_reasonable_step_size(value_fn, grad_fn, q, value, eps, mass, rng)
     averager = _DualAveraging(eps)
 
     n_total = config.n_warmup + config.n_draws
@@ -218,8 +223,8 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
         p0 = rng.normal(size=dim) * np.sqrt(mass)
         h0 = -value + _kinetic(p0, mass_inv)
         eps_it = eps * (1.0 + STEP_JITTER * rng.uniform(-1.0, 1.0))
-        q_new, v_new, h1 = _trajectory(value_and_grad, q, p0, eps_it, config.n_leapfrog,
-                                       mass_inv)
+        q_new, v_new, h1 = _trajectory(value_fn, grad_fn, q, p0, eps_it,
+                                       config.n_leapfrog, mass_inv)
         delta = h0 - h1
         diverged = not abs(delta) <= DIVERGENCE_ENERGY
         accept_prob = 0.0 if diverged else min(1.0, math.exp(min(delta, 0.0)))
@@ -239,7 +244,8 @@ def hmc_sample(value_and_grad, config: HMCConfig) -> Chain:
                     floor = max(var.max(), 1e-12) * 1e-8
                     mass = 1.0 / np.maximum(var, floor)
                     mass_inv = 1.0 / mass
-                    eps = find_reasonable_step_size(value_and_grad, q, value, eps, mass, rng)
+                    eps = find_reasonable_step_size(value_fn, grad_fn, q, value, eps, mass,
+                                                    rng)
                     averager = _DualAveraging(eps)
             if it == config.n_warmup - 1:
                 eps = averager.averaged

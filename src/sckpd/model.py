@@ -56,9 +56,18 @@ every diagonal gradient.  The value's terms linear in the coordinates or
 in their exps are a few dot products.  What depends only on the shapes
 (the contraction and its coupling, the exp signs and offsets, the dot
 product weights, the gather and read-back index maps) is built once, by
-:class:`StateLayout`.  A state outside the floating-point support is found
-by the decode's check or by one finiteness check of the value and the
-assembled gradient, and gives (-inf, zeros) without a RuntimeWarning.
+:class:`StateLayout`.
+
+An evaluation computes only what its caller reads, named by one of two
+requests (or both, the default).  The value request, which the sampler
+makes at the end of each trajectory, skips the member gradients, their
+read-back, the digammas and the pass back over the weights; the gradient
+request, which it makes at each leapfrog step, skips the log-Jacobian,
+the lgamma and Gamma-density terms and the value's dot products.  A
+state outside the floating-point support is found by the decode's check
+or by one finiteness check of what the request computed, and gives -inf
+for the value request, zeros for the gradient request and (-inf, zeros)
+for both, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -241,7 +250,7 @@ class StateLayout:
         self.diag_pos = np.concatenate([diag1, diag2], axis=1)
         self.trace_core = trace_contraction(d1, d2, K)
 
-    def _decode(self, u: np.ndarray) -> _Decoded:
+    def _decode(self, u: np.ndarray, jacobian: bool = True) -> _Decoded:
         """Every decoded quantity at ``u``, from one exp over the tail.
 
         The log-Jacobian is -inf when ``u`` decodes outside the support in
@@ -249,7 +258,9 @@ class StateLayout:
         overflows, or theta or a stick-breaking coordinate saturates at 0
         or 1.  The transition and the weight
         trajectory are then not finite, and are computed without a
-        RuntimeWarning."""
+        RuntimeWarning.  With ``jacobian`` false the support is checked
+        but the log-Jacobian's dot products are skipped: it reads 0.0
+        inside the support."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
@@ -264,11 +275,14 @@ class StateLayout:
             # a positive coordinate that leaves the support gives a zero or
             # an infinite sum of the exps; a saturated logistic one gives a
             # theta of 0 or 1 or a zero last weight
-            if e.min() > 0.0 and e.sum() < math.inf and 0.0 < theta < 1.0 and omega1[-1] > 0.0:
+            if not (e.min() > 0.0 and e.sum() < math.inf and 0.0 < theta < 1.0
+                    and omega1[-1] > 0.0):
+                log_jac = -math.inf
+            elif jacobian:
                 log_jac = (float(tail @ self.jac_weights) + self.jac_offset
                            - float(np.log1p(w) @ self.log1p_weights))
             else:
-                log_jac = -math.inf
+                log_jac = 0.0
         gamma = transition = None
         if self.n_blocks > 1:
             gamma = e[d1 + d2 + K:].reshape(K, K)
@@ -475,27 +489,31 @@ def _gamma_logpdf(n: int, log_sum: float, total: float, shape: float, rate: floa
     return n * (shape * math.log(rate) - lgamma(shape)) + (shape - 1.0) * log_sum - rate * total
 
 
-def _prior_terms(scaled, omegas, theta, n_ent: int, hyper: SolvedHyper):
+def _prior_value(scaled, omegas, theta, n_ent: int, hyper: SolvedHyper) -> float:
     """Log prior density of the strict lowers, the first block's weights
     and theta, from the (T, K) strict-lower sums of squares over their
     prior variances ``scaled``, of n_ent entries each, and the (T, K) block
-    weights; and its gradients w.r.t. those weights taken as free and
-    w.r.t. theta.
+    weights.
 
     Strict-lower entries of block t, component i are N(0, omega_t[i] beta);
     the first block's weights are Dirichlet(theta); theta is uniform on
     (0, 1) and contributes zero.
     """
     K = omegas.shape[1]
-    log_omegas = np.log(omegas)
-    log_w = log_omegas.sum(axis=1).tolist()
-    value = (-0.5 * (float(scaled.sum()) + n_ent * (omegas.size * (
-                 LOG_2PI + math.log(hyper.lower_variance)) + sum(log_w)))
-             + lgamma(K * theta) - K * lgamma(theta) + (theta - 1.0) * log_w[0])
+    log_w = np.log(omegas).sum(axis=1).tolist()
+    return (-0.5 * (float(scaled.sum()) + n_ent * (omegas.size * (
+                LOG_2PI + math.log(hyper.lower_variance)) + sum(log_w)))
+            + lgamma(K * theta) - K * lgamma(theta) + (theta - 1.0) * log_w[0])
+
+
+def _prior_grad(scaled, omegas, theta, n_ent: int):
+    """The gradients of :func:`_prior_value` w.r.t. the (T, K) block weights
+    taken as free and w.r.t. theta."""
+    K = omegas.shape[1]
     g_omegas = 0.5 * (scaled - n_ent) / omegas
     g_omegas[0] += (theta - 1.0) / omegas[0]
-    g_theta = K * digamma(K * theta) - K * digamma(theta) + log_w[0]
-    return value, g_omegas, g_theta
+    g_theta = K * digamma(K * theta) - K * digamma(theta) + float(np.log(omegas[0]).sum())
+    return g_omegas, g_theta
 
 
 def log_prior(params: SCKPDParams, hyper: SolvedHyper,
@@ -514,40 +532,54 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
            + np.einsum('kij,kij->k', params.lowers2, params.lowers2))
     n_ent = params.d1 * (params.d1 - 1) // 2 + params.d2 * (params.d2 - 1) // 2
     scaled = ssq / (params.omega * hyper.lower_variance)
-    value, _, _ = _prior_terms(scaled[None], params.omega[None], params.theta, n_ent, hyper)
+    value = _prior_value(scaled[None], params.omega[None], params.theta, n_ent, hyper)
     D1, D2 = params.d1_diag, params.d2_diag
     return (value + _gamma_logpdf(D1.size, np.log(D1).sum(), D1.sum(), hyper.shape1, hyper.rate1)
             + _gamma_logpdf(D2.size, np.log(D2).sum(), D2.sum(), hyper.shape2, hyper.rate2))
 
 
 def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
-                       targets: PriorTargets) -> tuple[float, np.ndarray]:
+                       targets: PriorTargets, want: str = "both"):
     """Log posterior over the layout's blocks in unconstrained coordinates,
-    and its exact gradient.  ``data``, a :class:`DataSummary` or a
+    its exact gradient, or both.  ``data``, a :class:`DataSummary` or a
     ``dynamic.SeasonSchedule``, gives the (T, d1^2, d2^2) rearranged
     ``scatters`` and their total count ``n_obs`` (the shared diagonals make
     the per-block counts enter only through their sum).  ``targets`` is
     accepted for interface symmetry; the centering is baked into ``hyper``.
 
+    ``want`` names the request.  ``"value"`` returns the value alone, a
+    float, and computes no gradient term; ``"grad"`` returns the gradient
+    alone, a fresh array, and computes no term that only the value needs;
+    ``"both"`` returns (value, gradient).  Each request's numbers are those
+    of the combined call.
+
     Value = per-block likelihoods + priors + log-Jacobians of all
     transforms.  Likelihood blocks are independent given the parameters;
     the weight trajectory couples the per-block lower priors to the
     first-block weights and the transition gammas, handled by one reverse
-    pass over the chain.  States outside the support return (-inf, zeros);
-    the sampler treats those as divergent proposals.
+    pass over the chain.  Outside the support the value request returns
+    -inf, the gradient request zeros and the combined call (-inf, zeros),
+    all without a RuntimeWarning; the sampler treats those as divergent
+    proposals.  The value request finds the state outside when the decode
+    or the value leaves the floating-point range, the gradient request
+    when the decode or the gradient does, and the combined call when any
+    of these does.
     """
+    if want not in ("value", "grad", "both"):
+        raise ValueError(f"want must be 'value', 'grad' or 'both', got {want!r}")
+    wants_value, wants_grad = want != "grad", want != "value"
     scatters, n_obs = data.scatters, data.n_obs
     K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
     if scatters.shape != (T, d1 * d1, d2 * d2):
         raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
                          f"the data rearranged scatters of shape {scatters.shape}")
     beta = hyper.lower_variance
-    s = layout._decode(u)
+    s = layout._decode(u, jacobian=wants_value)
     if not s.log_jac > -np.inf or beta <= 0.0:
-        return -np.inf, np.zeros(layout.size)
+        return _outside(want, layout.size)
     D1, D2, G, A, omegas, theta = s.d1_diag, s.d2_diag, s.gamma, s.transition, s.omegas, s.theta
     n_low = layout.n_low
-    grad = np.empty(layout.size)
+    value, grad = 0.0, None
     # weights so small that the lower variances underflow, a prior or
     # gradient term that overflows, or a trace term that overflows (huge
     # diagonals) leave the support: the value or gradient comes out
@@ -556,47 +588,61 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
         lows = u[:n_low]
         lows_var = lows / (omegas * beta).take(layout.lower_block)
         scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
-        trace, g_members = layout.trace_core(s.members1, s.members2, scatters, True)
-        prior, g_omegas, g_theta = _prior_terms(scaled, omegas, theta, layout.n_ent, hyper)
-        logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
-        sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
-        value = (s.log_jac + prior - 0.5 * trace
-                 + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
-                 + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
-                 + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI))
-        if T > 1:   # the gammas' Gamma(1, 1) prior
-            value -= sum_g
+        trace, g_members = layout.trace_core(s.members1, s.members2, scatters, wants_grad)
+        if wants_value:
+            prior = _prior_value(scaled, omegas, theta, layout.n_ent, hyper)
+            logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
+            sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
+            value = (s.log_jac + prior - 0.5 * trace
+                     + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
+                     + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
+                     + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI))
+            if T > 1:   # the gammas' Gamma(1, 1) prior
+                value -= sum_g
 
-        # strict lowers: the N(0, omega beta) prior and the trace term
-        grad[:n_low] = -0.5 * g_members.take(layout.low_pos) - lows_var
+        if wants_grad:
+            grad = np.empty(layout.size)
+            g_omegas, g_theta = _prior_grad(scaled, omegas, theta, layout.n_ent)
 
-        # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1, where
-        # the 1/D terms of the log-determinant and the Gamma prior times D are
-        # the constants n d2 and shape - 1: with the 1 they add n d2 + shape,
-        # without dividing by D
-        g_D = -0.5 * g_members.take(layout.diag_pos).sum(axis=0)
-        grad[layout.sl_logd1] = (g_D[:d1] - hyper.rate1) * D1 + (n_obs * d2 + hyper.shape1)
-        grad[layout.sl_logd2] = (g_D[d1:] - hyper.rate2) * D2 + (n_obs * d1 + hyper.shape2)
+            # strict lowers: the N(0, omega beta) prior and the trace term
+            grad[:n_low] = -0.5 * g_members.take(layout.low_pos) - lows_var
 
-        # the weights enter only the priors, every block's through
-        # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
-        # each block's weights, lams[0] the first block's
-        lams = g_omegas
-        for t in range(T - 2, -1, -1):
-            lams[t] += np.dot(A.T, lams[t + 1])
-        if K > 1:
-            grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1, lams[0])
-        grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
+            # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
+            # where the 1/D terms of the log-determinant and the Gamma prior
+            # times D are the constants n d2 and shape - 1: with the 1 they
+            # add n d2 + shape, without dividing by D
+            g_D = -0.5 * g_members.take(layout.diag_pos).sum(axis=0)
+            grad[layout.sl_logd1] = (g_D[:d1] - hyper.rate1) * D1 + (n_obs * d2 + hyper.shape1)
+            grad[layout.sl_logd2] = (g_D[d1:] - hyper.rate2) * D2 + (n_obs * d1 + hyper.shape2)
 
-        # the transition's gradient sums lams[t+1] omegas[t]^T over the
-        # steps; chain it back to the gammas (log coordinates) through the
-        # column normalization A = G / colsum(G), whose Jacobian times G is
-        # (g_A - colsum(g_A A)) A
-        if T > 1:
-            g_A = lams[1:].T @ omegas[:-1]
-            grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - G)).ravel()
+            # the weights enter only the priors, every block's through
+            # omega_{t+1} = A omega_t: a reverse pass gives the gradient
+            # w.r.t. each block's weights, lams[0] the first block's
+            lams = g_omegas
+            for t in range(T - 2, -1, -1):
+                lams[t] += np.dot(A.T, lams[t + 1])
+            if K > 1:
+                grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1,
+                                                                        lams[0])
+            grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
 
-    if not (math.isfinite(value) and np.isfinite(grad).all()):
-        return -np.inf, np.zeros(layout.size)
-    return float(value), grad
+            # the transition's gradient sums lams[t+1] omegas[t]^T over the
+            # steps; chain it back to the gammas (log coordinates) through
+            # the column normalization A = G / colsum(G), whose Jacobian
+            # times G is (g_A - colsum(g_A A)) A
+            if T > 1:
+                g_A = lams[1:].T @ omegas[:-1]
+                grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - G)).ravel()
 
+    if not (math.isfinite(value) and (grad is None or np.isfinite(grad).all())):
+        return _outside(want, layout.size)
+    if want == "value":
+        return float(value)
+    return grad if want == "grad" else (float(value), grad)
+
+
+def _outside(want: str, size: int):
+    """What a request returns at a state outside the support."""
+    if want == "value":
+        return -math.inf
+    return np.zeros(size) if want == "grad" else (-math.inf, np.zeros(size))

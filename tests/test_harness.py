@@ -585,6 +585,18 @@ def _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg):
     return summary
 
 
+@pytest.mark.parametrize("n", [2, 3, 40, 41, 1000])
+def test_quantiles_match_numpy_bit_for_bit(n):
+    # numpy's linear rule from one sort per row, on rows with ties (rounded
+    # draws and a constant row) and without them
+    rng = np.random.default_rng(n)
+    probs = [0.025, 0.5, 0.975]
+    rows = np.vstack([rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-6, 6, size=(4, 1)),
+                      np.round(rng.normal(size=(3, n)), 1), rng.integers(0, 3, size=(2, n)),
+                      np.full((1, n), 0.7)])
+    assert harness._quantiles(rows, probs).tobytes() == np.quantile(rows, probs, axis=1).tobytes()
+
+
 def test_summary_statistics_match_per_column_oracles_static(tmp_path, monkeypatch):
     cfg = _small_fit_config(tmp_path)
     cfg = RunConfig.from_dict({**cfg.__dict__, "n_warmup": 40, "n_draws": 61, "n_leapfrog": 6})
@@ -850,9 +862,10 @@ def test_cli_simulate_and_check_hyper(tmp_path):
 
 def _loaded_after(code: str, *args) -> str:
     """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
-    of scipy and yaml it loaded, as the sorted list of their names."""
+    of scipy, yaml and numpy.ma it loaded, as the sorted list of their names."""
     probe = (f"import sys\n{code}\n"
-             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))\n"
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}\n"
+             "             | {'numpy.ma'} & set(sys.modules)))\n"
              "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -862,7 +875,8 @@ def _loaded_after(code: str, *args) -> str:
 @pytest.fixture(scope="module")
 def loaded_by_run(tmp_path_factory) -> dict:
     """Run every subcommand on tiny inputs, and ``import sckpd``, each in a
-    fresh interpreter; map each run's name to the scipy and yaml it loaded."""
+    fresh interpreter; map each run's name to the scipy, yaml and numpy.ma
+    it loaded."""
     tmp_path = tmp_path_factory.mktemp("imports")
     config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
                     "n_truth_components: 2\nomega_weights: [1.0, 3.0]\nn_obs: 60\n")
@@ -898,6 +912,12 @@ def test_fit_does_not_import_simulate_only_dependencies(loaded_by_run):
         assert loaded_by_run[run] == "[]", run
     assert {run for run, loaded in loaded_by_run.items() if "yaml" in loaded} \
         == {"simulate --config"}
+
+
+def test_fit_and_summarize_load_no_numpy_ma(loaded_by_run):
+    # the column quantiles come from one sort, not np.quantile, which loads
+    # numpy.ma: no subcommand loads it
+    assert {run for run, loaded in loaded_by_run.items() if "numpy.ma" in loaded} == set()
 
 
 def test_fit_loads_no_scipy(loaded_by_run):

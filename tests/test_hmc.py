@@ -13,12 +13,9 @@ from sckpd.hmc import (Chain, HMCConfig, TrajectoryDivergence, diagnostics,
 
 
 def gaussian_target(cov):
+    """The (value, gradient) requests of a zero-mean Gaussian log density."""
     prec = np.linalg.inv(cov)
-
-    def value_and_grad(q):
-        return float(-0.5 * q @ prec @ q), -prec @ q
-
-    return value_and_grad
+    return (lambda q: float(-0.5 * q @ prec @ q)), (lambda q: -prec @ q)
 
 
 # ----- leapfrog -----------------------------------------------------------------
@@ -50,8 +47,7 @@ def test_leapfrog_harmonic_second_order():
 def test_leapfrog_reversibility():
     rng = np.random.default_rng(0)
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
-    fn = gaussian_target(cov)
-    grad = lambda q: fn(q)[1]
+    _, grad = gaussian_target(cov)
     q0 = rng.normal(size=2)
     p0 = rng.normal(size=2)
     q1, p1 = leapfrog(grad, q0, p0, 0.15, 25)
@@ -80,8 +76,7 @@ def test_leapfrog_divergence_signal():
 def test_energy_error_scaling_slope():
     rng = np.random.default_rng(1)
     cov = np.array([[1.0, 0.5], [0.5, 1.5]])
-    fn = gaussian_target(cov)
-    grad = lambda q: fn(q)[1]
+    _, grad = gaussian_target(cov)
     prec = np.linalg.inv(cov)
     epses = np.array([0.2, 0.1, 0.05, 0.025])
     medians = []
@@ -102,20 +97,19 @@ def test_energy_error_scaling_slope():
 
 # ----- sampling -----------------------------------------------------------------
 
-def _run_chains(fn, dim, n_chains=4, n_draws=2000, n_warmup=500, seed=7):
+def _run_chains(target, dim, n_chains=4, n_draws=2000, n_warmup=500, seed=7):
     chains = []
     for c in range(n_chains):
         config = HMCConfig(n_leapfrog=16, n_warmup=n_warmup,
                            n_draws=n_draws, seed=seed, chain_index=c,
                            init=np.full(dim, 0.5))
-        chains.append(hmc_sample(fn, config))
+        chains.append(hmc_sample(*target, config))
     return chains
 
 
 def test_bivariate_normal_moments():
     cov = np.array([[1.0, 0.7], [0.7, 1.0]])
-    fn = gaussian_target(cov)
-    chains = _run_chains(fn, 2)
+    chains = _run_chains(gaussian_target(cov), 2)
     draws = np.concatenate([c.draws for c in chains])
     ess = effective_sample_size(np.stack([c.draws for c in chains]))
     for k in range(2):
@@ -136,51 +130,49 @@ def test_post_warmup_acceptance_in_band():
 def test_huge_step_no_adaptation_rejects_everything():
     # sd 1e-3: without warmup the constant initial step is 50 sds
     cov = 1e-6 * np.eye(2)
-    fn = gaussian_target(cov)
     config = HMCConfig(n_leapfrog=16, n_warmup=0, n_draws=200,
                        seed=3, init=np.array([3e-4, -2e-4]))
-    chain = hmc_sample(fn, config)
+    chain = hmc_sample(*gaussian_target(cov), config)
     assert chain.acceptance_rate < 0.05
     assert np.allclose(chain.draws[-1], [3e-4, -2e-4], rtol=1e-5, atol=0.0)
 
 
 def test_detailed_balance_ks_one_dimensional():
-    fn = gaussian_target(np.eye(1))
     config = HMCConfig(n_leapfrog=12, n_warmup=500, n_draws=10_000,
                        seed=11, init=np.zeros(1))
-    chain = hmc_sample(fn, config)
+    chain = hmc_sample(*gaussian_target(np.eye(1)), config)
     stat = scipy.stats.kstest(chain.draws[:, 0], scipy.stats.norm.cdf).statistic
     assert stat < 0.02
 
 
 def test_seed_determinism_bitwise():
-    fn = gaussian_target(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    target = gaussian_target(np.array([[1.0, 0.3], [0.3, 1.0]]))
     config = HMCConfig(n_leapfrog=10, n_warmup=200, n_draws=300,
                        seed=42, chain_index=1, init=np.zeros(2))
-    a = hmc_sample(fn, config)
-    b = hmc_sample(fn, config)
+    a = hmc_sample(*target, config)
+    b = hmc_sample(*target, config)
     assert np.array_equal(a.draws, b.draws)
     assert a.adapted_step_size == b.adapted_step_size
     assert np.array_equal(a.accept_flags, b.accept_flags)
 
 
 def test_different_chain_index_different_stream():
-    fn = gaussian_target(np.eye(2))
+    target = gaussian_target(np.eye(2))
     base = dict(n_leapfrog=10, n_warmup=100, n_draws=200,
                 seed=42, init=np.zeros(2))
-    a = hmc_sample(fn, HMCConfig(chain_index=0, **base))
-    b = hmc_sample(fn, HMCConfig(chain_index=1, **base))
+    a = hmc_sample(*target, HMCConfig(chain_index=0, **base))
+    b = hmc_sample(*target, HMCConfig(chain_index=1, **base))
     assert not np.array_equal(a.draws, b.draws)
 
 
 def test_all_divergent_warmup_aborts():
-    def fn(q):
-        return 0.0, np.full_like(q, np.nan)
+    def grad(q):
+        return np.full_like(q, np.nan)
 
     config = HMCConfig(n_leapfrog=4, n_warmup=50, n_draws=10,
                        seed=0, init=np.zeros(2))
     with pytest.raises(RuntimeError, match="diverged"):
-        hmc_sample(fn, config)
+        hmc_sample(lambda q: 0.0, grad, config)
 
 
 def test_momentum_overflow_is_a_divergence_not_a_warning():
@@ -189,58 +181,80 @@ def test_momentum_overflow_is_a_divergence_not_a_warning():
     # any RuntimeWarning would come from the sampler
     prec = np.array([1.0, 1e200])
 
-    def fn(q):
+    def value(q):
         with np.errstate(over="ignore", invalid="ignore"):
-            return -0.5 * float(np.sum(prec * q * q)), -prec * q
+            return -0.5 * float(np.sum(prec * q * q))
+
+    def grad(q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -prec * q
 
     config = HMCConfig(n_leapfrog=8, n_warmup=60, n_draws=20, seed=0,
                        init=np.array([0.3, 1e-100]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="every warmup iteration diverged"):
-            hmc_sample(fn, config)
+            hmc_sample(value, grad, config)
 
 
 def test_mass_adaptation_handles_scale_separation():
     cov = np.diag([1.0, 400.0])
-    fn = gaussian_target(cov)
     config = HMCConfig(n_leapfrog=24, n_warmup=600, n_draws=1500,
                        seed=5, init=np.zeros(2))
-    chain = hmc_sample(fn, config)
+    chain = hmc_sample(*gaussian_target(cov), config)
     assert 0.5 <= chain.acceptance_rate <= 0.99
     sd = chain.draws[:, 1].std(ddof=1)
     assert 12.0 < sd < 28.0
 
 
 class CountingTarget:
-    """A Gaussian target that records every state it is evaluated at."""
+    """A Gaussian target whose two requests, ``value`` and ``grad``, record
+    every state they are made at, in order, as ("value" | "grad", state)."""
 
     def __init__(self, cov):
-        self.value_and_grad = gaussian_target(cov)
-        self.states = []
+        self.exact_value, self.exact_grad = gaussian_target(cov)
+        self.requests = []
 
-    def __call__(self, q):
-        self.states.append(np.array(q))
-        return self.value_and_grad(q)
+    def value(self, q):
+        self.requests.append(("value", np.array(q)))
+        return self.exact_value(q)
+
+    def grad(self, q):
+        self.requests.append(("grad", np.array(q)))
+        return self.exact_grad(q)
+
+    def kinds(self) -> list[str]:
+        return [kind for kind, _ in self.requests]
 
 
 def test_chain_without_warmup_makes_one_evaluation_per_step_and_proposal():
-    # the initial state, then per draw n_leapfrog gradients and the end value
+    # the initial state's value, then per draw n_leapfrog gradients along
+    # the trajectory and one value at its end: no value mid-trajectory and
+    # no gradient at an end point
     target = CountingTarget(np.eye(3))
     n_draws, n_leapfrog = 25, 7
-    hmc_sample(target, HMCConfig(init=np.full(3, 0.5), n_leapfrog=n_leapfrog, n_warmup=0,
+    chain = hmc_sample(target.value, target.grad,
+                       HMCConfig(init=np.full(3, 0.5), n_leapfrog=n_leapfrog, n_warmup=0,
                                  n_draws=n_draws, seed=1))
-    assert len(target.states) == 1 + n_draws * (n_leapfrog + 1)
+    assert chain.accept_flags.any()
+    proposal = ["grad"] * n_leapfrog + ["value"]
+    assert target.kinds() == ["value"] + proposal * n_draws
+    assert target.kinds().count("grad") == n_draws * n_leapfrog
+    assert target.kinds().count("value") == 1 + n_draws
 
 
 def test_step_search_takes_the_start_value_and_never_evaluates_there():
+    # each trial step is one leapfrog step: one gradient request at the
+    # half-step position, then one value request at the end point
     target = CountingTarget(np.array([[1.0, 0.3], [0.3, 2.0]]))
     q = np.array([0.4, -0.7])
-    value, _ = target.value_and_grad(q)
-    eps = find_reasonable_step_size(target, q, value, 0.05, np.ones(2), philox_rng(0, 0))
+    value = target.exact_value(q)
+    eps = find_reasonable_step_size(target.value, target.grad, q, value, 0.05, np.ones(2),
+                                    philox_rng(0, 0))
     assert eps > 0.05
-    assert target.states
-    assert not any(np.array_equal(state, q) for state in target.states)
+    kinds = target.kinds()
+    assert kinds and kinds == ["grad", "value"] * (len(kinds) // 2)
+    assert not any(np.array_equal(state, q) for _, state in target.requests)
 
 
 # ----- diagnostics ---------------------------------------------------------------

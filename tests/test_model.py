@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -476,6 +477,73 @@ def test_outside_support_is_clean_minus_infinity():
                 value, grad = post(u)
                 assert value == -np.inf
                 assert grad.shape == (layout.size,) and not np.any(grad)
+
+
+def _static_and_seasonal_posteriors(rng, d1=3, d2=4, K=3):
+    """A static layout and a 12-block (4 seasons x 3 cycles) seasonal
+    layout, each with ``log_posterior_grad`` bound to its data: the
+    partial takes the state and, optionally, ``want``."""
+    Ys = [random_dataset(d1, d2, 20, rng) for _ in range(12)]
+    targets, hyper = targets_and_hyper(d1, d2, rng)
+    sched = SeasonSchedule(n_seasons=4, n_cycles=3,
+                           blocks=tuple(summary_for(Y, d1, d2) for Y in Ys))
+    return [(layout, partial(log_posterior_grad, layout=layout, data=data, hyper=hyper,
+                             targets=targets))
+            for layout, data in ((StateLayout(d1, d2, K), summary_for(Ys[0], d1, d2)),
+                                 (StateLayout(d1, d2, K, n_blocks=12), sched))]
+
+
+def test_value_and_gradient_requests_match_the_combined_call_bit_for_bit():
+    rng = make_rng(29)
+    for layout, post in _static_and_seasonal_posteriors(rng):
+        for _ in range(6):
+            u = rng.normal(0.0, 0.4, size=layout.size)
+            value, grad = post(u)
+            alone = post(u, want="value")
+            assert type(alone) is float and math.isfinite(alone)
+            assert np.float64(alone).tobytes() == np.float64(value).tobytes()
+            g = post(u, want="grad")
+            assert g.shape == grad.shape and g.tobytes() == grad.tobytes()
+        with pytest.raises(ValueError, match="want"):
+            post(u, want="gradient")
+
+
+def test_requests_outside_the_support_are_minus_infinity_and_zeros():
+    # a diagonal at exp(-800), a saturated theta and (seasonal) an
+    # overflowing transition gamma leave the support for every request
+    rng = make_rng(30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for layout, post in _static_and_seasonal_posteriors(rng):
+            edits = [(layout.sl_logd1, -800.0), (layout.sl_theta, 40.0)]
+            if layout.n_blocks > 1:
+                edits.append((layout.sl_gammas, 800.0))
+            for sl, val in edits:
+                u = rng.normal(0.0, 0.3, size=layout.size)
+                u[sl.start] = val
+                assert post(u, want="value") == -math.inf
+                grad = post(u, want="grad")
+                assert grad.shape == (layout.size,) and not np.any(grad)
+                value, grad = post(u)
+                assert value == -math.inf and not np.any(grad)
+
+
+def test_a_state_whose_gradient_overflows_keeps_a_finite_value_request():
+    # a first-block weight near exp(-400): the lower-prior gradient divides
+    # by it and overflows, while the value stays finite (and far below any
+    # reachable state's, so a proposal ending there is rejected as
+    # divergent).  Each request checks only what it computes; the combined
+    # call gives (-inf, zeros) when either part leaves the range
+    rng = make_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for layout, post in _static_and_seasonal_posteriors(rng):
+            u = rng.normal(0.0, 0.3, size=layout.size)
+            u[layout.sl_sticks.start] = -400.0
+            assert -math.inf < post(u, want="value") < -1e100
+            assert not np.any(post(u, want="grad"))
+            value, grad = post(u)
+            assert value == -math.inf and not np.any(grad)
 
 
 def test_posterior_outputs_are_not_aliased():
