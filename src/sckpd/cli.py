@@ -89,8 +89,12 @@ def main(argv=None) -> int:
     p_sum.add_argument("--truth", help="ground-truth JSON for a coverage report")
     p_sum.set_defaults(func=_cmd_summarize)
 
-    p_hyp = sub.add_parser("check-hyper",
-                           help="print solved hyperparameters and targets")
+    p_hyp = sub.add_parser(
+        "check-hyper", help="print solved hyperparameters and targets, reading the "
+                            "blocks as fit does",
+        description="Print the prior targets and solved hyperparameters a fit of the same "
+                    "data reports.  The blocks are read as fit reads them, and what fit "
+                    "refuses is refused here too.")
     _add_common(p_hyp)
     p_hyp.set_defaults(func=_cmd_check_hyper)
 

@@ -510,15 +510,11 @@ def _n_threads() -> int:
     return int(raw)
 
 
-def _draw_init(value_fn, seed: int, chain: int, size: int) -> np.ndarray:
-    """Uniform(-2, 2) inits, re-drawn until the log posterior ``value_fn``
-    is finite."""
-    rng = hmc.philox_rng(seed, INIT_STREAM + chain)
-    for _ in range(100):
-        u = rng.uniform(-2.0, 2.0, size=size)
-        if np.isfinite(value_fn(u)):
-            return u
-    raise RuntimeError("no finite initial state found after 100 draws")
+def _draw_init(seed: int, chain: int, size: int) -> np.ndarray:
+    """Uniform(-2, 2) inits on the chain's own stream.  Each is in the
+    posterior's support: :func:`_read_blocks` refuses a lower variance of 0,
+    and ``hmc_sample`` checks the value at the start."""
+    return hmc.philox_rng(seed, INIT_STREAM + chain).uniform(-2.0, 2.0, size=size)
 
 
 def _quantiles(rows: np.ndarray, probs) -> np.ndarray:
@@ -552,40 +548,57 @@ def _column_summaries(values: np.ndarray) -> list[dict]:
             for j in range(rows.shape[0])]
 
 
-def _targets(scatter: np.ndarray, n_obs: int, config: RunConfig) -> PriorTargets:
-    """Prior targets from a block's scatter Y^T Y over its n_obs rows."""
-    denom = max(n_obs - 1, 1) if config.center else n_obs
-    return prior_targets_from_sample(scatter / denom, config.d1, config.d2)
+def _read_blocks(config: RunConfig):
+    """The data summaries of a fit's blocks, with the prior targets and
+    solved hyperparameters of the first, as ``fit`` and ``check_hyper``
+    both read them.
+
+    A static fit reads the one CSV file at ``input_path``, a seasonal fit
+    the ``data_cC_sS.csv`` file of every block in the ``input_path``
+    directory (see :func:`_blocks`); every block is ingested before the
+    targets are taken from the first block's sample covariance.  A lower
+    variance of 0, from a first block whose covariance factor has no
+    strict-lower part, leaves the posterior no support and is refused."""
+    config.validate()
+    if not config.mode.startswith("fit"):
+        raise ValueError(f"mode '{config.mode}' reads no data; use 'fit-static' or 'fit-dynamic'")
+    root, seasonal = Path(config.input_path), config.mode == "fit-dynamic"
+    if root.is_dir() != seasonal:
+        kind = "a directory of data_cC_sS.csv files" if seasonal else "one CSV file"
+        raise ValueError(f"mode '{config.mode}' reads {kind}: {root} is "
+                         f"{'not ' if seasonal else ''}a directory")
+    paths = [root / name for _, name in _blocks(config)] if seasonal else [root]
+    scatters = []
+    for path in paths:
+        Y = ingest_csv(path, config.d1, config.d2, center=config.center)
+        scatters.append((Y.T @ Y, Y.shape[0]))
+    summaries = [mdl.DataSummary.from_scatter(S, n, config.d1, config.d2) for S, n in scatters]
+    S, n = scatters[0]
+    targets = prior_targets_from_sample(S / (max(n - 1, 1) if config.center else n),
+                                        config.d1, config.d2)
+    hyper = solve_hyper(targets)
+    if not hyper.lower_variance > 0:
+        raise ValueError(
+            f"{paths[0]}: the Cholesky factor of the sample covariance has no strict-lower "
+            f"part (lower_energy = {targets.lower_energy:.3g}), so the lower prior variance "
+            f"solves to 0 and the posterior has no support")
+    return summaries, targets, hyper
 
 
 def fit(config: RunConfig) -> dict:
     """Run the configured inference and write draws.csv plus summary.json.
 
-    Static mode reads one CSV; dynamic mode reads one CSV per (cycle,
-    season) block from the input directory.  Prior targets come from the
-    sample covariance (first block for dynamic).  One season schedule (1 x 1
-    for static), one layout and one posterior over the schedule serve the
-    init draws and every chain.  The posterior's two requests, the value
-    and the gradient, are partials of ``model.log_posterior_grad``; chains
-    run in a process pool when SCKPD_THREADS is set above 1, which pickles
-    the partials.  Weights are sorted (descending)
-    within each draw before any summarization.
+    The blocks, prior targets and hyperparameters come from
+    :func:`_read_blocks`.  One season schedule (1 x 1 for static), one
+    layout and one posterior over the schedule serve every chain, and each
+    chain starts from one Uniform(-2, 2) draw.  The posterior's two
+    requests, the value and the gradient, are partials of
+    ``model.log_posterior_grad``; chains run in a process pool when
+    SCKPD_THREADS is set above 1, which pickles the partials.  Weights are
+    sorted (descending) within each draw before any summarization.
     """
-    config.validate()
+    summaries, targets, hyper = _read_blocks(config)
     workers = min(_n_threads(), config.n_chains)
-    if not config.mode.startswith("fit"):
-        raise ValueError(f"fit() does not handle mode '{config.mode}'")
-    paths = ([Path(config.input_path)] if config.mode == "fit-static" else
-             [Path(config.input_path) / name for _, name in _blocks(config)])
-    summaries, first = [], None
-    for path in paths:
-        Y = ingest_csv(path, config.d1, config.d2, center=config.center)
-        scatter = Y.T @ Y
-        first = (scatter, Y.shape[0]) if first is None else first
-        summaries.append(mdl.DataSummary.from_scatter(scatter, Y.shape[0], config.d1, config.d2))
-
-    targets = _targets(*first, config)
-    hyper = solve_hyper(targets)
     warnings = []
     if hyper.degenerate:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
@@ -599,7 +612,7 @@ def fit(config: RunConfig) -> dict:
                          for want in ("value", "grad"))
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
-                        init=_draw_init(value_fn, config.seed, c, layout.size))
+                        init=_draw_init(config.seed, c, layout.size))
               for c in range(config.n_chains)]
     value_fns, grad_fns = [value_fn] * config.n_chains, [grad_fn] * config.n_chains
     if workers > 1:
@@ -684,22 +697,17 @@ def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
 
 def check_hyper(config: RunConfig) -> dict:
     """Solve and report targets plus hyperparameters for a dataset, as a fit
-    of it reports them in ``summary.json``."""
-    config.validate()
-    if config.input_path is None:
-        raise ValueError("check-hyper requires input_path")
-    path = Path(config.input_path)
-    if path.is_dir():   # a seasonal run's directory, whatever the mode: its first block
-        path = path / "data_c1_s1.csv"
-    Y = ingest_csv(path, config.d1, config.d2, center=config.center)
-    targets = _targets(Y.T @ Y, Y.shape[0], config)
-    return _hyper_report(targets, solve_hyper(targets))
+    of it reports them in ``summary.json``.  The blocks are read as ``fit``
+    reads them, so what ``fit`` refuses is refused here too."""
+    _, targets, hyper = _read_blocks(config)
+    return _hyper_report(targets, hyper)
 
 
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:
     """Recompute quantile summaries from a draws table in :func:`_read_table`'s
-    format, with a ``chain`` column and 2 rows or more; optionally join a
-    ground-truth file into a coverage report.
+    format, with distinct column names, a ``chain`` column of whole numbers
+    >= 0 and 2 rows or more; optionally join a ground-truth file into a
+    coverage report.
 
     The data do not identify every column alike.  theta and the weights
     given the lowers enter only the prior, and the likelihood is invariant
@@ -714,7 +722,15 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
     if table.shape[0] < 2:
         raise ValueError(f"{draws_path}: spread statistics need at least 2 draw rows "
                          f"after the header, found {table.shape[0]}")
-    n_chains = int(table[:, columns.index("chain")].max()) + 1
+    repeated = next((name for k, name in enumerate(columns) if name in columns[:k]), None)
+    if repeated is not None:
+        raise ValueError(f"{draws_path}: line 1: column '{repeated}' is named more than once")
+    chain = table[:, columns.index("chain")]
+    bad = np.flatnonzero((chain < 0) | (chain != np.floor(chain)))
+    if bad.size:
+        raise ValueError(f"{draws_path}: draw row {bad[0] + 1}: the 'chain' column holds "
+                         f"{chain[bad[0]]:g}, not a whole number >= 0")
+    n_chains = int(chain.max()) + 1
     keep = [j for j, name in enumerate(columns) if name not in _BOOKKEEPING]
     stats = {columns[j]: entry
              for j, entry in zip(keep, _column_summaries(table[:, keep]))}

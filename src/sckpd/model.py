@@ -46,10 +46,12 @@ fit's ``dynamic.SeasonSchedule`` stacks them once, and a one-block stack
 is a view); the dense contraction reads it back as the (T, d, d)
 scatters with one reshape per call.  A state decodes once: one
 exp over every coordinate after the strict lowers gives the diagonals, the
-gammas and the logistic values of the sticks and theta; one gather gives
-the (T, K+1, d, d) member stacks of every block in one buffer; and the
-column normalization of gamma gives the weight trajectory, which the
-posterior and the draws table both read.  All T trace terms and their
+gammas and the logistic values of the sticks and theta (the unconstrained
+reparameterizations: log for positives, a centered stick-breaking map for
+the simplex, logit for the unit interval; see :class:`StateLayout`); one
+gather gives the (T, K+1, d, d) member stacks of every block in one
+buffer; and the column normalization of gamma gives the weight
+trajectory, which the posterior and the draws table both read.  All T trace terms and their
 member gradients are batched matrix products, the member gradients land
 in one buffer, and one index read each takes back every strict-lower and
 every diagonal gradient.  The value's terms linear in the coordinates or
@@ -80,7 +82,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import transforms
 from .hyper import PriorTargets, SolvedHyper, digamma
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -174,7 +175,8 @@ class _Decoded(NamedTuple):
 
 
 class StateLayout:
-    """Index map between model parameters and a flat unconstrained vector.
+    """Index map between model parameters and a flat unconstrained vector,
+    and the one home of the parameterization.
 
     Packing order: strict-lower entries of every block's mode-1 components
     (row-major within each), then mode-2, then log D1, log D2, the K-1
@@ -183,6 +185,14 @@ class StateLayout:
     the gamma matrix, iid Gamma(1, 1) a priori, whose column normalization
     is the transition of every step.  A one-block layout has no transition,
     and ``decode`` exchanges its :class:`SCKPDParams`.
+
+    The forward maps (exp for the positives, the logistic function for the
+    sticks and theta, then :func:`stick_breaking`) and their log-Jacobians
+    are evaluated in one pass by ``_decode``, which also finds a state
+    outside the floating-point support.  The stick-breaking map is centered
+    (:func:`stick_offsets`), so the zero vector maps to the uniform simplex
+    point.  :func:`stick_breaking_grad` and :func:`interval_grad` pull a
+    gradient back to the sticks and to the logit of theta.
     """
 
     def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1):
@@ -213,7 +223,7 @@ class StateLayout:
         self.n_low = self.sl_low2.stop
         n_pos, n_tail = d1 + d2, self.size - self.n_low
         self.sl_logistic = slice(n_pos, n_pos + K)   # within the tail
-        offsets = np.append(transforms.stick_offsets(K), 0.0)
+        offsets = np.append(stick_offsets(K), 0.0)
         self.tail_sign = np.ones(n_tail)
         self.tail_sign[self.sl_logistic] = -1.0
         self.tail_offset = np.zeros(n_tail)
@@ -270,7 +280,7 @@ class StateLayout:
             e = np.exp(tail * self.tail_sign + self.tail_offset)
             w = e[self.sl_logistic]
             z = 1.0 / (1.0 + w)
-            omega1, _ = transforms.stick_breaking(z[:-1])
+            omega1, _ = stick_breaking(z[:-1])
             theta = float(z[-1])
             # a positive coordinate that leaves the support gives a zero or
             # an infinite sum of the exps; a saturated logistic one gives a
@@ -312,6 +322,42 @@ class StateLayout:
 
     def unpack(self, u: np.ndarray) -> SCKPDParams:
         return self.decode(u)[0]
+
+
+def stick_offsets(n_weights: int) -> np.ndarray:
+    """Centering offsets log(K-1), .., log(1) of the K-1 stick coordinates:
+    the zero vector breaks into the uniform simplex point."""
+    return np.log(np.arange(n_weights - 1, 0, -1, dtype=float))
+
+
+def stick_breaking(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex vector of K-1 break fractions z in (0, 1), and the stick
+    left before each break (K-1 entries)."""
+    left = np.empty(z.shape[0] + 1)
+    left[0] = 1.0
+    np.multiply.accumulate(1.0 - z, out=left[1:])
+    omega = left.copy()
+    omega[:-1] *= z
+    return omega, left[:-1]
+
+
+def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. the simplex vector back to the y coordinates,
+    adding the gradient of log|det J| (the target density includes the
+    change-of-variables term).  ``z`` and ``omega`` are the break fractions
+    and weights of the forward map at y."""
+    # with p = grad_omega * omega, d/dy_k of f(omega) + log|det J| is
+    # (1 - z_k)(p_k + 1) - z_k sum_{j>k} (p_j + 1), since d omega_j / d z_k
+    # is left_k at j == k and -omega_j/(1-z_k) for j > k, and log|det J|
+    # adds log z_k + log(1 - z_k) + log left_k
+    q = grad_omega * omega + 1.0
+    return (1.0 - z) * q[:-1] - z * np.add.accumulate(q[:0:-1])[::-1]
+
+
+def interval_grad(t: float, grad_t: float) -> float:
+    """Chain a gradient w.r.t. t in (0,1) back to the logit coordinate,
+    adding the gradient of the log-Jacobian."""
+    return float(grad_t * t * (1.0 - t) + (1.0 - 2.0 * t))
 
 
 def omega_trajectory(omega1: np.ndarray, A: np.ndarray | None, n_blocks: int) -> np.ndarray:
@@ -596,9 +642,8 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
             value = (s.log_jac + prior - 0.5 * trace
                      + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
                      + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
-                     + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI))
-            if T > 1:   # the gammas' Gamma(1, 1) prior
-                value -= sum_g
+                     + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
+                     - sum_g)   # the gammas' Gamma(1, 1) prior: 0.0 for one block
 
         if wants_grad:
             grad = np.empty(layout.size)
@@ -621,10 +666,8 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
             lams = g_omegas
             for t in range(T - 2, -1, -1):
                 lams[t] += np.dot(A.T, lams[t + 1])
-            if K > 1:
-                grad[layout.sl_sticks] = transforms.stick_breaking_grad(s.breaks, s.omega1,
-                                                                        lams[0])
-            grad[layout.sl_theta] = transforms.interval_grad(theta, g_theta)
+            grad[layout.sl_sticks] = stick_breaking_grad(s.breaks, s.omega1, lams[0])
+            grad[layout.sl_theta] = interval_grad(theta, g_theta)
 
             # the transition's gradient sums lams[t+1] omegas[t]^T over the
             # steps; chain it back to the gammas (log coordinates) through

@@ -3,10 +3,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from sckpd import transforms as tr
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, assemble_ldagger, log_det_ldagger,
-                         log_prior, omega_trajectory, trace_quadratic, vanloan_rearrange)
+                         log_prior, omega_trajectory, stick_breaking, stick_offsets,
+                         trace_quadratic, vanloan_rearrange)
 
 
 def make_rng(seed=0):
@@ -115,8 +115,8 @@ def stick_breaking_forward(y):
     is -inf when a break fraction saturates or a weight underflows to 0.
     The oracle of the sticks part of ``StateLayout`` decoding."""
     y = np.asarray(y, dtype=float)
-    z = expit(y - tr.stick_offsets(y.shape[0] + 1))
-    omega, left = tr.stick_breaking(z)
+    z = expit(y - stick_offsets(y.shape[0] + 1))
+    omega, left = stick_breaking(z)
     # every weight positive means every z in (0, 1) and every stick positive
     if not omega.min() > 0.0:
         return omega, -np.inf

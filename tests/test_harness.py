@@ -16,6 +16,8 @@ from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_ora
                       draw_table_oracle, effective_sample_size_oracle, make_rng, random_params,
                       split_rhat_oracle)
 from sckpd import cli, harness, hmc
+from sckpd import model as mdl
+from sckpd.dynamic import SeasonSchedule
 from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
                            ingest_csv, read_config_file, simulate, strict_json, summarize_draws)
 from sckpd.hmc import Chain
@@ -650,6 +652,112 @@ def test_fit_reports_the_prior_check_hyper_reports(tmp_path, config):
     assert {"c1", "c2", "degenerate"} <= set(report["hyper"])
 
 
+def _diagonal_covariance_csv(tmp_path: Path) -> Path:
+    """Rows +-k e_k of 3x2 data: the sample covariance is diagonal, so its
+    Cholesky factor has no strict-lower part."""
+    rows = np.concatenate([np.diag(np.arange(1.0, 7.0)), -np.diag(np.arange(1.0, 7.0))])
+    return _write(tmp_path / "diag.csv", "".join(",".join(f"{v:g}" for v in r) + "\n"
+                                                 for r in rows))
+
+
+def _count_requests(monkeypatch) -> dict:
+    """Wrap ``model.log_posterior_grad`` to count the requests a fit makes, by kind."""
+    counts = {"value": 0, "grad": 0, "both": 0}
+    inner = mdl.log_posterior_grad
+
+    def counted(*args, want="both", **kwargs):
+        counts[want] += 1
+        return inner(*args, want=want, **kwargs)
+    monkeypatch.delenv("SCKPD_THREADS", raising=False)
+    monkeypatch.setattr(mdl, "log_posterior_grad", counted)
+    return counts
+
+
+def test_no_strict_lower_part_is_refused_before_any_posterior_call(tmp_path, monkeypatch):
+    # a lower prior variance of 0 leaves no state in the support: fit and
+    # check_hyper both refuse the file, naming it and lower_energy
+    p = _diagonal_covariance_csv(tmp_path)
+    cfg = RunConfig.from_dict(dict(mode="fit-static", d1=3, d2=2, n_components=2,
+                                   input_path=str(p), output_dir=str(tmp_path / "fit"),
+                                   n_chains=2, n_warmup=5, n_draws=4, n_leapfrog=2))
+    counts = _count_requests(monkeypatch)
+    message = r"diag\.csv: .*no strict-lower part \(lower_energy = 0\)"
+    with pytest.raises(ValueError, match=message):
+        fit(cfg)
+    with pytest.raises(ValueError, match=message):
+        check_hyper(cfg)
+    assert counts == {"value": 0, "grad": 0, "both": 0}
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_makes_one_value_request_per_chain_start_and_draw(tmp_path, monkeypatch):
+    # the starts are drawn without a posterior call: without warmup each
+    # chain asks for the value at its start and at each trajectory end
+    cfg = _small_fit_config(tmp_path)
+    counts = _count_requests(monkeypatch)
+    fit(RunConfig.from_dict({**cfg.__dict__, "n_chains": 3, "n_warmup": 0, "n_draws": 7,
+                             "n_leapfrog": 2}))
+    assert counts["value"] == 3 * (1 + 7)
+    assert counts["both"] == 0
+
+
+@pytest.mark.parametrize("d1, d2, n_blocks", [(4, 5, 1), (5, 2, 12)],
+                         ids=["static-4x5", "seasonal-5x2x12"])
+def test_uniform_starts_are_in_the_support_at_the_largest_data(tmp_path, d1, d2, n_blocks):
+    # data whose squared fields sum to 0.99 MAX_SUM_SQUARES, the largest
+    # ingest takes: every Uniform(-2, 2) start has a finite value, with no
+    # RuntimeWarning, so a start needs no posterior call
+    seasonal = n_blocks > 1
+    cfg = RunConfig.from_dict(dict(
+        mode=f"fit-{'dynamic' if seasonal else 'static'}", d1=d1, d2=d2, n_components=5,
+        n_seasons=4 if seasonal else 1, n_cycles=3 if seasonal else 1,
+        input_path=str(tmp_path / ("blocks" if seasonal else "data.csv"))))
+    rng = make_rng(47)
+    Ys = [rng.normal(size=(60, d1 * d2)) for _ in range(n_blocks)]
+    scale = np.sqrt(0.99 * harness.MAX_SUM_SQUARES / sum(np.vdot(Y, Y) for Y in Ys))
+    names = [name for _, name in harness._blocks(cfg)]
+    if seasonal:
+        (tmp_path / "blocks").mkdir()
+    for Y, name in zip(Ys, names):
+        harness.write_csv_matrix(tmp_path / ("blocks" if seasonal else "") / name, scale * Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summaries, targets, hyper = harness._read_blocks(cfg)
+        schedule = SeasonSchedule(n_seasons=cfg.n_seasons, n_cycles=cfg.n_cycles,
+                                  blocks=tuple(summaries))
+        layout = StateLayout(d1, d2, 5, n_blocks)
+        values = [mdl.log_posterior_grad(harness._draw_init(0, c, layout.size), layout,
+                                         schedule, hyper, targets, want="value")
+                  for c in range(100)]
+    assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("run", [fit, check_hyper], ids=["fit", "check_hyper"])
+def test_a_malformed_later_block_is_named(tmp_path, run):
+    # check_hyper reads every block of a seasonal run, as fit does
+    cfg = _small_seasonal_fit_config(tmp_path)
+    second = tmp_path / "sim" / "data_c1_s2.csv"
+    second.write_text(second.read_text() + "1,2,oops,4,5,6\n")
+    with pytest.raises(ValueError, match=r"data_c1_s2\.csv: line 122: field 3 .*'oops'"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("run", [fit, check_hyper], ids=["fit", "check_hyper"])
+def test_input_of_the_wrong_kind_names_the_kind_and_the_path(tmp_path, run):
+    static = _small_fit_config(tmp_path)
+    sim = tmp_path / "sim"
+    wrong = {"fit-static": (str(sim), f"reads one CSV file: {sim} is a directory"),
+             "fit-dynamic": (str(sim / "data.csv"), "reads a directory of data_cC_sS.csv "
+                             f"files: {sim / 'data.csv'} is not a directory")}
+    for mode, (path, message) in wrong.items():
+        blocks = 2 if mode == "fit-dynamic" else 1
+        cfg = RunConfig.from_dict({**static.__dict__, "mode": mode, "n_seasons": blocks,
+                                   "input_path": path})
+        with pytest.raises(ValueError) as raised:
+            run(cfg)
+        assert str(raised.value) == f"mode '{mode}' {message}"
+
+
 def _draws_file(tmp_path: Path, text: str) -> Path:
     return _write(tmp_path / "draws.csv", text)
 
@@ -663,6 +771,20 @@ def test_summarize_draws_rejects_too_few_rows(tmp_path, text, message):
     p = _draws_file(tmp_path, text)
     with pytest.raises(ValueError, match=r"draws\.csv: .*" + message):
         summarize_draws(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("chain,theta,theta\n0,1.5,2.5\n0,2.5,3.5\n", "line 1: column 'theta' is named more than once"),
+    ("chain,draw,theta\n-3,0,1.5\n-3,1,2.5\n2.5,2,3.5\n",
+     "draw row 1: the 'chain' column holds -3, not a whole number >= 0"),
+    ("chain,draw,theta\n0,0,1.5\n0,1,2.5\n2.5,2,3.5\n",
+     "draw row 3: the 'chain' column holds 2.5, not a whole number >= 0"),
+], ids=["repeated-column", "negative-chain", "fractional-chain"])
+def test_summarize_draws_rejects_repeated_column_or_bad_chain(tmp_path, text, message):
+    p = _draws_file(tmp_path, text)
+    with pytest.raises(ValueError) as raised:
+        summarize_draws(p)
+    assert str(raised.value) == f"{p}: {message}"
 
 
 def test_summarize_draws_rejects_table_without_chain_column(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import (decode_blocks, expit, interval_forward, interval_inverse, make_rng,
                       positive_forward, positive_grad, positive_inverse, stick_breaking_forward,
                       stick_breaking_inverse)
-from sckpd import transforms as tr
-from sckpd.model import StateLayout
+from sckpd.model import (StateLayout, interval_grad, stick_breaking, stick_breaking_grad,
+                         stick_offsets)
 
 
 def test_expit_matches_scipy():
@@ -70,9 +70,9 @@ def test_stick_breaking_grad_matches_fd():
         omega, log_jac = stick_breaking_forward(yv)
         return float(w @ omega) + log_jac
 
-    z = expit(y - tr.stick_offsets(K))
-    omega, _ = tr.stick_breaking(z)
-    g = tr.stick_breaking_grad(z, omega, w)
+    z = expit(y - stick_offsets(K))
+    omega, _ = stick_breaking(z)
+    g = stick_breaking_grad(z, omega, w)
     eps = 1e-6
     for j in range(K - 1):
         up, dn = y.copy(), y.copy()
@@ -101,7 +101,7 @@ def test_interval_round_trip_and_grad():
         return 2.5 * t + lj
 
     t0, _ = interval_forward(v0)
-    g = tr.interval_grad(t0, 2.5)
+    g = interval_grad(t0, 2.5)
     eps = 1e-6
     fd = (scalar(v0 + eps) - scalar(v0 - eps)) / (2 * eps)
     assert np.isclose(g, fd, rtol=1e-7)
