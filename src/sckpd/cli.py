@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``fit``, ``summarize``, ``check-hyper``.  Every
-run is described by a YAML config file and/or flags (flags win).  Results
-go to stdout as JSON; failures print an error JSON to stderr and exit
-nonzero.
+run is described by a YAML config file and/or flags (flags win); flag
+values are strings that ``RunConfig.from_dict`` types and checks as it does
+config-file values.  Results go to stdout as JSON.  Every failure, a usage
+error included, prints one error JSON line to stderr and exits with code 2.
 """
 
 from __future__ import annotations
@@ -16,23 +17,31 @@ from .harness import (PRESETS, RunConfig, check_hyper, fit, read_config_file, si
                       strict_json, summarize_draws)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so ``main`` reports them as it
+    reports every other failure; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--preset", help=f"one of {', '.join(sorted(PRESETS))}")
     p.add_argument("--mode")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--out", dest="output_dir")
     p.add_argument("--input", dest="input_path")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--n-components", dest="n_components", type=int)
-    p.add_argument("--n-obs", dest="n_obs", type=int)
-    p.add_argument("--seasons", dest="n_seasons", type=int)
-    p.add_argument("--cycles", dest="n_cycles", type=int)
-    p.add_argument("--chains", dest="n_chains", type=int)
-    p.add_argument("--warmup", dest="n_warmup", type=int)
-    p.add_argument("--draws", dest="n_draws", type=int)
-    p.add_argument("--leapfrog", dest="n_leapfrog", type=int)
+    p.add_argument("--d1")
+    p.add_argument("--d2")
+    p.add_argument("--n-components", dest="n_components")
+    p.add_argument("--n-obs", dest="n_obs")
+    p.add_argument("--seasons", dest="n_seasons")
+    p.add_argument("--cycles", dest="n_cycles")
+    p.add_argument("--chains", dest="n_chains")
+    p.add_argument("--warmup", dest="n_warmup")
+    p.add_argument("--draws", dest="n_draws")
+    p.add_argument("--leapfrog", dest="n_leapfrog")
     p.add_argument("--center", action="store_const", const=True)
     p.add_argument("--identity-transition", dest="transition",
                    action="store_const", const="identity")
@@ -67,7 +76,7 @@ def _cmd_check_hyper(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sckpd",
         description="Simulate and fit Kronecker-sum Cholesky precision models")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,8 +107,8 @@ def main(argv=None) -> int:
     _add_common(p_hyp)
     p_hyp.set_defaults(func=_cmd_check_hyper)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # strict JSON: a NaN or infinite result is a failure, not a bare NaN token
         text = strict_json(args.func(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures

@@ -1,6 +1,7 @@
-"""Seasonal vocabulary: the schedule of per-block data summaries that every
-fit builds (a static fit's is 1 x 1), and two aliases of the model's own
-names that the benchmark and the tests call.
+"""Seasonal vocabulary of the benchmark and the tests: a schedule of
+per-block data summaries, and two aliases of the model's own names.  A fit
+does not import this module; its block reader stacks the blocks' scatters
+into one ``model.DataSummary``.
 
 Blocks are time ordered: cycle c, season s sits at t = S*(c-1) + s, and the
 weights evolve through one transition A shared by every step,
@@ -30,9 +31,8 @@ sd_log_posterior_grad = log_posterior_grad
 @dataclass(frozen=True)
 class SeasonSchedule:
     """Per-block data summaries in time order (season fastest), with their
-    rearranged scatters stacked once into the (T, d1^2, d2^2) array the
-    posterior reads (one block's is a view, not a copy) and their total
-    observation count."""
+    rearranged scatters concatenated once into the (T, d1^2, d2^2) array
+    the posterior reads and their total observation count."""
 
     n_seasons: int
     n_cycles: int
@@ -46,11 +46,9 @@ class SeasonSchedule:
         d1, d2 = self.blocks[0].d1, self.blocks[0].d2
         if any(b.d1 != d1 or b.d2 != d2 for b in self.blocks):
             raise ValueError("all blocks must share the mode dimensions")
-        object.__setattr__(self, "scatters", self.blocks[0].scatters if self.n_blocks == 1
-                           else np.stack([b.scatter_rearranged for b in self.blocks]))
+        object.__setattr__(self, "scatters", np.concatenate([b.scatters for b in self.blocks]))
         object.__setattr__(self, "n_obs", sum(b.n_obs for b in self.blocks))
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-

@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamic as dyn
 from . import hmc
 from . import model as mdl
 from .hmc import Chain, HMCConfig, diagnostics, hmc_sample
@@ -81,10 +80,12 @@ PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Declarative run description.  A config file holds top-level keys
-    only, and they mirror the field names; any other key is refused."""
+    """Declarative run description, valid by construction: a field value out
+    of its range raises ValueError naming the field, and a built config is
+    not changed.  A config file holds top-level keys only, and they mirror
+    the field names; any other key is refused."""
 
     mode: str
     d1: int = 4
@@ -117,9 +118,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, family: str | None = None) -> "RunConfig":
-        """The config a mapping describes.  Without a mode, ``family`` gives
-        its seasonal mode when the typed block count is above 1, else its
-        static one."""
+        """The config a mapping describes, from config-file values or flag
+        strings alike.  Without a mode, ``family`` gives its seasonal mode
+        when the typed block count is above 1, else its static one."""
         preset = raw.get("preset")
         merged: dict = {}
         if preset is not None:
@@ -135,11 +136,9 @@ class RunConfig:
         if "mode" not in typed and family is not None:
             blocks = typed.get("n_seasons", 1) * typed.get("n_cycles", 1)
             typed["mode"] = f"{family}-{'dynamic' if blocks > 1 else 'static'}"
-        cfg = cls(**typed)
-        cfg.validate()
-        return cfg
+        return cls(**typed)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
         if min(self.d1, self.d2) < 2:
@@ -180,7 +179,6 @@ class RunConfig:
                              "and needs 2 draws in each half")
         if self.n_warmup < 0:
             raise ValueError("n_warmup must be nonnegative")
-        return self
 
 
 _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
@@ -434,7 +432,6 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     factor.  Writes the block CSVs and truth.json under the output
     directory.
     """
-    config.validate()
     if not config.mode.startswith("simulate"):
         raise ValueError(f"simulate() does not handle mode '{config.mode}'")
     rng = hmc.philox_rng(config.seed, SIM_STREAM)
@@ -549,32 +546,38 @@ def _column_summaries(values: np.ndarray) -> list[dict]:
 
 
 def _read_blocks(config: RunConfig):
-    """The data summaries of a fit's blocks, with the prior targets and
-    solved hyperparameters of the first, as ``fit`` and ``check_hyper``
-    both read them.
+    """The data summary of a fit's blocks, with the prior targets and solved
+    hyperparameters of the first, as ``fit`` and ``check_hyper`` both read
+    them.
 
     A static fit reads the one CSV file at ``input_path``, a seasonal fit
     the ``data_cC_sS.csv`` file of every block in the ``input_path``
-    directory (see :func:`_blocks`); every block is ingested before the
-    targets are taken from the first block's sample covariance.  A lower
-    variance of 0, from a first block whose covariance factor has no
-    strict-lower part, leaves the posterior no support and is refused."""
-    config.validate()
+    directory (see :func:`_blocks`).  Every path is checked before any is
+    ingested, and every block is ingested before the targets are taken
+    from the first block's sample covariance; the blocks' scatters are
+    stacked into one summary.  A lower variance of 0, from a first block
+    whose covariance factor has no strict-lower part, leaves the posterior
+    no support and is refused."""
     if not config.mode.startswith("fit"):
         raise ValueError(f"mode '{config.mode}' reads no data; use 'fit-static' or 'fit-dynamic'")
     root, seasonal = Path(config.input_path), config.mode == "fit-dynamic"
+    reads = f"mode '{config.mode}' reads " + (
+        f"a directory of the data_cC_sS.csv files of its n_seasons = {config.n_seasons} x "
+        f"n_cycles = {config.n_cycles} blocks" if seasonal else "one CSV file")
     if root.is_dir() != seasonal:
-        kind = "a directory of data_cC_sS.csv files" if seasonal else "one CSV file"
-        raise ValueError(f"mode '{config.mode}' reads {kind}: {root} is "
-                         f"{'not ' if seasonal else ''}a directory")
+        raise ValueError(f"{reads}: {root} is {'not ' if seasonal else ''}a directory")
     paths = [root / name for _, name in _blocks(config)] if seasonal else [root]
-    scatters = []
+    missing = next((path for path in paths if not path.is_file()), None)
+    if missing is not None:
+        raise ValueError(f"{reads}: there is no file {missing}")
+    scatters, counts = [], []
     for path in paths:
         Y = ingest_csv(path, config.d1, config.d2, center=config.center)
-        scatters.append((Y.T @ Y, Y.shape[0]))
-    summaries = [mdl.DataSummary.from_scatter(S, n, config.d1, config.d2) for S, n in scatters]
-    S, n = scatters[0]
-    targets = prior_targets_from_sample(S / (max(n - 1, 1) if config.center else n),
+        scatters.append(Y.T @ Y)
+        counts.append(Y.shape[0])
+    scatters, n = np.stack(scatters), counts[0]
+    data = mdl.DataSummary.from_scatter(scatters, sum(counts), config.d1, config.d2)
+    targets = prior_targets_from_sample(scatters[0] / (max(n - 1, 1) if config.center else n),
                                         config.d1, config.d2)
     hyper = solve_hyper(targets)
     if not hyper.lower_variance > 0:
@@ -582,32 +585,30 @@ def _read_blocks(config: RunConfig):
             f"{paths[0]}: the Cholesky factor of the sample covariance has no strict-lower "
             f"part (lower_energy = {targets.lower_energy:.3g}), so the lower prior variance "
             f"solves to 0 and the posterior has no support")
-    return summaries, targets, hyper
+    return data, targets, hyper
 
 
 def fit(config: RunConfig) -> dict:
     """Run the configured inference and write draws.csv plus summary.json.
 
-    The blocks, prior targets and hyperparameters come from
-    :func:`_read_blocks`.  One season schedule (1 x 1 for static), one
-    layout and one posterior over the schedule serve every chain, and each
-    chain starts from one Uniform(-2, 2) draw.  The posterior's two
-    requests, the value and the gradient, are partials of
+    The data summary of every block, the prior targets and the
+    hyperparameters come from :func:`_read_blocks`.  One layout over the
+    summary's blocks (one for static) and one posterior of the summary
+    serve every chain, and each chain starts from one Uniform(-2, 2) draw.
+    The posterior's two requests, the value and the gradient, are partials of
     ``model.log_posterior_grad``; chains run in a process pool when
     SCKPD_THREADS is set above 1, which pickles the partials.  Weights are
     sorted (descending) within each draw before any summarization.
     """
-    summaries, targets, hyper = _read_blocks(config)
+    data, targets, hyper = _read_blocks(config)
     workers = min(_n_threads(), config.n_chains)
     warnings = []
     if hyper.degenerate:
         warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
                         "the shape was solved at the clamped target instead")
 
-    schedule = dyn.SeasonSchedule(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
-                                  blocks=tuple(summaries))
-    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, schedule.n_blocks)
-    value_fn, grad_fn = (partial(mdl.log_posterior_grad, layout=layout, data=schedule,
+    layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(data.scatters))
+    value_fn, grad_fn = (partial(mdl.log_posterior_grad, layout=layout, data=data,
                                  hyper=hyper, targets=targets, want=want)
                          for want in ("value", "grad"))
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
@@ -730,7 +731,7 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
     if bad.size:
         raise ValueError(f"{draws_path}: draw row {bad[0] + 1}: the 'chain' column holds "
                          f"{chain[bad[0]]:g}, not a whole number >= 0")
-    n_chains = int(chain.max()) + 1
+    n_chains = len(set(chain.tolist()))
     keep = [j for j, name in enumerate(columns) if name not in _BOOKKEEPING]
     stats = {columns[j]: entry
              for j, entry in zip(keep, _column_summaries(table[:, keep]))}

@@ -41,9 +41,9 @@ one block and no transition; :class:`SCKPDParams` holds the parameters of
 one block, as the simulator draws them and a one-block layout decodes them.
 
 One evaluation has no loop over blocks but the weight trajectory's.  The
-data are the (T, d1^2, d2^2) stack of the blocks' rearranged scatters (a
-fit's ``dynamic.SeasonSchedule`` stacks them once, and a one-block stack
-is a view); the dense contraction reads it back as the (T, d, d)
+data are the (T, d1^2, d2^2) stack of the blocks' rearranged scatters, a
+:class:`DataSummary` that a fit's block reader builds once from the
+stacked scatters; the dense contraction reads it back as the (T, d, d)
 scatters with one reshape per call.  A state decodes once: one
 exp over every coordinate after the strict lowers gives the diagonals, the
 gammas and the logistic values of the sticks and theta (the unconstrained
@@ -89,17 +89,19 @@ _ZERO = np.zeros(1)   # the value of the member entries no coordinate sets
 
 
 def vanloan_rearrange(S: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Rearrange a d1*d2 x d1*d2 matrix into the d1^2 x d2^2 form whose
-    rank-1 terms correspond to Kronecker terms of ``S``.
+    """Rearrange a d1*d2 x d1*d2 matrix, or each matrix of a (T, d1*d2,
+    d1*d2) stack, into the d1^2 x d2^2 form whose rank-1 terms correspond
+    to Kronecker terms of ``S``.
 
     Row (r, s) of the result is the row-major vectorization of the
     (r, s) block of ``S``; the rearrangement of ``np.kron(A, B)`` is the
     rank-1 outer product vec(A) vec(B)^T.
     """
     S = np.asarray(S, dtype=float)
-    if S.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix, got {S.shape}")
-    return _regroup(S, d1, d2, d1, d2)[0]
+    if S.shape[-2:] != (d1 * d2, d1 * d2):
+        raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix or a stack of them, "
+                         f"got {S.shape}")
+    return _regroup(S, d1, d2, d1, d2).reshape(S.shape[:-2] + (d1 * d1, d2 * d2))
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,14 @@ class SCKPDParams:
 
 @dataclass(frozen=True)
 class DataSummary:
-    """Sufficient statistics: the scatter sum_i y_i y_i^T in its Van Loan
-    rearrangement, the (d1^2, d2^2) form the trace term reads."""
+    """Sufficient statistics of T time-ordered blocks: every block's scatter
+    sum_i y_i y_i^T in its Van Loan rearrangement, stacked in the (T, d1^2,
+    d2^2) form the trace term reads, and their total observation count."""
 
     n_obs: int
     d1: int
     d2: int
-    scatter_rearranged: np.ndarray
+    scatters: np.ndarray
 
     @classmethod
     def from_observations(cls, Y: np.ndarray, d1: int, d2: int) -> "DataSummary":
@@ -145,13 +148,10 @@ class DataSummary:
 
     @classmethod
     def from_scatter(cls, scatter: np.ndarray, n_obs: int, d1: int, d2: int) -> "DataSummary":
+        """The summary of one block's scatter, or of a (T, d, d) stack of
+        the blocks' scatters with ``n_obs`` their total count."""
         return cls(n_obs=int(n_obs), d1=d1, d2=d2,
-                   scatter_rearranged=vanloan_rearrange(scatter, d1, d2))
-
-    @property
-    def scatters(self) -> np.ndarray:
-        """The (1, d1^2, d2^2) stack :func:`log_posterior_grad` reads: a view."""
-        return self.scatter_rearranged[None]
+                   scatters=vanloan_rearrange(scatter, d1, d2).reshape(-1, d1 * d1, d2 * d2))
 
 
 class _Decoded(NamedTuple):
@@ -587,11 +587,12 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
 def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
                        targets: PriorTargets, want: str = "both"):
     """Log posterior over the layout's blocks in unconstrained coordinates,
-    its exact gradient, or both.  ``data``, a :class:`DataSummary` or a
-    ``dynamic.SeasonSchedule``, gives the (T, d1^2, d2^2) rearranged
-    ``scatters`` and their total count ``n_obs`` (the shared diagonals make
-    the per-block counts enter only through their sum).  ``targets`` is
-    accepted for interface symmetry; the centering is baked into ``hyper``.
+    its exact gradient, or both.  ``data``, a :class:`DataSummary` (or a
+    ``dynamic.SeasonSchedule`` of one summary per block), gives the (T,
+    d1^2, d2^2) rearranged ``scatters`` and their total count ``n_obs``
+    (the shared diagonals make the per-block counts enter only through
+    their sum).  ``targets`` is accepted for interface symmetry; the
+    centering is baked into ``hyper``.
 
     ``want`` names the request.  ``"value"`` returns the value alone, a
     float, and computes no gradient term; ``"grad"`` returns the gradient

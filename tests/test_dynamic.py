@@ -7,7 +7,7 @@ from conftest import (SDParams, decode_blocks, log_likelihood, log_posterior, ma
                       random_dataset, summary_for, targets_and_hyper)
 from sckpd.dynamic import SDLayout, SeasonSchedule, sd_log_posterior_grad
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
-from sckpd.model import StateLayout, log_posterior_grad, omega_trajectory
+from sckpd.model import DataSummary, StateLayout, log_posterior_grad, omega_trajectory
 
 
 def _normalized(G):
@@ -26,6 +26,18 @@ def _schedule(rng, d1=3, d2=2, n_seasons=2, n_cycles=2, n=25):
     blocks = tuple(summary_for(random_dataset(d1, d2, n, rng), d1, d2)
                    for _ in range(n_seasons * n_cycles))
     return SeasonSchedule(n_seasons=n_seasons, n_cycles=n_cycles, blocks=blocks)
+
+
+def test_a_stacked_summary_is_the_schedule_of_its_blocks():
+    # the summary a fit builds from the stacked scatters holds the
+    # schedule's data bit for bit
+    rng = make_rng(61)
+    Ys = [random_dataset(3, 2, n, rng) for n in (25, 30, 18, 41)]
+    sched = SeasonSchedule(n_seasons=2, n_cycles=2,
+                           blocks=tuple(summary_for(Y, 3, 2) for Y in Ys))
+    stacked = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), 114, 3, 2)
+    assert np.array_equal(stacked.scatters, sched.scatters)
+    assert stacked.n_obs == sched.n_obs == 114
 
 
 def _sd_value(u, layout, sched, hyper, targets):

@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_ora
                       split_rhat_oracle)
 from sckpd import cli, harness, hmc
 from sckpd import model as mdl
-from sckpd.dynamic import SeasonSchedule
 from sckpd.harness import (PRESETS, RunConfig, _stat_columns, _stat_values, check_hyper, fit,
                            ingest_csv, read_config_file, simulate, strict_json, summarize_draws)
 from sckpd.hmc import Chain
@@ -722,12 +721,10 @@ def test_uniform_starts_are_in_the_support_at_the_largest_data(tmp_path, d1, d2,
         harness.write_csv_matrix(tmp_path / ("blocks" if seasonal else "") / name, scale * Y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        summaries, targets, hyper = harness._read_blocks(cfg)
-        schedule = SeasonSchedule(n_seasons=cfg.n_seasons, n_cycles=cfg.n_cycles,
-                                  blocks=tuple(summaries))
+        data, targets, hyper = harness._read_blocks(cfg)
         layout = StateLayout(d1, d2, 5, n_blocks)
         values = [mdl.log_posterior_grad(harness._draw_init(0, c, layout.size), layout,
-                                         schedule, hyper, targets, want="value")
+                                         data, hyper, targets, want="value")
                   for c in range(100)]
     assert np.isfinite(values).all()
 
@@ -746,9 +743,10 @@ def test_a_malformed_later_block_is_named(tmp_path, run):
 def test_input_of_the_wrong_kind_names_the_kind_and_the_path(tmp_path, run):
     static = _small_fit_config(tmp_path)
     sim = tmp_path / "sim"
+    seasonal = "a directory of the data_cC_sS.csv files of its n_seasons = 2 x n_cycles = 1 blocks"
     wrong = {"fit-static": (str(sim), f"reads one CSV file: {sim} is a directory"),
-             "fit-dynamic": (str(sim / "data.csv"), "reads a directory of data_cC_sS.csv "
-                             f"files: {sim / 'data.csv'} is not a directory")}
+             "fit-dynamic": (str(sim / "data.csv"),
+                             f"reads {seasonal}: {sim / 'data.csv'} is not a directory")}
     for mode, (path, message) in wrong.items():
         blocks = 2 if mode == "fit-dynamic" else 1
         cfg = RunConfig.from_dict({**static.__dict__, "mode": mode, "n_seasons": blocks,
@@ -756,6 +754,20 @@ def test_input_of_the_wrong_kind_names_the_kind_and_the_path(tmp_path, run):
         with pytest.raises(ValueError) as raised:
             run(cfg)
         assert str(raised.value) == f"mode '{mode}' {message}"
+    # a missing file is named, with what the mode reads, before any block is
+    # ingested: the seasonal run's first block is malformed
+    (sim / "data.csv").unlink()
+    (tmp_path / "one").mkdir()
+    _write(tmp_path / "one" / "data_c1_s1.csv", "1,2,oops\n")
+    missing = {"fit-static": (sim / "data.csv", "one CSV file"),
+               "fit-dynamic": (tmp_path / "one" / "data_c1_s2.csv", seasonal)}
+    for mode, (path, kind) in missing.items():
+        blocks = 2 if mode == "fit-dynamic" else 1
+        cfg = RunConfig.from_dict({**static.__dict__, "mode": mode, "n_seasons": blocks,
+                                   "input_path": str(path.parent if blocks > 1 else path)})
+        with pytest.raises(ValueError) as raised:
+            run(cfg)
+        assert str(raised.value) == f"mode '{mode}' reads {kind}: there is no file {path}"
 
 
 def _draws_file(tmp_path: Path, text: str) -> Path:
@@ -791,6 +803,9 @@ def test_summarize_draws_rejects_table_without_chain_column(tmp_path):
     p = _draws_file(tmp_path, "draw,theta\n0,1.5\n1,2.5\n")
     with pytest.raises(ValueError, match=r"draws\.csv: line 1: header has no 'chain' column"):
         summarize_draws(p)
+    # the chains are the distinct values of the chain column, not its largest plus one
+    p = _draws_file(tmp_path, "chain,draw,theta\n0,0,1.5\n0,1,2.5\n5,0,3.5\n5,1,4.5\n")
+    assert summarize_draws(p)["n_chains"] == 2
 
 
 def test_summarize_draws_rejects_ragged_row(tmp_path):
@@ -818,6 +833,17 @@ def test_summarize_draws_rejects_non_finite_field(tmp_path, field, message):
         with pytest.raises(ValueError) as raised:
             summarize_draws(p)
     assert str(raised.value).startswith(f"{p}: {message}")
+
+
+def test_a_run_config_is_valid_by_construction():
+    # a config is checked once, when it is built, and cannot change after
+    with pytest.raises(ValueError, match="input_path"):
+        RunConfig(mode="fit-static")
+    cfg = RunConfig(mode="simulate-static")
+    with pytest.raises(FrozenInstanceError):
+        cfg.n_chains = 0
+    with pytest.raises(ValueError, match="n_chains"):
+        replace(cfg, n_chains=0)
 
 
 def test_config_validation():
@@ -896,12 +922,13 @@ _SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n
     ("sim_transition_alpha", float("inf")),
 ])
 def test_bad_simulation_inputs_fail_at_the_boundary(tmp_path, field, value):
-    # each is refused before any draw, with a message naming its field
-    config = RunConfig(**{**_SMALL_DESIGN, "output_dir": str(tmp_path / "sim"), field: value})
+    # each is refused when the config is built, before any draw, with a
+    # message naming its field
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=field):
-            simulate(config)
+            simulate(RunConfig(**{**_SMALL_DESIGN, "output_dir": str(tmp_path / "sim"),
+                                  field: value}))
     assert not (tmp_path / "sim").exists()
 
 
@@ -984,10 +1011,11 @@ def test_cli_simulate_and_check_hyper(tmp_path):
 
 def _loaded_after(code: str, *args) -> str:
     """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
-    of scipy, yaml and numpy.ma it loaded, as the sorted list of their names."""
+    of scipy, yaml, numpy.ma and sckpd.dynamic it loaded, as the sorted list
+    of their names."""
     probe = (f"import sys\n{code}\n"
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}\n"
-             "             | {'numpy.ma'} & set(sys.modules)))\n"
+             "             | {'numpy.ma', 'sckpd.dynamic'} & set(sys.modules)))\n"
              "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -997,8 +1025,8 @@ def _loaded_after(code: str, *args) -> str:
 @pytest.fixture(scope="module")
 def loaded_by_run(tmp_path_factory) -> dict:
     """Run every subcommand on tiny inputs, and ``import sckpd``, each in a
-    fresh interpreter; map each run's name to the scipy, yaml and numpy.ma
-    it loaded."""
+    fresh interpreter; map each run's name to the scipy, yaml, numpy.ma and
+    sckpd.dynamic it loaded."""
     tmp_path = tmp_path_factory.mktemp("imports")
     config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
                     "n_truth_components: 2\nomega_weights: [1.0, 3.0]\nn_obs: 60\n")
@@ -1042,6 +1070,12 @@ def test_fit_and_summarize_load_no_numpy_ma(loaded_by_run):
     assert {run for run, loaded in loaded_by_run.items() if "numpy.ma" in loaded} == set()
 
 
+def test_no_run_loads_the_seasonal_vocabulary(loaded_by_run):
+    # a fit's block reader stacks the blocks' scatters into one summary:
+    # sckpd.dynamic is for the benchmark and the tests, and no subcommand loads it
+    assert {run for run, loaded in loaded_by_run.items() if "sckpd.dynamic" in loaded} == set()
+
+
 def test_fit_loads_no_scipy(loaded_by_run):
     # every run is its own process, and importing scipy costs more than a
     # small fit's sampling: no subcommand loads it
@@ -1054,6 +1088,23 @@ def test_cli_config_file_must_hold_a_mapping(tmp_path):
     assert out.returncode == 2
     err = json.loads(out.stderr)
     assert err == {"error": "ValueError", "message": "config file must hold a key/value mapping"}
+
+
+def test_cli_usage_errors_are_one_json_line(capsys):
+    # a usage error is reported as every other failure is, and a flag is
+    # typed and refused as its config-file value is; --help still exits 0
+    for argv, named in ((["fit", "--chains", "two", "--input", "d.csv"], "n_chains"),
+                        (["fit", "--preset", "nope", "--input", "d.csv"], "preset"),
+                        (["fit", "--bogus", "1"], "--bogus"),
+                        ([], "command"),
+                        (["summarize"], "draws_file")):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert named in json.loads(err)["message"], argv
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["fit", "--help"])
+    assert exited.value.code == 0
 
 
 def test_cli_error_is_machine_readable(tmp_path):

@@ -191,7 +191,7 @@ def test_trace_core_matches_dense_gradient(dims, K):
         cases.append((Y, random_params(d1, d2, K, rng)))
     members1 = np.stack([_members(p.lowers1, p.d1_diag) for _, p in cases])
     members2 = np.stack([_members(p.lowers2, p.d2_diag) for _, p in cases])
-    scatters = np.stack([summary_for(Y, d1, d2).scatter_rearranged for Y, _ in cases])
+    scatters = np.concatenate([summary_for(Y, d1, d2).scatters for Y, _ in cases])
     dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in cases]
     dense_value = sum(v for v, _ in dense)
     C = _coupling(K)
@@ -430,7 +430,8 @@ def test_scatter_rearranged_round_trip():
     Y = random_dataset(4, 5, 30, rng)
     data = summary_for(Y, 4, 5)
     S = Y.T @ Y
-    assert np.array_equal(vanloan_unrearrange(data.scatter_rearranged, 4, 5), S)
+    assert data.scatters.shape == (1, 16, 25)
+    assert np.array_equal(vanloan_unrearrange(data.scatters[0], 4, 5), S)
 
 
 def _outside_support_states(layout, rng):
