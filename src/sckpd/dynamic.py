@@ -38,6 +38,7 @@ class SeasonSchedule:
     n_cycles: int
     blocks: tuple[DataSummary, ...]
     scatters: np.ndarray = field(init=False, repr=False, compare=False)
+    dense: np.ndarray = field(init=False, repr=False, compare=False)
     n_obs: int = field(init=False)
 
     def __post_init__(self):
@@ -46,7 +47,8 @@ class SeasonSchedule:
         d1, d2 = self.blocks[0].d1, self.blocks[0].d2
         if any(b.d1 != d1 or b.d2 != d2 for b in self.blocks):
             raise ValueError("all blocks must share the mode dimensions")
-        object.__setattr__(self, "scatters", np.concatenate([b.scatters for b in self.blocks]))
+        for name in ("scatters", "dense"):
+            object.__setattr__(self, name, np.concatenate([getattr(b, name) for b in self.blocks]))
         object.__setattr__(self, "n_obs", sum(b.n_obs for b in self.blocks))
 
     @property

@@ -646,12 +646,13 @@ def _draw_table(config: RunConfig, layout: mdl.StateLayout, chains: list[Chain])
         n = len(chain.draws)
         table[r:r + n, :nb] = np.column_stack([np.full(n, ci), np.arange(n), chain.accept_flags,
                                                chain.divergence_flags, chain.energies])
-        for u in chain.draws:
-            s = layout._decode(u, jacobian=False)
-            table[r, nb] = s.theta
-            table[r, nb + 1:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas,
-                                             s.members1, s.members2)
-            r += 1
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for u in chain.draws:
+                s = layout._decode(u, jacobian=False)
+                table[r, nb] = s.theta
+                table[r, nb + 1:] = _stat_values(s.d1_diag, s.d2_diag, s.omegas,
+                                                 s.members1, s.members2)
+                r += 1
     return table, columns
 
 

@@ -92,23 +92,24 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
     minv = np.ones_like(q) if mass_inv is None else mass_inv
     full = step_size * minv
     half = 0.5 * step_size * minv
+    zero, move = np.zeros_like(q), np.empty_like(q)
     with np.errstate(over="ignore", invalid="ignore"):
         q += half * p
         for step in range(n_steps):
-            p += step_size * grad_fn(q)
-            q += (full if step < n_steps - 1 else half) * p
+            p += np.multiply(step_size, grad_fn(q), out=move)
+            q += np.multiply(full if step < n_steps - 1 else half, p, out=move)
             # minv is finite and positive, so a non-finite gradient makes q
-            # non-finite in this same step: one check covers both
-            if not np.isfinite(q).all():
+            # non-finite, whose product with 0 is then NaN: one check for both
+            if not math.isfinite(q @ zero):
                 raise TrajectoryDivergence(step)
     return q, p
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _kinetic(p: np.ndarray, mass_inv: np.ndarray) -> float:
     """0.5 p^T M^-1 p; a momentum so large that this overflows gives inf
     without a warning, and the caller treats the proposal as divergent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * float(np.sum(p * p * mass_inv))
+    return 0.5 * float(np.sum(p * p * mass_inv))
 
 
 def _trajectory(value_fn, grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,

@@ -88,12 +88,16 @@ def digamma(x: float) -> float:
     while x < _SHIFT:
         acc -= 1.0 / x
         x += 1.0
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    p = inv2
-    for b in _PSI0_TAIL:
-        s += b * p
-        p *= inv2
+    # the series in p_k = x^(-2k), unrolled in its order: each power is the
+    # last one times p1, and the terms add from the first
+    p1 = 1.0 / (x * x)
+    p2 = p1 * p1
+    p3 = p2 * p1
+    p4 = p3 * p1
+    p5 = p4 * p1
+    p6 = p5 * p1
+    b1, b2, b3, b4, b5, b6, b7 = _PSI0_TAIL
+    s = b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * (p6 * p1)
     return acc + math.log(x) - 0.5 / x - s
 
 

@@ -18,8 +18,8 @@ and d = d1 d2:
 
 - through the dense factor: the rearrangement of L is U~^T C V~, with U~,
   V~ the members stacked as rows vec(U_a), vec(V_b), so one product and
-  one inverse rearrangement give L; then tr(L L^T S) = <L, S L>.  It costs
-  about d^3 + 3 m d1^2 d2^2 multiply-adds.
+  one take give L; then tr(L L^T S) = <L, S L>.  It costs about d^3 +
+  3 m d1^2 d2^2 multiply-adds.
 - through the pair products, never forming a d-sized matrix:
 
       tr(L L^T S) = sum C[a,b] C[a',b'] vec(U_a U_a'^T)^T R vec(V_b V_b'^T)
@@ -41,35 +41,35 @@ one block and no transition; :class:`SCKPDParams` holds the parameters of
 one block, as the simulator draws them and a one-block layout decodes them.
 
 One evaluation has no loop over blocks but the weight trajectory's.  The
-data are the (T, d1^2, d2^2) stack of the blocks' rearranged scatters, a
-:class:`DataSummary` that a fit's block reader builds once from the
-stacked scatters; the dense contraction reads it back as the (T, d, d)
-scatters with one reshape per call.  A state decodes once: one
-exp over every coordinate after the strict lowers gives the diagonals, the
-gammas and the logistic values of the sticks and theta (the unconstrained
-reparameterizations: log for positives, a centered stick-breaking map for
-the simplex, logit for the unit interval; see :class:`StateLayout`); one
-gather gives the (T, K+1, d, d) member stacks of every block in one
-buffer; and the column normalization of gamma gives the weight
-trajectory, which the posterior and the draws table both read.  All T trace terms and their
-member gradients are batched matrix products, the member gradients land
-in one buffer, and one index read each takes back every strict-lower and
-every diagonal gradient.  The value's terms linear in the coordinates or
-in their exps are a few dot products.  What depends only on the shapes
-(the contraction and its coupling, the exp signs and offsets, the dot
-product weights, the gather and read-back index maps) is built once, by
-:class:`StateLayout`.
+data are a :class:`DataSummary`, built once by a fit's block reader: the
+(T, d, d) stack of the blocks' scatters, which the dense contraction
+multiplies as it is, and its (T, d1^2, d2^2) rearrangement, which the
+pair products read.  A state decodes once: one exp over every coordinate
+after the strict lowers gives the diagonals, the gammas and the logistic
+values of the sticks and theta (the unconstrained reparameterizations:
+log for positives, a centered stick-breaking map for the simplex, logit
+for the unit interval; see :class:`StateLayout`); one take gives the
+member rows [vec(U_a), vec(V_a)] of every block, so that one product
+couples both modes; and the column normalization of gamma gives the
+weight trajectory, which the posterior and the draws table both read.
+All T trace terms and their member gradients are batched matrix
+products; the gradients come laid out as the rows, and one take reads
+back every strict-lower and every diagonal gradient.  The value's terms
+linear in the coordinates or in their exps are a few dot products, and
+the gradient of the coordinates after the strict lowers is taken on
+Python floats.  What depends only on the shapes is built once:
+:func:`trace_contraction` binds the contraction's coupling and, for the
+dense one, the index maps that rearrange both ways; :class:`StateLayout`
+holds the exp signs and offsets, the dot-product weights and the gather
+and read-back index maps.  The data and the prior are read from their
+own objects on every call; nothing is kept on the layout between calls.
 
 An evaluation computes only what its caller reads, named by one of two
 requests (or both, the default).  The value request, which the sampler
 makes at the end of each trajectory, skips the member gradients, their
 read-back, the digammas and the pass back over the weights; the gradient
 request, which it makes at each leapfrog step, skips the log-Jacobian,
-the lgamma and Gamma-density terms and the value's dot products.  A
-state outside the floating-point support is found by the decode's check
-or by one finiteness check of what the request computed, and gives -inf
-for the value request, zeros for the gradient request and (-inf, zeros)
-for both, without a RuntimeWarning.
+the lgamma and Gamma-density terms and the value's dot products.
 """
 
 from __future__ import annotations
@@ -131,13 +131,15 @@ class SCKPDParams:
 @dataclass(frozen=True)
 class DataSummary:
     """Sufficient statistics of T time-ordered blocks: every block's scatter
-    sum_i y_i y_i^T in its Van Loan rearrangement, stacked in the (T, d1^2,
-    d2^2) form the trace term reads, and their total observation count."""
+    sum_i y_i y_i^T, stacked as the trace contractions read them, in their
+    Van Loan rearrangement (``scatters``, (T, d1^2, d2^2)) and as they are
+    (``dense``, (T, d, d)), and their total observation count."""
 
     n_obs: int
     d1: int
     d2: int
     scatters: np.ndarray
+    dense: np.ndarray
 
     @classmethod
     def from_observations(cls, Y: np.ndarray, d1: int, d2: int) -> "DataSummary":
@@ -150,21 +152,21 @@ class DataSummary:
     def from_scatter(cls, scatter: np.ndarray, n_obs: int, d1: int, d2: int) -> "DataSummary":
         """The summary of one block's scatter, or of a (T, d, d) stack of
         the blocks' scatters with ``n_obs`` their total count."""
-        return cls(n_obs=int(n_obs), d1=d1, d2=d2,
-                   scatters=vanloan_rearrange(scatter, d1, d2).reshape(-1, d1 * d1, d2 * d2))
+        rearranged = vanloan_rearrange(scatter, d1, d2).reshape(-1, d1 * d1, d2 * d2)
+        return cls(n_obs=int(n_obs), d1=d1, d2=d2, scatters=rearranged,
+                   dense=np.ascontiguousarray(scatter, dtype=float).reshape(-1, d1 * d2, d1 * d2))
 
 
 class _Decoded(NamedTuple):
-    """One state decoded: the (T, K+1, d, d) member stacks [lowers,
-    diag(D)] of every block, the first block's weights with their break
-    fractions, theta, the transition gamma with its column normalization,
-    every block's weights and the log-Jacobian."""
+    """One state decoded: every block's member rows [vec(U_a), vec(V_a)] of
+    its two modes' members [lowers, diag(D)], the first block's weights with
+    their break fractions, theta, the transition gamma with its column
+    normalization, every block's weights and the log-Jacobian."""
 
-    members1: np.ndarray     # (T, K+1, d1, d1)
-    members2: np.ndarray     # (T, K+1, d2, d2)
+    members: np.ndarray      # (T, K+1, d1^2 + d2^2)
     d1_diag: np.ndarray
     d2_diag: np.ndarray
-    breaks: np.ndarray       # (K-1,) break fractions
+    breaks: list             # the K-1 break fractions
     omega1: np.ndarray
     theta: float
     gamma: np.ndarray | None        # (K, K), None for one block
@@ -172,6 +174,16 @@ class _Decoded(NamedTuple):
     omegas: np.ndarray              # (T, K) weight trajectory
     log_jac: float
     exps: np.ndarray                # the tail's exps, D1 and D2 and gamma among them
+
+    @property
+    def members1(self) -> np.ndarray:   # (T, K+1, d1, d1), a view of the rows
+        d = self.d1_diag.shape[0]
+        return self.members[..., :d * d].reshape(self.members.shape[:2] + (d, d))
+
+    @property
+    def members2(self) -> np.ndarray:   # (T, K+1, d2, d2), a view of the rows
+        d = self.d2_diag.shape[0]
+        return self.members[..., -d * d:].reshape(self.members.shape[:2] + (d, d))
 
 
 class StateLayout:
@@ -187,12 +199,12 @@ class StateLayout:
     and ``decode`` exchanges its :class:`SCKPDParams`.
 
     The forward maps (exp for the positives, the logistic function for the
-    sticks and theta, then :func:`stick_breaking`) and their log-Jacobians
+    sticks and theta, then the stick breaking) and their log-Jacobians
     are evaluated in one pass by ``_decode``, which also finds a state
     outside the floating-point support.  The stick-breaking map is centered
     (:func:`stick_offsets`), so the zero vector maps to the uniform simplex
-    point.  :func:`stick_breaking_grad` and :func:`interval_grad` pull a
-    gradient back to the sticks and to the logit of theta.
+    point.  :func:`stick_breaking_grad` pulls a gradient back to the
+    sticks.
     """
 
     def __init__(self, d1: int, d2: int, n_components: int, n_blocks: int = 1):
@@ -242,71 +254,75 @@ class StateLayout:
         W[:d1, 1] = W[d1:n_pos, 2] = 1.0
         W = self.exp_sum_weights = np.zeros((n_tail, 3))
         W[:d1, 0] = W[d1:n_pos, 1] = W[n_pos + K:, 2] = 1.0
-        # the (block, component) of every strict-lower coordinate; the flat
-        # member buffer, mode 1's (T, K+1, d1, d1) stack then mode 2's,
-        # gathered from [strict lowers, D1, D2, 0]; where the strict-lower
-        # coordinates (packing order) and the (T, d1 + d2) diagonal entries
-        # of the diagonal members sit in it; and the trace contraction
-        self.n_ent = self.m1 + self.m2
+        # the (block, component) of every strict-lower coordinate; the
+        # member rows, gathered from [strict lowers, D1, D2, 0]; where the
+        # strict-lower coordinates (packing order) and then the (T, d1 + d2)
+        # diagonal entries of the diagonal members sit in the rows, which
+        # is also where the trace term's member gradient holds them; and
+        # the trace contraction
+        self.n_ent = float(self.m1 + self.m2)
         self.lower_block = np.concatenate([np.repeat(np.arange(T * K), self.m1),
                                            np.repeat(np.arange(T * K), self.m2)])
-        zero = self.n_low + n_pos
-        self.n_members1 = T * (K + 1) * d1 * d1
-        source1, low1, diag1 = _member_maps(T, K, d1, self.tril1, 0, self.n_low, zero, 0)
-        source2, low2, diag2 = _member_maps(T, K, d2, self.tril2, self.sl_low2.start,
-                                            self.n_low + d1, zero, self.n_members1)
-        self.member_source = np.concatenate([source1, source2])
-        self.low_pos = np.concatenate([low1, low2])
-        self.diag_pos = np.concatenate([diag1, diag2], axis=1)
-        self.trace_core = trace_contraction(d1, d2, K)
+        width = d1 * d1 + d2 * d2
+        low1, diag1 = _member_maps(T, K, d1, self.tril1, width, 0)
+        low2, diag2 = _member_maps(T, K, d2, self.tril2, width, d1 * d1)
+        self.read_pos = np.concatenate([low1, low2, np.concatenate([diag1, diag2], 1).ravel()])
+        self.member_source = np.full((T, K + 1, width), self.n_low + n_pos)
+        self.member_source.put(self.read_pos, np.append(
+            np.arange(self.n_low), np.tile(np.arange(self.n_low, self.n_low + n_pos), T)))
+        self.zeros = np.zeros(self.size)
+        self.trace_core = trace_contraction(d1, d2, K, T)
 
     def _decode(self, u: np.ndarray, jacobian: bool = True) -> _Decoded:
         """Every decoded quantity at ``u``, from one exp over the tail.
 
         The log-Jacobian is -inf when ``u`` decodes outside the support in
         floating point: a diagonal or transition gamma underflows to 0 or
-        overflows, or theta or a stick-breaking coordinate saturates at 0
-        or 1.  The transition and the weight
-        trajectory are then not finite, and are computed without a
-        RuntimeWarning.  With ``jacobian`` false the support is checked
-        but the log-Jacobian's dot products are skipped: it reads 0.0
-        inside the support."""
+        overflows, theta saturates at 0 or 1, or a weight underflows to 0.
+        The transition and the weight trajectory are then not finite; the
+        callers (``decode``, the posterior, the draws table) hold the
+        error-state scope that ignores overflow, division by zero and
+        invalid operations.  With ``jacobian`` false the support is checked
+        but the log-Jacobian's dot products are skipped: it reads 0.0."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected a state vector of length {self.size}")
         K, d1, d2, n_low = self.n_components, self.d1, self.d2, self.n_low
         tail = u[n_low:]
-        with np.errstate(over="ignore"):
-            e = np.exp(tail * self.tail_sign + self.tail_offset)
-            w = e[self.sl_logistic]
-            z = 1.0 / (1.0 + w)
-            omega1, _ = stick_breaking(z[:-1])
-            theta = float(z[-1])
-            # a positive coordinate that leaves the support gives a zero or
-            # an infinite sum of the exps; a saturated logistic one gives a
-            # theta of 0 or 1 or a zero last weight
-            if not (e.min() > 0.0 and e.sum() < math.inf and 0.0 < theta < 1.0
-                    and omega1[-1] > 0.0):
-                log_jac = -math.inf
-            elif jacobian:
-                log_jac = (float(tail @ self.jac_weights) + self.jac_offset
-                           - float(np.log1p(w) @ self.log1p_weights))
-            else:
-                log_jac = 0.0
+        e = np.exp(tail * self.tail_sign + self.tail_offset)
+        w = e[self.sl_logistic]
+        # the logistic values of the sticks break the simplex: weight k is
+        # the stick left before break k times its fraction, the last weight
+        # the stick left after every break
+        *breaks, theta = [1.0 / (1.0 + x) for x in w.tolist()]
+        omega, left = [], 1.0
+        for zk in breaks:
+            omega.append(left * zk)
+            left = left * (1.0 - zk)
+        omega.append(left)
+        omega1 = np.array(omega)
+        # a saturated logistic coordinate gives a theta of 0 or 1 or a zero
+        # weight; a positive one that leaves the support gives a zero or an
+        # infinite sum of the exps
+        exps = e.tolist()
+        if not (0.0 < theta < 1.0 and min(omega) > 0.0 and min(exps) > 0.0
+                and sum(exps) < math.inf):
+            log_jac = -math.inf
+        elif jacobian:
+            log_jac = (float(tail @ self.jac_weights) + self.jac_offset
+                       - float(np.log1p(w) @ self.log1p_weights))
+        else:
+            log_jac = 0.0
         gamma = transition = None
         if self.n_blocks > 1:
             gamma = e[d1 + d2 + K:].reshape(K, K)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                transition = gamma / gamma.sum(axis=0, keepdims=True)
-                omegas = omega_trajectory(omega1, transition, self.n_blocks)
+            transition = gamma / gamma.sum(axis=0, keepdims=True)
+            omegas = omega_trajectory(omega1, transition, self.n_blocks)
         else:
             omegas = omega1[None]
         members = np.concatenate((u[:n_low], e[:d1 + d2], _ZERO)).take(self.member_source)
-        return _Decoded(members1=members[:self.n_members1].reshape(-1, K + 1, d1, d1),
-                        members2=members[self.n_members1:].reshape(-1, K + 1, d2, d2),
-                        d1_diag=e[:d1], d2_diag=e[d1:d1 + d2], breaks=z[:-1], omega1=omega1,
-                        theta=theta, gamma=gamma, transition=transition, omegas=omegas,
-                        log_jac=log_jac, exps=e)
+        return _Decoded(members, e[:d1], e[d1:d1 + d2], breaks, omega1, theta, gamma,
+                        transition, omegas, log_jac, e)
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams, float]:
         """One block's params plus the total log-Jacobian of the transform
@@ -314,7 +330,8 @@ class StateLayout:
         if self.n_blocks != 1:
             raise ValueError(f"decode gives one block's params; this layout has "
                              f"{self.n_blocks} blocks")
-        s = self._decode(u)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = self._decode(u)
         K = self.n_components
         return SCKPDParams(lowers1=s.members1[0, :K], lowers2=s.members2[0, :K],
                            d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega=s.omega1,
@@ -330,34 +347,21 @@ def stick_offsets(n_weights: int) -> np.ndarray:
     return np.log(np.arange(n_weights - 1, 0, -1, dtype=float))
 
 
-def stick_breaking(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The simplex vector of K-1 break fractions z in (0, 1), and the stick
-    left before each break (K-1 entries)."""
-    left = np.empty(z.shape[0] + 1)
-    left[0] = 1.0
-    np.multiply.accumulate(1.0 - z, out=left[1:])
-    omega = left.copy()
-    omega[:-1] *= z
-    return omega, left[:-1]
-
-
-def stick_breaking_grad(z: np.ndarray, omega: np.ndarray, grad_omega: np.ndarray) -> np.ndarray:
+def stick_breaking_grad(z, omega, grad_omega) -> list:
     """Pull a gradient w.r.t. the simplex vector back to the y coordinates,
     adding the gradient of log|det J| (the target density includes the
     change-of-variables term).  ``z`` and ``omega`` are the break fractions
-    and weights of the forward map at y."""
-    # with p = grad_omega * omega, d/dy_k of f(omega) + log|det J| is
-    # (1 - z_k)(p_k + 1) - z_k sum_{j>k} (p_j + 1), since d omega_j / d z_k
-    # is left_k at j == k and -omega_j/(1-z_k) for j > k, and log|det J|
-    # adds log z_k + log(1 - z_k) + log left_k
-    q = grad_omega * omega + 1.0
-    return (1.0 - z) * q[:-1] - z * np.add.accumulate(q[:0:-1])[::-1]
-
-
-def interval_grad(t: float, grad_t: float) -> float:
-    """Chain a gradient w.r.t. t in (0,1) back to the logit coordinate,
-    adding the gradient of the log-Jacobian."""
-    return float(grad_t * t * (1.0 - t) + (1.0 - 2.0 * t))
+    and weights of the forward map at y; the K-1 gradients come as a list."""
+    # with q = grad_omega * omega + 1, d/dy_k of f(omega) + log|det J| is
+    # (1 - z_k) q_k - z_k sum_{j>k} q_j, since d omega_j / d z_k is left_k
+    # at j == k and -omega_j/(1-z_k) for j > k, and log|det J| adds
+    # log z_k + log(1 - z_k) + log left_k
+    q = [g * w + 1.0 for g, w in zip(grad_omega, omega)]
+    out, later = [], q[-1]
+    for k in range(len(z) - 1, -1, -1):
+        out.append((1.0 - z[k]) * q[k] - z[k] * later)
+        later = later + q[k]
+    return out[::-1]
 
 
 def omega_trajectory(omega1: np.ndarray, A: np.ndarray | None, n_blocks: int) -> np.ndarray:
@@ -390,28 +394,18 @@ def log_det_ldagger(d1_diag: np.ndarray, d2_diag: np.ndarray) -> float:
 
 
 def _coupling(K: int) -> np.ndarray:
-    C = np.zeros((K + 1, K + 1))
+    C = np.ones((K + 1, K + 1))
     C[:K, :K] = np.eye(K)
-    C[:, K] = 1.0
-    C[K, :K] = 1.0
     return C
 
 
-def _member_maps(T: int, K: int, d: int, tril, low_start: int, diag_start: int, zero: int,
-                 base: int):
-    """Where one mode's (T, K+1, d, d) member stack, at offset ``base`` of
-    the flat member buffer, meets the packed coordinates: the position of
-    each of its entries in [strict lowers, D1, D2, 0], the buffer position
-    of each strict-lower coordinate (packing order), and the (T, d) buffer
-    positions of the diagonal member's diagonal."""
-    n_low = T * K * len(tril[0])
-    flat = np.arange(T * (K + 1) * d * d).reshape(T, K + 1, d, d)
-    low_pos = flat[:, :K, tril[0], tril[1]].reshape(-1)
-    diag_pos = flat[:, K, np.arange(d), np.arange(d)]
-    source = np.full(flat.size, zero)
-    source[low_pos] = low_start + np.arange(n_low)
-    source[diag_pos] = diag_start + np.arange(d)
-    return source, base + low_pos, base + diag_pos
+def _member_maps(T: int, K: int, d: int, tril, width: int, start: int):
+    """Where one mode's (T, K+1, d, d) member stack sits in (T, K+1) rows of
+    ``width`` entries, from entry ``start`` of each: the flat positions of
+    its strict-lower entries (packing order) and its diagonal's (T, d)."""
+    rows = np.arange(T * (K + 1) * width).reshape(T, K + 1, width)
+    flat = rows[:, :, start:start + d * d].reshape(T, K + 1, d, d)
+    return flat[:, :K, tril[0], tril[1]].reshape(-1), flat[:, K, np.arange(d), np.arange(d)]
 
 
 def _members(low: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -444,27 +438,26 @@ def _regroup(x: np.ndarray, p: int, q: int, r: int, s: int) -> np.ndarray:
     return x.reshape(-1, p, q, r, s).swapaxes(2, 3).reshape(-1, p * r, q * s)
 
 
-def _trace_dense(members1: np.ndarray, members2: np.ndarray, scatters: np.ndarray,
-                 want_grad: bool, coupling: np.ndarray):
+def _trace_dense(members: np.ndarray, data, want: str, coupling: np.ndarray,
+                 to_dense: np.ndarray, to_rearranged: np.ndarray):
     """sum_t tr(L_t L_t^T S_t) = sum_t <L_t, S_t L_t> through every block's
-    dense factor.  The gradient w.r.t. the rearrangement U~^T C V~ of L is
-    2 H, H the rearrangement of S L, so the member gradients are
-    2 (C V~) H^T and 2 (C U~) H, written into one flat buffer in the
-    member-buffer layout."""
-    T, m, d1, _ = members1.shape
-    d2 = members2.shape[-1]
-    U = members1.reshape(T, m, d1 * d1)
-    CV = coupling @ members2.reshape(T, m, d2 * d2)
-    L = _regroup(U.transpose(0, 2, 1) @ CV, d1, d1, d2, d2)
-    SL = _regroup(scatters, d1, d1, d2, d2) @ L
-    value = float(np.vdot(L, SL))
-    if not want_grad:
+    dense factor.  The member rows hold U~ and V~ side by side, so one
+    product gives C U~ and C V~.  The gradient w.r.t. the rearrangement
+    U~^T C V~ of L is 2 H, H the rearrangement of S L, so the member
+    gradients are 2 (C V~) H^T and 2 (C U~) H, laid out as the rows.  The
+    index maps ``to_dense`` and ``to_rearranged`` rearrange by one take."""
+    n = to_rearranged.shape[1]      # d1^2
+    CM = coupling @ members
+    CV = CM[..., n:]
+    L = (members[..., :n].transpose(0, 2, 1) @ CV).take(to_dense)
+    SL = data.dense @ L
+    value = float(np.vdot(L, SL)) if want != "grad" else None
+    if want == "value":
         return value, None
-    H = _regroup(SL, d1, d2, d1, d2)
-    grad = np.empty(T * m * (d1 * d1 + d2 * d2))
-    n1 = T * m * d1 * d1
-    np.matmul(CV, H.transpose(0, 2, 1), out=grad[:n1].reshape(T, m, d1 * d1))
-    np.matmul(coupling @ U, H, out=grad[n1:].reshape(T, m, d2 * d2))
+    H = SL.take(to_rearranged)
+    grad = np.empty(members.shape)
+    np.matmul(CV, H.transpose(0, 2, 1), out=grad[..., :n])
+    np.matmul(CM[..., :n], H, out=grad[..., n:])
     grad *= 2.0
     return value, grad
 
@@ -478,54 +471,57 @@ def _pair_products(members: np.ndarray) -> np.ndarray:
             .transpose(0, 1, 3, 2, 4).reshape(T, m * m, d * d))
 
 
-def _member_grad(dP: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
+def _member_grad(dP: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the pair-product rows back to the members of
-    every block, into the flat ``out``: with W[a,a'] row (a, a') of ``dP``
+    every block, as (T, K+1, d^2) rows: with W[a,a'] row (a, a') of ``dP``
     as a matrix, the gradient of sum <M_a M_a'^T, W[a,a']> w.r.t. M_l is
     sum_a' W[l,a'] M_a' + sum_a W[a,l]^T M_a."""
     T, m, d, _ = members.shape
     W = dP.reshape(T, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(T, m * d, m * d)
-    np.matmul(W + W.transpose(0, 2, 1), members.reshape(T, m * d, d),
-              out=out.reshape(T, m * d, d))
+    return ((W + W.transpose(0, 2, 1)) @ members.reshape(T, m * d, d)).reshape(T, m, d * d)
 
 
-def _trace_pairs(members1: np.ndarray, members2: np.ndarray, scatters: np.ndarray,
-                 want_grad: bool, coupling_pairs: np.ndarray):
+def _trace_pairs(members: np.ndarray, data, want: str, coupling_pairs: np.ndarray,
+                 d1: int, d2: int):
     """sum_t tr(L_t L_t^T S_t) = sum_t <CC, PU_t R_t QV_t^T> over the pair
     products of every block's members, never forming a d1*d2-sized
-    matrix; the member gradients go into one flat buffer in the
-    member-buffer layout."""
-    PU = _pair_products(members1)
-    QV = _pair_products(members2)
+    matrix; the member gradients are written side by side as the rows
+    are."""
+    T, m, _ = members.shape
+    members1 = members[..., :d1 * d1].reshape(T, m, d1, d1)
+    members2 = members[..., d1 * d1:].reshape(T, m, d2, d2)
+    PU, QV, scatters = _pair_products(members1), _pair_products(members2), data.scatters
     dPU = coupling_pairs @ (QV @ scatters.transpose(0, 2, 1))       # dT/dPU
-    value = float(np.vdot(PU, dPU))
-    if not want_grad:
+    value = float(np.vdot(PU, dPU)) if want != "grad" else None
+    if want == "value":
         return value, None
-    grad = np.empty(members1.size + members2.size)
-    _member_grad(dPU, members1, grad[:members1.size])
     # CC is symmetric, so dT/dQV = CC PU R
-    _member_grad(coupling_pairs @ (PU @ scatters), members2, grad[members1.size:])
-    return value, grad
+    return value, np.concatenate([_member_grad(dPU, members1),
+                                  _member_grad(coupling_pairs @ (PU @ scatters), members2)], 2)
 
 
-def trace_contraction(d1: int, d2: int, n_components: int) -> partial:
+def trace_contraction(d1: int, d2: int, n_components: int, n_blocks: int = 1) -> partial:
     """The contraction of the trace term with fewer flops at this shape (the
-    counts are in the module docstring), with its coupling bound:
-    ``core(members1, members2, scatters, want_grad)`` gives the summed
-    trace and the flat member gradient."""
+    counts are in the module docstring), with its constants bound:
+    ``core(members, data, want)`` gives, from the (T, K+1, d1^2 + d2^2)
+    member rows of ``n_blocks`` blocks, the summed trace (None for the
+    "grad" request) and the member gradient laid out as the rows (None
+    for the "value" request)."""
     m, d = n_components + 1, d1 * d2
     C = _coupling(n_components)
     if d ** 3 + 3 * m * d * d < 2 * m * m * d * d + m ** 4 * (d1 * d1 + d2 * d2):
-        return partial(_trace_dense, coupling=C)
-    return partial(_trace_pairs, coupling_pairs=np.kron(C, C))
+        index = np.arange(n_blocks * d * d)
+        return partial(_trace_dense, coupling=C, to_dense=_regroup(index, d1, d1, d2, d2),
+                       to_rearranged=_regroup(index, d1, d2, d1, d2))
+    return partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2)
 
 
 def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
-    """tr(L L^T sum_i y_i y_i^T) evaluated on the rearranged scatter."""
+    """tr(L L^T sum_i y_i y_i^T) by the contraction the shape picks."""
     core = trace_contraction(params.d1, params.d2, params.n_components)
-    value, _ = core(_members(params.lowers1, params.d1_diag)[None],
-                    _members(params.lowers2, params.d2_diag)[None],
-                    data.scatters, want_grad=False)
+    rows = [_members(low, diag).reshape(params.n_components + 1, -1)
+            for low, diag in ((params.lowers1, params.d1_diag), (params.lowers2, params.d2_diag))]
+    value, _ = core(np.concatenate(rows, axis=1)[None], data, "value")
     return value
 
 
@@ -552,16 +548,6 @@ def _prior_value(scaled, omegas, theta, n_ent: int, hyper: SolvedHyper) -> float
             + lgamma(K * theta) - K * lgamma(theta) + (theta - 1.0) * log_w[0])
 
 
-def _prior_grad(scaled, omegas, theta, n_ent: int):
-    """The gradients of :func:`_prior_value` w.r.t. the (T, K) block weights
-    taken as free and w.r.t. theta."""
-    K = omegas.shape[1]
-    g_omegas = 0.5 * (scaled - n_ent) / omegas
-    g_omegas[0] += (theta - 1.0) / omegas[0]
-    g_theta = K * digamma(K * theta) - K * digamma(theta) + float(np.log(omegas[0]).sum())
-    return g_omegas, g_theta
-
-
 def log_prior(params: SCKPDParams, hyper: SolvedHyper,
               targets: PriorTargets | None = None) -> float:
     """Sum of all component log prior densities of one block.
@@ -584,21 +570,24 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
             + _gamma_logpdf(D2.size, np.log(D2).sum(), D2.sum(), hyper.shape2, hyper.rate2))
 
 
+# one error-state scope, entered once per call, covers the decode and the
+# whole evaluation: weights so small that the lower variances underflow, a
+# prior or gradient term that overflows, or a trace term that overflows
+# (huge diagonals) leave the support; the value or gradient comes out
+# non-finite and is checked once, at the end
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
                        targets: PriorTargets, want: str = "both"):
     """Log posterior over the layout's blocks in unconstrained coordinates,
     its exact gradient, or both.  ``data``, a :class:`DataSummary` (or a
-    ``dynamic.SeasonSchedule`` of one summary per block), gives the (T,
-    d1^2, d2^2) rearranged ``scatters`` and their total count ``n_obs``
-    (the shared diagonals make the per-block counts enter only through
-    their sum).  ``targets`` is accepted for interface symmetry; the
-    centering is baked into ``hyper``.
+    ``dynamic.SeasonSchedule`` of one summary per block), gives the blocks'
+    scatters and their total count ``n_obs`` (the shared diagonals make the
+    per-block counts enter only through their sum).  ``targets`` is
+    accepted for interface symmetry; the centering is baked into ``hyper``.
 
-    ``want`` names the request.  ``"value"`` returns the value alone, a
-    float, and computes no gradient term; ``"grad"`` returns the gradient
-    alone, a fresh array, and computes no term that only the value needs;
-    ``"both"`` returns (value, gradient).  Each request's numbers are those
-    of the combined call.
+    ``want`` names the request: ``"value"`` returns the value alone, a
+    float; ``"grad"`` the gradient alone, a fresh array; ``"both"`` (value,
+    gradient).  Each request's numbers are those of the combined call.
 
     Value = per-block likelihoods + priors + log-Jacobians of all
     transforms.  Likelihood blocks are independent given the parameters;
@@ -607,10 +596,8 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     pass over the chain.  Outside the support the value request returns
     -inf, the gradient request zeros and the combined call (-inf, zeros),
     all without a RuntimeWarning; the sampler treats those as divergent
-    proposals.  The value request finds the state outside when the decode
-    or the value leaves the floating-point range, the gradient request
-    when the decode or the gradient does, and the combined call when any
-    of these does.
+    proposals.  Each request finds the state outside when the decode or
+    what it computes leaves the floating-point range.
     """
     if want not in ("value", "grad", "both"):
         raise ValueError(f"want must be 'value', 'grad' or 'both', got {want!r}")
@@ -620,65 +607,70 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     if scatters.shape != (T, d1 * d1, d2 * d2):
         raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
                          f"the data rearranged scatters of shape {scatters.shape}")
-    beta = hyper.lower_variance
+    beta, n_low, value, grad = hyper.lower_variance, layout.n_low, 0.0, None
     s = layout._decode(u, jacobian=wants_value)
-    if not s.log_jac > -np.inf or beta <= 0.0:
+    if not s.log_jac > -math.inf or beta <= 0.0:
         return _outside(want, layout.size)
-    D1, D2, G, A, omegas, theta = s.d1_diag, s.d2_diag, s.gamma, s.transition, s.omegas, s.theta
-    n_low = layout.n_low
-    value, grad = 0.0, None
-    # weights so small that the lower variances underflow, a prior or
-    # gradient term that overflows, or a trace term that overflows (huge
-    # diagonals) leave the support: the value or gradient comes out
-    # non-finite and is checked once, at the end
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lows = u[:n_low]
-        lows_var = lows / (omegas * beta).take(layout.lower_block)
-        scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
-        trace, g_members = layout.trace_core(s.members1, s.members2, scatters, wants_grad)
-        if wants_value:
-            prior = _prior_value(scaled, omegas, theta, layout.n_ent, hyper)
-            logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
-            sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
-            value = (s.log_jac + prior - 0.5 * trace
-                     + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
-                     + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
-                     + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
-                     - sum_g)   # the gammas' Gamma(1, 1) prior: 0.0 for one block
+    omegas, theta = s.omegas, s.theta
+    lows = u[:n_low]
+    lows_var = lows / (omegas * beta).take(layout.lower_block)
+    scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
+    trace, g_members = layout.trace_core(s.members, data, want)
+    if wants_value:
+        prior = _prior_value(scaled, omegas, theta, layout.n_ent, hyper)
+        logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
+        sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
+        value = (s.log_jac + prior - 0.5 * trace
+                 + _gamma_logpdf(d1, log_d1, sum_d1, hyper.shape1, hyper.rate1)
+                 + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
+                 + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
+                 - sum_g)   # the gammas' Gamma(1, 1) prior: 0.0 for one block
 
-        if wants_grad:
-            grad = np.empty(layout.size)
-            g_omegas, g_theta = _prior_grad(scaled, omegas, theta, layout.n_ent)
-
-            # strict lowers: the N(0, omega beta) prior and the trace term
-            grad[:n_low] = -0.5 * g_members.take(layout.low_pos) - lows_var
-
-            # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
-            # where the 1/D terms of the log-determinant and the Gamma prior
-            # times D are the constants n d2 and shape - 1: with the 1 they
-            # add n d2 + shape, without dividing by D
-            g_D = -0.5 * g_members.take(layout.diag_pos).sum(axis=0)
-            grad[layout.sl_logd1] = (g_D[:d1] - hyper.rate1) * D1 + (n_obs * d2 + hyper.shape1)
-            grad[layout.sl_logd2] = (g_D[d1:] - hyper.rate2) * D2 + (n_obs * d1 + hyper.shape2)
-
-            # the weights enter only the priors, every block's through
-            # omega_{t+1} = A omega_t: a reverse pass gives the gradient
-            # w.r.t. each block's weights, lams[0] the first block's
-            lams = g_omegas
-            for t in range(T - 2, -1, -1):
+    if wants_grad:
+        # the weights enter only the priors, every block's through
+        # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
+        # each block's weights, lam0 the first's with its Dirichlet prior
+        A, omega = s.transition, s.omega1.tolist()
+        lam0 = [0.5 * (c - layout.n_ent) / w + (theta - 1.0) / w
+                for c, w in zip(scaled[0].tolist(), omega)]
+        if T > 1:
+            lams = 0.5 * (scaled - layout.n_ent) / omegas
+            for t in range(T - 2, 0, -1):
                 lams[t] += np.dot(A.T, lams[t + 1])
-            grad[layout.sl_sticks] = stick_breaking_grad(s.breaks, s.omega1, lams[0])
-            grad[layout.sl_theta] = interval_grad(theta, g_theta)
+            lam0 = [g + a for g, a in zip(lam0, np.dot(A.T, lams[1]).tolist())]
+        g_theta = (K * digamma(K * theta) - K * digamma(theta)
+                   + float(np.add.reduce(np.log(s.omega1))))
 
-            # the transition's gradient sums lams[t+1] omegas[t]^T over the
-            # steps; chain it back to the gammas (log coordinates) through
-            # the column normalization A = G / colsum(G), whose Jacobian
-            # times G is (g_A - colsum(g_A A)) A
-            if T > 1:
-                g_A = lams[1:].T @ omegas[:-1]
-                grad[layout.sl_gammas] = ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - G)).ravel()
+        # strict lowers: the N(0, omega beta) prior and the trace term; one
+        # take reads their member gradients and the diagonal members'
+        g_read = g_members.take(layout.read_pos)
+        grad = np.empty(layout.size)
+        np.subtract(-0.5 * g_read[:n_low], lows_var, out=grad[:n_low])
+        g_D = np.add.reduce(g_read[n_low:].reshape(T, d1 + d2)).tolist()
 
-    if not (math.isfinite(value) and (grad is None or np.isfinite(grad).all())):
+        # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
+        # where the 1/D terms of the log-determinant and the Gamma prior
+        # times D are the constants n d2 and shape - 1: with the 1 they
+        # add n d2 + shape, without dividing by D
+        D, r1, r2 = s.exps[:d1 + d2].tolist(), hyper.rate1, hyper.rate2
+        c1, c2 = n_obs * d2 + hyper.shape1, n_obs * d1 + hyper.shape2
+        tail = ([(-0.5 * g - r1) * x + c1 for g, x in zip(g_D[:d1], D[:d1])]
+                + [(-0.5 * g - r2) * x + c2 for g, x in zip(g_D[d1:], D[d1:])])
+        tail += stick_breaking_grad(s.breaks, omega, lam0)
+        # theta's logit: the chain rule plus the log-Jacobian's 1 - 2 theta
+        tail.append(g_theta * theta * (1.0 - theta) + (1.0 - 2.0 * theta))
+
+        # the transition's gradient sums lams[t+1] omegas[t]^T over the
+        # steps; chain it back to the gammas (log coordinates) through
+        # the column normalization A = G / colsum(G), whose Jacobian
+        # times G is (g_A - colsum(g_A A)) A
+        if T > 1:
+            g_A = lams[1:].T @ omegas[:-1]
+            tail += ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - s.gamma)).ravel().tolist()
+        grad[n_low:] = tail
+
+    # a non-finite gradient entry makes its product with 0 NaN
+    if not (math.isfinite(value) and (grad is None or math.isfinite(grad @ layout.zeros))):
         return _outside(want, layout.size)
     if want == "value":
         return float(value)

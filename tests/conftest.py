@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
-from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, assemble_ldagger, log_det_ldagger,
-                         log_prior, omega_trajectory, stick_breaking, stick_offsets,
+from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, _regroup, assemble_ldagger,
+                         log_det_ldagger, log_prior, omega_trajectory, stick_offsets,
                          trace_quadratic, vanloan_rearrange)
 
 
@@ -110,6 +110,18 @@ def positive_grad(x, grad_x):
     return np.asarray(grad_x, dtype=float) * np.asarray(x, dtype=float) + 1.0
 
 
+def stick_breaking(z):
+    """The simplex vector of K-1 break fractions z in (0, 1), and the stick
+    left before each break (K-1 entries).  The oracle of the weights
+    ``StateLayout`` decodes."""
+    left = np.empty(z.shape[0] + 1)
+    left[0] = 1.0
+    np.multiply.accumulate(1.0 - z, out=left[1:])
+    omega = left.copy()
+    omega[:-1] *= z
+    return omega, left[:-1]
+
+
 def stick_breaking_forward(y):
     """Map y in R^(K-1) to a simplex vector; also return log|det J|, which
     is -inf when a break fraction saturates or a weight underflows to 0.
@@ -121,6 +133,13 @@ def stick_breaking_forward(y):
     if not omega.min() > 0.0:
         return omega, -np.inf
     return omega, logistic_log_jac(z) + float(np.sum(np.log(left)))
+
+
+def interval_grad(t, grad_t):
+    """Chain a gradient w.r.t. t in (0,1) back to the logit coordinate,
+    adding the gradient of the log-Jacobian.  The oracle of the theta
+    gradient the posterior takes."""
+    return float(grad_t * t * (1.0 - t) + (1.0 - 2.0 * t))
 
 
 def interval_forward(v):
@@ -211,7 +230,8 @@ class SDParams:
 def decode_blocks(layout, u):
     """Block-stacked params plus the total log-Jacobian of the transform at
     ``u``, for a layout of any number of blocks: the inverse of ``pack``."""
-    s = layout._decode(u)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = layout._decode(u)
     K = layout.n_components
     params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
                       d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
@@ -446,6 +466,37 @@ def draw_table_oracle(layout, chains):
                 row += sorted(omega_t, reverse=True) + [stats_t["fro2_lower"]]
             rows.append(row)
     return np.asarray(rows, dtype=float)
+
+
+def member_rows(members1, members2):
+    """The (T, K+1, d1^2 + d2^2) member rows [vec(U_a), vec(V_a)] the trace
+    cores read, from the two modes' (T, K+1, d, d) member stacks."""
+    T, m = members1.shape[:2]
+    return np.concatenate([members1.reshape(T, m, -1), members2.reshape(T, m, -1)], axis=2)
+
+
+def regroup_trace_dense(members1, members2, scatters, want_grad, coupling):
+    """sum_t tr(L_t L_t^T S_t) = sum_t <L_t, S_t L_t> and the flat member
+    gradient through every block's dense factor, with the scatters and the
+    factors rearranged by reshapes and axis swaps on every call: the dense
+    contraction as it was before its index maps, the bit-for-bit oracle of
+    ``model._trace_dense``."""
+    T, m, d1, _ = members1.shape
+    d2 = members2.shape[-1]
+    U = members1.reshape(T, m, d1 * d1)
+    CV = coupling @ members2.reshape(T, m, d2 * d2)
+    L = _regroup(U.transpose(0, 2, 1) @ CV, d1, d1, d2, d2)
+    SL = _regroup(scatters, d1, d1, d2, d2) @ L
+    value = float(np.vdot(L, SL))
+    if not want_grad:
+        return value, None
+    H = _regroup(SL, d1, d2, d1, d2)
+    grad = np.empty(T * m * (d1 * d1 + d2 * d2))
+    n1 = T * m * d1 * d1
+    np.matmul(CV, H.transpose(0, 2, 1), out=grad[:n1].reshape(T, m, d1 * d1))
+    np.matmul(coupling @ U, H, out=grad[n1:].reshape(T, m, d2 * d2))
+    grad *= 2.0
+    return value, grad
 
 
 def summary_for(Y, d1, d2):

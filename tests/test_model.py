@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (log_likelihood, log_posterior, make_rng, pack, random_dataset,
-                      random_params, summary_for, targets_and_hyper, vanloan_unrearrange)
+from conftest import (log_likelihood, log_posterior, make_rng, member_rows, pack,
+                      random_dataset, random_params, regroup_trace_dense, summary_for,
+                      targets_and_hyper, vanloan_unrearrange)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
-from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members,
+from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members, _regroup,
                          _trace_dense, _trace_pairs, assemble_ldagger, log_det_ldagger,
                          log_posterior_grad, log_prior, trace_quadratic)
 
@@ -177,6 +178,26 @@ def _dense_trace_and_grad(p, S):
                    np.diagonal(gU[K]).copy(), np.diagonal(gV[K]).copy())
 
 
+def _both_cores(d1, d2, K, T):
+    """The dense and the pair-product trace cores of T blocks, as
+    ``trace_contraction`` binds them, whichever its flop rule picks."""
+    C, index = _coupling(K), np.arange(T * d1 * d1 * d2 * d2)
+    return (partial(_trace_dense, coupling=C, to_dense=_regroup(index, d1, d1, d2, d2),
+                    to_rearranged=_regroup(index, d1, d2, d1, d2)),
+            partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2))
+
+
+def _stacked_members_and_data(d1, d2, K, T, rng):
+    """T blocks' member stacks of random params, and the summary of T
+    random datasets."""
+    params = [random_params(d1, d2, K, rng) for _ in range(T)]
+    Ys = [random_dataset(d1, d2, 3 * d1 * d2, rng) for _ in range(T)]
+    members1 = np.stack([_members(p.lowers1, p.d1_diag) for p in params])
+    members2 = np.stack([_members(p.lowers2, p.d2_diag) for p in params])
+    data = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), sum(map(len, Ys)), d1, d2)
+    return params, Ys, members1, members2, data
+
+
 @pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5),
                                     ((16, 16), 5)])
 def test_trace_core_matches_dense_gradient(dims, K):
@@ -185,27 +206,40 @@ def test_trace_core_matches_dense_gradient(dims, K):
     # contractions whichever the shape's rule picks
     d1, d2 = dims
     rng = make_rng(26 + d1 * d2 + K)
-    cases = []
-    for _ in range(4):
-        Y = random_dataset(d1, d2, 3 * d1 * d2, rng)
-        cases.append((Y, random_params(d1, d2, K, rng)))
-    members1 = np.stack([_members(p.lowers1, p.d1_diag) for _, p in cases])
-    members2 = np.stack([_members(p.lowers2, p.d2_diag) for _, p in cases])
-    scatters = np.concatenate([summary_for(Y, d1, d2).scatters for Y, _ in cases])
-    dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in cases]
+    params, Ys, members1, members2, data = _stacked_members_and_data(d1, d2, K, 4, rng)
+    dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in zip(Ys, params)]
     dense_value = sum(v for v, _ in dense)
-    C = _coupling(K)
-    for value, grad in (_trace_dense(members1, members2, scatters, True, coupling=C),
-                        _trace_pairs(members1, members2, scatters, True,
-                                     coupling_pairs=np.kron(C, C))):
+    for core in _both_cores(d1, d2, K, 4):
+        value, grad = core(member_rows(members1, members2), data, "both")
         assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
-        GU = grad[:members1.size].reshape(members1.shape)
-        GV = grad[members1.size:].reshape(members2.shape)
+        GU = grad[..., :d1 * d1].reshape(members1.shape)
+        GV = grad[..., d1 * d1:].reshape(members2.shape)
         for t, (_, dense_grads) in enumerate(dense):
             grads = (np.tril(GU[t, :K], -1), np.tril(GV[t, :K], -1),
                      np.diagonal(GU[t, K]), np.diagonal(GV[t, K]))
             for got, want in zip(grads, dense_grads):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d1,d2,K,T", [(4, 5, 5, 1), (5, 2, 5, 12), (3, 2, 1, 1), (16, 16, 5, 1)])
+def test_dense_core_matches_the_regroup_oracle_bit_for_bit(d1, d2, K, T):
+    # the dense core's index maps and the summary's dense scatters give the
+    # value and the member gradient of the contraction that rearranges by
+    # reshapes, to the last bit, for every request; at 16x16, where the
+    # flop rule picks the pair products, the dense core is forced
+    rng = make_rng(40 + d1 * d2 + K + T)
+    _, _, members1, members2, data = _stacked_members_and_data(d1, d2, K, T, rng)
+    value, flat = regroup_trace_dense(members1, members2, data.scatters, True, _coupling(K))
+    grad = member_rows(flat[:members1.size].reshape(members1.shape),
+                       flat[members1.size:].reshape(members2.shape))
+    dense, _ = _both_cores(d1, d2, K, T)
+    rows = member_rows(members1, members2)
+    got_value, got_grad = dense(rows, data, "both")
+    assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+    assert got_grad.tobytes() == grad.tobytes()
+    assert dense(rows, data, "value") == (got_value, None)
+    none, alone = dense(rows, data, "grad")
+    assert none is None and alone.tobytes() == grad.tobytes()
 
 
 def test_trace_contraction_follows_the_flop_rule():
@@ -545,6 +579,31 @@ def test_a_state_whose_gradient_overflows_keeps_a_finite_value_request():
             assert not np.any(post(u, want="grad"))
             value, grad = post(u)
             assert value == -math.inf and not np.any(grad)
+
+
+@pytest.mark.parametrize("d1,d2,K,T", [(4, 5, 5, 1), (4, 5, 5, 3), (16, 16, 5, 1)])
+def test_a_shared_layout_gives_each_posterior_its_own_bits(d1, d2, K, T):
+    # one layout serves two posteriors of different data and priors: calls
+    # interleaved between them give each the bits it gives on a layout of
+    # its own, so no per-fit constant lives on the layout
+    rng = make_rng(33 + d1 + T)
+    shared = StateLayout(d1, d2, K, n_blocks=T)
+    posts = []
+    for _ in range(2):
+        Ys = [random_dataset(d1, d2, 30, rng) for _ in range(T)]
+        data = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), 30 * T, d1, d2)
+        targets, hyper = targets_and_hyper(d1, d2, rng, n=3 * d1 * d2)
+        posts.append(partial(log_posterior_grad, data=data, hyper=hyper, targets=targets))
+    states = [rng.normal(0.0, 0.4, size=shared.size) for _ in range(3)]
+    alone = [[post(u, StateLayout(d1, d2, K, n_blocks=T), want=want)
+              for u in states for want in ("value", "grad")] for post in posts]
+    together = [[], []]
+    for u in states:
+        for want in ("value", "grad"):
+            for i in (0, 1):
+                together[i].append(posts[i](u, shared, want=want))
+    for got, want in zip(together, alone):
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
 def test_posterior_outputs_are_not_aliased():

@@ -6,11 +6,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (decode_blocks, expit, interval_forward, interval_inverse, make_rng,
-                      positive_forward, positive_grad, positive_inverse, stick_breaking_forward,
-                      stick_breaking_inverse)
-from sckpd.model import (StateLayout, interval_grad, stick_breaking, stick_breaking_grad,
-                         stick_offsets)
+from conftest import (decode_blocks, expit, interval_forward, interval_grad, interval_inverse,
+                      make_rng, positive_forward, positive_grad, positive_inverse,
+                      stick_breaking, stick_breaking_forward, stick_breaking_inverse)
+from sckpd.model import StateLayout, stick_breaking_grad, stick_offsets
 
 
 def test_expit_matches_scipy():
