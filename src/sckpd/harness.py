@@ -114,25 +114,24 @@ class RunConfig:
     n_warmup: int = 800
     n_draws: int = 1000
     n_leapfrog: int = 32
-    preset: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict, family: str | None = None) -> "RunConfig":
         """The config a mapping describes, from config-file values or flag
-        strings alike.  Without a mode, ``family`` gives its seasonal mode
-        when the typed block count is above 1, else its static one."""
+        strings alike.  The ``preset`` key names a preset whose values the
+        other keys override; an optional field's None reads as unset.
+        Without a mode, ``family`` gives its seasonal mode when the typed
+        block count is above 1, else its static one."""
         preset = raw.get("preset")
-        merged: dict = {}
-        if preset is not None:
-            if not (isinstance(preset, str) and preset in PRESETS):
-                raise ValueError(f"unknown preset '{preset}'; choose from {sorted(PRESETS)}")
-            merged.update(PRESETS[preset])
-        merged.update({k: v for k, v in raw.items() if v is not None})
+        if preset is not None and not (isinstance(preset, str) and preset in PRESETS):
+            raise ValueError(f"unknown preset '{preset}'; choose from {sorted(PRESETS)}")
         fields = cls.__dataclass_fields__
-        unknown = set(merged) - set(fields)
+        unknown = set(raw) - set(fields) - {"preset"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        typed = {key: _typed(key, value, fields[key].type) for key, value in merged.items()}
+        given = {key: _typed(key, value, fields[key].type)
+                 for key, value in raw.items() if key != "preset"}
+        typed = {**PRESETS.get(preset, {}), **{k: v for k, v in given.items() if v is not None}}
         if "mode" not in typed and family is not None:
             blocks = typed.get("n_seasons", 1) * typed.get("n_cycles", 1)
             typed["mode"] = f"{family}-{'dynamic' if blocks > 1 else 'static'}"
@@ -188,14 +187,17 @@ _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
 def _typed(key: str, value, annotation: str):
     """A config value as the type its :class:`RunConfig` field is annotated
     with (a number may be written as a string), or a ValueError naming the
-    field.  An integer field refuses a fractional number, and only the bool
-    field takes true or false."""
+    field.  An integer field refuses a fractional number, only the bool
+    field takes true or false, each list entry is typed as a float field's
+    value is, and None is taken only by a field annotated ``| None``."""
     kind = annotation.split(" |")[0]
+    if value is None and annotation.endswith("| None"):
+        return None
     try:
         if kind == "tuple":
             if not isinstance(value, (list, tuple)):
                 raise TypeError
-            return tuple(float(v) for v in value)
+            return tuple(_typed(key, v, "float") for v in value)
         if isinstance(value, bool) != (kind == "bool"):
             raise TypeError
         if kind == "int":
@@ -501,10 +503,10 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
 # fitting
 
 def _n_threads() -> int:
-    raw = os.environ.get("SCKPD_THREADS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"SCKPD_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    n = _typed("SCKPD_THREADS", os.environ.get("SCKPD_THREADS", "1"), "int")
+    if n < 1:
+        raise ValueError(f"SCKPD_THREADS must be at least 1, got {n}")
+    return n
 
 
 def _draw_init(seed: int, chain: int, size: int) -> np.ndarray:

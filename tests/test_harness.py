@@ -118,6 +118,8 @@ _VALID_CSV = {
     "padded": " 1 ,2 , 3,4,5,6\n7,8.5,  9,10,11,-12e-3\n",
     "quoted": '"y1","y2",y3,y4,y5,y6\n"1",2,"3",4,5,6\n7,8.5,9,10,11,"-12e-3"\n',
     "underscore-digits": "1_0,2,3,4,5,6\n7,8,9,10,11,12\n",
+    "crlf-empty-line": ("y1,y2,y3,y4,y5,y6\n" + _ROWS.replace("\n", "\n\n", 1)).replace(
+        "\n", "\r\n"),
 }
 
 
@@ -626,9 +628,16 @@ def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, monkeypa
 
 
 def test_fit_rejects_bad_thread_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCKPD_THREADS", "two")
-    with pytest.raises(ValueError, match="SCKPD_THREADS.*'two'"):
-        fit(_small_fit_config(tmp_path))
+    # the thread count is typed as an integer config value is: a digit that
+    # int() does not read is refused naming the variable, as a word is
+    cfg = _small_fit_config(tmp_path)
+    for raw, message in (("two", "SCKPD_THREADS must be an integer, got 'two'"),
+                         ("²", "SCKPD_THREADS must be an integer, got '²'"),
+                         ("0", "SCKPD_THREADS must be at least 1, got 0")):
+        monkeypatch.setenv("SCKPD_THREADS", raw)
+        with pytest.raises(ValueError) as raised:
+            fit(cfg)
+        assert str(raised.value) == message
 
 
 def test_check_hyper(tmp_path):
@@ -644,7 +653,9 @@ def test_fit_reports_the_prior_check_hyper_reports(tmp_path, config):
     cfg = config(tmp_path)
     fit(RunConfig.from_dict({**cfg.__dict__, "n_chains": 1, "n_warmup": 0, "n_draws": 4,
                              "n_leapfrog": 1}))
-    written = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    # summary.json is strict JSON, with no bare NaN or Infinity token
+    written = json.loads((tmp_path / "fit" / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
     report = json.loads(strict_json(check_hyper(cfg)))
     assert written["targets"] == report["targets"]
     assert written["hyper"] == report["hyper"]
@@ -872,9 +883,20 @@ def test_config_validation():
     for key, value in (("n_chains", "two"), ("n_chains", 2.5), ("n_chains", True),
                        ("lower_variance", "abc"), ("center", "yes"), ("mode", 3),
                        ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1]),
-                       ("preset", ["paper-static"])):
+                       ("preset", ["paper-static"]), ("omega_weights", [True, 2.0])):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
+    # a null value of a required field is refused, not read as its default;
+    # an optional field's null is unset, and keeps a preset's value
+    with pytest.raises(ValueError) as raised:
+        RunConfig.from_dict(dict(mode="simulate-static", n_chains=None))
+    assert str(raised.value) == "n_chains must be an integer, got None"
+    cfg = RunConfig.from_dict(dict(mode="simulate-static", preset="paper-static",
+                                   n_truth_components=None, input_path=None,
+                                   wishart_scale1=None, wishart_scale2=None))
+    assert (cfg.n_truth_components, cfg.input_path) == (5, None)
+    assert (cfg.wishart_scale1, cfg.wishart_scale2) == (harness._SCALE_LEN4,
+                                                        harness._SCALE_LEN5)
     # a tuple field refuses a string rather than read it character by character
     with pytest.raises(ValueError) as raised:
         RunConfig.from_dict(dict(mode="simulate-static", omega_weights="13"))
