@@ -90,7 +90,9 @@ def main(argv=None) -> int:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sum = sub.add_parser("summarize", help="summarize a draws table", description=(
-        "Summarize a draws table.  theta and the weights given the lowers enter only the "
+        "Report a draws table as fit reports the table it writes.  The table needs the "
+        "chain, draw, accept, divergent and energy columns, and every chain the same "
+        "number of rows, at least 4.  theta and the weights given the lowers enter only the "
         "prior, and the likelihood is invariant along a (K-1)^2 + 1-dimensional group of "
         "moves of the lowers, so the theta and omega*_sorted_* intervals mostly reflect "
         "the prior."))

@@ -13,6 +13,11 @@ Every table is CSV in one format: ``_read_table`` reads data files and
 draws tables alike, and its docstring states the format; ``write_csv_matrix``
 writes every table, in the form that reader reads back bit for bit.
 
+The draws table is the one source of the report: ``_table_report`` computes
+the statistics, the per-chain sampler figures, the flags and the
+convergence warnings from it, for ``fit`` on the table it has just written
+and for ``summarize_draws`` on the table read back, so both report the same.
+
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
 on (seed, 20000 + c), data simulation on (seed, 10000).
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import hmc
 from . import model as mdl
-from .hmc import Chain, HMCConfig, diagnostics, hmc_sample
+from .hmc import Chain, HMCConfig, hmc_sample
 from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_hyper
 
 SIM_STREAM = 10_000
@@ -54,6 +59,13 @@ MODES = ("simulate-static", "simulate-dynamic", "fit-static", "fit-dynamic")
 
 # The draws table's leading columns; every later one is a summarized statistic.
 _BOOKKEEPING = ("chain", "draw", "accept", "divergent", "energy")
+
+# A statistic warns at split R-hat >= RHAT_WARN or an ESS below
+# ESS_WARN_PER_CHAIN per chain (Vehtari et al. 2021, arXiv:1903.08008), a
+# chain at an E-BFMI below E_BFMI_WARN (Betancourt 2016, arXiv:1604.00695).
+RHAT_WARN = 1.01
+ESS_WARN_PER_CHAIN = 100
+E_BFMI_WARN = 0.3
 
 # Reference simulation designs.  The two Wishart scale vectors have lengths
 # 5 and 4 while the design uses d1 = 4, d2 = 5, so the length-4 vector
@@ -534,19 +546,6 @@ def _quantiles(rows: np.ndarray, probs) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _column_summaries(values: np.ndarray) -> list[dict]:
-    """mean, sd and 2.5/50/97.5% quantiles of every column of a (rows, m)
-    table.  The columns are copied to contiguous rows, so each sum runs in
-    the order it would over the column alone."""
-    rows = np.ascontiguousarray(values.T)
-    mean = rows.mean(axis=1)
-    sd = rows.std(axis=1, ddof=1)
-    q = _quantiles(rows, [0.025, 0.5, 0.975])
-    return [{"mean": float(mean[j]), "sd": float(sd[j]),
-             "q025": float(q[0, j]), "q500": float(q[1, j]), "q975": float(q[2, j])}
-            for j in range(rows.shape[0])]
-
-
 def _read_blocks(config: RunConfig):
     """The data summary of a fit's blocks, with the prior targets and solved
     hyperparameters of the first, as ``fit`` and ``check_hyper`` both read
@@ -600,7 +599,11 @@ def fit(config: RunConfig) -> dict:
     The posterior's two requests, the value and the gradient, are partials of
     ``model.log_posterior_grad``; chains run in a process pool when
     SCKPD_THREADS is set above 1, which pickles the partials.  Weights are
-    sorted (descending) within each draw before any summarization.
+    sorted (descending) within each draw before any summarization.  The
+    report is :func:`_table_report` of the draws table, as
+    :func:`summarize_draws` gives it from draws.csv, plus the config, the
+    adapted step sizes, the prior targets and hyperparameters, and the
+    set-up warning ahead of the report's warnings.
     """
     data, targets, hyper = _read_blocks(config)
     workers = min(_n_threads(), config.n_chains)
@@ -630,8 +633,19 @@ def fit(config: RunConfig) -> dict:
     table, columns = _draw_table(config, layout, chains)
     write_csv_matrix(outdir / "draws.csv", table, columns)
 
-    summary = _summarize_chains(config, chains, table, columns,
-                                _hyper_report(targets, hyper), warnings)
+    report = _table_report(columns, table)
+    summary = {
+        "mode": config.mode,
+        "d1": config.d1, "d2": config.d2,
+        "n_components": config.n_components,
+        "n_warmup": config.n_warmup, "seed": config.seed,
+        "adapted_step_size": [c.adapted_step_size for c in chains],
+        **_hyper_report(targets, hyper),
+        **report,
+        "warnings": warnings + report["warnings"],
+    }
+    if config.mode == "fit-dynamic":
+        summary.update(n_seasons=config.n_seasons, n_cycles=config.n_cycles)
     (outdir / "summary.json").write_text(strict_json(summary) + "\n")
     return summary
 
@@ -665,38 +679,56 @@ def _hyper_report(targets: PriorTargets, hyper: SolvedHyper) -> dict:
             "hyper": {**asdict(hyper), "degenerate": hyper.degenerate}}
 
 
-def _summarize_chains(config, chains, table, columns, report, warnings) -> dict:
-    n_chains = len(chains)
-    n_draws = chains[0].draws.shape[0]
-    nb = len(_BOOKKEEPING)
-    values = table[:, nb:]
-    per_chain = values.reshape(n_chains, n_draws, values.shape[1])
-    ess = hmc.effective_sample_size(per_chain)
-    rhat = hmc.split_rhat(per_chain)
-    stats = {}
-    for j, (name, entry) in enumerate(zip(columns[nb:], _column_summaries(values))):
-        entry["ess"] = float(ess[j])
-        entry["rhat"] = float(rhat[j])
-        stats[name] = entry
-    summary = {
-        "mode": config.mode,
-        "d1": config.d1, "d2": config.d2,
-        "n_components": config.n_components,
-        "n_chains": n_chains, "n_draws_per_chain": n_draws,
-        "n_warmup": config.n_warmup,
-        "seed": config.seed,
-        "acceptance_rate": [c.acceptance_rate for c in chains],
-        "adapted_step_size": [c.adapted_step_size for c in chains],
-        "divergences": [int(c.divergence_flags.sum()) for c in chains],
-        "diagnostic_flags": diagnostics([c.draws for c in chains]),
-        "warnings": warnings,
-        **report,
-        "stats": stats,
-    }
-    if config.mode == "fit-dynamic":
-        summary["n_seasons"] = config.n_seasons
-        summary["n_cycles"] = config.n_cycles
-    return summary
+def _table_report(columns: list[str], table: np.ndarray) -> dict:
+    """The report of a draws table whose ``chain`` column splits the rows
+    into chains of equal length: ``n_chains`` and ``n_draws_per_chain``;
+    ``stats``, the mean, sd, 2.5/50/97.5% quantiles, ESS and split R-hat of
+    every statistic column; per chain in label order, ``acceptance_rate``
+    and ``divergences`` from the ``accept`` and ``divergent`` columns and
+    ``e_bfmi`` from ``energy``; ``diagnostic_flags``, ``identical-chains:i,j``
+    for two chains whose rows are equal but for the label and
+    ``no-accepted-proposals:c`` for a chain that accepted nothing; and
+    ``warnings``, one for each statistic past the R-hat or ESS threshold
+    (unless its every draw is the same number) and each chain below the
+    E-BFMI threshold.
+
+    E-BFMI = sum (E_n - E_{n-1})^2 / sum (E_n - mean E)^2 over the chain's
+    energies; a chain whose energies are all equal gets 0.0.
+    """
+    chain = table[:, columns.index("chain")]
+    labels = sorted(int(c) for c in set(chain.tolist()))   # np.unique loads numpy.ma
+    C = len(labels)
+    chains = table[np.argsort(chain, kind="stable")].reshape(C, -1, table.shape[1])
+    accept, divergent, energy = (chains[:, :, columns.index(name)] for name in _BOOKKEEPING[2:])
+    keep = [j for j, name in enumerate(columns) if name not in _BOOKKEEPING]
+    values = chains[:, :, keep]
+    # each column copied to a contiguous row, so every sum runs in the order
+    # it would over the column alone
+    rows = np.ascontiguousarray(values.reshape(-1, len(keep)).T)
+    figures = np.vstack([rows.mean(axis=1), rows.std(axis=1, ddof=1),
+                         _quantiles(rows, [0.025, 0.5, 0.975]),
+                         hmc.effective_sample_size(values), hmc.split_rhat(values)])
+    stats = {columns[k]: dict(zip(("mean", "sd", "q025", "q500", "q975", "ess", "rhat"), f))
+             for k, f in zip(keep, figures.T.tolist())}
+    warns = [f"statistic {name}: split R-hat {f['rhat']:.4g} (want < {RHAT_WARN}), ESS "
+             f"{f['ess']:.4g} (want >= {ESS_WARN_PER_CHAIN * C})"
+             for (name, f), row in zip(stats.items(), rows)
+             if (f["rhat"] >= RHAT_WARN or f["ess"] < ESS_WARN_PER_CHAIN * C)
+             and not np.all(row == row[0])]
+    jumps = np.sum(np.diff(energy, axis=1) ** 2, axis=1)
+    spread = np.sum((energy - energy.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    e_bfmi = np.divide(jumps, spread, out=np.zeros(C), where=spread > 0)
+    warns += [f"chain {c}: E-BFMI {e:.3g} (want >= {E_BFMI_WARN})"
+              for c, e in zip(labels, e_bfmi) if e < E_BFMI_WARN]
+    acceptance = accept.mean(axis=1)
+    rest = np.delete(chains, columns.index("chain"), axis=2)
+    flags = [f"identical-chains:{labels[i]},{labels[j]}" for i in range(C)
+             for j in range(i + 1, C) if np.array_equal(rest[i], rest[j])]
+    flags += [f"no-accepted-proposals:{c}" for c, a in zip(labels, acceptance) if a == 0]
+    return {"n_chains": C, "n_draws_per_chain": chains.shape[1], "stats": stats,
+            "acceptance_rate": acceptance.tolist(),
+            "divergences": [int(d) for d in divergent.sum(axis=1)],
+            "e_bfmi": e_bfmi.tolist(), "diagnostic_flags": flags, "warnings": warns}
 
 
 def check_hyper(config: RunConfig) -> dict:
@@ -708,10 +740,14 @@ def check_hyper(config: RunConfig) -> dict:
 
 
 def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None) -> dict:
-    """Recompute quantile summaries from a draws table in :func:`_read_table`'s
-    format, with distinct column names, a ``chain`` column of whole numbers
-    >= 0 and 2 rows or more; optionally join a ground-truth file into a
-    coverage report.
+    """The report of a draws table, as ``fit`` reports the table it writes
+    (see :func:`_table_report` for the keys), optionally with the coverage
+    of a ground-truth file's statistics joined in under ``coverage``.
+
+    The table is in :func:`_read_table`'s format, with distinct column
+    names, among them the bookkeeping columns ``chain``, ``draw``,
+    ``accept``, ``divergent`` and ``energy``; the ``chain`` column holds whole
+    numbers >= 0, and every chain has the same number of rows, at least 4.
 
     The data do not identify every column alike.  theta and the weights
     given the lowers enter only the prior, and the likelihood is invariant
@@ -721,11 +757,9 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
     columns, table = _read_table(draws_path)
     if columns is None and table.size == 0:
         raise ValueError(f"{draws_path}: empty file, expected a header row")
-    if "chain" not in (columns or ()):
-        raise ValueError(f"{draws_path}: line 1: header has no 'chain' column")
-    if table.shape[0] < 2:
-        raise ValueError(f"{draws_path}: spread statistics need at least 2 draw rows "
-                         f"after the header, found {table.shape[0]}")
+    absent = next((name for name in _BOOKKEEPING if name not in (columns or ())), None)
+    if absent is not None:
+        raise ValueError(f"{draws_path}: line 1: header has no '{absent}' column")
     repeated = next((name for k, name in enumerate(columns) if name in columns[:k]), None)
     if repeated is not None:
         raise ValueError(f"{draws_path}: line 1: column '{repeated}' is named more than once")
@@ -734,12 +768,16 @@ def summarize_draws(draws_path: str | Path, truth_path: str | Path | None = None
     if bad.size:
         raise ValueError(f"{draws_path}: draw row {bad[0] + 1}: the 'chain' column holds "
                          f"{chain[bad[0]]:g}, not a whole number >= 0")
-    n_chains = len(set(chain.tolist()))
-    keep = [j for j, name in enumerate(columns) if name not in _BOOKKEEPING]
-    stats = {columns[j]: entry
-             for j, entry in zip(keep, _column_summaries(table[:, keep]))}
-    out = {"n_chains": n_chains, "n_rows": int(table.shape[0]), "stats": stats}
+    labels = sorted(set(chain.tolist()))
+    counts = [int(np.count_nonzero(chain == c)) for c in labels]
+    if not (labels and min(counts) == max(counts) >= 4):
+        found = ", ".join(f"{n} in chain {c:g}" for c, n in zip(labels, counts))
+        raise ValueError(f"{draws_path}: every chain needs the same number of draw rows, "
+                         f"at least 4 as fit's n_draws: split R-hat halves each chain and "
+                         f"needs 2 draws in each half; found {found or 'no draw rows'}")
+    out = _table_report(columns, table)
     if truth_path is not None:
+        stats = out["stats"]
         out["coverage"] = {
             name: {"truth": value, "q025": stats[name]["q025"], "q975": stats[name]["q975"],
                    "covered": bool(stats[name]["q025"] <= value <= stats[name]["q975"])}

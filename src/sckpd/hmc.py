@@ -14,8 +14,8 @@ difference.  A chain makes one more value request, at its initial state.
 
 ``effective_sample_size`` and ``split_rhat`` take draws shaped (C, N, m),
 C chains of N draws of m columns, and return one value per column as an
-(m,) array.  ``diagnostics`` takes a list of per-chain (N, dim) draws,
-reads each chain where it lies, and flags degenerate chains.
+(m,) array; the report reads them on the draws table's statistics, not on
+the unconstrained draws.
 
 Randomness comes from a counter-based Philox generator keyed as
 (seed, chain_index) by ``philox_rng``, so chains are reproducible and
@@ -61,10 +61,6 @@ class Chain:
     energies: np.ndarray
     divergence_flags: np.ndarray
     adapted_step_size: float
-
-    @property
-    def acceptance_rate(self) -> float:
-        return float(np.mean(self.accept_flags)) if len(self.accept_flags) else 0.0
 
 
 class TrajectoryDivergence(Exception):
@@ -345,19 +341,3 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     gives 1.0.
     """
     return _per_column(_rhat_core, draws)
-
-
-def diagnostics(draws: list[np.ndarray]) -> list[str]:
-    """Flags for degenerate per-chain (N, dim) draws, as reported in
-    ``summary.json``: ``identical-chains:i,j`` for two chains with equal
-    draws, and ``zero-variance:k`` for a coordinate whose every draw is
-    ``np.isclose`` to chain 0's first, so such input is not passed off as
-    healthy.  Each chain is read in place; none is copied.
-    """
-    if not draws:
-        raise ValueError("need at least one chain")
-    flags = [f"identical-chains:{i},{j}" for i in range(len(draws))
-             for j in range(i + 1, len(draws)) if np.array_equal(draws[i], draws[j])]
-    first = draws[0][0]
-    constant = np.logical_and.reduce([np.isclose(d, first).all(axis=0) for d in draws])
-    return flags + [f"zero-variance:{k}" for k in np.flatnonzero(constant)]

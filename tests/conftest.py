@@ -418,17 +418,13 @@ def split_rhat_oracle(chains):
     return float(np.sqrt(var_plus / W))
 
 
-def diagnostics_oracle(stacked):
-    """Degenerate-draw flags of draws shaped (C, N, dim), one chain pair and
-    one coordinate at a time.  The oracle of ``hmc.diagnostics``."""
-    C, N, dim = stacked.shape
-    flags = [f"identical-chains:{i},{j}" for i in range(C) for j in range(i + 1, C)
-             if np.array_equal(stacked[i], stacked[j])]
-    for k in range(dim):
-        coord = stacked[:, :, k]
-        if np.allclose(coord, coord.ravel()[0]):
-            flags.append(f"zero-variance:{k}")
-    return flags
+def e_bfmi_oracle(energy):
+    """E-BFMI of one chain's energies, one draw at a time.  The oracle of
+    the ``e_bfmi`` in ``summary.json``."""
+    mean = sum(energy) / len(energy)
+    jumps = sum((energy[n] - energy[n - 1]) ** 2 for n in range(1, len(energy)))
+    spread = sum((e - mean) ** 2 for e in energy)
+    return jumps / spread if spread > 0 else 0.0
 
 
 def column_summary_oracle(x):

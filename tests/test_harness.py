@@ -12,8 +12,8 @@ import scipy.linalg
 import scipy.stats
 import yaml
 
-from conftest import (column_summary_oracle, dense_factor_stats, diagnostics_oracle,
-                      draw_table_oracle, effective_sample_size_oracle, make_rng, random_params,
+from conftest import (column_summary_oracle, dense_factor_stats, draw_table_oracle,
+                      e_bfmi_oracle, effective_sample_size_oracle, make_rng, random_params,
                       split_rhat_oracle)
 from sckpd import cli, harness, hmc
 from sckpd import model as mdl
@@ -558,34 +558,39 @@ def test_fit_dynamic_smoke(tmp_path):
         assert abs(sum(w) - 1.0) < 1e-10
 
 
-def _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg):
-    """Fit, then check every statistic of summary.json and of
-    summarize_draws against the per-column oracles, and the diagnostic
-    flags against the per-coordinate oracle."""
-    seen = {}
-    summarize = harness._summarize_chains
-
-    def spy(config, chains, table, columns, report, warns):
-        seen.update(chains=chains, table=table, columns=columns)
-        return summarize(config, chains, table, columns, report, warns)
-
-    monkeypatch.setattr(harness, "_summarize_chains", spy)
+def _assert_summary_matches_oracles(cfg):
+    """Fit, then check every statistic, acceptance rate and E-BFMI of
+    summary.json against the per-column and per-chain oracles on the draws
+    table it wrote, and that summarize_draws reports that table as the fit
+    did: every report key equal, and the fit's warnings its set-up warning
+    followed by summarize_draws' warnings."""
     summary = fit(cfg)
-    chains, table, columns = seen["chains"], seen["table"], seen["columns"]
-    n_chains, n_draws = len(chains), chains[0].draws.shape[0]
-    redone = summarize_draws(Path(cfg.output_dir) / "draws.csv")["stats"]
-    assert list(summary["stats"]) == list(redone) == columns[5:]
+    draws = Path(cfg.output_dir) / "draws.csv"
+    columns, table = harness._read_table(draws)
+    n_chains, n_draws = summary["n_chains"], summary["n_draws_per_chain"]
+    assert (n_chains, n_draws) == (cfg.n_chains, cfg.n_draws)
+    per_chain = {name: table[:, columns.index(name)].reshape(n_chains, n_draws)
+                 for name in columns}
+    assert list(summary["stats"]) == columns[5:]
     for name, entry in summary["stats"].items():
-        col = table[:, columns.index(name)]
-        expected = column_summary_oracle(col)
-        expected["ess"] = effective_sample_size_oracle(col.reshape(n_chains, n_draws))
-        expected["rhat"] = split_rhat_oracle(col.reshape(n_chains, n_draws))
+        expected = column_summary_oracle(per_chain[name].ravel())
+        expected["ess"] = effective_sample_size_oracle(per_chain[name])
+        expected["rhat"] = split_rhat_oracle(per_chain[name])
         assert set(entry) == set(expected)
         for key, value in expected.items():
             assert entry[key] == pytest.approx(value, rel=1e-12, abs=0.0, nan_ok=True), (name, key)
-        assert redone[name] == pytest.approx(column_summary_oracle(col), rel=1e-12, abs=0.0)
-    assert summary["diagnostic_flags"] == diagnostics_oracle(np.stack([c.draws for c in chains]))
-    return summary
+    assert summary["acceptance_rate"] == [float(np.mean(a)) for a in per_chain["accept"]]
+    assert summary["e_bfmi"] == pytest.approx([e_bfmi_oracle(e.tolist())
+                                               for e in per_chain["energy"]], rel=1e-12)
+
+    redone = summarize_draws(draws)
+    for key in ("n_chains", "n_draws_per_chain", "stats", "acceptance_rate", "divergences",
+                "e_bfmi", "diagnostic_flags"):
+        assert redone[key] == summary[key], key
+    setup = ["a diagonal shape target fell in the degenerate c <= 1 regime; the shape was "
+             "solved at the clamped target instead"] if summary["hyper"]["degenerate"] else []
+    assert summary["warnings"] == setup + redone["warnings"]
+    return summary, redone
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 41, 1000])
@@ -600,19 +605,18 @@ def test_quantiles_match_numpy_bit_for_bit(n):
     assert harness._quantiles(rows, probs).tobytes() == np.quantile(rows, probs, axis=1).tobytes()
 
 
-def test_summary_statistics_match_per_column_oracles_static(tmp_path, monkeypatch):
+def test_summary_statistics_match_per_column_oracles_static(tmp_path):
     cfg = _small_fit_config(tmp_path)
     cfg = RunConfig.from_dict({**cfg.__dict__, "n_warmup": 40, "n_draws": 61, "n_leapfrog": 6})
-    summary = _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg)
+    summary, _ = _assert_summary_matches_oracles(cfg)
     assert summary["n_chains"] == 2
 
 
 @pytest.mark.parametrize("n_chains, n_warmup", [(3, 30), (1, 0)],
                          ids=["mixing", "never-accepts"])
-def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, monkeypatch,
-                                                              n_chains, n_warmup):
-    # without warmup the one chain rejects every proposal, so every
-    # coordinate is flagged and every statistic is constant
+def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, n_chains, n_warmup):
+    # without warmup the one chain rejects every proposal: it is flagged, and
+    # every statistic is constant, so none warns
     sim = RunConfig.from_dict(dict(
         mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=80, n_seasons=3, n_cycles=1,
@@ -622,9 +626,69 @@ def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, monkeypa
         mode="fit-dynamic", d1=3, d2=2, n_components=2, n_seasons=3, n_cycles=1,
         input_path=str(tmp_path / "sim"), output_dir=str(tmp_path / "fit"),
         seed=12, n_chains=n_chains, n_warmup=n_warmup, n_draws=40, n_leapfrog=4))
-    summary = _assert_summary_matches_oracles(tmp_path, monkeypatch, cfg)
+    summary, redone = _assert_summary_matches_oracles(cfg)
     assert "fro2_lower_c1_s3" in summary["stats"]
-    assert bool(summary["diagnostic_flags"]) == (n_warmup == 0)
+    assert summary["diagnostic_flags"] == (["no-accepted-proposals:0"] if n_warmup == 0 else [])
+    if n_warmup == 0:
+        assert redone["warnings"] == []
+
+
+def _report(stat: np.ndarray, energy: np.ndarray | None = None) -> dict:
+    """The table report of (C, N) draws of one statistic ``x``: every
+    proposal accepted, none divergent, and iid energies unless given."""
+    C, N = stat.shape
+    energy = make_rng(45).normal(size=(C, N)) if energy is None else energy
+    table = np.column_stack([np.repeat(np.arange(C), N), np.tile(np.arange(N), C),
+                             np.ones(C * N), np.zeros(C * N), energy.ravel(), stat.ravel()])
+    return harness._table_report([*harness._BOOKKEEPING, "x"], table)
+
+
+@pytest.mark.parametrize("kind", ["iid", "shifted", "stuck", "constant"])
+def test_convergence_warnings_name_the_statistic(kind):
+    # a chain shifted by one sd moves split R-hat; two chains stuck at
+    # different points read R-hat 1.0 by the zero within-split variance rule,
+    # so only the ESS arm catches them; a statistic whose every draw is the
+    # same number, as K = 1's weight, draws no warning
+    rng = make_rng(46)
+    stat = {"iid": lambda: rng.normal(size=(2, 1000)),
+            "shifted": lambda: rng.normal(size=(2, 1000)) + [[0.0], [1.0]],
+            "stuck": lambda: np.repeat([[0.0], [3.0]], 1000, axis=1),
+            "constant": lambda: np.ones((2, 1000))}[kind]()
+    report = _report(stat)
+    entry = report["stats"]["x"]
+    warned = [f"statistic x: split R-hat {entry['rhat']:.4g} (want < 1.01), "
+              f"ESS {entry['ess']:.4g} (want >= 200)"]
+    assert report["warnings"] == (warned if kind in ("shifted", "stuck") else [])
+    if kind == "stuck":
+        assert entry["rhat"] == 1.0 and entry["ess"] < 2.0
+
+
+@pytest.mark.parametrize("kind", ["trending", "iid", "constant"])
+def test_e_bfmi_warns_on_a_chain_whose_energy_wanders(kind):
+    # a constant energy gives 0.0 with no RuntimeWarning, so summary.json
+    # stays strict JSON
+    rng = make_rng(47)
+    energy = {"trending": lambda: np.linspace(0.0, 50.0, 1000) + rng.normal(size=1000),
+              "iid": lambda: rng.normal(size=1000),
+              "constant": lambda: np.full(1000, 7.25)}[kind]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _report(rng.normal(size=(1, 1000)), energy[None, :])
+    (e_bfmi,) = report["e_bfmi"]
+    assert e_bfmi == pytest.approx(e_bfmi_oracle(energy.tolist()), rel=1e-12, abs=0.0)
+    assert (e_bfmi == 0.0) == (kind == "constant")
+    warned = [f"chain 0: E-BFMI {e_bfmi:.3g} (want >= 0.3)"]
+    assert report["warnings"] == ([] if kind == "iid" else warned)
+
+
+def test_identical_chains_flagged():
+    # two chains whose rows are equal but for the label are flagged, and
+    # their split R-hat reads about 1
+    rng = make_rng(2)
+    stat, energy = (np.repeat(rng.normal(size=(1, 400)), 2, axis=0) for _ in range(2))
+    report = _report(stat, energy)
+    assert report["diagnostic_flags"] == ["identical-chains:0,1"]
+    assert abs(report["stats"]["x"]["rhat"] - 1.0) < 0.01
 
 
 def test_fit_rejects_bad_thread_count(tmp_path, monkeypatch):
@@ -785,24 +849,43 @@ def _draws_file(tmp_path: Path, text: str) -> Path:
     return _write(tmp_path / "draws.csv", text)
 
 
+_HEADER = "chain,draw,accept,divergent,energy,theta\n"
+_ROWS_PER_CHAIN = ("every chain needs the same number of draw rows, at least 4 as fit's "
+                   "n_draws: split R-hat halves each chain and needs 2 draws in each half; "
+                   "found ")
+
+
+def _rows(chains: list[int]) -> str:
+    """Draw rows of the bookkeeping columns and theta, one run of rows per
+    entry of ``chains``, each as long as the entry."""
+    return "".join(f"{c},{n},1,0,{n + 0.5},{c + n / 4}\n"
+                   for c, count in enumerate(chains) for n in range(count))
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "empty file, expected a header row"),
-    ("chain,draw,theta\n", "at least 2 draw rows after the header, found 0"),
-    ("chain,draw,theta\n0,0,1.5\n", "at least 2 draw rows after the header, found 1"),
-], ids=["empty", "header-only", "one-row"])
+    (_HEADER, _ROWS_PER_CHAIN + "no draw rows"),
+    (_HEADER + _rows([1]), _ROWS_PER_CHAIN + "1 in chain 0"),
+    (_HEADER + _rows([4, 3]), _ROWS_PER_CHAIN + "4 in chain 0, 3 in chain 1"),
+    (_HEADER + _rows([5, 4]), _ROWS_PER_CHAIN + "5 in chain 0, 4 in chain 1"),
+], ids=["empty", "header-only", "one-row", "three-rows", "unequal-chains"])
 def test_summarize_draws_rejects_too_few_rows(tmp_path, text, message):
     p = _draws_file(tmp_path, text)
-    with pytest.raises(ValueError, match=r"draws\.csv: .*" + message):
+    with pytest.raises(ValueError) as raised:
         summarize_draws(p)
+    assert str(raised.value) == f"{p}: {message}"
 
 
 @pytest.mark.parametrize("text, message", [
-    ("chain,theta,theta\n0,1.5,2.5\n0,2.5,3.5\n", "line 1: column 'theta' is named more than once"),
-    ("chain,draw,theta\n-3,0,1.5\n-3,1,2.5\n2.5,2,3.5\n",
+    ("chain,draw,accept,divergent,energy,theta,theta\n0,0,1,0,2.5,1.5,2.5\n",
+     "line 1: column 'theta' is named more than once"),
+    ("chain,draw,accept,divergent,theta\n0,0,1,0,1.5\n",
+     "line 1: header has no 'energy' column"),
+    (_HEADER + "-3,0,1,0,2.5,1.5\n-3,1,1,0,2.5,2.5\n2.5,2,1,0,2.5,3.5\n",
      "draw row 1: the 'chain' column holds -3, not a whole number >= 0"),
-    ("chain,draw,theta\n0,0,1.5\n0,1,2.5\n2.5,2,3.5\n",
+    (_HEADER + "0,0,1,0,2.5,1.5\n0,1,1,0,2.5,2.5\n2.5,2,1,0,2.5,3.5\n",
      "draw row 3: the 'chain' column holds 2.5, not a whole number >= 0"),
-], ids=["repeated-column", "negative-chain", "fractional-chain"])
+], ids=["repeated-column", "no-energy-column", "negative-chain", "fractional-chain"])
 def test_summarize_draws_rejects_repeated_column_or_bad_chain(tmp_path, text, message):
     p = _draws_file(tmp_path, text)
     with pytest.raises(ValueError) as raised:
@@ -815,7 +898,7 @@ def test_summarize_draws_rejects_table_without_chain_column(tmp_path):
     with pytest.raises(ValueError, match=r"draws\.csv: line 1: header has no 'chain' column"):
         summarize_draws(p)
     # the chains are the distinct values of the chain column, not its largest plus one
-    p = _draws_file(tmp_path, "chain,draw,theta\n0,0,1.5\n0,1,2.5\n5,0,3.5\n5,1,4.5\n")
+    p = _draws_file(tmp_path, _HEADER + _rows([4, 0, 0, 0, 0, 4]))
     assert summarize_draws(p)["n_chains"] == 2
 
 

@@ -1,15 +1,13 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import diagnostics_oracle, effective_sample_size_oracle, split_rhat_oracle
-from sckpd.hmc import (Chain, HMCConfig, TrajectoryDivergence, diagnostics,
-                       effective_sample_size, find_reasonable_step_size, hmc_sample, leapfrog,
-                       philox_rng, split_rhat)
+from conftest import effective_sample_size_oracle, split_rhat_oracle
+from sckpd.hmc import (HMCConfig, TrajectoryDivergence, effective_sample_size,
+                       find_reasonable_step_size, hmc_sample, leapfrog, philox_rng, split_rhat)
 
 
 def gaussian_target(cov):
@@ -124,7 +122,7 @@ def test_post_warmup_acceptance_in_band():
     cov = np.array([[1.0, 0.7], [0.7, 1.0]])
     chains = _run_chains(gaussian_target(cov), 2)
     for c in chains:
-        assert 0.6 <= c.acceptance_rate <= 0.95
+        assert 0.6 <= c.accept_flags.mean() <= 0.95
 
 
 def test_huge_step_no_adaptation_rejects_everything():
@@ -133,7 +131,7 @@ def test_huge_step_no_adaptation_rejects_everything():
     config = HMCConfig(n_leapfrog=16, n_warmup=0, n_draws=200,
                        seed=3, init=np.array([3e-4, -2e-4]))
     chain = hmc_sample(*gaussian_target(cov), config)
-    assert chain.acceptance_rate < 0.05
+    assert chain.accept_flags.mean() < 0.05
     assert np.allclose(chain.draws[-1], [3e-4, -2e-4], rtol=1e-5, atol=0.0)
 
 
@@ -202,7 +200,7 @@ def test_mass_adaptation_handles_scale_separation():
     config = HMCConfig(n_leapfrog=24, n_warmup=600, n_draws=1500,
                        seed=5, init=np.zeros(2))
     chain = hmc_sample(*gaussian_target(cov), config)
-    assert 0.5 <= chain.acceptance_rate <= 0.99
+    assert 0.5 <= chain.accept_flags.mean() <= 0.99
     sd = chain.draws[:, 1].std(ddof=1)
     assert 12.0 < sd < 28.0
 
@@ -279,23 +277,6 @@ def test_ess_repeated_values_small():
     assert ess < 0.05 * x.size
 
 
-def test_identical_chains_flagged():
-    rng = np.random.default_rng(2)
-    draws = rng.normal(size=(400, 3))
-    chains = [draws, draws.copy()]
-    flags = diagnostics(chains)
-    assert any(f.startswith("identical-chains") for f in flags)
-    assert np.all(np.abs(split_rhat(np.stack(chains)) - 1.0) < 0.01)
-
-
-def test_zero_variance_coordinate_flagged():
-    rng = np.random.default_rng(3)
-    draws = rng.normal(size=(300, 2))
-    draws[:, 1] = 7.0
-    flags = diagnostics([draws])
-    assert any(f.startswith("zero-variance") for f in flags)
-
-
 def test_split_rhat_detects_drift():
     rng = np.random.default_rng(4)
     stationary = rng.normal(size=(2, 1000, 1))
@@ -303,11 +284,6 @@ def test_split_rhat_detects_drift():
     drifting[0, :, 0] += np.linspace(0, 5, 1000)
     assert split_rhat(stationary)[0] < 1.05
     assert split_rhat(drifting)[0] > 1.2
-
-
-def test_diagnostics_requires_chains():
-    with pytest.raises(ValueError):
-        diagnostics([])
 
 
 def _ar1(rng, phi, shape):
@@ -356,11 +332,6 @@ def test_batched_diagnostics_match_per_column_oracle(C, N):
         np.testing.assert_allclose(one_ess, ess_ref[j], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(one_rhat, rhat_ref[j], rtol=1e-12, atol=0.0, equal_nan=True)
 
-    flags_o = diagnostics_oracle(draws)
-    assert diagnostics(list(draws)) == flags_o
-    assert f"zero-variance:{names.index('constant')}" in flags_o
-    assert f"zero-variance:{names.index('near-constant')}" in flags_o
-
     if N >= 4 and C > 1:
         # tau was clamped to 1/N: the first pair was negative
         assert ess_ref[names.index("antithetic")] == C * N * N
@@ -374,25 +345,8 @@ def test_diagnostics_chunks_match_one_pass(monkeypatch):
     rng = np.random.default_rng(8)
     draws = rng.normal(size=(2, 50, 37))
     draws[:, :, 20] = 1.0
-    whole = diagnostics(list(draws)), effective_sample_size(draws), split_rhat(draws)
+    whole = effective_sample_size(draws), split_rhat(draws)
     monkeypatch.setattr("sckpd.hmc.CHUNK_VALUES", 2 * 50 * 4)
-    chunked = diagnostics(list(draws)), effective_sample_size(draws), split_rhat(draws)
-    assert chunked[0] == whole[0] == ["zero-variance:20"]
-    assert np.array_equal(chunked[1], whole[1])
-    assert np.array_equal(chunked[2], whole[2], equal_nan=True)
-
-
-def test_diagnostics_memory_is_bounded_at_paper_dynamic_size():
-    # 4 chains x 1000 draws x 697 coordinates: the default paper-dynamic fit
-    rng = np.random.default_rng(9)
-    chains = [rng.normal(size=(1000, 697)) for _ in range(4)]
-    stacked_bytes = 4 * 1000 * 697 * 8
-    tracemalloc.start()
-    try:
-        diagnostics(chains)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # each chain is read in place: the temporaries stay under half of one
-    # stacked copy of the draws
-    assert peak <= 0.5 * stacked_bytes
+    chunked = effective_sample_size(draws), split_rhat(draws)
+    assert np.array_equal(chunked[0], whole[0])
+    assert np.array_equal(chunked[1], whole[1], equal_nan=True)
