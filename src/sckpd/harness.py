@@ -596,9 +596,14 @@ def fit(config: RunConfig) -> dict:
     hyperparameters come from :func:`_read_blocks`.  One layout over the
     summary's blocks (one for static) and one posterior of the summary
     serve every chain, and each chain starts from one Uniform(-2, 2) draw.
-    The posterior's two requests, the value and the gradient, are partials of
-    ``model.log_posterior_grad``; chains run in a process pool when
-    SCKPD_THREADS is set above 1, which pickles the partials.  Weights are
+    The posterior's two requests are partials: the value request, made at
+    each chain start and trajectory end, of the checked entry
+    ``model.log_posterior_grad``, and the gradient request, made at each
+    leapfrog step, of the unchecked ``model.log_posterior_core``, which
+    runs inside ``hmc.leapfrog``'s error-state scope; the entry's checks
+    hold for the whole fit once the layout is built from the summary.
+    Chains run in a process pool when SCKPD_THREADS is set above 1, which
+    pickles the partials.  Weights are
     sorted (descending) within each draw before any summarization.  The
     report is :func:`_table_report` of the draws table, as
     :func:`summarize_draws` gives it from draws.csv, plus the config, the
@@ -613,9 +618,10 @@ def fit(config: RunConfig) -> dict:
                         "the shape was solved at the clamped target instead")
 
     layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(data.scatters))
-    value_fn, grad_fn = (partial(mdl.log_posterior_grad, layout=layout, data=data,
-                                 hyper=hyper, targets=targets, want=want)
-                         for want in ("value", "grad"))
+    value_fn = partial(mdl.log_posterior_grad, layout=layout, data=data, hyper=hyper,
+                       targets=targets, want="value")
+    grad_fn = partial(mdl.log_posterior_core, layout=layout, data=data, hyper=hyper,
+                      want="grad")
     hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
                         n_draws=config.n_draws, seed=config.seed, chain_index=c,
                         init=_draw_init(config.seed, c, layout.size))

@@ -80,8 +80,10 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
     time reversible (negate p and integrate back), with O(step^2) energy
     error.  Raises :class:`TrajectoryDivergence` on non-finite values; an
     update that overflows is one of them, and raises no warning.  One
-    error-state scope, which ignores overflow and invalid operations,
-    covers the whole trajectory, ``grad_fn``'s calls included.
+    error-state scope, which ignores overflow, division by zero and invalid
+    operations, covers the whole trajectory, ``grad_fn``'s calls included:
+    ``grad_fn`` may hold no scope of its own, as the posterior's core,
+    which ``fit`` binds its gradient requests to, does not.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
@@ -89,7 +91,7 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
     full = step_size * minv
     half = 0.5 * step_size * minv
     zero, move = np.zeros_like(q), np.empty_like(q)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         q += half * p
         for step in range(n_steps):
             p += np.multiply(step_size, grad_fn(q), out=move)

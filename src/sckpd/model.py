@@ -70,6 +70,16 @@ makes at the end of each trajectory, skips the member gradients, their
 read-back, the digammas and the pass back over the weights; the gradient
 request, which it makes at each leapfrog step, skips the log-Jacobian,
 the lgamma and Gamma-density terms and the value's dot products.
+
+The posterior is one core with two ways in.  :func:`log_posterior_grad`,
+the entry, checks what is fixed for a whole fit (the request, the state's
+length, the data's shape against the layout's, a positive lower
+variance), enters the error-state scope and delegates to
+:func:`log_posterior_core`, which does all the arithmetic and checks only
+what depends on the state.  A fit's value requests go through the entry;
+its gradient requests call the core inside ``hmc.leapfrog``'s scope, which
+ignores the same floating-point events, so a step pays for neither the
+checks nor a second scope.
 """
 
 from __future__ import annotations
@@ -167,13 +177,15 @@ class _Decoded(NamedTuple):
     d1_diag: np.ndarray
     d2_diag: np.ndarray
     breaks: list             # the K-1 break fractions
-    omega1: np.ndarray
+    omega: list              # the first block's weights, as floats
+    omega1: np.ndarray       # the same, as an array
     theta: float
     gamma: np.ndarray | None        # (K, K), None for one block
     transition: np.ndarray | None   # gamma's column normalization
     omegas: np.ndarray              # (T, K) weight trajectory
     log_jac: float
     exps: np.ndarray                # the tail's exps, D1 and D2 and gamma among them
+    exp_floats: list                # the same, as floats
 
     @property
     def members1(self) -> np.ndarray:   # (T, K+1, d1, d1), a view of the rows
@@ -283,18 +295,17 @@ class StateLayout:
         callers (``decode``, the posterior, the draws table) hold the
         error-state scope that ignores overflow, division by zero and
         invalid operations.  With ``jacobian`` false the support is checked
-        but the log-Jacobian's dot products are skipped: it reads 0.0."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.size,):
-            raise ValueError(f"expected a state vector of length {self.size}")
+        but the log-Jacobian's dot products are skipped: it reads 0.0.
+        ``u`` is a float array of the layout's size, as :meth:`check_state`
+        gives it."""
         K, d1, d2, n_low = self.n_components, self.d1, self.d2, self.n_low
         tail = u[n_low:]
         e = np.exp(tail * self.tail_sign + self.tail_offset)
-        w = e[self.sl_logistic]
+        exps = e.tolist()
         # the logistic values of the sticks break the simplex: weight k is
         # the stick left before break k times its fraction, the last weight
         # the stick left after every break
-        *breaks, theta = [1.0 / (1.0 + x) for x in w.tolist()]
+        *breaks, theta = [1.0 / (1.0 + x) for x in exps[self.sl_logistic]]
         omega, left = [], 1.0
         for zk in breaks:
             omega.append(left * zk)
@@ -304,13 +315,12 @@ class StateLayout:
         # a saturated logistic coordinate gives a theta of 0 or 1 or a zero
         # weight; a positive one that leaves the support gives a zero or an
         # infinite sum of the exps
-        exps = e.tolist()
         if not (0.0 < theta < 1.0 and min(omega) > 0.0 and min(exps) > 0.0
                 and sum(exps) < math.inf):
             log_jac = -math.inf
         elif jacobian:
             log_jac = (float(tail @ self.jac_weights) + self.jac_offset
-                       - float(np.log1p(w) @ self.log1p_weights))
+                       - float(np.log1p(e[self.sl_logistic]) @ self.log1p_weights))
         else:
             log_jac = 0.0
         gamma = transition = None
@@ -321,8 +331,15 @@ class StateLayout:
         else:
             omegas = omega1[None]
         members = np.concatenate((u[:n_low], e[:d1 + d2], _ZERO)).take(self.member_source)
-        return _Decoded(members, e[:d1], e[d1:d1 + d2], breaks, omega1, theta, gamma,
-                        transition, omegas, log_jac, e)
+        return _Decoded(members, e[:d1], e[d1:d1 + d2], breaks, omega, omega1, theta, gamma,
+                        transition, omegas, log_jac, e, exps)
+
+    def check_state(self, u) -> np.ndarray:
+        """``u`` as a float array, refused unless it has the layout's size."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.size,):
+            raise ValueError(f"expected a state vector of length {self.size}")
+        return u
 
     def decode(self, u: np.ndarray) -> tuple[SCKPDParams, float]:
         """One block's params plus the total log-Jacobian of the transform
@@ -331,7 +348,7 @@ class StateLayout:
             raise ValueError(f"decode gives one block's params; this layout has "
                              f"{self.n_blocks} blocks")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s = self._decode(u)
+            s = self._decode(self.check_state(u))
         K = self.n_components
         return SCKPDParams(lowers1=s.members1[0, :K], lowers2=s.members2[0, :K],
                            d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega=s.omega1,
@@ -570,11 +587,11 @@ def log_prior(params: SCKPDParams, hyper: SolvedHyper,
             + _gamma_logpdf(D2.size, np.log(D2).sum(), D2.sum(), hyper.shape2, hyper.rate2))
 
 
-# one error-state scope, entered once per call, covers the decode and the
-# whole evaluation: weights so small that the lower variances underflow, a
-# prior or gradient term that overflows, or a trace term that overflows
-# (huge diagonals) leave the support; the value or gradient comes out
-# non-finite and is checked once, at the end
+# the entry's error-state scope covers the decode and the whole evaluation:
+# weights so small that the lower variances underflow, a prior or gradient
+# term that overflows, or a trace term that overflows (huge diagonals) leave
+# the support; the value or gradient comes out non-finite and is checked
+# once, at the end
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
                        targets: PriorTargets, want: str = "both"):
@@ -598,20 +615,42 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     all without a RuntimeWarning; the sampler treats those as divergent
     proposals.  Each request finds the state outside when the decode or
     what it computes leaves the floating-point range.
+
+    This is the checked entry: it refuses a bad ``want``, data of another
+    shape than the layout's and a state of another length, gives a
+    nonpositive lower variance the outside result, and holds the
+    error-state scope around :func:`log_posterior_core`, which does the
+    arithmetic.
     """
     if want not in ("value", "grad", "both"):
         raise ValueError(f"want must be 'value', 'grad' or 'both', got {want!r}")
-    wants_value, wants_grad = want != "grad", want != "value"
-    scatters, n_obs = data.scatters, data.n_obs
-    K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
-    if scatters.shape != (T, d1 * d1, d2 * d2):
+    T, d1, d2 = layout.n_blocks, layout.d1, layout.d2
+    if data.scatters.shape != (T, d1 * d1, d2 * d2):
         raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
-                         f"the data rearranged scatters of shape {scatters.shape}")
-    beta, n_low, value, grad = hyper.lower_variance, layout.n_low, 0.0, None
-    s = layout._decode(u, jacobian=wants_value)
-    if not s.log_jac > -math.inf or beta <= 0.0:
+                         f"the data rearranged scatters of shape {data.scatters.shape}")
+    u = layout.check_state(u)
+    if hyper.lower_variance <= 0.0:
         return _outside(want, layout.size)
-    omegas, theta = s.omegas, s.theta
+    return log_posterior_core(u, layout, data, hyper, want)
+
+
+def log_posterior_core(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
+                       want: str):
+    """The arithmetic of :func:`log_posterior_grad`, with the same numbers,
+    unchecked: ``u`` is a float array of the layout's size, ``data`` has
+    the layout's shape, the lower variance is positive, ``want`` is one of
+    the three requests, and the caller holds an error-state scope that
+    ignores overflow, division by zero and invalid operations.  Only what
+    depends on the state is checked here: the decode's support test and
+    the finiteness of the result.  ``fit`` binds its gradient requests to
+    this core, inside ``hmc.leapfrog``'s scope."""
+    wants_value, wants_grad = want != "grad", want != "value"
+    K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
+    beta, n_obs, n_low, value, grad = hyper.lower_variance, data.n_obs, layout.n_low, 0.0, None
+    s = layout._decode(u, jacobian=wants_value)
+    if not s.log_jac > -math.inf:
+        return _outside(want, layout.size)
+    omegas, theta, omega = s.omegas, s.theta, s.omega
     lows = u[:n_low]
     lows_var = lows / (omegas * beta).take(layout.lower_block)
     scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
@@ -630,7 +669,7 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
         # the weights enter only the priors, every block's through
         # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
         # each block's weights, lam0 the first's with its Dirichlet prior
-        A, omega = s.transition, s.omega1.tolist()
+        A = s.transition
         lam0 = [0.5 * (c - layout.n_ent) / w + (theta - 1.0) / w
                 for c, w in zip(scaled[0].tolist(), omega)]
         if T > 1:
@@ -642,20 +681,22 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
                    + float(np.add.reduce(np.log(s.omega1))))
 
         # strict lowers: the N(0, omega beta) prior and the trace term; one
-        # take reads their member gradients and the diagonal members'
+        # take reads their member gradients and the diagonal members', whose
+        # sum over the blocks one block does not need
         g_read = g_members.take(layout.read_pos)
         grad = np.empty(layout.size)
         np.subtract(-0.5 * g_read[:n_low], lows_var, out=grad[:n_low])
-        g_D = np.add.reduce(g_read[n_low:].reshape(T, d1 + d2)).tolist()
+        g_D = (np.add.reduce(g_read[n_low:].reshape(T, d1 + d2)) if T > 1
+               else g_read[n_low:]).tolist()
 
         # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
         # where the 1/D terms of the log-determinant and the Gamma prior
         # times D are the constants n d2 and shape - 1: with the 1 they
         # add n d2 + shape, without dividing by D
-        D, r1, r2 = s.exps[:d1 + d2].tolist(), hyper.rate1, hyper.rate2
+        D, r1, r2 = s.exp_floats, hyper.rate1, hyper.rate2
         c1, c2 = n_obs * d2 + hyper.shape1, n_obs * d1 + hyper.shape2
         tail = ([(-0.5 * g - r1) * x + c1 for g, x in zip(g_D[:d1], D[:d1])]
-                + [(-0.5 * g - r2) * x + c2 for g, x in zip(g_D[d1:], D[d1:])])
+                + [(-0.5 * g - r2) * x + c2 for g, x in zip(g_D[d1:], D[d1:d1 + d2])])
         tail += stick_breaking_grad(s.breaks, omega, lam0)
         # theta's logit: the chain rule plus the log-Jacobian's 1 - 2 theta
         tail.append(g_theta * theta * (1.0 - theta) + (1.0 - 2.0 * theta))

@@ -735,15 +735,28 @@ def _diagonal_covariance_csv(tmp_path: Path) -> Path:
 
 
 def _count_requests(monkeypatch) -> dict:
-    """Wrap ``model.log_posterior_grad`` to count the requests a fit makes, by kind."""
+    """Wrap ``model.log_posterior_grad`` and the core it delegates to,
+    ``model.log_posterior_core``, to count the requests a fit makes, by
+    kind.  A request counts once, whichever of the two it reaches first:
+    ``fit`` makes its gradient requests to the core directly."""
     counts = {"value": 0, "grad": 0, "both": 0}
-    inner = mdl.log_posterior_grad
+    entry, core, in_entry = mdl.log_posterior_grad, mdl.log_posterior_core, [False]
 
-    def counted(*args, want="both", **kwargs):
+    def counted_entry(*args, want="both", **kwargs):
         counts[want] += 1
-        return inner(*args, want=want, **kwargs)
+        in_entry[0] = True
+        try:
+            return entry(*args, want=want, **kwargs)
+        finally:
+            in_entry[0] = False
+
+    def counted_core(u, layout, data, hyper, want):
+        if not in_entry[0]:
+            counts[want] += 1
+        return core(u, layout, data, hyper, want)
     monkeypatch.delenv("SCKPD_THREADS", raising=False)
-    monkeypatch.setattr(mdl, "log_posterior_grad", counted)
+    monkeypatch.setattr(mdl, "log_posterior_grad", counted_entry)
+    monkeypatch.setattr(mdl, "log_posterior_core", counted_core)
     return counts
 
 
@@ -773,6 +786,13 @@ def test_fit_makes_one_value_request_per_chain_start_and_draw(tmp_path, monkeypa
                              "n_leapfrog": 2}))
     assert counts["value"] == 3 * (1 + 7)
     assert counts["both"] == 0
+    # a warmup of 40 switches the mass at its midpoint and searches the step
+    # again: 45 trajectories of 12 steps and 11 one-step trajectories of the
+    # two step searches, each ending in a value request
+    counts.update(value=0, grad=0)
+    fit(RunConfig.from_dict({**cfg.__dict__, "n_chains": 1, "n_warmup": 40, "n_draws": 5,
+                             "output_dir": str(tmp_path / "warm")}))
+    assert counts == {"value": 1 + 45 + 11, "grad": 45 * 12 + 11, "both": 0}
 
 
 @pytest.mark.parametrize("d1, d2, n_blocks", [(4, 5, 1), (5, 2, 12)],

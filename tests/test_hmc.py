@@ -71,6 +71,23 @@ def test_leapfrog_divergence_signal():
     assert info.value.step == 0
 
 
+def test_leapfrog_ends_a_divide_by_zero_in_the_gradient_as_a_divergence():
+    # a gradient with no error-state scope of its own, as fit's gradient
+    # requests are, divides by zero on its second call: the trajectory's
+    # scope keeps the RuntimeWarning silent and the step diverges
+    calls = []
+
+    def grad(q):
+        calls.append(q)
+        return -q / (0.0 if len(calls) == 2 else 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryDivergence) as info:
+            leapfrog(grad, np.ones(3), np.ones(3), 0.1, 5)
+    assert info.value.step == 1 and len(calls) == 2
+
+
 def test_energy_error_scaling_slope():
     rng = np.random.default_rng(1)
     cov = np.array([[1.0, 0.5], [0.5, 1.5]])

@@ -10,9 +10,10 @@ from conftest import (log_likelihood, log_posterior, make_rng, member_rows, pack
                       random_dataset, random_params, regroup_trace_dense, summary_for,
                       targets_and_hyper, vanloan_unrearrange)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
+from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members, _regroup,
                          _trace_dense, _trace_pairs, assemble_ldagger, log_det_ldagger,
-                         log_posterior_grad, log_prior, trace_quadratic)
+                         log_posterior_core, log_posterior_grad, log_prior, trace_quadratic)
 
 
 def _problem(rng, d1=3, d2=4, K=2, n=40):
@@ -528,6 +529,36 @@ def _static_and_seasonal_posteriors(rng, d1=3, d2=4, K=3):
                                  (StateLayout(d1, d2, K, n_blocks=12), sched))]
 
 
+def _entries_and_cores(rng):
+    """At the static 4x5 K5, seasonal 5x2 K5 T = 12 and 16x16 K5 (pair
+    products) shapes, a layout with ``log_posterior_grad`` and
+    ``log_posterior_core`` bound to it and to one posterior's data and
+    hyperparameters, solved from the first block as a fit solves them.
+    Both take the state and ``want``; the core is called inside the
+    error-state scope that its callers hold."""
+    for d1, d2, K, T in ((4, 5, 5, 1), (5, 2, 5, 12), (16, 16, 5, 1)):
+        n = 3 * d1 * d2
+        scatters = np.stack([Y.T @ Y for Y in (random_dataset(d1, d2, n, rng) for _ in range(T))])
+        data = DataSummary.from_scatter(scatters, n * T, d1, d2)
+        targets = prior_targets_from_sample(scatters[0] / n, d1, d2)
+        hyper = solve_hyper(targets)
+        layout = StateLayout(d1, d2, K, n_blocks=T)
+        bound = dict(layout=layout, data=data, hyper=hyper)
+
+        def core(u, want, bound=bound):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                return log_posterior_core(u, want=want, **bound)
+        yield layout, partial(log_posterior_grad, targets=targets, **bound), core
+
+
+def _same_bits(a, b) -> bool:
+    """Two requests' results, a float, an array or a (value, gradient)
+    pair, hold the same bits."""
+    if isinstance(a, tuple):
+        return len(b) == 2 and all(_same_bits(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_value_and_gradient_requests_match_the_combined_call_bit_for_bit():
     rng = make_rng(29)
     for layout, post in _static_and_seasonal_posteriors(rng):
@@ -541,15 +572,35 @@ def test_value_and_gradient_requests_match_the_combined_call_bit_for_bit():
             assert g.shape == grad.shape and g.tobytes() == grad.tobytes()
         with pytest.raises(ValueError, match="want"):
             post(u, want="gradient")
+    # the core, which fit's gradient requests call, gives the entry's bits
+    # for every request, and the entry alone refuses what the core assumes
+    for layout, entry, core in _entries_and_cores(rng):
+        for _ in range(3):
+            u = rng.normal(0.0, 0.4, size=layout.size)
+            assert math.isfinite(entry(u, want="value"))
+            for want in ("value", "grad", "both"):
+                assert _same_bits(core(u, want), entry(u, want=want))
+        with pytest.raises(ValueError, match="want must be 'value', 'grad' or 'both', "
+                                             "got 'gradient'"):
+            entry(u, want="gradient")
+        with pytest.raises(ValueError, match=f"expected a state vector of length {layout.size}"):
+            entry(u[:-1])
+        other = DataSummary.from_observations(rng.normal(size=(30, 12)), 3, 4)
+        with pytest.raises(ValueError, match=rf"the layout has {layout.n_blocks} blocks of "
+                                             rf"{layout.d1}x{layout.d2}, the data rearranged "
+                                             r"scatters of shape \(1, 9, 16\)"):
+            entry(u, data=other)
 
 
 def test_requests_outside_the_support_are_minus_infinity_and_zeros():
     # a diagonal at exp(-800), a saturated theta and (seasonal) an
-    # overflowing transition gamma leave the support for every request
+    # overflowing transition gamma leave the support for every request,
+    # made through the entry or, inside the sampler's scope, the core
     rng = make_rng(30)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for layout, post in _static_and_seasonal_posteriors(rng):
+        posts = [(layout, post, None) for layout, post in _static_and_seasonal_posteriors(rng)]
+        for layout, post, core in posts + list(_entries_and_cores(rng)):
             edits = [(layout.sl_logd1, -800.0), (layout.sl_theta, 40.0)]
             if layout.n_blocks > 1:
                 edits.append((layout.sl_gammas, 800.0))
@@ -561,6 +612,9 @@ def test_requests_outside_the_support_are_minus_infinity_and_zeros():
                 assert grad.shape == (layout.size,) and not np.any(grad)
                 value, grad = post(u)
                 assert value == -math.inf and not np.any(grad)
+                if core is not None:
+                    for want in ("value", "grad", "both"):
+                        assert _same_bits(core(u, want), post(u, want=want))
 
 
 def test_a_state_whose_gradient_overflows_keeps_a_finite_value_request():
