@@ -1,6 +1,6 @@
 """The Cholesky-sum precision model: parameter containers, the one state
-layout, factor assembly, the structured likelihood over the Van Loan
-rearrangement of the data scatter, the priors, and the log posterior with
+layout, factor assembly, the structured likelihood over the data scatter
+in the form its contraction reads, the priors, and the log posterior with
 its analytic gradient.
 
 The precision factor of one data block is
@@ -11,27 +11,34 @@ with shared diagonal vectors D1, D2 across the K components.  Writing the
 left member list as [low1_1, .., low1_K, diag(D1)] and the right list as
 [low2_1, .., low2_K, diag(D2)], L = sum_{a,b} C[a,b] U_a (x) V_b with the
 0/1 coupling C = [[I_K, 1], [1^T, 1]].  The data enter only through the
-scatter S = sum_i y_i y_i^T, held as its rearrangement R = vanloan_rearrange(S)
-(Van Loan & Pitsianis 1993), for which tr((A (x) B) S) = vec(A)^T R vec(B).
-The trace term tr(L L^T S) has two contractions, with m = K + 1 members
-and d = d1 d2:
+scatter S = sum_i y_i y_i^T.  With R its Van Loan rearrangement (Van Loan
+& Pitsianis 1993), whose row (r, s) is the row-major vec of the (r, s)
+d2 x d2 block of S, tr((A (x) B) S) = vec(A)^T R vec(B).  The trace term
+tr(L L^T S) has two contractions, with m = K + 1 members:
 
 - through the dense factor: the rearrangement of L is U~^T C V~, with U~,
   V~ the members stacked as rows vec(U_a), vec(V_b), so one product and
-  one take give L; then tr(L L^T S) = <L, S L>.  It costs about d^3 +
-  3 m d1^2 d2^2 multiply-adds.
-- through the pair products, never forming a d-sized matrix:
+  one take give L; then tr(L L^T S) = <L, S L>, which reads S as it is.
+- through the pair products, never forming a d1 d2-sized matrix:
 
       tr(L L^T S) = sum C[a,b] C[a',b'] vec(U_a U_a'^T)^T R vec(V_b V_b'^T)
                   = <CC, PU R QV^T>,
 
   with PU, QV the stacked pair products and CC[(a,a'),(b,b')] =
-  C[a,b] C[a',b'].  It costs about 2 m^2 d1^2 d2^2 + m^4 (d1^2 + d2^2).
+  C[a,b] C[a',b'].  It reads R.
 
-:class:`StateLayout` picks the one with fewer flops, once, from (d1, d2,
-K) (:func:`trace_contraction`): the dense one at the paper shapes (4x5 and
-5x2 with K = 5), the pair products at 16x16.  Both give the member
-gradients from the products they already hold.
+Both give the member gradients from the products they already hold.  The
+choice is one predicate of (d1, d2) alone, :func:`dense_contraction`: the
+dense factor up to d1 d2 = ``DENSE_CUT`` (80), the pair products above.
+Measured per call at T = 1 with one BLAS thread, the dense factor is the
+faster up to 64 entries at K = 1, 3 and 5 (at 8x8 and K = 1 the two tie),
+and the pair products from 144 entries.  From 70 to 80 entries the dense
+factor takes 1.2-1.5x the pair products' time at K = 1, and they take
+1.1-1.7x its time at K = 3 and 5; at 9x9 and K = 1 it takes 1.6x.  The
+cut ignores K so that a summary, which is built before K is known,
+stores its scatters in the one form the layout's contraction reads: the
+paper shapes (4x5 and 5x2) read the dense factor, 16x16 the pair
+products.
 
 There is one posterior, :func:`log_posterior_grad`, over T time-ordered
 blocks, each with its own strict-lower factors, sharing the diagonals; the
@@ -41,10 +48,10 @@ one block and no transition; :class:`SCKPDParams` holds the parameters of
 one block, as the simulator draws them and a one-block layout decodes them.
 
 One evaluation has no loop over blocks but the weight trajectory's.  The
-data are a :class:`DataSummary`, built once by a fit's block reader: the
-(T, d, d) stack of the blocks' scatters, which the dense contraction
-multiplies as it is, and its (T, d1^2, d2^2) rearrangement, which the
-pair products read.  A state decodes once: one exp over every coordinate
+data are a :class:`DataSummary`, built once by a fit's block reader: one
+stack of the blocks' scatters in the form the contraction reads, as they
+are, (T, d1 d2, d1 d2), or rearranged for the pair products, (T, d1^2,
+d2^2).  A state decodes once: one exp over every coordinate
 after the strict lowers gives the diagonals, the gammas and the logistic
 values of the sticks and theta (the unconstrained reparameterizations:
 log for positives, a centered stick-breaking map for the simplex, logit
@@ -73,8 +80,8 @@ the lgamma and Gamma-density terms and the value's dot products.
 
 The posterior is one core with two ways in.  :func:`log_posterior_grad`,
 the entry, checks what is fixed for a whole fit (the request, the state's
-length, the data's shape against the layout's, a positive lower
-variance), enters the error-state scope and delegates to
+length, the data's shapes and scatter form against the layout's, a
+positive lower variance), enters the error-state scope and delegates to
 :func:`log_posterior_core`, which does all the arithmetic and checks only
 what depends on the state.  A fit's value requests go through the entry;
 its gradient requests call the core inside ``hmc.leapfrog``'s scope, which
@@ -95,23 +102,8 @@ import numpy as np
 from .hyper import PriorTargets, SolvedHyper, digamma
 
 LOG_2PI = math.log(2.0 * math.pi)
+DENSE_CUT = 80        # the largest d1 d2 whose trace term reads the dense factor
 _ZERO = np.zeros(1)   # the value of the member entries no coordinate sets
-
-
-def vanloan_rearrange(S: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Rearrange a d1*d2 x d1*d2 matrix, or each matrix of a (T, d1*d2,
-    d1*d2) stack, into the d1^2 x d2^2 form whose rank-1 terms correspond
-    to Kronecker terms of ``S``.
-
-    Row (r, s) of the result is the row-major vectorization of the
-    (r, s) block of ``S``; the rearrangement of ``np.kron(A, B)`` is the
-    rank-1 outer product vec(A) vec(B)^T.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.shape[-2:] != (d1 * d2, d1 * d2):
-        raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix or a stack of them, "
-                         f"got {S.shape}")
-    return _regroup(S, d1, d2, d1, d2).reshape(S.shape[:-2] + (d1 * d1, d2 * d2))
 
 
 @dataclass(frozen=True)
@@ -138,18 +130,26 @@ class SCKPDParams:
         return self.lowers2.shape[1]
 
 
+def dense_contraction(d1: int, d2: int) -> bool:
+    """Whether the trace term of d1 x d2 blocks contracts through the dense
+    factor (else through the pair products): the one choice of the
+    contraction, and so of the form a summary stores its scatters in."""
+    return d1 * d2 <= DENSE_CUT
+
+
 @dataclass(frozen=True)
 class DataSummary:
     """Sufficient statistics of T time-ordered blocks: every block's scatter
-    sum_i y_i y_i^T, stacked as the trace contractions read them, in their
-    Van Loan rearrangement (``scatters``, (T, d1^2, d2^2)) and as they are
-    (``dense``, (T, d, d)), and their total observation count."""
+    sum_i y_i y_i^T, stacked in the one form the shape's trace contraction
+    reads (``scatters``: as they are, (T, d1 d2, d1 d2), or, with
+    ``rearranged``, in their Van Loan rearrangement, (T, d1^2, d2^2)), and
+    their total observation count."""
 
     n_obs: int
     d1: int
     d2: int
     scatters: np.ndarray
-    dense: np.ndarray
+    rearranged: bool
 
     @classmethod
     def from_observations(cls, Y: np.ndarray, d1: int, d2: int) -> "DataSummary":
@@ -161,10 +161,14 @@ class DataSummary:
     @classmethod
     def from_scatter(cls, scatter: np.ndarray, n_obs: int, d1: int, d2: int) -> "DataSummary":
         """The summary of one block's scatter, or of a (T, d, d) stack of
-        the blocks' scatters with ``n_obs`` their total count."""
-        rearranged = vanloan_rearrange(scatter, d1, d2).reshape(-1, d1 * d1, d2 * d2)
-        return cls(n_obs=int(n_obs), d1=d1, d2=d2, scatters=rearranged,
-                   dense=np.ascontiguousarray(scatter, dtype=float).reshape(-1, d1 * d2, d1 * d2))
+        the blocks' scatters with ``n_obs`` their total count, in the form
+        :func:`dense_contraction` picks for (d1, d2)."""
+        scatter, d = np.ascontiguousarray(scatter, dtype=float), d1 * d2
+        if scatter.shape[-2:] != (d, d):
+            raise ValueError(f"expected {d} x {d} scatters, got shape {scatter.shape}")
+        rearranged = not dense_contraction(d1, d2)
+        stack = _regroup(scatter, d1, d2, d1, d2) if rearranged else scatter.reshape(-1, d, d)
+        return cls(int(n_obs), d1, d2, stack, rearranged)
 
 
 class _Decoded(NamedTuple):
@@ -467,7 +471,7 @@ def _trace_dense(members: np.ndarray, data, want: str, coupling: np.ndarray,
     CM = coupling @ members
     CV = CM[..., n:]
     L = (members[..., :n].transpose(0, 2, 1) @ CV).take(to_dense)
-    SL = data.dense @ L
+    SL = data.scatters @ L
     value = float(np.vdot(L, SL)) if want != "grad" else None
     if want == "value":
         return value, None
@@ -518,16 +522,15 @@ def _trace_pairs(members: np.ndarray, data, want: str, coupling_pairs: np.ndarra
 
 
 def trace_contraction(d1: int, d2: int, n_components: int, n_blocks: int = 1) -> partial:
-    """The contraction of the trace term with fewer flops at this shape (the
-    counts are in the module docstring), with its constants bound:
-    ``core(members, data, want)`` gives, from the (T, K+1, d1^2 + d2^2)
-    member rows of ``n_blocks`` blocks, the summed trace (None for the
-    "grad" request) and the member gradient laid out as the rows (None
-    for the "value" request)."""
-    m, d = n_components + 1, d1 * d2
+    """The contraction of the trace term that :func:`dense_contraction` picks
+    for (d1, d2), with its constants bound: ``core(members, data, want)``
+    gives, from the (T, K+1, d1^2 + d2^2) member rows of ``n_blocks`` blocks
+    and a summary of that shape, the summed trace (None for the "grad"
+    request) and the member gradient laid out as the rows (None for the
+    "value" request)."""
     C = _coupling(n_components)
-    if d ** 3 + 3 * m * d * d < 2 * m * m * d * d + m ** 4 * (d1 * d1 + d2 * d2):
-        index = np.arange(n_blocks * d * d)
+    if dense_contraction(d1, d2):
+        index = np.arange(n_blocks * (d1 * d2) ** 2)
         return partial(_trace_dense, coupling=C, to_dense=_regroup(index, d1, d1, d2, d2),
                        to_rearranged=_regroup(index, d1, d2, d1, d2))
     return partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2)
@@ -616,18 +619,18 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     proposals.  Each request finds the state outside when the decode or
     what it computes leaves the floating-point range.
 
-    This is the checked entry: it refuses a bad ``want``, data of another
-    shape than the layout's and a state of another length, gives a
-    nonpositive lower variance the outside result, and holds the
-    error-state scope around :func:`log_posterior_core`, which does the
-    arithmetic.
+    This is the checked entry: it refuses a bad ``want``, data whose block
+    count, mode dimensions or scatter form are not the layout's, and a
+    state of another length, gives a nonpositive lower variance the
+    outside result, and holds the error-state scope around
+    :func:`log_posterior_core`, which does the arithmetic.
     """
     if want not in ("value", "grad", "both"):
         raise ValueError(f"want must be 'value', 'grad' or 'both', got {want!r}")
-    T, d1, d2 = layout.n_blocks, layout.d1, layout.d2
-    if data.scatters.shape != (T, d1 * d1, d2 * d2):
-        raise ValueError(f"the layout has {T} blocks of {d1}x{d2}, "
-                         f"the data rearranged scatters of shape {data.scatters.shape}")
+    form = (layout.n_blocks, layout.d1, layout.d2, not dense_contraction(layout.d1, layout.d2))
+    if (len(data.scatters), data.d1, data.d2, data.rearranged) != form:
+        raise ValueError(f"the layout has (blocks, d1, d2, rearranged) = {form}, the data "
+                         f"{len(data.scatters), data.d1, data.d2, data.rearranged}")
     u = layout.check_state(u)
     if hyper.lower_variance <= 0.0:
         return _outside(want, layout.size)

@@ -6,7 +6,7 @@ import pytest
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, _regroup, assemble_ldagger,
                          log_det_ldagger, log_prior, omega_trajectory, stick_offsets,
-                         trace_quadratic, vanloan_rearrange)
+                         trace_quadratic)
 
 
 def make_rng(seed=0):
@@ -277,8 +277,23 @@ def kron(A, B):
     return np.kron(np.asarray(A), np.asarray(B))
 
 
+def vanloan_rearrange(S, d1, d2):
+    """The Van Loan rearrangement of a d1*d2 x d1*d2 matrix, or of each
+    matrix of a stack, from its definition, one block at a time: row (r, s)
+    of the d1^2 x d2^2 result is the row-major vec of the (r, s) d2 x d2
+    block of ``S``, so the rearrangement of kron(A, B) is vec(A) vec(B)^T.
+    The oracle of the rearranged form ``DataSummary.from_scatter`` stores."""
+    S = np.asarray(S, dtype=float)
+    if S.shape[-2:] != (d1 * d2, d1 * d2):
+        raise ValueError(f"expected a {d1 * d2} x {d1 * d2} matrix or a stack of them, "
+                         f"got {S.shape}")
+    rows = [S[..., r * d2:(r + 1) * d2, s * d2:(s + 1) * d2].reshape(S.shape[:-2] + (d2 * d2,))
+            for r in range(d1) for s in range(d1)]
+    return np.stack(rows, axis=-2)
+
+
 def vanloan_unrearrange(R, d1, d2):
-    """Inverse of ``model.vanloan_rearrange``."""
+    """Inverse of :func:`vanloan_rearrange`."""
     R = np.asarray(R, dtype=float)
     if R.shape != (d1 * d1, d2 * d2):
         raise ValueError(f"expected a {d1 * d1} x {d2 * d2} matrix, got {R.shape}")
@@ -473,16 +488,16 @@ def member_rows(members1, members2):
 
 def regroup_trace_dense(members1, members2, scatters, want_grad, coupling):
     """sum_t tr(L_t L_t^T S_t) = sum_t <L_t, S_t L_t> and the flat member
-    gradient through every block's dense factor, with the scatters and the
-    factors rearranged by reshapes and axis swaps on every call: the dense
-    contraction as it was before its index maps, the bit-for-bit oracle of
-    ``model._trace_dense``."""
+    gradient through every block's dense factor, from the (T, d, d) stack
+    of the scatters, with the factors rearranged by reshapes and axis swaps
+    on every call: the dense contraction as it was before its index maps,
+    the bit-for-bit oracle of ``model._trace_dense``."""
     T, m, d1, _ = members1.shape
     d2 = members2.shape[-1]
     U = members1.reshape(T, m, d1 * d1)
     CV = coupling @ members2.reshape(T, m, d2 * d2)
     L = _regroup(U.transpose(0, 2, 1) @ CV, d1, d1, d2, d2)
-    SL = _regroup(scatters, d1, d1, d2, d2) @ L
+    SL = scatters @ L
     value = float(np.vdot(L, SL))
     if not want_grad:
         return value, None

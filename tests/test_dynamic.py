@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from conftest import (SDParams, decode_blocks, log_likelihood, log_posterior, make_rng, pack,
@@ -30,14 +31,25 @@ def _schedule(rng, d1=3, d2=2, n_seasons=2, n_cycles=2, n=25):
 
 def test_a_stacked_summary_is_the_schedule_of_its_blocks():
     # the summary a fit builds from the stacked scatters holds the
-    # schedule's data bit for bit
+    # schedule's data bit for bit, in the one form of the shape (dense at
+    # 3x2, rearranged at 9x9); a schedule refuses blocks of another shape
+    # or form
     rng = make_rng(61)
-    Ys = [random_dataset(3, 2, n, rng) for n in (25, 30, 18, 41)]
-    sched = SeasonSchedule(n_seasons=2, n_cycles=2,
-                           blocks=tuple(summary_for(Y, 3, 2) for Y in Ys))
-    stacked = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), 114, 3, 2)
-    assert np.array_equal(stacked.scatters, sched.scatters)
-    assert stacked.n_obs == sched.n_obs == 114
+    for d1, d2, rearranged in ((3, 2, False), (9, 9, True)):
+        Ys = [random_dataset(d1, d2, n, rng) for n in (95, 90, 88, 91)]
+        sched = SeasonSchedule(n_seasons=2, n_cycles=2,
+                               blocks=tuple(summary_for(Y, d1, d2) for Y in Ys))
+        stacked = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), 364, d1, d2)
+        assert isinstance(sched, DataSummary) and sched.n_blocks == 4
+        assert np.array_equal(stacked.scatters, sched.scatters)
+        form = (364, d1, d2, rearranged)
+        assert (stacked.n_obs, stacked.d1, stacked.d2, stacked.rearranged) == form
+        assert (sched.n_obs, sched.d1, sched.d2, sched.rearranged) == form
+    dense = DataSummary(30, 9, 9, sched.blocks[0].scatters, rearranged=False)
+    for other in (summary_for(Ys[0][:, :80], 8, 10), dense):
+        with pytest.raises(ValueError, match="all blocks must share the mode dimensions "
+                                             "and the scatter form"):
+            SeasonSchedule(n_seasons=2, n_cycles=1, blocks=(sched.blocks[0], other))
 
 
 def _sd_value(u, layout, sched, hyper, targets):

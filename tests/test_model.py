@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from functools import partial
 
@@ -8,7 +9,7 @@ import scipy.stats
 
 from conftest import (log_likelihood, log_posterior, make_rng, member_rows, pack,
                       random_dataset, random_params, regroup_trace_dense, summary_for,
-                      targets_and_hyper, vanloan_unrearrange)
+                      targets_and_hyper, vanloan_rearrange, vanloan_unrearrange)
 from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members, _regroup,
@@ -179,38 +180,41 @@ def _dense_trace_and_grad(p, S):
                    np.diagonal(gU[K]).copy(), np.diagonal(gV[K]).copy())
 
 
-def _both_cores(d1, d2, K, T):
-    """The dense and the pair-product trace cores of T blocks, as
-    ``trace_contraction`` binds them, whichever its flop rule picks."""
-    C, index = _coupling(K), np.arange(T * d1 * d1 * d2 * d2)
-    return (partial(_trace_dense, coupling=C, to_dense=_regroup(index, d1, d1, d2, d2),
-                    to_rearranged=_regroup(index, d1, d2, d1, d2)),
-            partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2))
+def _both_cores(d1, d2, K, scatters, n_obs):
+    """The dense and the pair-product trace cores of the blocks of a (T, d,
+    d) scatter stack, as ``trace_contraction`` binds them, each with the
+    summary of the stack in the form it reads, whichever the shape picks."""
+    C, index = _coupling(K), np.arange(scatters.size)
+    dense = partial(_trace_dense, coupling=C, to_dense=_regroup(index, d1, d1, d2, d2),
+                    to_rearranged=_regroup(index, d1, d2, d1, d2))
+    pairs = partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2)
+    rearranged = vanloan_rearrange(scatters, d1, d2)
+    return ((dense, DataSummary(n_obs, d1, d2, scatters, rearranged=False)),
+            (pairs, DataSummary(n_obs, d1, d2, rearranged, rearranged=True)))
 
 
-def _stacked_members_and_data(d1, d2, K, T, rng):
-    """T blocks' member stacks of random params, and the summary of T
-    random datasets."""
+def _stacked_members_and_scatters(d1, d2, K, T, rng):
+    """T blocks' member stacks of random params, and the (T, d, d) scatter
+    stack of T random datasets of 3 d rows each."""
     params = [random_params(d1, d2, K, rng) for _ in range(T)]
     Ys = [random_dataset(d1, d2, 3 * d1 * d2, rng) for _ in range(T)]
     members1 = np.stack([_members(p.lowers1, p.d1_diag) for p in params])
     members2 = np.stack([_members(p.lowers2, p.d2_diag) for p in params])
-    data = DataSummary.from_scatter(np.stack([Y.T @ Y for Y in Ys]), sum(map(len, Ys)), d1, d2)
-    return params, Ys, members1, members2, data
+    return params, Ys, members1, members2, np.stack([Y.T @ Y for Y in Ys])
 
 
 @pytest.mark.parametrize("dims,K", [((3, 2), 2), ((4, 5), 5), ((5, 2), 5), ((8, 8), 5),
-                                    ((16, 16), 5)])
+                                    ((16, 16), 5), ((8, 8), 1), ((9, 9), 1), ((9, 9), 5)])
 def test_trace_core_matches_dense_gradient(dims, K):
     # four cases stacked on the block axis: the value is their sum, and each
     # block's member gradients are its own dense gradient, for both
-    # contractions whichever the shape's rule picks
+    # contractions whichever the shape picks, on both sides of the cut
     d1, d2 = dims
     rng = make_rng(26 + d1 * d2 + K)
-    params, Ys, members1, members2, data = _stacked_members_and_data(d1, d2, K, 4, rng)
+    params, Ys, members1, members2, scatters = _stacked_members_and_scatters(d1, d2, K, 4, rng)
     dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in zip(Ys, params)]
     dense_value = sum(v for v, _ in dense)
-    for core in _both_cores(d1, d2, K, 4):
+    for core, data in _both_cores(d1, d2, K, scatters, sum(map(len, Ys))):
         value, grad = core(member_rows(members1, members2), data, "both")
         assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
         GU = grad[..., :d1 * d1].reshape(members1.shape)
@@ -224,16 +228,16 @@ def test_trace_core_matches_dense_gradient(dims, K):
 
 @pytest.mark.parametrize("d1,d2,K,T", [(4, 5, 5, 1), (5, 2, 5, 12), (3, 2, 1, 1), (16, 16, 5, 1)])
 def test_dense_core_matches_the_regroup_oracle_bit_for_bit(d1, d2, K, T):
-    # the dense core's index maps and the summary's dense scatters give the
-    # value and the member gradient of the contraction that rearranges by
-    # reshapes, to the last bit, for every request; at 16x16, where the
-    # flop rule picks the pair products, the dense core is forced
+    # the dense core's index maps and the dense scatters give the value and
+    # the member gradient of the contraction that rearranges by reshapes, to
+    # the last bit, for every request; at 16x16, where the shape picks the
+    # pair products, the dense core is forced
     rng = make_rng(40 + d1 * d2 + K + T)
-    _, _, members1, members2, data = _stacked_members_and_data(d1, d2, K, T, rng)
-    value, flat = regroup_trace_dense(members1, members2, data.scatters, True, _coupling(K))
+    _, Ys, members1, members2, scatters = _stacked_members_and_scatters(d1, d2, K, T, rng)
+    value, flat = regroup_trace_dense(members1, members2, scatters, True, _coupling(K))
     grad = member_rows(flat[:members1.size].reshape(members1.shape),
                        flat[members1.size:].reshape(members2.shape))
-    dense, _ = _both_cores(d1, d2, K, T)
+    (dense, data), _ = _both_cores(d1, d2, K, scatters, sum(map(len, Ys)))
     rows = member_rows(members1, members2)
     got_value, got_grad = dense(rows, data, "both")
     assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
@@ -243,11 +247,17 @@ def test_dense_core_matches_the_regroup_oracle_bit_for_bit(d1, d2, K, T):
     assert none is None and alone.tobytes() == grad.tobytes()
 
 
-def test_trace_contraction_follows_the_flop_rule():
-    # the dense contraction at the paper shapes, the pair products at 16x16
-    assert StateLayout(4, 5, 5).trace_core.func is _trace_dense
-    assert StateLayout(5, 2, 5, n_blocks=12).trace_core.func is _trace_dense
-    assert StateLayout(16, 16, 5).trace_core.func is _trace_pairs
+def test_trace_contraction_is_cut_at_80_entries():
+    # the dense factor up to d1 d2 = 80 (the paper's 4x5 and 5x2 at K = 1
+    # among them), the pair products above, whatever K and T; a summary
+    # stores the form its shape's contraction reads
+    for d1, d2, K, T, dense in ((4, 5, 1, 1, True), (5, 2, 1, 1, True), (8, 8, 3, 1, True),
+                                (16, 4, 1, 1, True), (10, 8, 1, 1, True), (4, 5, 5, 1, True),
+                                (5, 2, 5, 12, True), (9, 9, 1, 1, False), (12, 12, 3, 1, False),
+                                (16, 16, 5, 1, False)):
+        core = StateLayout(d1, d2, K, n_blocks=T).trace_core.func
+        assert core is (_trace_dense if dense else _trace_pairs), (d1, d2, K, T)
+        assert DataSummary.from_scatter(np.eye(d1 * d2), 1, d1, d2).rearranged is not dense
 
 
 # ----- priors -------------------------------------------------------------------
@@ -461,12 +471,32 @@ def test_one_component_is_the_tensor_normal_model():
 
 
 def test_scatter_rearranged_round_trip():
-    rng = make_rng(25)
-    Y = random_dataset(4, 5, 30, rng)
-    data = summary_for(Y, 4, 5)
-    S = Y.T @ Y
-    assert data.scatters.shape == (1, 16, 25)
-    assert np.array_equal(vanloan_unrearrange(data.scatters[0], 4, 5), S)
+    # the rearrangement of a stack by reshapes, as the summary and the dense
+    # core's index maps make it, is the one of the definition, and back
+    S = make_rng(25).normal(size=(2, 20, 20))
+    R = _regroup(S, 4, 5, 4, 5)
+    assert R.shape == (2, 16, 25)
+    assert np.array_equal(R, vanloan_rearrange(S, 4, 5))
+    assert np.array_equal(_regroup(R, 4, 4, 5, 5), S)
+    assert np.array_equal(vanloan_unrearrange(R[1], 4, 5), S[1])
+
+
+def test_a_summary_stores_only_the_form_its_contraction_reads():
+    # 4x5 reads the dense factor, so the summary holds the scatter as it
+    # is; 16x16 reads the pair products, so it holds the rearrangement
+    rng = make_rng(36)
+    for d1, d2, rearranged in ((4, 5, False), (16, 16, True)):
+        Y = random_dataset(d1, d2, 2 * d1 * d2, rng)
+        S, d = Y.T @ Y, d1 * d2
+        data = DataSummary.from_scatter(S, len(Y), d1, d2)
+        want = vanloan_rearrange(S, d1, d2) if rearranged else S
+        assert data.rearranged is rearranged and data.n_obs == len(Y)
+        assert data.scatters.shape == (1,) + want.shape
+        assert np.array_equal(data.scatters[0], want)
+        assert not hasattr(data, "dense")
+        with pytest.raises(ValueError, match=rf"expected {d} x {d} scatters, got shape "
+                                             rf"\({d}, {d}, 2\)"):
+            DataSummary.from_scatter(np.stack([S, S], axis=-1), len(Y), d1, d2)
 
 
 def _outside_support_states(layout, rng):
@@ -586,10 +616,28 @@ def test_value_and_gradient_requests_match_the_combined_call_bit_for_bit():
         with pytest.raises(ValueError, match=f"expected a state vector of length {layout.size}"):
             entry(u[:-1])
         other = DataSummary.from_observations(rng.normal(size=(30, 12)), 3, 4)
-        with pytest.raises(ValueError, match=rf"the layout has {layout.n_blocks} blocks of "
-                                             rf"{layout.d1}x{layout.d2}, the data rearranged "
-                                             r"scatters of shape \(1, 9, 16\)"):
+        form = (layout.n_blocks, layout.d1, layout.d2, layout.trace_core.func is _trace_pairs)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the layout has (blocks, d1, d2, rearranged) = {form}, "
+                f"the data (1, 3, 4, False)")):
             entry(u, data=other)
+
+
+def test_the_entry_refuses_blocks_of_another_shape_or_form():
+    # a 4x5 and a 5x4 summary both hold (1, 20, 20) dense scatters, and at
+    # 16x16 both forms are (1, 256, 256): the entry compares the blocks'
+    # shape and the stored form, and names both sides
+    rng = make_rng(37)
+    targets, hyper = targets_and_hyper(4, 5, rng)
+    cases = ((5, 4, summary_for(random_dataset(4, 5, 30, rng), 4, 5), "(1, 4, 5, False)"),
+             (16, 16, DataSummary(30, 16, 16, np.eye(256)[None], rearranged=False),
+              "(1, 16, 16, False)"))
+    for d1, d2, data, got in cases:
+        layout = StateLayout(d1, d2, 2)
+        form = (1, d1, d2, layout.trace_core.func is _trace_pairs)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the layout has (blocks, d1, d2, rearranged) = {form}, the data {got}")):
+            log_posterior_grad(np.zeros(layout.size), layout, data, hyper, targets)
 
 
 def test_requests_outside_the_support_are_minus_infinity_and_zeros():
