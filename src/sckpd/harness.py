@@ -199,7 +199,8 @@ _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
 def _typed(key: str, value, annotation: str):
     """A config value as the type its :class:`RunConfig` field is annotated
     with (a number may be written as a string), or a ValueError naming the
-    field.  An integer field refuses a fractional number, only the bool
+    field.  An integer field takes 8.0 and "8.0" as 8 and refuses a
+    fractional or non-finite number, however written; only the bool
     field takes true or false, each list entry is typed as a float field's
     value is, and None is taken only by a field annotated ``| None``."""
     kind = annotation.split(" |")[0]
@@ -213,9 +214,15 @@ def _typed(key: str, value, annotation: str):
         if isinstance(value, bool) != (kind == "bool"):
             raise TypeError
         if kind == "int":
-            if isinstance(value, float) and not value.is_integer():
+            number = value
+            if isinstance(value, str):
+                try:
+                    return int(value)
+                except ValueError:   # "8.0" is read as 8.0 is
+                    number = float(value)
+            if isinstance(number, float) and not number.is_integer():
                 raise ValueError
-            return int(value)
+            return int(number)
         if kind == "float":
             return float(value)
         if not isinstance(value, str if kind == "str" else bool):

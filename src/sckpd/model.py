@@ -71,19 +71,23 @@ holds the exp signs and offsets, the dot-product weights and the gather
 and read-back index maps.  The data and the prior are read from their
 own objects on every call; nothing is kept on the layout between calls.
 
-An evaluation computes only what its caller reads, named by one of two
-requests (or both, the default).  The value request, which the sampler
-makes at the end of each trajectory, skips the member gradients, their
-read-back, the digammas and the pass back over the weights; the gradient
-request, which it makes at each leapfrog step, skips the log-Jacobian,
-the lgamma and Gamma-density terms and the value's dot products.
+Below the entry, each call answers one of the two requests the sampler
+makes and computes only what that request reads.  The value request,
+which the sampler makes at the end of each trajectory, skips the member
+gradients, their read-back, the digammas and the pass back over the
+weights, and returns after the value's terms; the gradient request,
+which it makes at each leapfrog step, skips the log-Jacobian, the lgamma
+and Gamma-density terms and the value's dot products.  The core and both
+trace contractions take the request and return its one result.  The
+entry's default, "both", is the pair of the two requests, made one after
+the other; a fit never makes it.
 
 The posterior is one core with two ways in.  :func:`log_posterior_grad`,
 the entry, checks what is fixed for a whole fit (the request, the state's
 length, the data's shapes and scatter form against the layout's, a
-positive lower variance), enters the error-state scope and delegates to
-:func:`log_posterior_core`, which does all the arithmetic and checks only
-what depends on the state.  A fit's value requests go through the entry;
+positive lower variance), enters the error-state scope and passes each
+request to :func:`log_posterior_core`, which does all the arithmetic and
+checks only what depends on the state.  A fit's value requests go through the entry;
 its gradient requests call the core inside ``hmc.leapfrog``'s scope, which
 ignores the same floating-point events, so a step pays for neither the
 checks nor a second scope.
@@ -462,7 +466,8 @@ def _regroup(x: np.ndarray, p: int, q: int, r: int, s: int) -> np.ndarray:
 def _trace_dense(members: np.ndarray, data, want: str, coupling: np.ndarray,
                  to_dense: np.ndarray, to_rearranged: np.ndarray):
     """sum_t tr(L_t L_t^T S_t) = sum_t <L_t, S_t L_t> through every block's
-    dense factor.  The member rows hold U~ and V~ side by side, so one
+    dense factor, for the "value" request, or its member gradients, for the
+    "grad" request.  The member rows hold U~ and V~ side by side, so one
     product gives C U~ and C V~.  The gradient w.r.t. the rearrangement
     U~^T C V~ of L is 2 H, H the rearrangement of S L, so the member
     gradients are 2 (C V~) H^T and 2 (C U~) H, laid out as the rows.  The
@@ -472,15 +477,14 @@ def _trace_dense(members: np.ndarray, data, want: str, coupling: np.ndarray,
     CV = CM[..., n:]
     L = (members[..., :n].transpose(0, 2, 1) @ CV).take(to_dense)
     SL = data.scatters @ L
-    value = float(np.vdot(L, SL)) if want != "grad" else None
     if want == "value":
-        return value, None
+        return float(np.vdot(L, SL))
     H = SL.take(to_rearranged)
     grad = np.empty(members.shape)
     np.matmul(CV, H.transpose(0, 2, 1), out=grad[..., :n])
     np.matmul(CM[..., :n], H, out=grad[..., n:])
     grad *= 2.0
-    return value, grad
+    return grad
 
 
 def _pair_products(members: np.ndarray) -> np.ndarray:
@@ -506,28 +510,27 @@ def _trace_pairs(members: np.ndarray, data, want: str, coupling_pairs: np.ndarra
                  d1: int, d2: int):
     """sum_t tr(L_t L_t^T S_t) = sum_t <CC, PU_t R_t QV_t^T> over the pair
     products of every block's members, never forming a d1*d2-sized
-    matrix; the member gradients are written side by side as the rows
-    are."""
+    matrix, for the "value" request, or its member gradients, written side
+    by side as the rows are, for the "grad" request."""
     T, m, _ = members.shape
     members1 = members[..., :d1 * d1].reshape(T, m, d1, d1)
     members2 = members[..., d1 * d1:].reshape(T, m, d2, d2)
     PU, QV, scatters = _pair_products(members1), _pair_products(members2), data.scatters
     dPU = coupling_pairs @ (QV @ scatters.transpose(0, 2, 1))       # dT/dPU
-    value = float(np.vdot(PU, dPU)) if want != "grad" else None
     if want == "value":
-        return value, None
+        return float(np.vdot(PU, dPU))
     # CC is symmetric, so dT/dQV = CC PU R
-    return value, np.concatenate([_member_grad(dPU, members1),
-                                  _member_grad(coupling_pairs @ (PU @ scatters), members2)], 2)
+    return np.concatenate([_member_grad(dPU, members1),
+                           _member_grad(coupling_pairs @ (PU @ scatters), members2)], 2)
 
 
 def trace_contraction(d1: int, d2: int, n_components: int, n_blocks: int = 1) -> partial:
     """The contraction of the trace term that :func:`dense_contraction` picks
     for (d1, d2), with its constants bound: ``core(members, data, want)``
-    gives, from the (T, K+1, d1^2 + d2^2) member rows of ``n_blocks`` blocks
-    and a summary of that shape, the summed trace (None for the "grad"
-    request) and the member gradient laid out as the rows (None for the
-    "value" request)."""
+    answers one request from the (T, K+1, d1^2 + d2^2) member rows of
+    ``n_blocks`` blocks and a summary of that shape: the summed trace, a
+    float, for ``want`` "value", and the member gradient laid out as the
+    rows, a fresh array, for "grad"."""
     C = _coupling(n_components)
     if dense_contraction(d1, d2):
         index = np.arange(n_blocks * (d1 * d2) ** 2)
@@ -537,12 +540,12 @@ def trace_contraction(d1: int, d2: int, n_components: int, n_blocks: int = 1) ->
 
 
 def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
-    """tr(L L^T sum_i y_i y_i^T) by the contraction the shape picks."""
+    """tr(L L^T sum_i y_i y_i^T): the "value" request of the contraction the
+    shape picks."""
     core = trace_contraction(params.d1, params.d2, params.n_components)
     rows = [_members(low, diag).reshape(params.n_components + 1, -1)
             for low, diag in ((params.lowers1, params.d1_diag), (params.lowers2, params.d2_diag))]
-    value, _ = core(np.concatenate(rows, axis=1)[None], data, "value")
-    return value
+    return core(np.concatenate(rows, axis=1)[None], data, "value")
 
 
 def _gamma_logpdf(n: int, log_sum: float, total: float, shape: float, rate: float) -> float:
@@ -606,24 +609,27 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
     accepted for interface symmetry; the centering is baked into ``hyper``.
 
     ``want`` names the request: ``"value"`` returns the value alone, a
-    float; ``"grad"`` the gradient alone, a fresh array; ``"both"`` (value,
-    gradient).  Each request's numbers are those of the combined call.
+    float; ``"grad"`` the gradient alone, a fresh array; ``"both"`` the
+    pair (value, gradient), built here from those two requests, so that its
+    bits are theirs.
 
     Value = per-block likelihoods + priors + log-Jacobians of all
     transforms.  Likelihood blocks are independent given the parameters;
     the weight trajectory couples the per-block lower priors to the
     first-block weights and the transition gammas, handled by one reverse
     pass over the chain.  Outside the support the value request returns
-    -inf, the gradient request zeros and the combined call (-inf, zeros),
-    all without a RuntimeWarning; the sampler treats those as divergent
-    proposals.  Each request finds the state outside when the decode or
-    what it computes leaves the floating-point range.
+    -inf and the gradient request zeros, without a RuntimeWarning; the
+    sampler treats those as divergent proposals.  Each request finds the
+    state outside when the decode or what it computes leaves the
+    floating-point range, so the two can disagree: at a first-block weight
+    near exp(-400) the lower-prior gradient overflows while the value stays
+    finite, and the combined call gives (that finite value, zeros).
 
     This is the checked entry: it refuses a bad ``want``, data whose block
     count, mode dimensions or scatter form are not the layout's, and a
     state of another length, gives a nonpositive lower variance the
     outside result, and holds the error-state scope around
-    :func:`log_posterior_core`, which does the arithmetic.
+    :func:`log_posterior_core`, which answers each request.
     """
     if want not in ("value", "grad", "both"):
         raise ValueError(f"want must be 'value', 'grad' or 'both', got {want!r}")
@@ -632,33 +638,36 @@ def log_posterior_grad(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
         raise ValueError(f"the layout has (blocks, d1, d2, rearranged) = {form}, the data "
                          f"{len(data.scatters), data.d1, data.d2, data.rearranged}")
     u = layout.check_state(u)
-    if hyper.lower_variance <= 0.0:
-        return _outside(want, layout.size)
-    return log_posterior_core(u, layout, data, hyper, want)
+    requests = ("value", "grad") if want == "both" else (want,)
+    if hyper.lower_variance > 0.0:
+        answers = [log_posterior_core(u, layout, data, hyper, r) for r in requests]
+    else:
+        answers = [-math.inf if r == "value" else np.zeros(layout.size) for r in requests]
+    return tuple(answers) if want == "both" else answers[0]
 
 
 def log_posterior_core(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHyper,
                        want: str):
-    """The arithmetic of :func:`log_posterior_grad`, with the same numbers,
-    unchecked: ``u`` is a float array of the layout's size, ``data`` has
-    the layout's shape, the lower variance is positive, ``want`` is one of
-    the three requests, and the caller holds an error-state scope that
-    ignores overflow, division by zero and invalid operations.  Only what
-    depends on the state is checked here: the decode's support test and
-    the finiteness of the result.  ``fit`` binds its gradient requests to
-    this core, inside ``hmc.leapfrog``'s scope."""
-    wants_value, wants_grad = want != "grad", want != "value"
+    """One request of :func:`log_posterior_grad`, with the same numbers,
+    unchecked: the value, a float, for ``want`` "value", or the gradient, a
+    fresh array, for "grad".  ``u`` is a float array of the layout's size,
+    ``data`` has the layout's shape, the lower variance is positive,
+    ``want`` is one of the two requests, and the caller holds an
+    error-state scope that ignores overflow, division by zero and invalid
+    operations.  Only what depends on the state is checked here: the
+    decode's support test and the finiteness of the result.  ``fit`` binds
+    its gradient requests to this core, inside ``hmc.leapfrog``'s scope."""
     K, T, d1, d2 = layout.n_components, layout.n_blocks, layout.d1, layout.d2
-    beta, n_obs, n_low, value, grad = hyper.lower_variance, data.n_obs, layout.n_low, 0.0, None
-    s = layout._decode(u, jacobian=wants_value)
+    beta, n_obs, n_low = hyper.lower_variance, data.n_obs, layout.n_low
+    s = layout._decode(u, jacobian=want == "value")
     if not s.log_jac > -math.inf:
-        return _outside(want, layout.size)
+        return -math.inf if want == "value" else np.zeros(layout.size)
     omegas, theta, omega = s.omegas, s.theta, s.omega
     lows = u[:n_low]
     lows_var = lows / (omegas * beta).take(layout.lower_block)
     scaled = np.bincount(layout.lower_block, lows * lows_var, T * K).reshape(T, K)
-    trace, g_members = layout.trace_core(s.members, data, want)
-    if wants_value:
+    if want == "value":
+        trace = layout.trace_core(s.members, data, "value")
         prior = _prior_value(scaled, omegas, theta, layout.n_ent, hyper)
         logdet_unit, log_d1, log_d2 = (u[n_low:] @ layout.tail_sum_weights).tolist()
         sum_d1, sum_d2, sum_g = (s.exps @ layout.exp_sum_weights).tolist()
@@ -667,62 +676,50 @@ def log_posterior_core(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
                  + _gamma_logpdf(d2, log_d2, sum_d2, hyper.shape2, hyper.rate2)
                  + n_obs * (logdet_unit - 0.5 * d1 * d2 * LOG_2PI)
                  - sum_g)   # the gammas' Gamma(1, 1) prior: 0.0 for one block
+        return float(value) if math.isfinite(value) else -math.inf
 
-    if wants_grad:
-        # the weights enter only the priors, every block's through
-        # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
-        # each block's weights, lam0 the first's with its Dirichlet prior
-        A = s.transition
-        lam0 = [0.5 * (c - layout.n_ent) / w + (theta - 1.0) / w
-                for c, w in zip(scaled[0].tolist(), omega)]
-        if T > 1:
-            lams = 0.5 * (scaled - layout.n_ent) / omegas
-            for t in range(T - 2, 0, -1):
-                lams[t] += np.dot(A.T, lams[t + 1])
-            lam0 = [g + a for g, a in zip(lam0, np.dot(A.T, lams[1]).tolist())]
-        g_theta = (K * digamma(K * theta) - K * digamma(theta)
-                   + float(np.add.reduce(np.log(s.omega1))))
+    # the weights enter only the priors, every block's through
+    # omega_{t+1} = A omega_t: a reverse pass gives the gradient w.r.t.
+    # each block's weights, lam0 the first's with its Dirichlet prior
+    A = s.transition
+    lam0 = [0.5 * (c - layout.n_ent) / w + (theta - 1.0) / w
+            for c, w in zip(scaled[0].tolist(), omega)]
+    if T > 1:
+        lams = 0.5 * (scaled - layout.n_ent) / omegas
+        for t in range(T - 2, 0, -1):
+            lams[t] += np.dot(A.T, lams[t + 1])
+        lam0 = [g + a for g, a in zip(lam0, np.dot(A.T, lams[1]).tolist())]
+    g_theta = (K * digamma(K * theta) - K * digamma(theta)
+               + float(np.add.reduce(np.log(s.omega1))))
 
-        # strict lowers: the N(0, omega beta) prior and the trace term; one
-        # take reads their member gradients and the diagonal members', whose
-        # sum over the blocks one block does not need
-        g_read = g_members.take(layout.read_pos)
-        grad = np.empty(layout.size)
-        np.subtract(-0.5 * g_read[:n_low], lows_var, out=grad[:n_low])
-        g_D = (np.add.reduce(g_read[n_low:].reshape(T, d1 + d2)) if T > 1
-               else g_read[n_low:]).tolist()
+    # strict lowers: the N(0, omega beta) prior and the trace term; one
+    # take reads their member gradients and the diagonal members', whose
+    # sum over the blocks one block does not need
+    g_read = layout.trace_core(s.members, data, "grad").take(layout.read_pos)
+    grad = np.empty(layout.size)
+    np.subtract(-0.5 * g_read[:n_low], lows_var, out=grad[:n_low])
+    g_D = (np.add.reduce(g_read[n_low:].reshape(T, d1 + d2)) if T > 1
+           else g_read[n_low:]).tolist()
 
-        # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
-        # where the 1/D terms of the log-determinant and the Gamma prior
-        # times D are the constants n d2 and shape - 1: with the 1 they
-        # add n d2 + shape, without dividing by D
-        D, r1, r2 = s.exp_floats, hyper.rate1, hyper.rate2
-        c1, c2 = n_obs * d2 + hyper.shape1, n_obs * d1 + hyper.shape2
-        tail = ([(-0.5 * g - r1) * x + c1 for g, x in zip(g_D[:d1], D[:d1])]
-                + [(-0.5 * g - r2) * x + c2 for g, x in zip(g_D[d1:], D[d1:d1 + d2])])
-        tail += stick_breaking_grad(s.breaks, omega, lam0)
-        # theta's logit: the chain rule plus the log-Jacobian's 1 - 2 theta
-        tail.append(g_theta * theta * (1.0 - theta) + (1.0 - 2.0 * theta))
+    # log-diagonal coordinates: d/du = (dlik/dD + dprior/dD) * D + 1,
+    # where the 1/D terms of the log-determinant and the Gamma prior
+    # times D are the constants n d2 and shape - 1: with the 1 they
+    # add n d2 + shape, without dividing by D
+    D, r1, r2 = s.exp_floats, hyper.rate1, hyper.rate2
+    c1, c2 = n_obs * d2 + hyper.shape1, n_obs * d1 + hyper.shape2
+    tail = ([(-0.5 * g - r1) * x + c1 for g, x in zip(g_D[:d1], D[:d1])]
+            + [(-0.5 * g - r2) * x + c2 for g, x in zip(g_D[d1:], D[d1:d1 + d2])])
+    tail += stick_breaking_grad(s.breaks, omega, lam0)
+    # theta's logit: the chain rule plus the log-Jacobian's 1 - 2 theta
+    tail.append(g_theta * theta * (1.0 - theta) + (1.0 - 2.0 * theta))
 
-        # the transition's gradient sums lams[t+1] omegas[t]^T over the
-        # steps; chain it back to the gammas (log coordinates) through
-        # the column normalization A = G / colsum(G), whose Jacobian
-        # times G is (g_A - colsum(g_A A)) A
-        if T > 1:
-            g_A = lams[1:].T @ omegas[:-1]
-            tail += ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - s.gamma)).ravel().tolist()
-        grad[n_low:] = tail
-
+    # the transition's gradient sums lams[t+1] omegas[t]^T over the
+    # steps; chain it back to the gammas (log coordinates) through
+    # the column normalization A = G / colsum(G), whose Jacobian
+    # times G is (g_A - colsum(g_A A)) A
+    if T > 1:
+        g_A = lams[1:].T @ omegas[:-1]
+        tail += ((g_A - (g_A * A).sum(axis=0)) * A + (1.0 - s.gamma)).ravel().tolist()
+    grad[n_low:] = tail
     # a non-finite gradient entry makes its product with 0 NaN
-    if not (math.isfinite(value) and (grad is None or math.isfinite(grad @ layout.zeros))):
-        return _outside(want, layout.size)
-    if want == "value":
-        return float(value)
-    return grad if want == "grad" else (float(value), grad)
-
-
-def _outside(want: str, size: int):
-    """What a request returns at a state outside the support."""
-    if want == "value":
-        return -math.inf
-    return np.zeros(size) if want == "grad" else (-math.inf, np.zeros(size))
+    return grad if math.isfinite(grad @ layout.zeros) else np.zeros(layout.size)

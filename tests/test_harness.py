@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -1012,6 +1013,17 @@ def test_config_validation():
                                    lower_variance="1e-3", omega_weights=[1, "2"]))
     assert (cfg.n_chains, cfg.n_draws, cfg.lower_variance) == (2, 8, 1e-3)
     assert type(cfg.n_draws) is int and cfg.omega_weights == (1.0, 2.0)
+    # an integer field reads "8.0" as it reads 8.0 (a flag's value is such a
+    # string), a string of digits exactly, and refuses a fractional or
+    # non-finite number, however written, with one message
+    cfg = RunConfig.from_dict(dict(mode="simulate-static", n_draws="8.0", n_chains="2e0",
+                                   seed="18446744073709551617"))
+    assert (cfg.n_draws, cfg.n_chains, cfg.seed) == (8, 2, 2 ** 64 + 1)
+    assert type(cfg.n_draws) is int and type(cfg.n_chains) is int
+    for value in ("2.5", "nan", "inf", 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError) as raised:
+            RunConfig.from_dict(dict(mode="simulate-static", n_draws=value))
+        assert str(raised.value) == f"n_draws must be an integer, got {value!r}"
     # a static mode runs one block: more seasons or cycles are refused, not
     # dropped
     for mode, seasons, cycles in (("simulate-static", 4, 3), ("fit-static", 1, 2),

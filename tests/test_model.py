@@ -214,8 +214,9 @@ def test_trace_core_matches_dense_gradient(dims, K):
     params, Ys, members1, members2, scatters = _stacked_members_and_scatters(d1, d2, K, 4, rng)
     dense = [_dense_trace_and_grad(p, Y.T @ Y) for Y, p in zip(Ys, params)]
     dense_value = sum(v for v, _ in dense)
+    rows = member_rows(members1, members2)
     for core, data in _both_cores(d1, d2, K, scatters, sum(map(len, Ys))):
-        value, grad = core(member_rows(members1, members2), data, "both")
+        value, grad = core(rows, data, "value"), core(rows, data, "grad")
         assert abs(value - dense_value) <= 1e-12 * abs(dense_value)
         GU = grad[..., :d1 * d1].reshape(members1.shape)
         GV = grad[..., d1 * d1:].reshape(members2.shape)
@@ -230,7 +231,7 @@ def test_trace_core_matches_dense_gradient(dims, K):
 def test_dense_core_matches_the_regroup_oracle_bit_for_bit(d1, d2, K, T):
     # the dense core's index maps and the dense scatters give the value and
     # the member gradient of the contraction that rearranges by reshapes, to
-    # the last bit, for every request; at 16x16, where the shape picks the
+    # the last bit, one per request; at 16x16, where the shape picks the
     # pair products, the dense core is forced
     rng = make_rng(40 + d1 * d2 + K + T)
     _, Ys, members1, members2, scatters = _stacked_members_and_scatters(d1, d2, K, T, rng)
@@ -239,12 +240,10 @@ def test_dense_core_matches_the_regroup_oracle_bit_for_bit(d1, d2, K, T):
                        flat[members1.size:].reshape(members2.shape))
     (dense, data), _ = _both_cores(d1, d2, K, scatters, sum(map(len, Ys)))
     rows = member_rows(members1, members2)
-    got_value, got_grad = dense(rows, data, "both")
+    got_value, got_grad = dense(rows, data, "value"), dense(rows, data, "grad")
+    assert type(got_value) is float
     assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
-    assert got_grad.tobytes() == grad.tobytes()
-    assert dense(rows, data, "value") == (got_value, None)
-    none, alone = dense(rows, data, "grad")
-    assert none is None and alone.tobytes() == grad.tobytes()
+    assert got_grad.shape == grad.shape and got_grad.tobytes() == grad.tobytes()
 
 
 def test_trace_contraction_is_cut_at_80_entries():
@@ -523,6 +522,10 @@ def _outside_support_states(layout, rng):
 
 
 def test_outside_support_is_clean_minus_infinity():
+    # every state outside the support gives (-inf, zeros), but the weight
+    # near exp(-400), where only the gradient overflows: the combined call
+    # there holds the value request's finite value and the gradient
+    # request's zeros
     rng = make_rng(27)
     d1, d2, K = 3, 4, 3
     Ys = [random_dataset(d1, d2, 20, rng) for _ in range(3)]
@@ -534,15 +537,20 @@ def test_outside_support_is_clean_minus_infinity():
     seasonal = StateLayout(d1, d2, K, n_blocks=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for layout, post in ((static, lambda u: log_posterior_grad(u, static, data, hyper,
-                                                                   targets)),
-                             (seasonal, lambda u: sd_log_posterior_grad(u, seasonal, sched,
-                                                                        hyper, targets))):
+        for layout, post in ((static, partial(log_posterior_grad, layout=static, data=data,
+                                              hyper=hyper, targets=targets)),
+                             (seasonal, partial(sd_log_posterior_grad, layout=seasonal,
+                                                data=sched, hyper=hyper, targets=targets))):
             assert np.isfinite(post(rng.normal(0.0, 0.3, size=layout.size))[0])
             for u in _outside_support_states(layout, rng):
                 value, grad = post(u)
-                assert value == -np.inf
                 assert grad.shape == (layout.size,) and not np.any(grad)
+                if u[layout.sl_sticks.start] == -400.0:
+                    assert -math.inf < value < -1e100
+                    assert _same_bits((value, grad), (post(u, want="value"),
+                                                      post(u, want="grad")))
+                else:
+                    assert value == -np.inf
 
 
 def _static_and_seasonal_posteriors(rng, d1=3, d2=4, K=3):
@@ -603,13 +611,15 @@ def test_value_and_gradient_requests_match_the_combined_call_bit_for_bit():
         with pytest.raises(ValueError, match="want"):
             post(u, want="gradient")
     # the core, which fit's gradient requests call, gives the entry's bits
-    # for every request, and the entry alone refuses what the core assumes
+    # for each of its two requests, the entry's combined call is their
+    # pair, and the entry alone refuses what the core assumes
     for layout, entry, core in _entries_and_cores(rng):
         for _ in range(3):
             u = rng.normal(0.0, 0.4, size=layout.size)
             assert math.isfinite(entry(u, want="value"))
-            for want in ("value", "grad", "both"):
+            for want in ("value", "grad"):
                 assert _same_bits(core(u, want), entry(u, want=want))
+            assert _same_bits(entry(u, want="both"), (core(u, "value"), core(u, "grad")))
         with pytest.raises(ValueError, match="want must be 'value', 'grad' or 'both', "
                                              "got 'gradient'"):
             entry(u, want="gradient")
@@ -661,7 +671,7 @@ def test_requests_outside_the_support_are_minus_infinity_and_zeros():
                 value, grad = post(u)
                 assert value == -math.inf and not np.any(grad)
                 if core is not None:
-                    for want in ("value", "grad", "both"):
+                    for want in ("value", "grad"):
                         assert _same_bits(core(u, want), post(u, want=want))
 
 
@@ -669,18 +679,35 @@ def test_a_state_whose_gradient_overflows_keeps_a_finite_value_request():
     # a first-block weight near exp(-400): the lower-prior gradient divides
     # by it and overflows, while the value stays finite (and far below any
     # reachable state's, so a proposal ending there is rejected as
-    # divergent).  Each request checks only what it computes; the combined
-    # call gives (-inf, zeros) when either part leaves the range
+    # divergent).  Each request checks only what it computes, and the
+    # combined call is the pair of the two answers
     rng = make_rng(31)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for layout, post in _static_and_seasonal_posteriors(rng):
             u = rng.normal(0.0, 0.3, size=layout.size)
             u[layout.sl_sticks.start] = -400.0
-            assert -math.inf < post(u, want="value") < -1e100
-            assert not np.any(post(u, want="grad"))
-            value, grad = post(u)
-            assert value == -math.inf and not np.any(grad)
+            value = post(u, want="value")
+            assert -math.inf < value < -1e100
+            grad = post(u, want="grad")
+            assert grad.shape == (layout.size,) and not np.any(grad)
+            assert _same_bits(post(u), (value, grad))
+
+
+def test_the_combined_call_is_the_pair_of_the_two_requests_bit_for_bit():
+    # at an inside state and at every state of _outside_support_states,
+    # the weight near exp(-400) among them, "both" holds the bits of the
+    # value request and of the gradient request, at static and 12-block
+    # seasonal 3x4 K3 (dense factor) and at 16x16 K5 (pair products)
+    rng = make_rng(38)
+    *_, (wide, entry, _) = _entries_and_cores(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for layout, post in _static_and_seasonal_posteriors(rng) + [(wide, entry)]:
+            inside = rng.normal(0.0, 0.4, size=layout.size)
+            assert math.isfinite(post(inside, want="value"))
+            for u in (inside, *_outside_support_states(layout, rng)):
+                assert _same_bits(post(u), (post(u, want="value"), post(u, want="grad")))
 
 
 @pytest.mark.parametrize("d1,d2,K,T", [(4, 5, 5, 1), (4, 5, 5, 3), (16, 16, 5, 1)])
