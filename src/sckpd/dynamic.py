@@ -34,10 +34,10 @@ class SeasonSchedule(DataSummary):
     """Per-block data summaries in time order (season fastest), which share
     their mode dimensions and scatter form; as a :class:`DataSummary`, the
     schedule is their scatters concatenated once into the (T, ...) stack the
-    posterior reads, and their total observation count."""
+    posterior reads, and their total observation count.  ``n_seasons`` and
+    ``n_cycles`` only check that there is one block per (cycle, season)
+    pair; the schedule keeps the blocks alone."""
 
-    n_seasons: int
-    n_cycles: int
     blocks: tuple[DataSummary, ...]
 
     def __init__(self, n_seasons: int, n_cycles: int, blocks: tuple[DataSummary, ...]):
@@ -49,8 +49,7 @@ class SeasonSchedule(DataSummary):
         d1, d2, rearranged = forms.pop()
         super().__init__(sum(b.n_obs for b in blocks), d1, d2,
                          np.concatenate([b.scatters for b in blocks]), rearranged)
-        for name, value in (("n_seasons", n_seasons), ("n_cycles", n_cycles), ("blocks", blocks)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_blocks(self) -> int:

@@ -20,7 +20,9 @@ and for ``summarize_draws`` on the table read back, so both report the same.
 
 RNG stream layout (Philox, counter based): key word 0 is the user seed,
 word 1 selects the stream: chain c samples on (seed, c), chain inits draw
-on (seed, 20000 + c), data simulation on (seed, 10000).
+on (seed, 20000 + c), data simulation on (seed, 10000).  A key word is 64
+bits, so a seed is an integer in [0, 2**64); ``RunConfig`` refuses any
+other, which would alias one in the range.
 
 Imports: every run is its own process and pays its imports, which at the
 paper sizes cost as much as the sampling.  The package needs numpy and the
@@ -49,6 +51,9 @@ from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_h
 
 SIM_STREAM = 10_000
 INIT_STREAM = 20_000
+# the Dirichlet concentration of each column of a sampled simulation
+# transition; a small value makes the columns near one-hot
+SIM_TRANSITION_ALPHA = 0.05
 
 # The scatter Y^T Y is positive semidefinite, so its Frobenius norm is at
 # most its trace, the sum of the squared fields; below sqrt(float max) the
@@ -88,7 +93,7 @@ PRESETS: dict[str, dict] = {
         n_seasons=4, n_cycles=3,
         omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0), lower_variance=2.0,
         wishart_scale1=_SCALE_LEN5, wishart_scale2=(1.0, 0.4),
-        transition="sample", sim_transition_alpha=0.05),
+        transition="sample"),
 }
 
 
@@ -107,7 +112,7 @@ class RunConfig:
     n_obs: int = 500               # observations per block
     n_seasons: int = 1
     n_cycles: int = 1
-    seed: int = 0
+    seed: int = 0                  # in [0, 2**64), the Philox key's first word
     input_path: str | None = None
     output_dir: str = "out"
     center: bool = False
@@ -117,8 +122,9 @@ class RunConfig:
     lower_variance: float = 2.0
     wishart_scale1: tuple | None = None
     wishart_scale2: tuple | None = None
-    transition: str = "sample"     # or "identity"
-    sim_transition_alpha: float = 0.05
+    # a seasonal simulation's transition: "sample" draws every column from
+    # Dirichlet(SIM_TRANSITION_ALPHA), "identity" keeps the weights
+    transition: str = "sample"
     # sampler; a fit starts from hmc.INITIAL_STEP, adapts it toward
     # hmc.TARGET_ACCEPT, estimates the mass at the warmup midpoint when
     # n_warmup >= 40; the transition gammas' Gamma(1, 1) prior is fixed
@@ -156,6 +162,8 @@ class RunConfig:
             raise ValueError("both mode dimensions must be at least 2")
         if self.n_components < 1 or self.n_obs < 1:
             raise ValueError("component and observation counts must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for key in ("n_seasons", "n_cycles"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -176,9 +184,6 @@ class RunConfig:
             scale = getattr(self, key)
             if scale is not None and not all(0 < v < math.inf for v in scale):
                 raise ValueError(f"{key} entries must be finite and positive, got {list(scale)}")
-        if not 0 < self.sim_transition_alpha < math.inf:
-            raise ValueError(f"sim_transition_alpha must be finite and positive, "
-                             f"got {self.sim_transition_alpha}")
         if self.mode.startswith("fit") and self.input_path is None:
             raise ValueError(f"mode '{self.mode}' requires input_path")
         if self.transition not in ("sample", "identity"):
@@ -468,7 +473,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     elif config.transition == "identity":
         A = np.eye(K)
     else:
-        A = np.stack([rng.dirichlet(np.full(K, config.sim_transition_alpha))
+        A = np.stack([rng.dirichlet(np.full(K, SIM_TRANSITION_ALPHA))
                       for _ in range(K)], axis=1)
     scale1, scale2 = _wishart_scales(config)
     D1 = _draw_diagonals(rng, config.d1, scale1)
@@ -513,7 +518,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
         truth.update(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
                      omega1=omega.tolist(), transition_matrix=A.tolist(),
                      transition=config.transition,
-                     sim_transition_alpha=config.sim_transition_alpha)
+                     sim_transition_alpha=SIM_TRANSITION_ALPHA)
     (outdir / "truth.json").write_text(strict_json(truth) + "\n")
     return Ys, truth
 

@@ -147,9 +147,11 @@ def find_reasonable_step_size(value_fn, grad_fn, q: np.ndarray, value: float,
 
 
 def philox_rng(seed: int, stream: int) -> np.random.Generator:
-    """A counter-based Philox generator keyed (seed, stream)."""
+    """A counter-based Philox generator keyed (seed, stream), each a 64-bit
+    key word: an integer in [0, 2**64), keyed as given; another raises
+    OverflowError rather than alias one in the range."""
     return np.random.Generator(np.random.Philox(
-        key=np.array([seed % 2 ** 64, stream], dtype=np.uint64)))
+        key=np.array([seed, stream], dtype=np.uint64)))
 
 
 class _DualAveraging:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SYM_RTOL = 1e-12        # relative symmetry tolerance for SPD inputs
-PIVOT_FLOOR = 1e-14     # diagonal pivots at or below this count as failure
+PIVOT_FLOOR = 1e-14     # pivots at or below this share of their diagonal entry fail
 SHAPE_TOL = 1e-10       # residual the Gamma-shape solve must reach
 
 # asymptotic tail coefficients, valid after shifting the argument above 10
@@ -52,9 +52,13 @@ def cholesky(S: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L L^T = S.
 
     Raises :class:`NotPositiveDefiniteError` naming the failing leading
-    minor when a pivot is non-positive or at/below the pivot floor.  LAPACK
-    reports only non-positive pivots, so the pivots it accepted (the
-    squared diagonal of its factor) are checked against the floor first.
+    minor when a pivot is non-positive or at/below the pivot floor.  Pivot
+    k, L[k, k]^2, is the part of S[k, k] that the earlier columns leave
+    unexplained, and the floor is that share of it, ``PIVOT_FLOOR *
+    S[k, k]``: whether a matrix is refused does not depend on any column's
+    units.  LAPACK reports only non-positive pivots, so
+    the pivots it accepted (the squared diagonal of its factor) are checked
+    against the floor first.
     """
     S = check_spd(S)
     try:
@@ -71,7 +75,8 @@ def cholesky(S: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 failed = mid
     pivots = np.diagonal(L) ** 2
-    tiny = np.flatnonzero(~(np.isfinite(pivots) & (pivots > PIVOT_FLOOR)))
+    floor = PIVOT_FLOOR * np.diagonal(S)[:len(pivots)]
+    tiny = np.flatnonzero(~(np.isfinite(pivots) & (pivots > floor)))
     if tiny.size:
         raise NotPositiveDefiniteError(int(tiny[0]) + 1)
     if failed:

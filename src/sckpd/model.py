@@ -539,15 +539,6 @@ def trace_contraction(d1: int, d2: int, n_components: int, n_blocks: int = 1) ->
     return partial(_trace_pairs, coupling_pairs=np.kron(C, C), d1=d1, d2=d2)
 
 
-def trace_quadratic(params: SCKPDParams, data: DataSummary) -> float:
-    """tr(L L^T sum_i y_i y_i^T): the "value" request of the contraction the
-    shape picks."""
-    core = trace_contraction(params.d1, params.d2, params.n_components)
-    rows = [_members(low, diag).reshape(params.n_components + 1, -1)
-            for low, diag in ((params.lowers1, params.d1_diag), (params.lowers2, params.d2_diag))]
-    return core(np.concatenate(rows, axis=1)[None], data, "value")
-
-
 def _gamma_logpdf(n: int, log_sum: float, total: float, shape: float, rate: float) -> float:
     """Log density of n iid Gamma(shape, rate) values from the sum of their
     logs and their sum."""

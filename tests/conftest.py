@@ -5,8 +5,7 @@ import pytest
 
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (LOG_2PI, DataSummary, SCKPDParams, _regroup, assemble_ldagger,
-                         log_det_ldagger, log_prior, omega_trajectory, stick_offsets,
-                         trace_quadratic)
+                         log_det_ldagger, log_prior, omega_trajectory, stick_offsets)
 
 
 def make_rng(seed=0):
@@ -59,11 +58,17 @@ def targets_and_hyper(d1, d2, rng, n=200):
 
 def log_likelihood(params, data):
     """Gaussian log-likelihood of one block with the factor on the precision
-    side.  The likelihood part of the value oracle."""
-    n, d = data.n_obs, data.d1 * data.d2
+    side, its trace term tr(L L^T S) taken from the dense factor and the
+    dense scatter (read back from a rearranged summary), not from the
+    model's contraction.  The likelihood part of the value oracle."""
+    n, d1, d2 = data.n_obs, data.d1, data.d2
+    (S,) = data.scatters
+    if data.rearranged:
+        S = vanloan_unrearrange(S, d1, d2)
+    L = assemble_ldagger(params)
     return (n * log_det_ldagger(params.d1_diag, params.d2_diag)
-            - 0.5 * trace_quadratic(params, data)
-            - 0.5 * n * d * LOG_2PI)
+            - 0.5 * float(np.trace(L @ L.T @ S))
+            - 0.5 * n * d1 * d2 * LOG_2PI)
 
 
 def log_posterior(u, layout, data, hyper, targets):

@@ -35,10 +35,17 @@ def test_cholesky_reports_failing_minor():
 
 
 def test_cholesky_rejects_tiny_positive_pivot():
-    # LAPACK accepts the second pivot (about 1e-15); the pivot floor does not
+    # LAPACK accepts the second pivot (about 1e-15); the pivot floor, a
+    # share of each column's variance, does not, at any scale: at 1e8 the
+    # pivot is about 1e-7.  A rank-deficient matrix is refused at the order
+    # past its rank at every scale too.
     S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError, match="order 2"):
-        cholesky(S)
+    A = make_rng(3).normal(size=(6, 3))
+    for c in (1e-8, 1.0, 1e8):
+        for deficient, order in ((S, 2), (A @ A.T, 4)):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky(c * deficient)
+            assert err.value.order == order and f"order {order}" in str(err.value)
 
 
 def test_cholesky_rejects_asymmetric():

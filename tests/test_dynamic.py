@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,14 @@ def test_a_stacked_summary_is_the_schedule_of_its_blocks():
         with pytest.raises(ValueError, match="all blocks must share the mode dimensions "
                                              "and the scatter form"):
             SeasonSchedule(n_seasons=2, n_cycles=1, blocks=(sched.blocks[0], other))
+    # the season and cycle counts check the block count and are not kept:
+    # the schedule's fields are the summary's and its blocks
+    for seasons, cycles in ((3, 1), (2, 3)):
+        with pytest.raises(ValueError, match=r"need one data block per \(cycle, season\)"):
+            SeasonSchedule(n_seasons=seasons, n_cycles=cycles, blocks=sched.blocks)
+    assert SeasonSchedule(n_seasons=1, n_cycles=4, blocks=sched.blocks).n_blocks == 4
+    assert ([f.name for f in dataclasses.fields(sched)]
+            == [f.name for f in dataclasses.fields(DataSummary)] + ["blocks"])
 
 
 def _sd_value(u, layout, sched, hyper, targets):

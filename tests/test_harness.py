@@ -972,7 +972,8 @@ def test_config_validation():
     # transition prior are fixed, and sampler keys are top-level only: a
     # config that sets one of these keys fails, naming it
     for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
-                       ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2})):
+                       ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2}),
+                       ("sim_transition_alpha", 0.05)):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     with pytest.raises(ValueError, match="preset"):
@@ -1017,9 +1018,17 @@ def test_config_validation():
     # string), a string of digits exactly, and refuses a fractional or
     # non-finite number, however written, with one message
     cfg = RunConfig.from_dict(dict(mode="simulate-static", n_draws="8.0", n_chains="2e0",
-                                   seed="18446744073709551617"))
-    assert (cfg.n_draws, cfg.n_chains, cfg.seed) == (8, 2, 2 ** 64 + 1)
+                                   seed="18446744073709551615"))
+    assert (cfg.n_draws, cfg.n_chains, cfg.seed) == (8, 2, 2 ** 64 - 1)
     assert type(cfg.n_draws) is int and type(cfg.n_chains) is int
+    # a seed is a 64-bit Philox key word: one outside [0, 2**64) is refused,
+    # not aliased to the seed it equals modulo 2**64
+    for value in (2 ** 64, -1, "18446744073709551617"):
+        with pytest.raises(ValueError) as raised:
+            RunConfig.from_dict(dict(mode="simulate-static", seed=value))
+        assert str(raised.value) == f"seed must be in [0, 2**64), got {int(value)}"
+    with pytest.raises(OverflowError):
+        hmc.philox_rng(2 ** 64, 0)
     for value in ("2.5", "nan", "inf", 2.5, math.nan, math.inf):
         with pytest.raises(ValueError) as raised:
             RunConfig.from_dict(dict(mode="simulate-static", n_draws=value))
@@ -1054,9 +1063,6 @@ _SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n
     ("wishart_scale1", (1.0, 0.0, 0.5)),
     ("wishart_scale2", (1.0, -0.5)),
     ("wishart_scale2", (1.0, float("nan"))),
-    ("sim_transition_alpha", 0.0),
-    ("sim_transition_alpha", -0.5),
-    ("sim_transition_alpha", float("inf")),
 ])
 def test_bad_simulation_inputs_fail_at_the_boundary(tmp_path, field, value):
     # each is refused when the config is built, before any draw, with a
@@ -1146,6 +1152,24 @@ def test_cli_simulate_and_check_hyper(tmp_path):
     assert "lower_variance" in json.loads(hyp.stdout)["hyper"]
 
 
+def test_check_hyper_does_not_depend_on_the_data_units(tmp_path):
+    # the seed-1 paper-static data in other units are the same full-rank
+    # rows: check-hyper accepts them, and the shape targets and shapes, which
+    # are scale free, are the unscaled ones
+    simulate(RunConfig.from_dict(dict(preset="paper-static", mode="simulate-static", seed=1,
+                                      output_dir=str(tmp_path / "sim"))))
+    Y = ingest_csv(tmp_path / "sim" / "data.csv", 4, 5)
+    reports = []
+    for c in (1.0, 1e-8, 1e8):
+        path = tmp_path / f"data_{c:g}.csv"
+        harness.write_csv_matrix(path, Y * c, [f"y{j + 1}" for j in range(20)])
+        reports.append(check_hyper(RunConfig.from_dict(dict(
+            preset="paper-static", mode="fit-static", input_path=str(path))))["hyper"])
+    for scaled in reports[1:]:
+        for key in ("c1", "c2", "shape1", "shape2"):
+            assert scaled[key] == pytest.approx(reports[0][key], rel=1e-12, abs=0), key
+
+
 def _loaded_after(code: str, *args) -> str:
     """Run ``code`` (which sets ``rc``) in a fresh interpreter and return which
     of scipy, yaml, numpy.ma and sckpd.dynamic it loaded, as the sorted list
@@ -1227,18 +1251,21 @@ def test_cli_config_file_must_hold_a_mapping(tmp_path):
     assert err == {"error": "ValueError", "message": "config file must hold a key/value mapping"}
 
 
-def test_cli_usage_errors_are_one_json_line(capsys):
+def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
     # a usage error is reported as every other failure is, and a flag is
     # typed and refused as its config-file value is; --help still exits 0
     for argv, named in ((["fit", "--chains", "two", "--input", "d.csv"], "n_chains"),
                         (["fit", "--preset", "nope", "--input", "d.csv"], "preset"),
                         (["fit", "--bogus", "1"], "--bogus"),
                         ([], "command"),
-                        (["summarize"], "draws_file")):
+                        (["summarize"], "draws_file"),
+                        (["simulate", "--seed", str(2 ** 64 + 1), "--out", str(tmp_path)], "seed"),
+                        (["simulate", "--seed", "-1", "--out", str(tmp_path)], "seed")):
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, argv
         assert named in json.loads(err)["message"], argv
+    assert not any(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exited:
         cli.main(["fit", "--help"])
     assert exited.value.code == 0

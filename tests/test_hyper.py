@@ -122,14 +122,20 @@ def test_targets_identity():
 
 
 def test_targets_scaling():
+    # data in other units: the targets scale, and the shape targets and
+    # shapes, which are scale free, do not; set-up accepts every scale
     rng = make_rng(1)
     S = random_spd(6, rng)
     t1 = prior_targets_from_sample(S, 3, 2)
-    c = 2.7
-    t2 = prior_targets_from_sample(c * S, 3, 2)
-    assert np.isclose(t2.chol_log_det, t1.chol_log_det + 3.0 * math.log(c), rtol=1e-10)
-    assert np.isclose(t2.diag_energy, c * t1.diag_energy, rtol=1e-10)
-    assert np.isclose(t2.lower_energy, c * t1.lower_energy, rtol=1e-10)
+    h1 = solve_hyper(t1)
+    for c in (2.7, 1e-16, 1e16):
+        t2 = prior_targets_from_sample(c * S, 3, 2)
+        assert np.isclose(t2.chol_log_det, t1.chol_log_det + 3.0 * math.log(c), rtol=1e-10)
+        assert np.isclose(t2.diag_energy, c * t1.diag_energy, rtol=1e-10)
+        assert np.isclose(t2.lower_energy, c * t1.lower_energy, rtol=1e-10)
+        h2 = solve_hyper(t2)
+        for key in ("c1", "c2", "shape1", "shape2"):
+            assert getattr(h2, key) == pytest.approx(getattr(h1, key), rel=1e-12, abs=0), key
 
 
 def test_targets_match_direct_cholesky():

@@ -14,7 +14,7 @@ from sckpd.dynamic import SeasonSchedule, sd_log_posterior_grad
 from sckpd.hyper import prior_targets_from_sample, solve_hyper
 from sckpd.model import (DataSummary, SCKPDParams, StateLayout, _coupling, _members, _regroup,
                          _trace_dense, _trace_pairs, assemble_ldagger, log_det_ldagger,
-                         log_posterior_core, log_posterior_grad, log_prior, trace_quadratic)
+                         log_posterior_core, log_posterior_grad, log_prior, trace_contraction)
 
 
 def _problem(rng, d1=3, d2=4, K=2, n=40):
@@ -92,16 +92,19 @@ def test_likelihood_identity_factor():
 
 
 def test_likelihood_matches_dense_gaussian():
+    # a dense summary at 3x2 and a rearranged one at 9x9, which the oracle
+    # reads back into the dense scatter
     rng = make_rng(6)
-    d1, d2, n = 3, 2, 30
-    Y = random_dataset(d1, d2, n, rng)
-    data = summary_for(Y, d1, d2)
-    p = random_params(d1, d2, 2, rng)
-    L = assemble_ldagger(p)
-    cov = np.linalg.inv(L @ L.T)
-    oracle = scipy.stats.multivariate_normal(mean=np.zeros(d1 * d2), cov=cov)
-    expected = float(np.sum(oracle.logpdf(Y)))
-    assert np.isclose(log_likelihood(p, data), expected, rtol=1e-9)
+    for d1, d2, n in ((3, 2, 30), (9, 9, 100)):
+        Y = random_dataset(d1, d2, n, rng)
+        data = summary_for(Y, d1, d2)
+        p = random_params(d1, d2, 2, rng)
+        L = assemble_ldagger(p)
+        cov = np.linalg.inv(L @ L.T)
+        oracle = scipy.stats.multivariate_normal(mean=np.zeros(d1 * d2), cov=cov)
+        expected = float(np.sum(oracle.logpdf(Y)))
+        assert data.rearranged == (d1 == 9)
+        assert np.isclose(log_likelihood(p, data), expected, rtol=1e-9), (d1, d2)
 
 
 def test_likelihood_additivity_in_observations():
@@ -116,6 +119,13 @@ def test_likelihood_additivity_in_observations():
 
 # ----- trace quadratic ----------------------------------------------------------
 
+def _trace_value(p, data):
+    """tr(L L^T S): the "value" request of the contraction the shape picks,
+    on the member rows of one block's params."""
+    rows = member_rows(_members(p.lowers1, p.d1_diag)[None], _members(p.lowers2, p.d2_diag)[None])
+    return trace_contraction(p.d1, p.d2, p.n_components)(rows, data, "value")
+
+
 def test_trace_quadratic_diagonal_branch():
     rng = make_rng(8)
     d1, d2 = 3, 4
@@ -126,7 +136,7 @@ def test_trace_quadratic_diagonal_branch():
                     d1_diag=p.d1_diag, d2_diag=p.d2_diag, omega=p.omega, theta=p.theta)
     dense = np.kron(np.diag(p.d1_diag ** 2), np.diag(p.d2_diag ** 2))
     expected = np.trace(dense @ (Y.T @ Y))
-    assert np.isclose(trace_quadratic(p, data), expected, rtol=1e-10)
+    assert np.isclose(_trace_value(p, data), expected, rtol=1e-10)
 
 
 @pytest.mark.parametrize("dims,K,seed", [((3, 2), 1, 10), ((4, 5), 3, 11)])
@@ -138,7 +148,7 @@ def test_trace_quadratic_matches_dense(dims, K, seed):
     p = random_params(d1, d2, K, rng)
     L = assemble_ldagger(p)
     dense = float(np.trace(L @ L.T @ (Y.T @ Y)))
-    assert np.isclose(trace_quadratic(p, data), dense, rtol=1e-9)
+    assert np.isclose(_trace_value(p, data), dense, rtol=1e-9)
 
 
 def test_trace_quadratic_many_random_cases():
@@ -153,7 +163,7 @@ def test_trace_quadratic_many_random_cases():
         p = random_params(d1, d2, K, rng)
         L = assemble_ldagger(p)
         dense = float(np.trace(L @ L.T @ (Y.T @ Y)))
-        worst = max(worst, abs(trace_quadratic(p, data) - dense) / abs(dense))
+        worst = max(worst, abs(_trace_value(p, data) - dense) / abs(dense))
     assert worst < 1e-9
 
 
