@@ -115,7 +115,6 @@ class RunConfig:
     seed: int = 0                  # in [0, 2**64), the Philox key's first word
     input_path: str | None = None
     output_dir: str = "out"
-    center: bool = False
     # simulation design, all finite: weights >= 0 with a positive sum and a
     # variance scale >= 0 (a zero switches a component off), Wishart scales > 0
     omega_weights: tuple = (1.0, 4.0, 6.0, 7.0, 9.0)
@@ -198,16 +197,17 @@ class RunConfig:
 
 
 _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
-               "bool": "true or false", "tuple": "a list of numbers"}
+               "tuple": "a list of numbers"}
 
 
 def _typed(key: str, value, annotation: str):
     """A config value as the type its :class:`RunConfig` field is annotated
     with (a number may be written as a string), or a ValueError naming the
     field.  An integer field takes 8.0 and "8.0" as 8 and refuses a
-    fractional or non-finite number, however written; only the bool
-    field takes true or false, each list entry is typed as a float field's
-    value is, and None is taken only by a field annotated ``| None``."""
+    fractional or non-finite number, however written; no field is a bool,
+    so true and false are refused everywhere; each list entry is typed as a
+    float field's value is, and None is taken only by a field annotated
+    ``| None``."""
     kind = annotation.split(" |")[0]
     if value is None and annotation.endswith("| None"):
         return None
@@ -216,7 +216,7 @@ def _typed(key: str, value, annotation: str):
             if not isinstance(value, (list, tuple)):
                 raise TypeError
             return tuple(_typed(key, v, "float") for v in value)
-        if isinstance(value, bool) != (kind == "bool"):
+        if isinstance(value, bool):
             raise TypeError
         if kind == "int":
             number = value
@@ -230,7 +230,7 @@ def _typed(key: str, value, annotation: str):
             return int(number)
         if kind == "float":
             return float(value)
-        if not isinstance(value, str if kind == "str" else bool):
+        if not isinstance(value, str):
             raise TypeError
         return value
     except (TypeError, ValueError):
@@ -325,15 +325,13 @@ def write_csv_matrix(path: Path, Y: np.ndarray, header: list[str] | None = None)
                    header=",".join(header or []), comments="")
 
 
-def ingest_csv(path: str | Path, d1: int, d2: int, center: bool = False) -> np.ndarray:
+def ingest_csv(path: str | Path, d1: int, d2: int) -> np.ndarray:
     """The observation rows of a CSV file in :func:`_read_table`'s format as
-    an (n, d1*d2) array; a file without rows is refused.  With ``center``
-    the sample mean is subtracted (for data with a free mean)."""
+    an (n, d1*d2) array, as they are written; a file without rows is
+    refused.  The model's rows have mean zero, so no mean is subtracted."""
     _, Y = _read_table(path, d1 * d2)
     if Y.shape[0] == 0:
         raise ValueError(f"{path}: no observation rows found")
-    if center:
-        Y = Y - Y.mean(axis=0)
     return Y
 
 
@@ -567,10 +565,11 @@ def _read_blocks(config: RunConfig):
     the ``data_cC_sS.csv`` file of every block in the ``input_path``
     directory (see :func:`_blocks`).  Every path is checked before any is
     ingested, and every block is ingested before the targets are taken
-    from the first block's sample covariance; the blocks' scatters are
-    stacked into one summary.  A lower variance of 0, from a first block
-    whose covariance factor has no strict-lower part, leaves the posterior
-    no support and is refused."""
+    from the first block's sample covariance.  The rows have mean zero, so
+    that covariance is the block's scatter over its row count n, with no
+    mean estimated; the blocks' scatters are stacked into one summary.  A
+    lower variance of 0, from a first block whose covariance factor has no
+    strict-lower part, leaves the posterior no support and is refused."""
     if not config.mode.startswith("fit"):
         raise ValueError(f"mode '{config.mode}' reads no data; use 'fit-static' or 'fit-dynamic'")
     root, seasonal = Path(config.input_path), config.mode == "fit-dynamic"
@@ -585,13 +584,12 @@ def _read_blocks(config: RunConfig):
         raise ValueError(f"{reads}: there is no file {missing}")
     scatters, counts = [], []
     for path in paths:
-        Y = ingest_csv(path, config.d1, config.d2, center=config.center)
+        Y = ingest_csv(path, config.d1, config.d2)
         scatters.append(Y.T @ Y)
         counts.append(Y.shape[0])
     scatters, n = np.stack(scatters), counts[0]
     data = mdl.DataSummary.from_scatter(scatters, sum(counts), config.d1, config.d2)
-    targets = prior_targets_from_sample(scatters[0] / (max(n - 1, 1) if config.center else n),
-                                        config.d1, config.d2)
+    targets = prior_targets_from_sample(scatters[0] / n, config.d1, config.d2)
     hyper = solve_hyper(targets)
     if not hyper.lower_variance > 0:
         raise ValueError(

@@ -2,6 +2,9 @@
 covariance, the targets extracted from its factor, the Gamma-shape root
 solve, and the variance solve for the strict-lower normal priors.
 
+The model's rows have mean zero, and a fit estimates no mean: the sample
+covariance is the first block's scatter Y^T Y over its row count n.
+
 The construction centers the factor prior so that, a priori,
 ``E[log det(D1 (x) D2)]`` matches the log-determinant target and the
 expected squared Frobenius norms of the diagonal and strict-lower parts
@@ -118,7 +121,8 @@ def solve_a(c: float) -> float:
     For c > 1 there is a unique root.  Bracketed bisection runs on the
     equivalent log form g(a) = log(a^2 + a) - 2 psi_0(a) - log c, which
     stays well conditioned where the raw residual cancels catastrophically,
-    and returns the midpoint of least raw residual.  For c <= 1 no root
+    and returns the first midpoint whose raw residual is below SHAPE_TOL;
+    each step evaluates psi_0 once, for both.  For c <= 1 no root
     exists (exp(2 psi_0(a)) < a^2 for all a > 0), and a c too close to 1 for
     double precision stalls above SHAPE_TOL; both raise ValueError.
     """
@@ -126,38 +130,36 @@ def solve_a(c: float) -> float:
     if not c > 1.0:
         raise ValueError(f"the shape equation has a root only for c > 1, got c={c}")
 
-    def g(a: float) -> float:
-        return math.log(a * a + a) - 2.0 * digamma(a) - math.log(c)
+    def g(a: float, psi: float) -> float:   # psi = psi_0(a)
+        return math.log(a * a + a) - 2.0 * psi - math.log(c)
 
     lo, hi = 1e-8, 10.0
-    glo, ghi = g(lo), g(hi)
+    glo, ghi = g(lo, digamma(lo)), g(hi, digamma(hi))
     while glo * ghi > 0 and hi < 1e12:
         lo, glo = hi, ghi
         hi *= 10.0
-        ghi = g(hi)
+        ghi = g(hi, digamma(hi))
     if glo * ghi > 0:
         raise ValueError(f"no sign change for c={c} within [1e-8, 1e12]")
 
-    best = None
+    least = math.inf
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        res = shape_residual(mid, c)
-        if best is None or res < best[1]:
-            best = (mid, res)
+        psi = digamma(mid)
+        res = abs(mid * mid + mid - c * math.exp(2.0 * psi))   # shape_residual(mid, c)
+        if res < SHAPE_TOL:
+            return mid
+        least = min(least, res)
+        gm = g(mid, psi)
         if glo * gm <= 0:
-            hi, ghi = mid, gm
+            hi = mid
         else:
             lo, glo = mid, gm
-        if best[1] < SHAPE_TOL or hi - lo < 1e-15 * hi:
+        if hi - lo < 1e-15 * hi:
             break
-
-    a, res = best
-    if res >= SHAPE_TOL:
-        raise ValueError(
-            f"shape solve stalled at residual {res:.3e} (tol {SHAPE_TOL:.1e}); "
-            f"c={c} is too close to 1 for double precision")
-    return a
+    raise ValueError(
+        f"shape solve stalled at residual {least:.3e} (tol {SHAPE_TOL:.1e}); "
+        f"c={c} is too close to 1 for double precision")
 
 
 @dataclass(frozen=True)

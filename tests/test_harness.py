@@ -69,12 +69,6 @@ def test_ingest_rejects_non_finite_field(tmp_path):
         ingest_csv(p, 3, 2)
 
 
-def test_ingest_centering(tmp_path):
-    p = _write(tmp_path / "d.csv", "1,1,1,1,1,1\n3,3,3,3,3,3\n")
-    Y = ingest_csv(p, 3, 2, center=True)
-    assert np.allclose(Y.mean(axis=0), 0.0)
-
-
 def _huge_value_csv(tmp_path: Path) -> Path:
     """60 rows of 3x2 data whose line 7, field 4 is 1e200: finite, but its
     square overflows the scatter."""
@@ -96,8 +90,6 @@ def test_huge_finite_value_fails_at_the_boundary(tmp_path):
             fit(cfg)
         with pytest.raises(ValueError, match=message):
             check_hyper(cfg)
-        with pytest.raises(ValueError, match=message):
-            ingest_csv(p, 3, 2, center=True)
     assert not (tmp_path / "fit").exists()
 
 
@@ -153,12 +145,10 @@ def test_ingest_matches_scanner_on_simulated_file(wide_csv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Y = ingest_csv(wide_csv, 16, 16)
-        centered = ingest_csv(wide_csv, 16, 16, center=True)
         header, _ = harness._read_table(wide_csv)
         scanned = harness._scan_table(wide_csv, header, 256)
     assert Y.shape == (2000, 256)
     assert np.array_equal(Y, scanned)
-    assert np.array_equal(centered, scanned - scanned.mean(axis=0))
 
 
 _MALFORMED_CSV = {
@@ -973,7 +963,7 @@ def test_config_validation():
     # config that sets one of these keys fails, naming it
     for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
                        ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2}),
-                       ("sim_transition_alpha", 0.05)):
+                       ("sim_transition_alpha", 0.05), ("center", True)):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     with pytest.raises(ValueError, match="preset"):
@@ -984,9 +974,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     # a value of the wrong type fails at the boundary, naming its field; a
-    # number written as a string is read as the number
+    # number written as a string is read as the number, and no field takes
+    # true or false
     for key, value in (("n_chains", "two"), ("n_chains", 2.5), ("n_chains", True),
-                       ("lower_variance", "abc"), ("center", "yes"), ("mode", 3),
+                       ("lower_variance", "abc"), ("transition", True), ("mode", 3),
                        ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1]),
                        ("preset", ["paper-static"]), ("omega_weights", [True, 2.0])):
         with pytest.raises(ValueError, match=key):
@@ -1254,9 +1245,12 @@ def test_cli_config_file_must_hold_a_mapping(tmp_path):
 def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
     # a usage error is reported as every other failure is, and a flag is
     # typed and refused as its config-file value is; --help still exits 0
+    config = _write(tmp_path / "center.yaml", "center: true\n")
     for argv, named in ((["fit", "--chains", "two", "--input", "d.csv"], "n_chains"),
                         (["fit", "--preset", "nope", "--input", "d.csv"], "preset"),
                         (["fit", "--bogus", "1"], "--bogus"),
+                        (["fit", "--center", "--input", "d.csv"], "--center"),
+                        (["fit", "--config", str(config), "--input", "d.csv"], "['center']"),
                         ([], "command"),
                         (["summarize"], "draws_file"),
                         (["simulate", "--seed", str(2 ** 64 + 1), "--out", str(tmp_path)], "seed"),
@@ -1265,7 +1259,7 @@ def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, argv
         assert named in json.loads(err)["message"], argv
-    assert not any(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [config]
     with pytest.raises(SystemExit) as exited:
         cli.main(["fit", "--help"])
     assert exited.value.code == 0
