@@ -42,8 +42,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", dest="n_warmup")
     p.add_argument("--draws", dest="n_draws")
     p.add_argument("--leapfrog", dest="n_leapfrog")
-    p.add_argument("--identity-transition", dest="transition",
-                   action="store_const", const="identity")
 
 
 def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:

@@ -4,8 +4,10 @@ and emit draws tables plus summary/ground-truth JSON that share one schema
 so results can be joined mechanically.
 
 A static run is the one-block case of a seasonal run, so one simulator,
-one fit and one draws table serve both; ``_blocks`` names the blocks (CSV
-file and column tag) of either kind, and ``_stat_columns`` /
+one fit and one draws table serve both: the block count alone decides
+whether a simulation draws a transition, and a 1x1 seasonal run draws the
+static run's data.  ``_blocks`` names the blocks (CSV file and column tag)
+of either kind, and ``_stat_columns`` /
 ``_stat_values`` name and compute the statistics that ``truth.json`` and
 ``draws.csv`` share.
 
@@ -51,9 +53,12 @@ from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_h
 
 SIM_STREAM = 10_000
 INIT_STREAM = 20_000
-# the Dirichlet concentration of each column of a sampled simulation
+# the Dirichlet concentration of each column of a seasonal simulation's
 # transition; a small value makes the columns near one-hot
 SIM_TRANSITION_ALPHA = 0.05
+# the variance scale of the simulated lowers: component k's strict-lower
+# entries are N(0, omega_k * SIM_LOWER_VARIANCE)
+SIM_LOWER_VARIANCE = 2.0
 
 # The scatter Y^T Y is positive semidefinite, so its Frobenius norm is at
 # most its trace, the sum of the squared fields; below sqrt(float max) the
@@ -82,18 +87,17 @@ _SCALE_LEN4 = (1.0, 0.4, 0.3, 0.2)
 PRESETS: dict[str, dict] = {
     "paper-static": dict(
         d1=4, d2=5, n_truth_components=5, n_components=5, n_obs=500,
-        omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0), lower_variance=2.0,
+        omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0),
         wishart_scale1=_SCALE_LEN4, wishart_scale2=_SCALE_LEN5),
     "paper-separable": dict(
         d1=4, d2=5, n_truth_components=1, n_components=5, n_obs=500,
-        omega_weights=(1.0,), lower_variance=2.0,
+        omega_weights=(1.0,),
         wishart_scale1=_SCALE_LEN4, wishart_scale2=_SCALE_LEN5),
     "paper-dynamic": dict(
         d1=5, d2=2, n_truth_components=5, n_components=5, n_obs=500,
         n_seasons=4, n_cycles=3,
-        omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0), lower_variance=2.0,
-        wishart_scale1=_SCALE_LEN5, wishart_scale2=(1.0, 0.4),
-        transition="sample"),
+        omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0),
+        wishart_scale1=_SCALE_LEN5, wishart_scale2=(1.0, 0.4)),
 }
 
 
@@ -115,15 +119,11 @@ class RunConfig:
     seed: int = 0                  # in [0, 2**64), the Philox key's first word
     input_path: str | None = None
     output_dir: str = "out"
-    # simulation design, all finite: weights >= 0 with a positive sum and a
-    # variance scale >= 0 (a zero switches a component off), Wishart scales > 0
+    # simulation design, all finite: weights >= 0 with a positive sum,
+    # Wishart scales > 0
     omega_weights: tuple = (1.0, 4.0, 6.0, 7.0, 9.0)
-    lower_variance: float = 2.0
     wishart_scale1: tuple | None = None
     wishart_scale2: tuple | None = None
-    # a seasonal simulation's transition: "sample" draws every column from
-    # Dirichlet(SIM_TRANSITION_ALPHA), "identity" keeps the weights
-    transition: str = "sample"
     # sampler; a fit starts from hmc.INITIAL_STEP, adapts it toward
     # hmc.TARGET_ACCEPT, estimates the mass at the warmup midpoint when
     # n_warmup >= 40; the transition gammas' Gamma(1, 1) prior is fixed
@@ -176,17 +176,12 @@ class RunConfig:
                 and sum(self.omega_weights) > 0):
             raise ValueError(f"omega_weights must be finite and nonnegative with a positive "
                              f"sum, got {list(self.omega_weights)}")
-        if not 0 <= self.lower_variance < math.inf:
-            raise ValueError(f"lower_variance must be finite and nonnegative, "
-                             f"got {self.lower_variance}")
         for key in ("wishart_scale1", "wishart_scale2"):
             scale = getattr(self, key)
             if scale is not None and not all(0 < v < math.inf for v in scale):
                 raise ValueError(f"{key} entries must be finite and positive, got {list(scale)}")
         if self.mode.startswith("fit") and self.input_path is None:
             raise ValueError(f"mode '{self.mode}' requires input_path")
-        if self.transition not in ("sample", "identity"):
-            raise ValueError("transition must be 'sample' or 'identity'")
         if self.n_chains < 1 or self.n_leapfrog < 1:
             raise ValueError("n_chains and n_leapfrog must be at least 1")
         if self.n_draws < 4:
@@ -447,14 +442,15 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     """Draw one dataset, one observation matrix per block, plus its
     ground-truth record.
 
-    A static run is one block at the configured weights.  A seasonal run
-    first draws a column-stochastic transition (Dirichlet columns), or
-    takes the identity, and moves the weights through it block by block.
-    The diagonals are scaled Wishart diagonals shared by every block; each
-    block draws its lowers from the component priors at its weights and
-    the variance scale, then its observations from the assembled precision
-    factor.  Writes the block CSVs and truth.json under the output
-    directory.
+    The first block is at the configured weights.  A run of more than one
+    block first draws a column-stochastic transition, each column from
+    Dirichlet(SIM_TRANSITION_ALPHA), and moves the weights through it block
+    by block; a run of one block draws no transition, so a 1x1 seasonal run
+    draws the static run's data.  The diagonals are scaled Wishart
+    diagonals shared by every block; each block draws its lowers from the
+    component priors at its weights and SIM_LOWER_VARIANCE, then its
+    observations from the assembled precision factor.  Writes the block
+    CSVs and truth.json under the output directory.
     """
     if not config.mode.startswith("simulate"):
         raise ValueError(f"simulate() does not handle mode '{config.mode}'")
@@ -466,13 +462,8 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
                          f"{K} simulated components need {K}")
     omega = omega / omega.sum()
     blocks = _blocks(config)
-    if config.mode == "simulate-static":
-        A = None
-    elif config.transition == "identity":
-        A = np.eye(K)
-    else:
-        A = np.stack([rng.dirichlet(np.full(K, SIM_TRANSITION_ALPHA))
-                      for _ in range(K)], axis=1)
+    A = None if len(blocks) == 1 else np.stack(
+        [rng.dirichlet(np.full(K, SIM_TRANSITION_ALPHA)) for _ in range(K)], axis=1)
     scale1, scale2 = _wishart_scales(config)
     D1 = _draw_diagonals(rng, config.d1, scale1)
     D2 = _draw_diagonals(rng, config.d2, scale2)
@@ -483,7 +474,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     header = [f"y{j + 1}" for j in range(config.d1 * config.d2)]
     Ys, lows1, lows2 = [], [], []
     for t, (_, name) in enumerate(blocks):
-        variances = omegas[t] * config.lower_variance
+        variances = omegas[t] * SIM_LOWER_VARIANCE
         lows1.append(_draw_lowers(rng, K, config.d1, variances))
         lows2.append(_draw_lowers(rng, K, config.d2, variances))
         params = mdl.SCKPDParams(lowers1=lows1[t], lowers2=lows2[t], d1_diag=D1, d2_diag=D2,
@@ -500,7 +491,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
         "d1": config.d1, "d2": config.d2,
         "n_truth_components": K, "n_obs": config.n_obs,
         "seed": config.seed,
-        "lower_variance": config.lower_variance,
+        "lower_variance": SIM_LOWER_VARIANCE,
         "d1_diag": D1.tolist(), "d2_diag": D2.tolist(),
         "wishart": {
             "df1": config.d1 + 2, "df2": config.d2 + 2,
@@ -515,7 +506,7 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     else:
         truth.update(n_seasons=config.n_seasons, n_cycles=config.n_cycles,
                      omega1=omega.tolist(), transition_matrix=A.tolist(),
-                     transition=config.transition,
+                     transition="sample",
                      sim_transition_alpha=SIM_TRANSITION_ALPHA)
     (outdir / "truth.json").write_text(strict_json(truth) + "\n")
     return Ys, truth

@@ -295,7 +295,6 @@ def test_simulate_static_preset_values(tmp_path):
                                    seed=0, output_dir=str(tmp_path)))
     assert (cfg.d1, cfg.d2) == (4, 5)
     assert cfg.n_obs == 500
-    assert cfg.lower_variance == 2.0
     _, truth = simulate(cfg)
     assert truth["n_truth_components"] == 5
     expect = np.array([1.0, 4.0, 6.0, 7.0, 9.0]) / 27.0
@@ -313,23 +312,6 @@ def test_separable_preset_overspecifies_fit():
     assert cfg.omega_weights == (1.0,)
 
 
-def test_simulate_dynamic_identity_transition(tmp_path):
-    cfg = RunConfig.from_dict(dict(
-        mode="simulate-dynamic", d1=3, d2=2, n_components=3,
-        n_truth_components=3, omega_weights=(1.0, 2.0, 3.0), n_obs=30,
-        n_seasons=2, n_cycles=2, transition="identity", seed=1,
-        output_dir=str(tmp_path)))
-    _, truth = simulate(cfg)
-    base = [truth["stats"][f"omega_c1_s1_sorted_{k}"] for k in (1, 2, 3)]
-    for c in (1, 2):
-        for s in (1, 2):
-            got = [truth["stats"][f"omega_c{c}_s{s}_sorted_{k}"] for k in (1, 2, 3)]
-            assert np.allclose(got, base)
-    for c in (1, 2):
-        for s in (1, 2):
-            assert (tmp_path / f"data_c{c}_s{s}.csv").exists()
-
-
 def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
     cfg = RunConfig.from_dict(dict(
         mode="simulate-dynamic", preset="paper-dynamic", n_obs=20,
@@ -345,16 +327,19 @@ def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
 
 
 def test_static_run_is_the_one_block_seasonal_run(tmp_path):
-    # same data from simulate-static and a 1x1 identity simulate-dynamic, and
-    # the same draws from fit-static and a 1x1 fit-dynamic on them
+    # same data from simulate-static and a 1x1 simulate-dynamic, which draws
+    # no transition, and the same draws from fit-static and a 1x1
+    # fit-dynamic on them
     design = dict(d1=3, d2=2, n_truth_components=2, n_components=2,
-                  omega_weights=(1.0, 3.0), n_obs=80, seed=6, transition="identity")
+                  omega_weights=(1.0, 3.0), n_obs=80, seed=6)
     simulate(RunConfig.from_dict(dict(design, mode="simulate-static",
                                       output_dir=str(tmp_path / "s"))))
     simulate(RunConfig.from_dict(dict(design, mode="simulate-dynamic", n_seasons=1,
                                       n_cycles=1, output_dir=str(tmp_path / "d"))))
     assert (tmp_path / "s" / "data.csv").read_bytes() == \
         (tmp_path / "d" / "data_c1_s1.csv").read_bytes()
+    truth = json.loads((tmp_path / "d" / "truth.json").read_text())
+    assert truth["omega"] == [0.25, 0.75] and "transition_matrix" not in truth
     fit_design = dict(d1=3, d2=2, n_components=2, seed=6, n_chains=1, n_warmup=20,
                       n_draws=10, n_leapfrog=4)
     fit(RunConfig.from_dict(dict(fit_design, mode="fit-static",
@@ -963,7 +948,8 @@ def test_config_validation():
     # config that sets one of these keys fails, naming it
     for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
                        ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2}),
-                       ("sim_transition_alpha", 0.05), ("center", True)):
+                       ("sim_transition_alpha", 0.05), ("center", True),
+                       ("transition", "identity"), ("lower_variance", 2.0)):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     with pytest.raises(ValueError, match="preset"):
@@ -977,7 +963,7 @@ def test_config_validation():
     # number written as a string is read as the number, and no field takes
     # true or false
     for key, value in (("n_chains", "two"), ("n_chains", 2.5), ("n_chains", True),
-                       ("lower_variance", "abc"), ("transition", True), ("mode", 3),
+                       ("wishart_scale1", [1.0, "abc"]), ("output_dir", True), ("mode", 3),
                        ("omega_weights", "abc"), ("omega_weights", 5), ("preset", [1]),
                        ("preset", ["paper-static"]), ("omega_weights", [True, 2.0])):
         with pytest.raises(ValueError, match=key):
@@ -1002,9 +988,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"input_path": "d", key: value}, family="fit")
     cfg = RunConfig.from_dict(dict(mode="simulate-static", n_chains="2", n_draws=8.0,
-                                   lower_variance="1e-3", omega_weights=[1, "2"]))
-    assert (cfg.n_chains, cfg.n_draws, cfg.lower_variance) == (2, 8, 1e-3)
-    assert type(cfg.n_draws) is int and cfg.omega_weights == (1.0, 2.0)
+                                   omega_weights=[1, "2", "1e-3"]))
+    assert (cfg.n_chains, cfg.n_draws) == (2, 8)
+    assert type(cfg.n_draws) is int and cfg.omega_weights == (1.0, 2.0, 1e-3)
     # an integer field reads "8.0" as it reads 8.0 (a flag's value is such a
     # string), a string of digits exactly, and refuses a fractional or
     # non-finite number, however written, with one message
@@ -1049,8 +1035,8 @@ _SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n
     ("omega_weights", (1.0, -3.0)),
     ("omega_weights", (0.0, 0.0)),
     ("omega_weights", (1.0, float("inf"))),
-    ("lower_variance", -1.0),
-    ("lower_variance", float("inf")),
+    ("omega_weights", (1.0, float("nan"))),
+    ("wishart_scale1", (1.0, float("inf"), 0.5)),
     ("wishart_scale1", (1.0, 0.0, 0.5)),
     ("wishart_scale2", (1.0, -0.5)),
     ("wishart_scale2", (1.0, float("nan"))),
@@ -1084,13 +1070,13 @@ def test_length_mismatch_names_the_field_and_a_fit_ignores_it(tmp_path):
     assert (tmp_path / "fit" / "draws.csv").exists()
 
 
-def test_zero_weight_and_zero_variance_switch_components_off(tmp_path):
+def test_zero_weight_switches_a_component_off(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, truth = simulate(RunConfig(**dict(_SMALL_DESIGN, omega_weights=(0.0, 3.0),
-                                             lower_variance=0.0, output_dir=str(tmp_path))))
+                                             output_dir=str(tmp_path))))
     assert truth["omega"] == [0.0, 1.0]
-    assert truth["stats"]["fro2_lower"] == 0.0
+    assert truth["stats"]["omega_sorted_2"] == 0.0
 
 
 def test_config_yaml_and_hmc_section(tmp_path):
@@ -1245,12 +1231,16 @@ def test_cli_config_file_must_hold_a_mapping(tmp_path):
 def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
     # a usage error is reported as every other failure is, and a flag is
     # typed and refused as its config-file value is; --help still exits 0
-    config = _write(tmp_path / "center.yaml", "center: true\n")
+    config = _write(tmp_path / "removed.yaml",
+                    "center: true\ntransition: identity\nlower_variance: 2.0\n")
     for argv, named in ((["fit", "--chains", "two", "--input", "d.csv"], "n_chains"),
                         (["fit", "--preset", "nope", "--input", "d.csv"], "preset"),
                         (["fit", "--bogus", "1"], "--bogus"),
                         (["fit", "--center", "--input", "d.csv"], "--center"),
-                        (["fit", "--config", str(config), "--input", "d.csv"], "['center']"),
+                        (["fit", "--identity-transition", "--input", "d.csv"],
+                         "--identity-transition"),
+                        (["fit", "--config", str(config), "--input", "d.csv"],
+                         "['center', 'lower_variance', 'transition']"),
                         ([], "command"),
                         (["summarize"], "draws_file"),
                         (["simulate", "--seed", str(2 ** 64 + 1), "--out", str(tmp_path)], "seed"),
