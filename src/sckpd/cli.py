@@ -13,8 +13,14 @@ import argparse
 import json
 import sys
 
-from .harness import (PRESETS, RunConfig, check_hyper, fit, read_config_file, simulate,
-                      strict_json, summarize_draws)
+from .harness import (MODES, PRESETS, RunConfig, check_hyper, fit, read_config_file,
+                      simulate, strict_json, summarize_draws)
+
+# (flag, RunConfig field) of every flag whose help gives the field's default
+_FIELD_FLAGS = (("--seed", "seed"), ("--out", "output_dir"), ("--d1", "d1"), ("--d2", "d2"),
+                ("--n-components", "n_components"), ("--n-obs", "n_obs"),
+                ("--seasons", "n_seasons"), ("--cycles", "n_cycles"), ("--chains", "n_chains"),
+                ("--warmup", "n_warmup"), ("--draws", "n_draws"), ("--leapfrog", "n_leapfrog"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,20 +34,13 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--preset", help=f"one of {', '.join(sorted(PRESETS))}")
-    p.add_argument("--mode")
-    p.add_argument("--seed")
-    p.add_argument("--out", dest="output_dir")
-    p.add_argument("--input", dest="input_path")
-    p.add_argument("--d1")
-    p.add_argument("--d2")
-    p.add_argument("--n-components", dest="n_components")
-    p.add_argument("--n-obs", dest="n_obs")
-    p.add_argument("--seasons", dest="n_seasons")
-    p.add_argument("--cycles", dest="n_cycles")
-    p.add_argument("--chains", dest="n_chains")
-    p.add_argument("--warmup", dest="n_warmup")
-    p.add_argument("--draws", dest="n_draws")
-    p.add_argument("--leapfrog", dest="n_leapfrog")
+    p.add_argument("--mode", help=f"one of {', '.join(MODES)}; default: the verb's seasonal "
+                                  "mode for more than one block, else its static one")
+    p.add_argument("--input", dest="input_path",
+                   help="the data CSV file, or a seasonal fit's directory of block files")
+    fields = RunConfig.__dataclass_fields__
+    for flag, key in _FIELD_FLAGS:
+        p.add_argument(flag, dest=key, help=f"default {fields[key].default}")
 
 
 def _build_config(args: argparse.Namespace, family_prefix: str) -> RunConfig:

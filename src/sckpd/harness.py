@@ -20,9 +20,10 @@ the statistics, the per-chain sampler figures, the flags and the
 convergence warnings from it, for ``fit`` on the table it has just written
 and for ``summarize_draws`` on the table read back, so both report the same.
 
-RNG stream layout (Philox, counter based): key word 0 is the user seed,
-word 1 selects the stream: chain c samples on (seed, c), chain inits draw
-on (seed, 20000 + c), data simulation on (seed, 10000).  A key word is 64
+RNG stream layout (Philox, counter based), chosen here alone: key word 0
+is the user seed, word 1 selects the stream: chain c samples on (seed, c),
+chain inits draw on (seed, 20000 + c), data simulation on (seed, 10000);
+``fit`` hands each chain its sampling generator.  A key word is 64
 bits, so a seed is an integer in [0, 2**64); ``RunConfig`` refuses any
 other, which would alias one in the range.
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import hmc
 from . import model as mdl
-from .hmc import Chain, HMCConfig, hmc_sample
+from .hmc import Chain, hmc_sample
 from .hyper import PriorTargets, SolvedHyper, prior_targets_from_sample, solve_hyper
 
 SIM_STREAM = 10_000
@@ -559,8 +560,11 @@ def _read_blocks(config: RunConfig):
     from the first block's sample covariance.  The rows have mean zero, so
     that covariance is the block's scatter over its row count n, with no
     mean estimated; the blocks' scatters are stacked into one summary.  A
-    lower variance of 0, from a first block whose covariance factor has no
-    strict-lower part, leaves the posterior no support and is refused."""
+    block with a column whose mean square, its scatter diagonal over n, is
+    below the smallest normal float is refused, since the covariance of
+    such tiny units loses precision unseen.  A lower variance of 0, from a
+    first block whose covariance factor has no strict-lower part, leaves the
+    posterior no support and is refused."""
     if not config.mode.startswith("fit"):
         raise ValueError(f"mode '{config.mode}' reads no data; use 'fit-static' or 'fit-dynamic'")
     root, seasonal = Path(config.input_path), config.mode == "fit-dynamic"
@@ -578,6 +582,14 @@ def _read_blocks(config: RunConfig):
         Y = ingest_csv(path, config.d1, config.d2)
         scatters.append(Y.T @ Y)
         counts.append(Y.shape[0])
+        mean_squares = np.diagonal(scatters[-1]) / counts[-1]
+        k = int(np.argmin(mean_squares))
+        if not mean_squares[k] >= sys.float_info.min:
+            raise ValueError(f"{path}: column {k + 1} " + (
+                f"has mean square {mean_squares[k]:.3g}, below the smallest normal float "
+                f"{sys.float_info.min:.3g}, under which the sample covariance loses "
+                f"precision: rescale the values of column {k + 1}" if Y[:, k].any()
+                else "is all zeros, so the sample covariance is singular"))
     scatters, n = np.stack(scatters), counts[0]
     data = mdl.DataSummary.from_scatter(scatters, sum(counts), config.d1, config.d2)
     targets = prior_targets_from_sample(scatters[0] / n, config.d1, config.d2)
@@ -603,37 +615,37 @@ def fit(config: RunConfig) -> dict:
     leapfrog step, of the unchecked ``model.log_posterior_core``, which
     runs inside ``hmc.leapfrog``'s error-state scope; the entry's checks
     hold for the whole fit once the layout is built from the summary.
-    Chains run in a process pool when SCKPD_THREADS is set above 1, which
-    pickles the partials.  Weights are
-    sorted (descending) within each draw before any summarization.  The
-    report is :func:`_table_report` of the draws table, as
-    :func:`summarize_draws` gives it from draws.csv, plus the config, the
+    Every chain runs one partial of ``hmc_sample`` on its init and its
+    generator, in sequence, or in a process pool when SCKPD_THREADS is set
+    above 1, which pickles the partial and each generator with its state.
+    Weights are sorted (descending) within each draw before any
+    summarization.  The report is :func:`_table_report` of the draws table,
+    as :func:`summarize_draws` gives it from draws.csv, plus the config, the
     adapted step sizes, the prior targets and hyperparameters, and the
     set-up warning ahead of the report's warnings.
     """
     data, targets, hyper = _read_blocks(config)
     workers = min(_n_threads(), config.n_chains)
-    warnings = []
+    setup_warnings = []
     if hyper.degenerate:
-        warnings.append("a diagonal shape target fell in the degenerate c <= 1 regime; "
-                        "the shape was solved at the clamped target instead")
+        setup_warnings.append("a diagonal shape target fell in the degenerate c <= 1 "
+                              "regime; the shape was solved at the clamped target instead")
 
     layout = mdl.StateLayout(config.d1, config.d2, config.n_components, len(data.scatters))
     value_fn = partial(mdl.log_posterior_grad, layout=layout, data=data, hyper=hyper,
                        targets=targets, want="value")
     grad_fn = partial(mdl.log_posterior_core, layout=layout, data=data, hyper=hyper,
                       want="grad")
-    hconfs = [HMCConfig(n_leapfrog=config.n_leapfrog, n_warmup=config.n_warmup,
-                        n_draws=config.n_draws, seed=config.seed, chain_index=c,
-                        init=_draw_init(config.seed, c, layout.size))
-              for c in range(config.n_chains)]
-    value_fns, grad_fns = [value_fn] * config.n_chains, [grad_fn] * config.n_chains
+    sample = partial(hmc_sample, value_fn, grad_fn, n_leapfrog=config.n_leapfrog,
+                     n_warmup=config.n_warmup, n_draws=config.n_draws)
+    inits = [_draw_init(config.seed, c, layout.size) for c in range(config.n_chains)]
+    rngs = [hmc.philox_rng(config.seed, c) for c in range(config.n_chains)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chains = list(pool.map(hmc_sample, value_fns, grad_fns, hconfs))
+            chains = list(pool.map(sample, inits, rngs))
     else:
-        chains = list(map(hmc_sample, value_fns, grad_fns, hconfs))
+        chains = list(map(sample, inits, rngs))
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -649,7 +661,7 @@ def fit(config: RunConfig) -> dict:
         "adapted_step_size": [c.adapted_step_size for c in chains],
         **_hyper_report(targets, hyper),
         **report,
-        "warnings": warnings + report["warnings"],
+        "warnings": setup_warnings + report["warnings"],
     }
     if config.mode == "fit-dynamic":
         summary.update(n_seasons=config.n_seasons, n_cycles=config.n_cycles)

@@ -16,10 +16,6 @@ difference.  A chain makes one more value request, at its initial state.
 C chains of N draws of m columns, and return one value per column as an
 (m,) array; the report reads them on the draws table's statistics, not on
 the unconstrained draws.
-
-Randomness comes from a counter-based Philox generator keyed as
-(seed, chain_index) by ``philox_rng``, so chains are reproducible and
-independent whether they run sequentially or in parallel.
 """
 
 from __future__ import annotations
@@ -39,22 +35,6 @@ STEP_JITTER = 0.2
 
 
 @dataclass
-class HMCConfig:
-    init: np.ndarray             # starting state
-    n_leapfrog: int
-    n_warmup: int
-    n_draws: int
-    seed: int = 0
-    chain_index: int = 0
-
-    def __post_init__(self):
-        if self.n_leapfrog < 1:
-            raise ValueError("leapfrog count must be positive")
-        if self.n_warmup < 0 or self.n_draws < 0:
-            raise ValueError("warmup and draw counts must be nonnegative")
-
-
-@dataclass
 class Chain:
     draws: np.ndarray                  # (n_draws, dim) unconstrained states
     accept_flags: np.ndarray
@@ -63,27 +43,20 @@ class Chain:
     adapted_step_size: float
 
 
-class TrajectoryDivergence(Exception):
-    """Non-finite state or gradient mid-trajectory, at leapfrog step ``step``."""
-
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"trajectory diverged at leapfrog step {step}")
-
-
 def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
              n_steps: int, mass_inv: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray] | None:
     """Integrate n_steps of the half-q / full-p / half-q splitting.
 
     ``grad_fn(q)`` returns the gradient of the log posterior.  Deterministic,
     time reversible (negate p and integrate back), with O(step^2) energy
-    error.  Raises :class:`TrajectoryDivergence` on non-finite values; an
-    update that overflows is one of them, and raises no warning.  One
-    error-state scope, which ignores overflow, division by zero and invalid
-    operations, covers the whole trajectory, ``grad_fn``'s calls included:
-    ``grad_fn`` may hold no scope of its own, as the posterior's core,
-    which ``fit`` binds its gradient requests to, does not.
+    error.  Returns None, with no further gradient request, once the state
+    turns non-finite; an update that overflows does so, and raises no
+    warning.  One error-state scope, which ignores overflow, division by
+    zero and invalid operations, covers the whole trajectory, ``grad_fn``'s
+    calls included: ``grad_fn`` may hold no scope of its own, as the
+    posterior's core, which ``fit`` binds its gradient requests to, does
+    not.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
@@ -99,7 +72,7 @@ def leapfrog(grad_fn, q: np.ndarray, p: np.ndarray, step_size: float,
             # minv is finite and positive, so a non-finite gradient makes q
             # non-finite, whose product with 0 is then NaN: one check for both
             if not math.isfinite(q @ zero):
-                raise TrajectoryDivergence(step)
+                return None
     return q, p
 
 
@@ -115,10 +88,10 @@ def _trajectory(value_fn, grad_fn, q: np.ndarray, p: np.ndarray, step_size: floa
     """One proposal: ``n_steps`` leapfrog steps from (q, p), and the log
     posterior and the energy -value + 0.5 p^T M^-1 p at the end point.  A
     trajectory that diverges ends nowhere: it gives (q, -inf, inf)."""
-    try:
-        q1, p1 = leapfrog(grad_fn, q, p, step_size, n_steps, mass_inv)
-    except TrajectoryDivergence:
+    end = leapfrog(grad_fn, q, p, step_size, n_steps, mass_inv)
+    if end is None:
         return q, -math.inf, math.inf
+    q1, p1 = end
     value1 = value_fn(q1)
     return q1, value1, -value1 + _kinetic(p1, mass_inv)
 
@@ -180,8 +153,11 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def hmc_sample(value_fn, grad_fn, config: HMCConfig) -> Chain:
-    """Run one chain: dual-averaged warmup, then fixed-step sampling.
+def hmc_sample(value_fn, grad_fn, init: np.ndarray, rng: np.random.Generator,
+               n_leapfrog: int, n_warmup: int, n_draws: int) -> Chain:
+    """Run one chain from ``init``, drawing on ``rng``: ``n_warmup``
+    iterations of dual-averaged warmup, then ``n_draws`` of fixed-step
+    sampling, each proposal ``n_leapfrog`` leapfrog steps long.
 
     ``value_fn(q)`` returns the log posterior and ``grad_fn(q)`` its
     gradient.  The warmup adapts from a step search at ``INITIAL_STEP``;
@@ -190,11 +166,11 @@ def hmc_sample(value_fn, grad_fn, config: HMCConfig) -> Chain:
     warmup of n_warmup >= 40 sets it; proposals are accepted with the
     Metropolis ratio min(1, exp(H0 - H1)); a proposal with |dH| above the
     divergence threshold (or a non-finite trajectory) is rejected and
-    flagged.  Identical (config, target) pairs give identical chains.
+    flagged.  Identical (generator state, target) pairs give identical
+    chains.
     """
-    q = np.array(config.init, dtype=float)
+    q = np.array(init, dtype=float)
     dim = q.shape[0]
-    rng = philox_rng(config.seed, config.chain_index)
 
     mass = np.ones(dim)
     mass_inv = 1.0 / mass
@@ -203,29 +179,28 @@ def hmc_sample(value_fn, grad_fn, config: HMCConfig) -> Chain:
         raise ValueError("log posterior is not finite at the initial state")
 
     eps = INITIAL_STEP
-    if config.n_warmup > 0:
+    if n_warmup > 0:
         eps = find_reasonable_step_size(value_fn, grad_fn, q, value, eps, mass, rng)
     averager = _DualAveraging(eps)
 
-    n_total = config.n_warmup + config.n_draws
-    draws = np.empty((config.n_draws, dim))
-    accept_flags = np.zeros(config.n_draws, dtype=bool)
-    energies = np.empty(config.n_draws)
-    div_flags = np.zeros(config.n_draws, dtype=bool)
+    n_total = n_warmup + n_draws
+    draws = np.empty((n_draws, dim))
+    accept_flags = np.zeros(n_draws, dtype=bool)
+    energies = np.empty(n_draws)
+    div_flags = np.zeros(n_draws, dtype=bool)
     warmup_div = 0
 
     # warmup splits at the midpoint: variances of the second quarter of phase
     # one, n_warmup//2 - n_warmup//4 >= 10 states, become the mass diagonal
-    mass_switch = config.n_warmup // 2 if config.n_warmup >= 40 else None
+    mass_switch = n_warmup // 2 if n_warmup >= 40 else None
     window: list[np.ndarray] = []
 
     for it in range(n_total):
-        warmup = it < config.n_warmup
+        warmup = it < n_warmup
         p0 = rng.normal(size=dim) * np.sqrt(mass)
         h0 = -value + _kinetic(p0, mass_inv)
         eps_it = eps * (1.0 + STEP_JITTER * rng.uniform(-1.0, 1.0))
-        q_new, v_new, h1 = _trajectory(value_fn, grad_fn, q, p0, eps_it,
-                                       config.n_leapfrog, mass_inv)
+        q_new, v_new, h1 = _trajectory(value_fn, grad_fn, q, p0, eps_it, n_leapfrog, mass_inv)
         delta = h0 - h1
         diverged = not abs(delta) <= DIVERGENCE_ENERGY
         accept_prob = 0.0 if diverged else min(1.0, math.exp(min(delta, 0.0)))
@@ -248,14 +223,14 @@ def hmc_sample(value_fn, grad_fn, config: HMCConfig) -> Chain:
                     eps = find_reasonable_step_size(value_fn, grad_fn, q, value, eps, mass,
                                                     rng)
                     averager = _DualAveraging(eps)
-            if it == config.n_warmup - 1:
+            if it == n_warmup - 1:
                 eps = averager.averaged
-                if config.n_warmup >= 20 and warmup_div == config.n_warmup:
+                if n_warmup >= 20 and warmup_div == n_warmup:
                     raise RuntimeError(
                         f"every warmup iteration diverged (step size {eps:.3e}); "
                         "the target may be ill-posed at the initial state")
         else:
-            k = it - config.n_warmup
+            k = it - n_warmup
             draws[k] = q
             accept_flags[k] = accepted
             energies[k] = h1 if accepted else h0

@@ -801,6 +801,59 @@ def test_uniform_starts_are_in_the_support_at_the_largest_data(tmp_path, d1, d2,
 
 
 @pytest.mark.parametrize("run", [fit, check_hyper], ids=["fit", "check_hyper"])
+def test_data_in_units_below_the_smallest_normal_float_are_refused(tmp_path, run):
+    # the 3x2 data times 1e-160: the scatter's entries fall below the
+    # smallest normal float, so the data are refused, naming the file and
+    # the column, before any posterior call or output
+    cfg = _small_fit_config(tmp_path)
+    Y = ingest_csv(cfg.input_path, 3, 2)
+    tiny = tmp_path / "tiny.csv"
+    harness.write_csv_matrix(tiny, Y * 1e-160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"tiny\.csv: column \d has mean square .* below "
+                                             r"the smallest normal float .*: rescale the values "
+                                             r"of column \d$"):
+            run(replace(cfg, input_path=str(tiny)))
+    assert not (tmp_path / "fit").exists()
+
+
+def test_a_column_of_zeros_is_named_as_such(tmp_path):
+    # a mean square of 0 is no matter of units: there is nothing to rescale
+    cfg = _small_fit_config(tmp_path)
+    Y = ingest_csv(cfg.input_path, 3, 2)
+    Y[:, 4] = 0.0
+    zeros = tmp_path / "zeros.csv"
+    harness.write_csv_matrix(zeros, Y)
+    with pytest.raises(ValueError, match=r"zeros\.csv: column 5 is all zeros, so the sample "
+                                         r"covariance is singular$"):
+        check_hyper(replace(cfg, input_path=str(zeros)))
+
+
+def test_uniform_starts_are_in_the_support_at_the_smallest_data(tmp_path):
+    # the smallest units ingest takes, a column mean square of 1.01 times the
+    # smallest normal float: the data fit, and every Uniform(-2, 2) start has
+    # a finite value, with no RuntimeWarning
+    cfg = _small_fit_config(tmp_path)
+    Y = ingest_csv(cfg.input_path, 3, 2)
+    small = tmp_path / "small.csv"
+    harness.write_csv_matrix(small, Y * math.sqrt(1.01 * sys.float_info.min
+                                                  / np.mean(Y * Y, axis=0).min()))
+    cfg = replace(cfg, input_path=str(small), n_warmup=10, n_draws=4, n_leapfrog=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data, targets, hyper = harness._read_blocks(cfg)
+        layout = StateLayout(3, 2, 2)
+        values = [mdl.log_posterior_grad(harness._draw_init(0, c, layout.size), layout,
+                                         data, hyper, targets, want="value")
+                  for c in range(100)]
+        summary = fit(cfg)
+    assert np.diagonal(data.scatters[0]).min() / 200 < 1.02 * sys.float_info.min
+    assert np.isfinite(values).all()
+    assert summary["n_draws_per_chain"] == 4
+
+
+@pytest.mark.parametrize("run", [fit, check_hyper], ids=["fit", "check_hyper"])
 def test_a_malformed_later_block_is_named(tmp_path, run):
     # check_hyper reads every block of a seasonal run, as fit does
     cfg = _small_seasonal_fit_config(tmp_path)
@@ -1099,6 +1152,20 @@ def _run_cli(*args):
                           capture_output=True, text=True)
 
 
+def test_fit_help_gives_the_defaults_and_the_modes(monkeypatch, capsys):
+    # the help reads each flag's default from RunConfig and the modes from
+    # MODES; a wide terminal keeps argparse from breaking a mode at its hyphen
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["fit", "--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    warmup = next(line for line in text.splitlines() if line.strip().startswith("--warmup"))
+    assert warmup.split()[-2:] == ["default", "800"]
+    assert all(mode in text for mode in ("simulate-static", "simulate-dynamic", "fit-static",
+                                         "fit-dynamic"))
+
+
 def test_cli_takes_the_family_from_the_block_count():
     # flags override the preset's seasons and cycles; more than one block is
     # a seasonal run
@@ -1130,14 +1197,15 @@ def test_cli_simulate_and_check_hyper(tmp_path):
 
 
 def test_check_hyper_does_not_depend_on_the_data_units(tmp_path):
-    # the seed-1 paper-static data in other units are the same full-rank
+    # the seed-1 paper-static data in other units, down to 1e-150, whose
+    # column mean squares are still normal floats, are the same full-rank
     # rows: check-hyper accepts them, and the shape targets and shapes, which
     # are scale free, are the unscaled ones
     simulate(RunConfig.from_dict(dict(preset="paper-static", mode="simulate-static", seed=1,
                                       output_dir=str(tmp_path / "sim"))))
     Y = ingest_csv(tmp_path / "sim" / "data.csv", 4, 5)
     reports = []
-    for c in (1.0, 1e-8, 1e8):
+    for c in (1.0, 1e-8, 1e8, 1e-150):
         path = tmp_path / f"data_{c:g}.csv"
         harness.write_csv_matrix(path, Y * c, [f"y{j + 1}" for j in range(20)])
         reports.append(check_hyper(RunConfig.from_dict(dict(

@@ -6,8 +6,8 @@ import pytest
 import scipy.stats
 
 from conftest import effective_sample_size_oracle, split_rhat_oracle
-from sckpd.hmc import (HMCConfig, TrajectoryDivergence, effective_sample_size,
-                       find_reasonable_step_size, hmc_sample, leapfrog, philox_rng, split_rhat)
+from sckpd.hmc import (effective_sample_size, find_reasonable_step_size, hmc_sample, leapfrog,
+                       philox_rng, split_rhat)
 
 
 def gaussian_target(cov):
@@ -63,12 +63,14 @@ def test_leapfrog_small_step_first_order_motion():
 
 
 def test_leapfrog_divergence_signal():
+    calls = []
+
     def grad(q):
+        calls.append(q)
         return np.full_like(q, np.nan)
 
-    with pytest.raises(TrajectoryDivergence) as info:
-        leapfrog(grad, np.zeros(2), np.ones(2), 0.1, 5)
-    assert info.value.step == 0
+    assert leapfrog(grad, np.zeros(2), np.ones(2), 0.1, 5) is None
+    assert len(calls) == 1
 
 
 def test_leapfrog_ends_a_divide_by_zero_in_the_gradient_as_a_divergence():
@@ -83,9 +85,8 @@ def test_leapfrog_ends_a_divide_by_zero_in_the_gradient_as_a_divergence():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TrajectoryDivergence) as info:
-            leapfrog(grad, np.ones(3), np.ones(3), 0.1, 5)
-    assert info.value.step == 1 and len(calls) == 2
+        assert leapfrog(grad, np.ones(3), np.ones(3), 0.1, 5) is None
+    assert len(calls) == 2
 
 
 def test_energy_error_scaling_slope():
@@ -115,10 +116,8 @@ def test_energy_error_scaling_slope():
 def _run_chains(target, dim, n_chains=4, n_draws=2000, n_warmup=500, seed=7):
     chains = []
     for c in range(n_chains):
-        config = HMCConfig(n_leapfrog=16, n_warmup=n_warmup,
-                           n_draws=n_draws, seed=seed, chain_index=c,
-                           init=np.full(dim, 0.5))
-        chains.append(hmc_sample(*target, config))
+        chains.append(hmc_sample(*target, np.full(dim, 0.5), philox_rng(seed, c),
+                                 n_leapfrog=16, n_warmup=n_warmup, n_draws=n_draws))
     return chains
 
 
@@ -145,38 +144,34 @@ def test_post_warmup_acceptance_in_band():
 def test_huge_step_no_adaptation_rejects_everything():
     # sd 1e-3: without warmup the constant initial step is 50 sds
     cov = 1e-6 * np.eye(2)
-    config = HMCConfig(n_leapfrog=16, n_warmup=0, n_draws=200,
-                       seed=3, init=np.array([3e-4, -2e-4]))
-    chain = hmc_sample(*gaussian_target(cov), config)
+    chain = hmc_sample(*gaussian_target(cov), np.array([3e-4, -2e-4]), philox_rng(3, 0),
+                       n_leapfrog=16, n_warmup=0, n_draws=200)
     assert chain.accept_flags.mean() < 0.05
     assert np.allclose(chain.draws[-1], [3e-4, -2e-4], rtol=1e-5, atol=0.0)
 
 
 def test_detailed_balance_ks_one_dimensional():
-    config = HMCConfig(n_leapfrog=12, n_warmup=500, n_draws=10_000,
-                       seed=11, init=np.zeros(1))
-    chain = hmc_sample(*gaussian_target(np.eye(1)), config)
+    chain = hmc_sample(*gaussian_target(np.eye(1)), np.zeros(1), philox_rng(11, 0),
+                       n_leapfrog=12, n_warmup=500, n_draws=10_000)
     stat = scipy.stats.kstest(chain.draws[:, 0], scipy.stats.norm.cdf).statistic
     assert stat < 0.02
 
 
 def test_seed_determinism_bitwise():
     target = gaussian_target(np.array([[1.0, 0.3], [0.3, 1.0]]))
-    config = HMCConfig(n_leapfrog=10, n_warmup=200, n_draws=300,
-                       seed=42, chain_index=1, init=np.zeros(2))
-    a = hmc_sample(*target, config)
-    b = hmc_sample(*target, config)
+    counts = dict(n_leapfrog=10, n_warmup=200, n_draws=300)
+    a = hmc_sample(*target, np.zeros(2), philox_rng(42, 1), **counts)
+    b = hmc_sample(*target, np.zeros(2), philox_rng(42, 1), **counts)
     assert np.array_equal(a.draws, b.draws)
     assert a.adapted_step_size == b.adapted_step_size
     assert np.array_equal(a.accept_flags, b.accept_flags)
 
 
-def test_different_chain_index_different_stream():
+def test_different_stream_different_chain():
     target = gaussian_target(np.eye(2))
-    base = dict(n_leapfrog=10, n_warmup=100, n_draws=200,
-                seed=42, init=np.zeros(2))
-    a = hmc_sample(*target, HMCConfig(chain_index=0, **base))
-    b = hmc_sample(*target, HMCConfig(chain_index=1, **base))
+    counts = dict(n_leapfrog=10, n_warmup=100, n_draws=200)
+    a = hmc_sample(*target, np.zeros(2), philox_rng(42, 0), **counts)
+    b = hmc_sample(*target, np.zeros(2), philox_rng(42, 1), **counts)
     assert not np.array_equal(a.draws, b.draws)
 
 
@@ -184,10 +179,9 @@ def test_all_divergent_warmup_aborts():
     def grad(q):
         return np.full_like(q, np.nan)
 
-    config = HMCConfig(n_leapfrog=4, n_warmup=50, n_draws=10,
-                       seed=0, init=np.zeros(2))
     with pytest.raises(RuntimeError, match="diverged"):
-        hmc_sample(lambda q: 0.0, grad, config)
+        hmc_sample(lambda q: 0.0, grad, np.zeros(2), philox_rng(0, 0),
+                   n_leapfrog=4, n_warmup=50, n_draws=10)
 
 
 def test_momentum_overflow_is_a_divergence_not_a_warning():
@@ -204,19 +198,17 @@ def test_momentum_overflow_is_a_divergence_not_a_warning():
         with np.errstate(over="ignore", invalid="ignore"):
             return -prec * q
 
-    config = HMCConfig(n_leapfrog=8, n_warmup=60, n_draws=20, seed=0,
-                       init=np.array([0.3, 1e-100]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="every warmup iteration diverged"):
-            hmc_sample(value, grad, config)
+            hmc_sample(value, grad, np.array([0.3, 1e-100]), philox_rng(0, 0),
+                       n_leapfrog=8, n_warmup=60, n_draws=20)
 
 
 def test_mass_adaptation_handles_scale_separation():
     cov = np.diag([1.0, 400.0])
-    config = HMCConfig(n_leapfrog=24, n_warmup=600, n_draws=1500,
-                       seed=5, init=np.zeros(2))
-    chain = hmc_sample(*gaussian_target(cov), config)
+    chain = hmc_sample(*gaussian_target(cov), np.zeros(2), philox_rng(5, 0),
+                       n_leapfrog=24, n_warmup=600, n_draws=1500)
     assert 0.5 <= chain.accept_flags.mean() <= 0.99
     sd = chain.draws[:, 1].std(ddof=1)
     assert 12.0 < sd < 28.0
@@ -248,9 +240,8 @@ def test_chain_without_warmup_makes_one_evaluation_per_step_and_proposal():
     # no gradient at an end point
     target = CountingTarget(np.eye(3))
     n_draws, n_leapfrog = 25, 7
-    chain = hmc_sample(target.value, target.grad,
-                       HMCConfig(init=np.full(3, 0.5), n_leapfrog=n_leapfrog, n_warmup=0,
-                                 n_draws=n_draws, seed=1))
+    chain = hmc_sample(target.value, target.grad, np.full(3, 0.5), philox_rng(1, 0),
+                       n_leapfrog=n_leapfrog, n_warmup=0, n_draws=n_draws)
     assert chain.accept_flags.any()
     proposal = ["grad"] * n_leapfrog + ["value"]
     assert target.kinds() == ["value"] + proposal * n_draws
