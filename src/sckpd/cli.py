@@ -77,7 +77,11 @@ def main(argv=None) -> int:
         description="Simulate and fit Kronecker-sum Cholesky precision models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="draw a dataset and ground truth")
+    p_sim = sub.add_parser("simulate", help="draw a dataset and ground truth", description=(
+        "Draw a dataset and write its block CSVs and truth.json.  The truth has one "
+        "component per omega_weights entry, a list that only a config file or a preset "
+        "sets; --n-components is the fit's count and does not change the draw.  An unset "
+        "Wishart scale (wishart_scale1, wishart_scale2) is 0.5 on every entry."))
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -78,24 +78,23 @@ RHAT_WARN = 1.01
 ESS_WARN_PER_CHAIN = 100
 E_BFMI_WARN = 0.3
 
-# Reference simulation designs.  The two Wishart scale vectors have lengths
-# 5 and 4 while the design uses d1 = 4, d2 = 5, so the length-4 vector
-# attaches to mode 1 and the length-5 vector to mode 2; the assignment is
-# recorded in every ground-truth file so it can be audited.
+# Reference simulation designs.  The presets attach the paper's two Wishart
+# scale vectors to the modes of their lengths; every ground-truth file
+# records the scales it drew with.
 _SCALE_LEN5 = (0.75, 1.0, 0.2, 0.3, 0.1)
 _SCALE_LEN4 = (1.0, 0.4, 0.3, 0.2)
 
 PRESETS: dict[str, dict] = {
     "paper-static": dict(
-        d1=4, d2=5, n_truth_components=5, n_components=5, n_obs=500,
+        d1=4, d2=5, n_components=5, n_obs=500,
         omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0),
         wishart_scale1=_SCALE_LEN4, wishart_scale2=_SCALE_LEN5),
     "paper-separable": dict(
-        d1=4, d2=5, n_truth_components=1, n_components=5, n_obs=500,
+        d1=4, d2=5, n_components=5, n_obs=500,
         omega_weights=(1.0,),
         wishart_scale1=_SCALE_LEN4, wishart_scale2=_SCALE_LEN5),
     "paper-dynamic": dict(
-        d1=5, d2=2, n_truth_components=5, n_components=5, n_obs=500,
+        d1=5, d2=2, n_components=5, n_obs=500,
         n_seasons=4, n_cycles=3,
         omega_weights=(1.0, 4.0, 6.0, 7.0, 9.0),
         wishart_scale1=_SCALE_LEN5, wishart_scale2=(1.0, 0.4)),
@@ -112,16 +111,15 @@ class RunConfig:
     mode: str
     d1: int = 4
     d2: int = 5
-    n_components: int = 5          # components the model fits with
-    n_truth_components: int | None = None   # components simulated; None: n_components
+    n_components: int = 5          # components a fit uses; a simulation draws one per weight
     n_obs: int = 500               # observations per block
     n_seasons: int = 1
     n_cycles: int = 1
     seed: int = 0                  # in [0, 2**64), the Philox key's first word
     input_path: str | None = None
     output_dir: str = "out"
-    # simulation design, all finite: weights >= 0 with a positive sum,
-    # Wishart scales > 0
+    # simulation design, all finite: weights >= 0 with a positive sum, one
+    # simulated component per weight; Wishart scales > 0, unset: 0.5 each
     omega_weights: tuple = (1.0, 4.0, 6.0, 7.0, 9.0)
     wishart_scale1: tuple | None = None
     wishart_scale2: tuple | None = None
@@ -170,9 +168,6 @@ class RunConfig:
         if self.mode.endswith("static") and self.n_seasons * self.n_cycles > 1:
             raise ValueError(f"mode '{self.mode}' runs one block, not n_seasons = "
                              f"{self.n_seasons} x n_cycles = {self.n_cycles}")
-        if self.n_truth_components is not None and self.n_truth_components < 1:
-            raise ValueError(f"n_truth_components must be at least 1 or unset, "
-                             f"got {self.n_truth_components}")
         if not (all(0 <= w < math.inf for w in self.omega_weights)
                 and sum(self.omega_weights) > 0):
             raise ValueError(f"omega_weights must be finite and nonnegative with a positive "
@@ -256,15 +251,10 @@ def _blocks(config: RunConfig) -> list[tuple[str, str]]:
 def _wishart_scales(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     def pick(key, d_key):
         scale, d = getattr(config, key), getattr(config, d_key)
-        if scale is not None:
-            scale = np.asarray(scale, dtype=float)
-            if scale.shape != (d,):
-                raise ValueError(f"{key} has {scale.size} entries; {d_key} = {d} needs {d}")
-            return scale
-        for ref in (_SCALE_LEN5, _SCALE_LEN4):
-            if len(ref) == d:
-                return np.asarray(ref)
-        return np.full(d, 0.5)
+        scale = np.full(d, 0.5) if scale is None else np.asarray(scale, dtype=float)
+        if scale.shape != (d,):
+            raise ValueError(f"{key} has {scale.size} entries; {d_key} = {d} needs {d}")
+        return scale
     return pick("wishart_scale1", "d1"), pick("wishart_scale2", "d2")
 
 
@@ -443,12 +433,15 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     """Draw one dataset, one observation matrix per block, plus its
     ground-truth record.
 
-    The first block is at the configured weights.  A run of more than one
-    block first draws a column-stochastic transition, each column from
+    The truth has one component per ``omega_weights`` entry, and the first
+    block is at those weights, normalized; ``n_components``, the fit's
+    count, is not read.  A run of more than one block first draws a
+    column-stochastic transition, each column from
     Dirichlet(SIM_TRANSITION_ALPHA), and moves the weights through it block
     by block; a run of one block draws no transition, so a 1x1 seasonal run
     draws the static run's data.  The diagonals are scaled Wishart
-    diagonals shared by every block; each block draws its lowers from the
+    diagonals shared by every block, at scale 0.5 on every entry of a mode
+    whose Wishart scale is unset; each block draws its lowers from the
     component priors at its weights and SIM_LOWER_VARIANCE, then its
     observations from the assembled precision factor.  Writes the block
     CSVs and truth.json under the output directory.
@@ -456,12 +449,8 @@ def simulate(config: RunConfig) -> tuple[list[np.ndarray], dict]:
     if not config.mode.startswith("simulate"):
         raise ValueError(f"simulate() does not handle mode '{config.mode}'")
     rng = hmc.philox_rng(config.seed, SIM_STREAM)
-    K = config.n_components if config.n_truth_components is None else config.n_truth_components
     omega = np.asarray(config.omega_weights, dtype=float)
-    if omega.shape != (K,):
-        raise ValueError(f"omega_weights has {omega.size} entries; "
-                         f"{K} simulated components need {K}")
-    omega = omega / omega.sum()
+    K, omega = omega.size, omega / omega.sum()
     blocks = _blocks(config)
     A = None if len(blocks) == 1 else np.stack(
         [rng.dirichlet(np.full(K, SIM_TRANSITION_ALPHA)) for _ in range(K)], axis=1)
@@ -560,9 +549,10 @@ def _read_blocks(config: RunConfig):
     from the first block's sample covariance.  The rows have mean zero, so
     that covariance is the block's scatter over its row count n, with no
     mean estimated; the blocks' scatters are stacked into one summary.  A
-    block with a column whose mean square, its scatter diagonal over n, is
-    below the smallest normal float is refused, since the covariance of
-    such tiny units loses precision unseen.  A lower variance of 0, from a
+    block with columns whose mean square, its scatter diagonal over n, is
+    below the smallest normal float is refused, naming every such column
+    (or its columns of zeros first), since the covariance of such tiny
+    units loses precision unseen.  A lower variance of 0, from a
     first block whose covariance factor has no strict-lower part, leaves the
     posterior no support and is refused."""
     if not config.mode.startswith("fit"):
@@ -583,13 +573,20 @@ def _read_blocks(config: RunConfig):
         scatters.append(Y.T @ Y)
         counts.append(Y.shape[0])
         mean_squares = np.diagonal(scatters[-1]) / counts[-1]
-        k = int(np.argmin(mean_squares))
-        if not mean_squares[k] >= sys.float_info.min:
-            raise ValueError(f"{path}: column {k + 1} " + (
-                f"has mean square {mean_squares[k]:.3g}, below the smallest normal float "
+        tiny = np.flatnonzero(mean_squares < sys.float_info.min)
+        if tiny.size:
+            zeros = tiny[~Y[:, tiny].any(axis=0)]
+            bad = zeros if zeros.size else tiny
+            one = bad.size == 1
+            named = (f"all {bad.size} columns" if bad.size == Y.shape[1] else
+                     f"column{'' if one else 's'} {', '.join(str(k + 1) for k in bad)}")
+            raise ValueError(f"{path}: {named} " + (
+                f"{'is' if one else 'are'} all zeros, so the sample covariance is singular"
+                if zeros.size else
+                f"{'has mean square' if one else 'have mean squares up to'} "
+                f"{mean_squares[bad].max():.3g}, below the smallest normal float "
                 f"{sys.float_info.min:.3g}, under which the sample covariance loses "
-                f"precision: rescale the values of column {k + 1}" if Y[:, k].any()
-                else "is all zeros, so the sample covariance is singular"))
+                f"precision: rescale the values of {named}"))
     scatters, n = np.stack(scatters), counts[0]
     data = mdl.DataSummary.from_scatter(scatters, sum(counts), config.d1, config.d2)
     targets = prior_targets_from_sample(scatters[0] / n, config.d1, config.d2)

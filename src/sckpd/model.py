@@ -186,7 +186,6 @@ class _Decoded(NamedTuple):
     d2_diag: np.ndarray
     breaks: list             # the K-1 break fractions
     omega: list              # the first block's weights, as floats
-    omega1: np.ndarray       # the same, as an array
     theta: float
     gamma: np.ndarray | None        # (K, K), None for one block
     transition: np.ndarray | None   # gamma's column normalization
@@ -319,7 +318,6 @@ class StateLayout:
             omega.append(left * zk)
             left = left * (1.0 - zk)
         omega.append(left)
-        omega1 = np.array(omega)
         # a saturated logistic coordinate gives a theta of 0 or 1 or a zero
         # weight; a positive one that leaves the support gives a zero or an
         # infinite sum of the exps
@@ -335,11 +333,11 @@ class StateLayout:
         if self.n_blocks > 1:
             gamma = e[d1 + d2 + K:].reshape(K, K)
             transition = gamma / gamma.sum(axis=0, keepdims=True)
-            omegas = omega_trajectory(omega1, transition, self.n_blocks)
+            omegas = omega_trajectory(np.array(omega), transition, self.n_blocks)
         else:
-            omegas = omega1[None]
+            omegas = np.array(omega)[None]
         members = np.concatenate((u[:n_low], e[:d1 + d2], _ZERO)).take(self.member_source)
-        return _Decoded(members, e[:d1], e[d1:d1 + d2], breaks, omega, omega1, theta, gamma,
+        return _Decoded(members, e[:d1], e[d1:d1 + d2], breaks, omega, theta, gamma,
                         transition, omegas, log_jac, e, exps)
 
     def check_state(self, u) -> np.ndarray:
@@ -359,7 +357,7 @@ class StateLayout:
             s = self._decode(self.check_state(u))
         K = self.n_components
         return SCKPDParams(lowers1=s.members1[0, :K], lowers2=s.members2[0, :K],
-                           d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega=s.omega1,
+                           d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega=s.omegas[0],
                            theta=s.theta), s.log_jac
 
     def unpack(self, u: np.ndarray) -> SCKPDParams:
@@ -681,7 +679,7 @@ def log_posterior_core(u: np.ndarray, layout: StateLayout, data, hyper: SolvedHy
             lams[t] += np.dot(A.T, lams[t + 1])
         lam0 = [g + a for g, a in zip(lam0, np.dot(A.T, lams[1]).tolist())]
     g_theta = (K * digamma(K * theta) - K * digamma(theta)
-               + float(np.add.reduce(np.log(s.omega1))))
+               + float(np.add.reduce(np.log(s.omegas[0]))))
 
     # strict lowers: the N(0, omega beta) prior and the trace term; one
     # take reads their member gradients and the diagonal members', whose

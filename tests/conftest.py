@@ -239,7 +239,7 @@ def decode_blocks(layout, u):
         s = layout._decode(u)
     K = layout.n_components
     params = SDParams(lowers1=s.members1[:, :K], lowers2=s.members2[:, :K],
-                      d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omega1,
+                      d1_diag=s.d1_diag, d2_diag=s.d2_diag, omega1=s.omegas[0],
                       theta=s.theta, gamma=s.gamma)
     return params, s.log_jac
 

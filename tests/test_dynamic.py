@@ -184,7 +184,7 @@ def test_decoded_weights_match_the_oracle():
         assert np.array_equal(s.omegas, omega_trajectory(params.omega1, params.transition, 4))
     static = StateLayout(3, 2, 3)
     one = static._decode(rng.normal(size=static.size))
-    assert one.transition is None and np.array_equal(one.omegas, one.omega1[None])
+    assert one.transition is None and np.array_equal(one.omegas, np.array([one.omega]))
 
 
 def test_two_season_value_matches_per_season_oracle():

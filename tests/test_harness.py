@@ -305,11 +305,55 @@ def test_simulate_static_preset_values(tmp_path):
     assert Y.shape == (500, 20)
 
 
-def test_separable_preset_overspecifies_fit():
-    cfg = RunConfig.from_dict(dict(mode="simulate-static", preset="paper-separable"))
-    assert cfg.n_truth_components == 1
-    assert cfg.n_components == 5
-    assert cfg.omega_weights == (1.0,)
+def test_separable_preset_overspecifies_fit(tmp_path):
+    # the truth has one component, one per weight, and the fit five: only
+    # the first sorted weight has a truth to cover
+    design = dict(preset="paper-separable", n_obs=40, seed=2)
+    cfg = RunConfig.from_dict(dict(design, output_dir=str(tmp_path / "sim")), family="simulate")
+    assert (cfg.n_components, cfg.omega_weights) == (5, (1.0,))
+    _, truth = simulate(cfg)
+    assert truth["n_truth_components"] == 1
+    assert [name for name in truth["stats"] if name.startswith("omega")] == ["omega_sorted_1"]
+    fit(RunConfig.from_dict(dict(design, input_path=str(tmp_path / "sim" / "data.csv"),
+                                 output_dir=str(tmp_path / "fit"), n_chains=2, n_warmup=5,
+                                 n_draws=4, n_leapfrog=2), family="fit"))
+    draws = tmp_path / "fit" / "draws.csv"
+    header = draws.read_text().splitlines()[0].split(",")
+    assert [name for name in header if name.startswith("omega")] == \
+        [f"omega_sorted_{k}" for k in range(1, 6)]
+    coverage = summarize_draws(draws, tmp_path / "sim" / "truth.json")["coverage"]
+    assert [name for name in coverage if name.startswith("omega")] == ["omega_sorted_1"]
+
+
+def test_each_preset_simulates_one_component_per_weight(tmp_path):
+    for name, preset in PRESETS.items():
+        _, truth = simulate(RunConfig.from_dict(
+            dict(preset=name, n_obs=4, output_dir=str(tmp_path / name)), family="simulate"))
+        assert truth["n_truth_components"] == len(preset["omega_weights"])
+
+
+def test_an_unset_wishart_scale_is_one_half_at_every_size(tmp_path):
+    # a 5x2 design without a preset draws at 0.5 on every entry; the paper's
+    # vectors come with the presets alone
+    _, truth = simulate(RunConfig(mode="simulate-static", d1=5, d2=2, n_obs=4,
+                                  output_dir=str(tmp_path / "plain")))
+    assert truth["wishart"]["scale_mode1"] == [0.5] * 5
+    assert truth["wishart"]["scale_mode2"] == [0.5] * 2
+    _, truth = simulate(RunConfig.from_dict(dict(
+        preset="paper-dynamic", n_obs=4, output_dir=str(tmp_path / "dynamic")),
+        family="simulate"))
+    assert truth["wishart"]["scale_mode1"] == [0.75, 1.0, 0.2, 0.3, 0.1]
+    assert truth["wishart"]["scale_mode2"] == [1.0, 0.4]
+
+
+def test_the_weights_not_n_components_set_the_simulated_count(tmp_path):
+    # n_components: 2 with three weights simulates three components
+    config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
+                    "omega_weights: [1.0, 3.0, 2.0]\nn_obs: 10\n")
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    truth = json.loads((tmp_path / "s" / "truth.json").read_text())
+    assert truth["n_truth_components"] == 3
+    assert [truth["stats"][f"omega_sorted_{k}"] for k in (1, 2, 3)] == [0.5, 2 / 6, 1 / 6]
 
 
 def test_simulate_dynamic_weights_stay_on_simplex(tmp_path):
@@ -330,7 +374,7 @@ def test_static_run_is_the_one_block_seasonal_run(tmp_path):
     # same data from simulate-static and a 1x1 simulate-dynamic, which draws
     # no transition, and the same draws from fit-static and a 1x1
     # fit-dynamic on them
-    design = dict(d1=3, d2=2, n_truth_components=2, n_components=2,
+    design = dict(d1=3, d2=2, n_components=2,
                   omega_weights=(1.0, 3.0), n_obs=80, seed=6)
     simulate(RunConfig.from_dict(dict(design, mode="simulate-static",
                                       output_dir=str(tmp_path / "s"))))
@@ -431,7 +475,7 @@ def test_draw_table_matches_per_block_oracle():
 
 def _small_fit_config(tmp_path, seed=9):
     sim = RunConfig.from_dict(dict(
-        mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+        mode="simulate-static", d1=3, d2=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=200, seed=seed,
         output_dir=str(tmp_path / "sim")))
     simulate(sim)
@@ -486,7 +530,7 @@ def test_fit_without_warmup_samples_at_the_initial_step(tmp_path):
 
 def _small_seasonal_fit_config(tmp_path, seed=11, **fit_knobs):
     simulate(RunConfig.from_dict(dict(
-        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
+        mode="simulate-dynamic", d1=3, d2=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=120, n_seasons=2, n_cycles=1,
         seed=seed, output_dir=str(tmp_path / "sim"))))
     return RunConfig.from_dict(dict(dict(
@@ -594,7 +638,7 @@ def test_summary_statistics_match_per_column_oracles_seasonal(tmp_path, n_chains
     # without warmup the one chain rejects every proposal: it is flagged, and
     # every statistic is constant, so none warns
     sim = RunConfig.from_dict(dict(
-        mode="simulate-dynamic", d1=3, d2=2, n_truth_components=2, n_components=2,
+        mode="simulate-dynamic", d1=3, d2=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=80, n_seasons=3, n_cycles=1,
         seed=12, output_dir=str(tmp_path / "sim")))
     simulate(sim)
@@ -802,19 +846,31 @@ def test_uniform_starts_are_in_the_support_at_the_largest_data(tmp_path, d1, d2,
 
 @pytest.mark.parametrize("run", [fit, check_hyper], ids=["fit", "check_hyper"])
 def test_data_in_units_below_the_smallest_normal_float_are_refused(tmp_path, run):
-    # the 3x2 data times 1e-160: the scatter's entries fall below the
-    # smallest normal float, so the data are refused, naming the file and
-    # the column, before any posterior call or output
+    # column mean squares below the smallest normal float: one refusal names
+    # the file and every such column, or says that all are, before any
+    # posterior call or output.  The 3x2 data times 1e-160 and the seed-1
+    # paper-static data times 1e-158 have every column below it; a copy of
+    # the latter with only columns 2 and 5 times 1e-160 has those two.
     cfg = _small_fit_config(tmp_path)
-    Y = ingest_csv(cfg.input_path, 3, 2)
-    tiny = tmp_path / "tiny.csv"
-    harness.write_csv_matrix(tiny, Y * 1e-160)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"tiny\.csv: column \d has mean square .* below "
-                                             r"the smallest normal float .*: rescale the values "
-                                             r"of column \d$"):
-            run(replace(cfg, input_path=str(tiny)))
+    simulate(RunConfig.from_dict(dict(preset="paper-static", seed=1,
+                                      output_dir=str(tmp_path / "paper")), family="simulate"))
+    paper = replace(cfg, d1=4, d2=5, n_components=5)
+    Y = ingest_csv(tmp_path / "paper" / "data.csv", 4, 5)
+    some = Y.copy()
+    some[:, [1, 4]] *= 1e-160
+    cases = ((cfg, ingest_csv(cfg.input_path, 3, 2) * 1e-160, "all 6 columns"),
+             (paper, Y * 1e-158, "all 20 columns"),
+             (paper, some, "columns 2, 5"))
+    for k, (config, data, named) in enumerate(cases):
+        tiny = tmp_path / f"tiny{k}.csv"
+        harness.write_csv_matrix(tiny, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                run(replace(config, input_path=str(tiny)))
+        assert str(refused.value).startswith(f"{tiny}: {named} have mean squares up to ")
+        assert " below the smallest normal float " in str(refused.value)
+        assert str(refused.value).endswith(f": rescale the values of {named}")
     assert not (tmp_path / "fit").exists()
 
 
@@ -827,6 +883,13 @@ def test_a_column_of_zeros_is_named_as_such(tmp_path):
     harness.write_csv_matrix(zeros, Y)
     with pytest.raises(ValueError, match=r"zeros\.csv: column 5 is all zeros, so the sample "
                                          r"covariance is singular$"):
+        check_hyper(replace(cfg, input_path=str(zeros)))
+    # columns of zeros are named ahead of tiny ones, which rescaling does not mend
+    Y[:, 1] = 0.0
+    Y[:, 2] *= 1e-160
+    harness.write_csv_matrix(zeros, Y)
+    with pytest.raises(ValueError, match=r"zeros\.csv: columns 2, 5 are all zeros, so the "
+                                         r"sample covariance is singular$"):
         check_hyper(replace(cfg, input_path=str(zeros)))
 
 
@@ -1002,14 +1065,14 @@ def test_config_validation():
     for key, value in (("step_size", 0.05), ("target_accept", 0.8), ("adapt_mass", False),
                        ("transition_dirichlet_alpha", 1.0), ("hmc", {"n_chains": 2}),
                        ("sim_transition_alpha", 0.05), ("center", True),
-                       ("transition", "identity"), ("lower_variance", 2.0)):
+                       ("transition", "identity"), ("lower_variance", 2.0),
+                       ("n_truth_components", 2)):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     with pytest.raises(ValueError, match="preset"):
         RunConfig.from_dict(dict(mode="simulate-static", preset="nope"))
-    # n_truth_components 0 is refused, not read as unset
     for key, value in (("n_chains", 0), ("n_leapfrog", 0), ("n_draws", 3),
-                       ("n_warmup", -1), ("n_truth_components", 0)):
+                       ("n_warmup", -1)):
         with pytest.raises(ValueError, match=key):
             RunConfig.from_dict({"mode": "simulate-static", key: value})
     # a value of the wrong type fails at the boundary, naming its field; a
@@ -1027,9 +1090,8 @@ def test_config_validation():
         RunConfig.from_dict(dict(mode="simulate-static", n_chains=None))
     assert str(raised.value) == "n_chains must be an integer, got None"
     cfg = RunConfig.from_dict(dict(mode="simulate-static", preset="paper-static",
-                                   n_truth_components=None, input_path=None,
-                                   wishart_scale1=None, wishart_scale2=None))
-    assert (cfg.n_truth_components, cfg.input_path) == (5, None)
+                                   input_path=None, wishart_scale1=None, wishart_scale2=None))
+    assert cfg.input_path is None
     assert (cfg.wishart_scale1, cfg.wishart_scale2) == (harness._SCALE_LEN4,
                                                         harness._SCALE_LEN5)
     # a tuple field refuses a string rather than read it character by character
@@ -1080,7 +1142,7 @@ def test_config_validation():
                                          n_cycles=cycles))
 
 
-_SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+_SMALL_DESIGN = dict(mode="simulate-static", d1=3, d2=2, n_components=2,
                      omega_weights=(1.0, 3.0), n_obs=20, seed=1)
 
 
@@ -1110,8 +1172,7 @@ def test_length_mismatch_names_the_field_and_a_fit_ignores_it(tmp_path):
     # field and the dimension; a fit reads no simulation field and runs
     for field, value, message in (
             ("wishart_scale1", (1.0, 0.5), "wishart_scale1 has 2 entries; d1 = 3 needs 3"),
-            ("wishart_scale2", (1.0, 0.5, 0.2), "wishart_scale2 has 3 entries; d2 = 2 needs 2"),
-            ("omega_weights", (1.0, 3.0, 2.0), "omega_weights has 3 entries; 2 simulated")):
+            ("wishart_scale2", (1.0, 0.5, 0.2), "wishart_scale2 has 3 entries; d2 = 2 needs 2")):
         with pytest.raises(ValueError, match=message):
             simulate(RunConfig(**{**_SMALL_DESIGN, "output_dir": str(tmp_path / "bad"),
                                   field: value}))
@@ -1164,6 +1225,13 @@ def test_fit_help_gives_the_defaults_and_the_modes(monkeypatch, capsys):
     assert warmup.split()[-2:] == ["default", "800"]
     assert all(mode in text for mode in ("simulate-static", "simulate-dynamic", "fit-static",
                                          "fit-dynamic"))
+    # simulate's description says what sets the simulated count and scales
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "one component per omega_weights entry" in text
+    assert "--n-components is the fit's count" in text
+    assert "is 0.5 on every entry" in text
 
 
 def test_cli_takes_the_family_from_the_block_count():
@@ -1235,7 +1303,7 @@ def loaded_by_run(tmp_path_factory) -> dict:
     sckpd.dynamic it loaded."""
     tmp_path = tmp_path_factory.mktemp("imports")
     config = _write(tmp_path / "sim.yaml", "d1: 3\nd2: 2\nn_components: 2\n"
-                    "n_truth_components: 2\nomega_weights: [1.0, 3.0]\nn_obs: 60\n")
+                    "omega_weights: [1.0, 3.0]\nn_obs: 60\n")
     cli = "from sckpd.cli import main\nrc = main(sys.argv[1:])"
     dims = ("--d1", "3", "--d2", "2")
     tiny = (*dims, "--n-components", "2", "--seed", "5",
@@ -1301,6 +1369,7 @@ def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
     # typed and refused as its config-file value is; --help still exits 0
     config = _write(tmp_path / "removed.yaml",
                     "center: true\ntransition: identity\nlower_variance: 2.0\n")
+    truth_count = _write(tmp_path / "truth_count.yaml", "n_truth_components: 2\n")
     for argv, named in ((["fit", "--chains", "two", "--input", "d.csv"], "n_chains"),
                         (["fit", "--preset", "nope", "--input", "d.csv"], "preset"),
                         (["fit", "--bogus", "1"], "--bogus"),
@@ -1309,6 +1378,8 @@ def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
                          "--identity-transition"),
                         (["fit", "--config", str(config), "--input", "d.csv"],
                          "['center', 'lower_variance', 'transition']"),
+                        (["simulate", "--config", str(truth_count), "--out", str(tmp_path / "s")],
+                         "unknown config keys: ['n_truth_components']"),
                         ([], "command"),
                         (["summarize"], "draws_file"),
                         (["simulate", "--seed", str(2 ** 64 + 1), "--out", str(tmp_path)], "seed"),
@@ -1317,7 +1388,7 @@ def test_cli_usage_errors_are_one_json_line(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, argv
         assert named in json.loads(err)["message"], argv
-    assert list(tmp_path.iterdir()) == [config]
+    assert sorted(tmp_path.iterdir()) == [config, truth_count]
     with pytest.raises(SystemExit) as exited:
         cli.main(["fit", "--help"])
     assert exited.value.code == 0
@@ -1333,7 +1404,7 @@ def test_cli_error_is_machine_readable(tmp_path):
 
 def test_cli_summarize_round_trip(tmp_path):
     sim = RunConfig.from_dict(dict(
-        mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+        mode="simulate-static", d1=3, d2=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=150, seed=2,
         output_dir=str(tmp_path / "sim")))
     simulate(sim)
@@ -1397,7 +1468,7 @@ def test_four_draw_fit_writes_strict_json(tmp_path):
     # the fewest draws a fit accepts give a finite split R-hat, so stdout and
     # summary.json are strict JSON, with no bare NaN or Infinity token
     simulate(RunConfig.from_dict(dict(
-        mode="simulate-static", d1=3, d2=2, n_truth_components=2, n_components=2,
+        mode="simulate-static", d1=3, d2=2, n_components=2,
         omega_weights=(1.0, 3.0), n_obs=60, seed=6, output_dir=str(tmp_path / "sim"))))
     out = _run_cli("fit", "--mode", "fit-static", "--d1", "3", "--d2", "2",
                    "--n-components", "2", "--seed", "6",

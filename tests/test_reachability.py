@@ -126,7 +126,7 @@ def _write_quoted(path: Path, rows: np.ndarray, header: list[str]) -> None:
 
 def _run_every_verb(tmp: Path) -> None:
     config = tmp / "sim.yaml"
-    config.write_text("d1: '3.0'\nd2: 2\nn_components: 2\nn_truth_components: 2\n"
+    config.write_text("d1: '3.0'\nd2: 2\nn_components: 2\n"
                       "omega_weights: [1.0, 3.0]\nwishart_scale1: [1.0, 0.5, 0.2]\n"
                       "input_path: null\nn_obs: 60\n")
     tiny = ("--seed", "5", "--chains", "1", "--warmup", "3", "--draws", "4", "--leapfrog", "2")
